@@ -39,6 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
+    CapExceeded,
     IrrationalPhase,
     MissingValue,
     NotACocycle,
@@ -741,7 +742,7 @@ def equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None):
         closure_spec = GroupSpec(KIND_FINITE, d, gens, enumeration_cap=search_cap)
         try:
             candidates = [e.a for e in closure_spec.elements()]
-        except Exception as exc:
+        except CapExceeded as exc:
             raise SearchCapExceeded("candidate closure did not stay finite: %s" % exc)
     # on an edge, admissible witnesses satisfy u_i c2_ij = c_ij u_j h with
     # h in the quotient group (h = 1 when modulo is None)

@@ -253,14 +253,13 @@ def glued_symmetry(r, s, datum):
 
 @dataclass
 class GluedSpace:
-    """All glued arrows between two tensor powers, with a coefficient basis."""
+    """All glued arrows between two tensor powers."""
 
     datum: GluingDatum
     r: int
     s: int
     arrows: list
     fibre_dim: int
-    coefficients: list = field(default_factory=list)
 
     @property
     def dim(self):
@@ -302,7 +301,7 @@ def glued_space(datum, r, s, cap=GLUED_COEFF_CAP):
             acc = sum(xv[v * m + a] * basis[a].a for a in range(m))
             comps[v] = ComplexMatrix(acc)
         arrows.append(GluedArrow(datum, r, s, comps))
-    return GluedSpace(datum, r, s, arrows, m, coefficients=kernel)
+    return GluedSpace(datum, r, s, arrows, m)
 
 
 class GluedCategory:

@@ -201,6 +201,11 @@ def nullspace(op, tol=None):
     A vector v is kept when ||op v|| <= tau * ||op|| * ||v||, decided by
     the singular values of op.  Returns column vectors as ComplexMatrix,
     in canonical order.
+
+    The SVD is thin when op has at least as many rows as columns: the
+    kernel lives in the right factor, so the m x m left factor of a tall
+    operator is never formed.  A wide operator keeps the full right
+    factor, whose rows beyond m span part of the kernel.
     """
     tol = tol or Tolerance()
     a = _as_array(op)
@@ -210,7 +215,7 @@ def nullspace(op, tol=None):
     if m == 0:
         vecs = list(np.eye(n, dtype=complex))
     else:
-        _, s, vh = np.linalg.svd(a)
+        _, s, vh = np.linalg.svd(a, full_matrices=m < n)
         smax = float(s[0]) if s.size else 0.0
         cutoff = tol.tau * smax
         vecs = []

@@ -2,10 +2,17 @@
 
 Objects are tensor powers H^r of C^d carrying g -> g^(x r); arrows from
 H^r to H^s are the d^s x d^r matrices t with g^(x s) t = t g^(x r) for
-every group element.  For finite groups the constraint is stacked over
-the generators; for the su/u kinds the equivalent derivative condition
-is stacked over a Lie algebra basis, so continuous groups are never
-sampled.  Row-major vectorization turns t -> a t b into (a kron b^T).
+every group element.  For finite groups the constraint is imposed for
+each generator; for the su/u kinds the equivalent derivative condition
+is imposed for each element of a Lie algebra basis, so continuous groups
+are never sampled.  Row-major vectorization turns t -> a t b into
+(a kron b^T).
+
+The solve is restricted to matching weights, then the remaining
+constraints.  A diagonal constraint (a Cartan element, i*I, a diagonal
+finite generator) acts on the matrix unit e_i e_j* by the scalar
+weight(i) - weight(j), so its kernel is spanned by the matrix units of
+equal weight; only the other constraints are solved, on those units.
 
 The module also builds the permutation unitaries and symmetries of the
 tensor powers, antisymmetric projectors, the top antisymmetric isometry
@@ -115,8 +122,32 @@ def _derived_power(x, r, d):
     return out
 
 
+def _power_diagonal(lam, power, lie):
+    """Diagonal of the power action of diag(lam), row-major over slots.
+
+    Lie kinds add the slot eigenvalues (the derivative of the tensor
+    power); finite kinds multiply them.
+    """
+    combine = np.add if lie else np.multiply
+    out = np.full(1, 0.0 if lie else 1.0, dtype=complex)
+    for _ in range(power):
+        out = combine.outer(out, lam).ravel()
+    return out
+
+
+def _power_action(x, power, d, lie):
+    return _derived_power(x, power, d) if lie else tensor_power(x, power).a
+
+
 def intertwiners(group, r, s, tol=None, cap=INTERTWINER_UNKNOWN_CAP):
     """Orthonormal basis of the intertwiner space (H^r, H^s).
+
+    The unknowns are restricted to matching weights, then the remaining
+    constraints are solved.  Diagonal constraints keep the matrix units
+    e_i e_j* whose weight difference vanishes under the rule nullspace
+    applies to their stacked diagonal; the other constraints are built on
+    the kept units only, all-zero rows dropped, and their kernel is
+    scattered back into d^s x d^r matrices in canonical order.
 
     Raises SizeCapExceeded when the vectorized problem has more than
     ``cap`` unknowns.  Results are cached on the group.
@@ -133,23 +164,39 @@ def intertwiners(group, r, s, tol=None, cap=INTERTWINER_UNKNOWN_CAP):
             "intertwiner problem has %d unknowns, cap is %d" % (n, cap)
         )
     ds, dr = d ** s, d ** r
-    rows = []
-    if group.kind == KIND_FINITE:
-        for g in group.generators:
-            gs = tensor_power(g, s).a
-            gr = tensor_power(g, r).a
-            rows.append(np.kron(gs, np.eye(dr)) - np.kron(np.eye(ds), gr.T))
-    else:
-        for x in lie_basis(group).matrices:
-            xs = _derived_power(x.a, s, d)
-            xr = _derived_power(x.a, r, d)
-            rows.append(np.kron(xs, np.eye(dr)) - np.kron(np.eye(ds), xr.T))
-    if rows:
-        op = np.vstack(rows)
-    else:
-        op = np.zeros((0, n), dtype=complex)
-    vecs = nullspace(op, tol)
-    basis = tuple(ComplexMatrix(v.a.reshape(ds, dr)) for v in vecs)
+    lie = group.kind != KIND_FINITE
+    gens = lie_basis(group).matrices if lie else group.generators
+    diagonal, others = [], []
+    for g in gens:
+        a = g.a
+        (diagonal if np.array_equal(a, np.diag(np.diagonal(a))) else others).append(a)
+    # singular values of the stacked diagonal constraints, one per unknown
+    sq = np.zeros(n)
+    for a in diagonal:
+        lam = np.diagonal(a)
+        w = _power_diagonal(lam, s, lie)[:, None] - _power_diagonal(lam, r, lie)[None, :]
+        sq += np.abs(w.ravel()) ** 2
+    sigma = np.sqrt(sq)
+    keep = np.flatnonzero(sigma <= tol.tau * sigma.max())
+    # column k of each block is vec(g_s E - E g_r) for the unit E = e_i e_j*
+    ri, ci = np.divmod(keep, dr)
+    k = np.arange(keep.size)
+    blocks = []
+    for a in others:
+        gs = _power_action(a, s, d, lie)
+        gr = _power_action(a, r, d, lie)
+        blk = np.zeros((ds, dr, keep.size), dtype=complex)
+        blk[:, ci, k] = gs[:, ri]
+        blk[ri, :, k] -= gr[ci, :]
+        blocks.append(blk.reshape(n, keep.size))
+    op = np.vstack(blocks) if blocks else np.zeros((0, keep.size), dtype=complex)
+    op = op[np.any(op, axis=1)]
+    vecs = []
+    for v in nullspace(op, tol):
+        x = np.zeros(n, dtype=complex)
+        x[keep] = v.a.ravel()
+        vecs.append(x)
+    basis = tuple(ComplexMatrix(x.reshape(ds, dr)) for x in canonical_basis(vecs))
     space = IntertwinerSpace(group=group, r=r, s=s, basis=basis)
     group.cache[key] = space
     return space

@@ -304,6 +304,35 @@ def test_equivalent_search_cap():
         equivalent(c, trivial_cocycle(cov, "finite", group=q8), search_cap=3)
 
 
+def _q8_coboundary_without_group():
+    els = quaternion_group().elements()
+    cov = Cover(octahedron())
+    u = {v: els[v % len(els)].a for v in range(6)}
+    vals = {(i, j): u[i] @ u[j].conj().T for (i, j) in cov.complex.edges()}
+    return CechCocycle(cov, "finite", vals), trivial_cocycle(cov, "finite", degree=2)
+
+
+def test_equivalent_closure_overflow_is_search_cap():
+    # no attached group: candidates come from the closure of the values,
+    # which is Q8 (order 8) and leaves a cap of 4
+    c, c2 = _q8_coboundary_without_group()
+    with pytest.raises(SearchCapExceeded):
+        equivalent(c, c2, search_cap=4)
+    assert equivalent(c, c2) is not None
+
+
+def test_equivalent_closure_propagates_unrelated_errors(monkeypatch):
+    import catbundle.groups as groups_module
+
+    def broken(group, tol=None):
+        raise RuntimeError("enumeration broke")
+
+    c, c2 = _q8_coboundary_without_group()
+    monkeypatch.setattr(groups_module, "enumerate_finite", broken)
+    with pytest.raises(RuntimeError, match="enumeration broke"):
+        equivalent(c, c2)
+
+
 # ---------------------------------------------------------------------------
 # determinant pushforward
 

@@ -135,3 +135,42 @@ def test_tolerance_validation():
         Tolerance(0.0)
     t = Tolerance(1e-6)
     assert t.close(1e-7) and not t.close(1e-5)
+
+
+def _full_svd_kernel_projector(a, tau=1e-9):
+    # reference: full SVD, every right singular vector at or under the cutoff
+    m, n = a.shape
+    if m == 0:
+        return np.eye(n, dtype=complex)
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    sigma = np.concatenate([s, np.zeros(n - s.size)])
+    ker = vh[sigma <= tau * s[0]].conj()
+    return ker.T @ ker.conj()
+
+
+def _low_rank(rng, m, n, rank):
+    return (rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))) @ (
+        rng.standard_normal((rank, n)) + 1j * rng.standard_normal((rank, n))
+    )
+
+
+@pytest.mark.parametrize(
+    "m,n,rank",
+    [
+        (9, 4, 4),  # tall, full column rank: empty kernel
+        (9, 5, 3),  # tall, rank deficient
+        (5, 5, 2),  # square, rank deficient
+        (3, 7, 3),  # wide, full row rank: kernel entirely from vh rows beyond m
+        (4, 9, 2),  # wide, rank deficient: kernel from rows inside and beyond m
+        (0, 3, 0),  # zero rows
+    ],
+)
+def test_nullspace_projector_matches_full_svd(m, n, rank):
+    rng = np.random.default_rng(100 + 10 * m + n)
+    a = _low_rank(rng, m, n, rank) if rank else np.zeros((m, n), dtype=complex)
+    ker = nullspace(ComplexMatrix(a))
+    assert len(ker) == n - rank
+    got = sum((x.a @ x.a.conj().T for x in ker), np.zeros((n, n), dtype=complex))
+    assert np.linalg.norm(got - _full_svd_kernel_projector(a)) <= 1e-9
+    for x in ker:
+        assert np.linalg.norm(a @ x.a) <= 1e-9 * max(1.0, float(np.linalg.norm(a)))

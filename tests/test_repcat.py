@@ -4,14 +4,20 @@ import math
 import numpy as np
 import pytest
 
+from catbundle.dralg import fixed_points
+from catbundle.errors import SizeCapExceeded
 from catbundle.groups import (
+    KIND_FINITE,
+    GroupSpec,
     cyclic_diagonal_group,
     full_unitary,
+    lie_basis,
     quaternion_group,
     special_unitary,
 )
-from catbundle.linalg import ComplexMatrix, hs_inner, projection_residual
+from catbundle.linalg import ComplexMatrix, hs_inner, projection_residual, tensor_power
 from catbundle.repcat import (
+    _derived_power,
     antisym_projector,
     averaged_fixed_space,
     conjugate_pair,
@@ -225,3 +231,101 @@ def test_intertwiner_space_sequence_protocol():
     sp = intertwiners(quaternion_group(), 1, 1)
     assert len(sp) == sp.dim == 1
     assert list(iter(sp))[0] is sp[0]
+
+
+# ---------------------------------------------------------------------------
+# weight-space solve against the dense stacked-constraint route
+
+
+def swap_group():
+    """Order-2 group generated by [[0, 1], [1, 0]]: no diagonal generator."""
+    return GroupSpec(KIND_FINITE, 2, [[[0, 1], [1, 0]]])
+
+
+def dense_intertwiner_projector(group, r, s, tau=1e-9):
+    """Kernel projector of all constraints stacked, one block per generator.
+
+    The route the library used before restricting to matching weights:
+    every generator (or Lie basis element) contributes its full
+    d^(r+s) x d^(r+s) block, solved by one thin SVD.
+    """
+    d = group.degree
+    ds, dr = d ** s, d ** r
+    n = ds * dr
+    if group.kind == KIND_FINITE:
+        acts = [(tensor_power(g, s).a, tensor_power(g, r).a) for g in group.generators]
+    else:
+        acts = [
+            (_derived_power(x.a, s, d), _derived_power(x.a, r, d))
+            for x in lie_basis(group).matrices
+        ]
+    if not acts:
+        return np.eye(n, dtype=complex)
+    op = np.vstack([np.kron(a, np.eye(dr)) - np.kron(np.eye(ds), b.T) for a, b in acts])
+    _, sv, vh = np.linalg.svd(op, full_matrices=op.shape[0] < n)
+    sigma = np.concatenate([sv, np.zeros(n - sv.size)])
+    ker = vh[sigma <= tau * sv[0]].conj()
+    return ker.T @ ker.conj()
+
+
+def basis_projector(mats, n):
+    return sum(
+        (np.outer(m.a.reshape(-1), m.a.reshape(-1).conj()) for m in mats),
+        np.zeros((n, n), dtype=complex),
+    )
+
+
+ORACLE_GROUPS = {
+    "u2": lambda: full_unitary(2),
+    "su2": lambda: special_unitary(2),
+    "q8": quaternion_group,
+    "c4": cyclic_diagonal_group,
+    "swap": swap_group,
+    "u3": lambda: full_unitary(3),
+    "su3": lambda: special_unitary(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
+def test_weight_space_solve_matches_dense_route(name):
+    g = ORACLE_GROUPS[name]()
+    for r in range(4):
+        for s in range(4):
+            n = g.degree ** (r + s)
+            if n > 243:
+                continue
+            sp = intertwiners(g, r, s)
+            want = dense_intertwiner_projector(g, r, s)
+            assert sp.dim == int(round(np.trace(want).real)), (r, s)
+            assert np.linalg.norm(basis_projector(sp, n) - want) <= 1e-9, (r, s)
+
+
+@pytest.mark.parametrize("maker", [full_unitary, special_unitary])
+def test_degree_three_top_space_matches_fixed_points(maker):
+    g = maker(3)
+    sp = intertwiners(g, 3, 3)
+    assert sp.dim == perm_span_dim(3, 3) == 6
+    fp = fixed_points(g, 3, 3)
+    assert len(fp) == sp.dim
+    assert np.linalg.norm(basis_projector(sp, 729) - basis_projector(fp, 729)) <= 1e-9
+
+
+def test_group_without_diagonal_generator_matches_averaging():
+    g = swap_group()
+    for r in range(4):
+        for s in range(4):
+            n = 2 ** (r + s)
+            sp = intertwiners(g, r, s)
+            avg = averaged_fixed_space(g, r, s)
+            assert sp.dim == len(avg)
+            assert np.linalg.norm(basis_projector(sp, n) - basis_projector(avg, n)) <= 1e-9
+
+
+def test_size_cap_counts_all_unknowns():
+    # (3, 3) keeps 93 units of equal weight out of 729; (2, 3) keeps none
+    # out of 243.  The cap applies before the restriction in both cases.
+    with pytest.raises(SizeCapExceeded):
+        intertwiners(full_unitary(3), 3, 3, cap=728)
+    with pytest.raises(SizeCapExceeded):
+        intertwiners(full_unitary(3), 2, 3, cap=242)
+    assert intertwiners(full_unitary(3), 2, 3, cap=243).dim == 0
