@@ -24,9 +24,10 @@ are constant per patch; equal classes are also required, since a pair of
 phase cocycles with distinct integral classes is never equivalent even
 when the flat parts match up.
 
-Integral second cohomology is computed exactly by integer Smith normal
-form with full unimodular transforms, so classes come with coordinates:
-free coordinates in Z and torsion coordinates modulo the stored orders.
+Integral second cohomology comes from an exact sparse unit-pivot Smith
+normal form with unimodular transforms, so classes come with
+coordinates: free coordinates in Z and torsion coordinates modulo the
+stored orders.
 """
 
 from __future__ import annotations
@@ -403,94 +404,145 @@ def is_cocycle(c, tol=None):
 # integer Smith normal form with unimodular transforms
 
 
-def _eye_int(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _axpy(dst, src, c):
+    """dst += c * src on sparse integer rows {col: value}."""
+    for k, x in src.items():
+        y = dst.get(k, 0) + c * x
+        if y:
+            dst[k] = y
+        else:
+            dst.pop(k, None)
 
 
-def _matvec_int(m, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in m]
+def _dot(row, v):
+    """Sparse integer row {col: value} times a dense vector."""
+    return sum(x * v[k] for k, x in row.items())
 
 
-def smith_normal_form(a):
-    """Exact Smith normal form over the integers.
+def smith_normal_form(a, cols):
+    """Exact Smith normal form over the integers, on sparse rows.
 
-    Returns (diag, u, vinv) where diag is the full m x n normal form as
-    nested lists, and u, vinv are unimodular with diag = u @ a @ vinv^(-1).
-    vinv is the inverse of the right transform, which is what coordinate
-    computations need.  Arbitrary precision throughout.
+    ``a`` is a list of m rows, each a dict {column: int} of its nonzero
+    entries, with columns in 0..cols-1.  Returns (diag, u, vinv): diag
+    lists the min(m, cols) diagonal entries of the normal form D, and u
+    (m x m) and vinv (cols x cols) are unimodular, given as sparse rows,
+    with u a = D vinv.  vinv is the inverse of the right transform, which
+    is what coordinate computations need.  Arbitrary precision throughout.
+
+    The pivot is the first entry of least absolute value in row-major
+    order of the remaining block, so the scan stops at the first row
+    holding a unit.  A column -> rows index lets every operation touch
+    only nonzeros, which keeps coboundary matrices (rows of a few +-1
+    entries) sparse while they are eliminated.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    d = [list(map(int, row)) for row in a]
-    u = _eye_int(m)
-    vinv = _eye_int(n)
+    m, n = len(a), cols
+    d = [{k: int(x) for k, x in row.items() if x} for row in a]
+    u = [{i: 1} for i in range(m)]
+    vinv = [{j: 1} for j in range(n)]
+    at = [set() for _ in range(n)]  # column -> rows with a nonzero there
+    for i, row in enumerate(d):
+        for k in row:
+            at[k].add(i)
 
     def row_add(i, j, c):
         # row_i += c * row_j, on d and u
-        d[i] = [d[i][t] + c * d[j][t] for t in range(n)]
-        u[i] = [u[i][t] + c * u[j][t] for t in range(m)]
+        ri = d[i]
+        for k, x in d[j].items():
+            y = ri.get(k, 0) + c * x
+            if y:
+                if k not in ri:
+                    at[k].add(i)
+                ri[k] = y
+            elif k in ri:
+                del ri[k]
+                at[k].discard(i)
+        _axpy(u[i], u[j], c)
 
     def col_add(i, j, c):
         # col_j += c * col_i on d; vinv tracks the inverse: row_i -= c * row_j
-        for t in range(m):
-            d[t][j] += c * d[t][i]
-        vinv[i] = [vinv[i][t] - c * vinv[j][t] for t in range(n)]
+        for r in list(at[i]):
+            row = d[r]
+            y = row.get(j, 0) + c * row[i]
+            if y:
+                row[j] = y
+                at[j].add(r)
+            elif j in row:
+                del row[j]
+                at[j].discard(r)
+        _axpy(vinv[i], vinv[j], -c)
 
     def row_swap(i, j):
+        if i == j:
+            return
+        for k in d[i]:
+            at[k].discard(i)
+        for k in d[j]:
+            at[k].discard(j)
         d[i], d[j] = d[j], d[i]
         u[i], u[j] = u[j], u[i]
+        for k in d[i]:
+            at[k].add(i)
+        for k in d[j]:
+            at[k].add(j)
 
     def col_swap(i, j):
-        for t in range(m):
-            d[t][i], d[t][j] = d[t][j], d[t][i]
+        if i == j:
+            return
+        for r in at[i] | at[j]:
+            row = d[r]
+            x, y = row.pop(i, 0), row.pop(j, 0)
+            if y:
+                row[i] = y
+            if x:
+                row[j] = x
+        at[i], at[j] = at[j], at[i]
         vinv[i], vinv[j] = vinv[j], vinv[i]
 
-    def row_neg(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
+    # rows t.. hold nonzeros only in columns t.., rows above t only their
+    # diagonal entry
     t = 0
     while t < min(m, n):
         pivot = None
-        best = None
         for i in range(t, m):
-            for j in range(t, n):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < best):
-                    best = abs(d[i][j])
-                    pivot = (i, j)
+            for j, x in d[i].items():
+                key = (abs(x), i, j)
+                if pivot is None or key < pivot:
+                    pivot = key
+            if pivot is not None and pivot[0] == 1:
+                break
         if pivot is None:
             break
-        row_swap(t, pivot[0])
-        col_swap(t, pivot[1])
+        row_swap(t, pivot[1])
+        col_swap(t, pivot[2])
         p = d[t][t]
         # clear column t; any nonzero remainder is smaller than the pivot,
         # so restarting with a fresh pivot strictly shrinks it
-        for i in range(t + 1, m):
-            if d[i][t]:
-                row_add(i, t, -(d[i][t] // p))
-        if any(d[i][t] for i in range(t + 1, m)):
+        for i in sorted(at[t] - {t}):
+            row_add(i, t, -(d[i][t] // p))
+        if len(at[t]) > 1:
             continue
         # with the column clean these touch row t only
-        for j in range(t + 1, n):
-            if d[t][j]:
-                col_add(t, j, -(d[t][j] // p))
-        if any(d[t][j] for j in range(t + 1, n)):
+        for j, x in sorted(d[t].items()):
+            if j != t:
+                col_add(t, j, -(x // p))
+        if len(d[t]) > 1:
             continue
         # pivot must divide the rest of the block for the invariant chain;
         # folding the offending row into row t forces a strictly smaller
-        # remainder on the next pass
-        stray = None
-        for i in range(t + 1, m):
-            if any(d[i][j] % p for j in range(t + 1, n)):
-                stray = i
-                break
-        if stray is not None:
-            row_add(t, stray, 1)
-            continue
+        # remainder on the next pass (a unit pivot divides everything)
+        if abs(p) != 1:
+            stray = next(
+                (i for i in range(t + 1, m) if any(x % p for x in d[i].values())), None
+            )
+            if stray is not None:
+                row_add(t, stray, 1)
+                continue
         if p < 0:
-            row_neg(t)
+            d[t][t] = -p
+            u[t] = {k: -x for k, x in u[t].items()}
         t += 1
-    return d, u, vinv
+    diag = [d[i].get(i, 0) for i in range(min(m, n))]
+    return diag, u, vinv
 
 
 # ---------------------------------------------------------------------------
@@ -546,55 +598,42 @@ class CohomologySummary:
         tets = complex_.tetrahedra()
         eidx = {e: a for a, e in enumerate(edges)}
         tidx = {t: a for a, t in enumerate(tris)}
-        n1, n2, n3 = len(edges), len(tris), len(tets)
+        n1, n2 = len(edges), len(tris)
         self._tris = tris
-        d1 = [[0] * n1 for _ in range(n2)]
-        for a, (i, j, k) in enumerate(tris):
-            d1[a][eidx[(j, k)]] += 1
-            d1[a][eidx[(i, k)]] -= 1
-            d1[a][eidx[(i, j)]] += 1
-        d2 = [[0] * n2 for _ in range(n3)]
-        for b, (i, j, k, l) in enumerate(tets):
-            d2[b][tidx[(j, k, l)]] += 1
-            d2[b][tidx[(i, k, l)]] -= 1
-            d2[b][tidx[(i, j, l)]] += 1
-            d2[b][tidx[(i, j, k)]] -= 1
-        if n3:
-            diag_b, _, vinv_b = smith_normal_form(d2)
-            rank_b = sum(
-                1 for i in range(min(n3, n2)) if diag_b[i][i] != 0
-            )
+        # delta1 as one sparse row per triangle, over the edges
+        d1 = [
+            {eidx[(j, k)]: 1, eidx[(i, k)]: -1, eidx[(i, j)]: 1}
+            for (i, j, k) in tris
+        ]
+        if tets:
+            d2 = [
+                {tidx[(j, k, l)]: 1, tidx[(i, k, l)]: -1, tidx[(i, j, l)]: 1, tidx[(i, j, k)]: -1}
+                for (i, j, k, l) in tets
+            ]
+            diag_b, _, vinv_b = smith_normal_form(d2, n2)
             self._vinv_b = vinv_b
-            self._rank_b = rank_b
+            self._rank_b = sum(1 for x in diag_b if x)
+            # coordinates of the image of delta1 inside the kernel of delta2
+            c = []
+            for a, row in enumerate(vinv_b):
+                image = {}
+                for k, x in row.items():
+                    _axpy(image, d1[k], x)
+                if a < self._rank_b and image:
+                    raise NotACocycle("2-cochain is not closed")
+                c.append(image)
+            c = c[self._rank_b:]
         else:
             self._vinv_b = None
             self._rank_b = 0
+            c = d1
         kernel_dim = n2 - self._rank_b
-        # coordinates of the image of delta1 inside the kernel of delta2
-        if n1:
-            cols = list(zip(*d1)) if n2 else []
-            c = []
-            for col in cols:
-                x = self._kernel_coords(list(col))
-                c.append(x)
-            c_mat = [list(row) for row in zip(*c)] if c else [[] for _ in range(kernel_dim)]
-        else:
-            c_mat = [[] for _ in range(kernel_dim)]
-        if kernel_dim and c_mat and len(c_mat[0]):
-            diag_c, u_c, _ = smith_normal_form(c_mat)
-            rank_c = sum(
-                1
-                for i in range(min(len(c_mat), len(c_mat[0])))
-                if diag_c[i][i] != 0
-            )
-            factors = [diag_c[i][i] for i in range(rank_c)]
-        else:
-            u_c = _eye_int(kernel_dim)
-            rank_c = 0
-            factors = []
-        self._u_c = u_c
-        self._rank_c = rank_c
-        self._factors = factors
+        diag_c, u_c, _ = smith_normal_form(c, n1)
+        rank_c = sum(1 for x in diag_c if x)
+        factors = diag_c[:rank_c]
+        # only the rows of u_c that reduce() reads: torsion, then free
+        self._torsion_rows = [(u_c[i], f) for i, f in enumerate(factors) if f > 1]
+        self._free_rows = u_c[rank_c:]
         self.kernel_dim = kernel_dim
         self.free_rank = kernel_dim - rank_c
         self.torsion_orders = tuple(f for f in factors if f > 1)
@@ -602,7 +641,7 @@ class CohomologySummary:
     def _kernel_coords(self, z):
         if self._vinv_b is None:
             return z
-        x = _matvec_int(self._vinv_b, z)
+        x = [_dot(row, z) for row in self._vinv_b]
         if any(x[i] != 0 for i in range(self._rank_b)):
             raise NotACocycle("2-cochain is not closed")
         return x[self._rank_b:]
@@ -611,13 +650,8 @@ class CohomologySummary:
         """Class coordinates of an integral 2-cocycle given per triangle."""
         z = [int(zdict.get(t, 0)) for t in self._tris]
         x = self._kernel_coords(z)
-        y = _matvec_int(self._u_c, x)
-        torsion = tuple(
-            y[i] % self._factors[i]
-            for i in range(self._rank_c)
-            if self._factors[i] > 1
-        )
-        free = tuple(y[self._rank_c:])
+        torsion = tuple(_dot(row, x) % f for row, f in self._torsion_rows)
+        free = tuple(_dot(row, x) for row in self._free_rows)
         return IntegralCohomClass(free=free, torsion=torsion, torsion_orders=self.torsion_orders)
 
 
@@ -659,6 +693,8 @@ def circle_class(c, tol=None):
 
 def _spanning_forest(complex_):
     """BFS tree edges per component, rooted at each component's least vertex."""
+    from collections import deque
+
     adj = {}
     for i, j in complex_.edges():
         adj.setdefault(i, []).append(j)
@@ -669,9 +705,9 @@ def _spanning_forest(complex_):
         root = comp[0]
         order = []
         seen.add(root)
-        queue = [root]
+        queue = deque([root])
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             for w in sorted(adj.get(v, [])):
                 if w not in seen:
                     seen.add(w)

@@ -1,7 +1,9 @@
 """Cech layer: Smith normal form, H^2, circle classes, witnesses."""
 
 import cmath
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -38,11 +40,108 @@ from catbundle import (
 # Smith normal form
 
 
+def _dense_snf(a, stats=None):
+    """Dense reference Smith normal form: the oracle for the sparse one.
+
+    Same pivot rule and operations as the library; returns the full
+    m x n normal form and the dense transforms.  ``stats`` counts the
+    non-unit pivots and stray-row folds taken.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    d = [list(map(int, row)) for row in a]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    vinv = [[int(i == j) for j in range(n)] for i in range(n)]
+    stats = {} if stats is None else stats
+
+    def row_add(i, j, c):
+        d[i] = [d[i][t] + c * d[j][t] for t in range(n)]
+        u[i] = [u[i][t] + c * u[j][t] for t in range(m)]
+
+    def col_add(i, j, c):
+        for t in range(m):
+            d[t][j] += c * d[t][i]
+        vinv[i] = [vinv[i][t] - c * vinv[j][t] for t in range(n)]
+
+    def row_swap(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def col_swap(i, j):
+        for t in range(m):
+            d[t][i], d[t][j] = d[t][j], d[t][i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
+
+    def row_neg(i):
+        d[i] = [-x for x in d[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while t < min(m, n):
+        pivot = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if d[i][j] != 0 and (best is None or abs(d[i][j]) < best):
+                    best = abs(d[i][j])
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        row_swap(t, pivot[0])
+        col_swap(t, pivot[1])
+        p = d[t][t]
+        if abs(p) != 1:
+            stats["non_unit"] = stats.get("non_unit", 0) + 1
+        for i in range(t + 1, m):
+            if d[i][t]:
+                row_add(i, t, -(d[i][t] // p))
+        if any(d[i][t] for i in range(t + 1, m)):
+            continue
+        for j in range(t + 1, n):
+            if d[t][j]:
+                col_add(t, j, -(d[t][j] // p))
+        if any(d[t][j] for j in range(t + 1, n)):
+            continue
+        stray = None
+        for i in range(t + 1, m):
+            if any(d[i][j] % p for j in range(t + 1, n)):
+                stray = i
+                break
+        if stray is not None:
+            stats["stray"] = stats.get("stray", 0) + 1
+            row_add(t, stray, 1)
+            continue
+        if p < 0:
+            row_neg(t)
+        t += 1
+    return d, u, vinv
+
+
+def _sparse(a, cols):
+    return [{j: x for j, x in enumerate(row) if x} for row in a], cols
+
+
+def _dense(rows, cols):
+    return [[row.get(j, 0) for j in range(cols)] for row in rows]
+
+
+def _snf(a):
+    """Dense <-> sparse adapter: the library primitive on a dense matrix,
+    answered in the dense oracle's format (full normal form, dense transforms)."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    diag, u, vinv = smith_normal_form(*_sparse(a, n))
+    full = [[0] * n for _ in range(m)]
+    for i, x in enumerate(diag):
+        full[i][i] = x
+    return full, _dense(u, m), _dense(vinv, n)
+
+
 @pytest.mark.parametrize("shape", [(3, 3), (4, 6), (6, 4), (5, 5), (1, 1), (3, 5)])
 def test_smith_normal_form_against_sympy(shape):
     rng = np.random.default_rng(0)
     a = rng.integers(-9, 10, size=shape).tolist()
-    diag, u, vinv = smith_normal_form(a)
+    diag, u, vinv = _snf(a)
     # exact transform identity u a = diag vinv, all integer arithmetic
     assert Matrix(u) * Matrix(a) == Matrix(diag) * Matrix(vinv)
     assert abs(Matrix(u).det()) == 1
@@ -55,7 +154,7 @@ def test_smith_normal_form_against_sympy(shape):
 def test_smith_normal_form_shape_and_divisibility():
     rng = np.random.default_rng(4)
     a = rng.integers(-20, 21, size=(5, 7)).tolist()
-    diag, _, _ = smith_normal_form(a)
+    diag, _, _ = _snf(a)
     assert len(diag) == 5 and all(len(row) == 7 for row in diag)
     for i in range(5):
         for j in range(7):
@@ -71,10 +170,119 @@ def test_smith_normal_form_shape_and_divisibility():
 
 
 def test_smith_normal_form_zero_matrix():
-    diag, u, vinv = smith_normal_form([[0, 0], [0, 0], [0, 0]])
+    diag, u, vinv = _snf([[0, 0], [0, 0], [0, 0]])
     assert all(diag[i][j] == 0 for i in range(3) for j in range(2))
     assert abs(Matrix(u).det()) == 1
     assert abs(Matrix(vinv).det()) == 1
+
+
+def _assert_matches_oracle(a, stats=None):
+    assert _snf(a) == tuple(_dense_snf(a, stats))
+
+
+def test_smith_normal_form_matches_dense_oracle_on_random_matrices():
+    rng = random.Random(11)
+    # entry pools without units (or with few) force non-unit pivots and
+    # stray rows that the pivot does not divide
+    pools = [
+        [0, 0, 0, 2, -2, 3, 4, -6, 6, 9],
+        list(range(-12, 13)),
+        [0, 0, 2, 4, -4, 6, 8, -10],
+    ]
+    stats = {}
+    for _ in range(360):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        pool = rng.choice(pools)
+        _assert_matches_oracle([[rng.choice(pool) for _ in range(n)] for _ in range(m)], stats)
+    assert stats["non_unit"] > 100
+    assert stats["stray"] > 10
+
+
+def _barycentric(c):
+    """Barycentric subdivision of a pure complex: vertices are the
+    simplices of ``c``, maximal simplices its full flags."""
+    simps = sorted(c.simplices, key=lambda s: (len(s), sorted(s)))
+    index = {s: k for k, s in enumerate(simps)}
+    flags = [
+        [index[frozenset(p[: k + 1])] for k in range(len(p))]
+        for s in simps
+        if len(s) == c.dim + 1
+        for p in itertools.permutations(sorted(s))
+    ]
+    return SimplicialComplex.from_maximal(len(simps), flags)
+
+
+def _subdivided_octahedron(times):
+    c = octahedron()
+    for _ in range(times):
+        c = _barycentric(c)
+    return c
+
+
+def _cone(c):
+    apex = c.vertices
+    return SimplicialComplex.from_maximal(apex + 1, [t + (apex,) for t in c.triangles()])
+
+
+def _coboundary_matrix(lower, upper):
+    """Dense coboundary: one row per upper simplex, alternating signs over
+    its codimension-one faces in increasing vertex order."""
+    idx = {s: k for k, s in enumerate(lower)}
+    rows = []
+    for s in upper:
+        row = [0] * len(lower)
+        for k in range(len(s)):
+            row[idx[s[:k] + s[k + 1:]]] += (-1) ** k
+        rows.append(row)
+    return rows
+
+
+def _d1(c):
+    return _coboundary_matrix(c.edges(), c.triangles())
+
+
+def _d2(c):
+    return _coboundary_matrix(c.triangles(), c.tetrahedra())
+
+
+@pytest.mark.parametrize("times", [0, 1, 2])
+def test_smith_normal_form_matches_dense_oracle_on_sphere_d1(times):
+    c = _subdivided_octahedron(times)
+    assert c.vertices == (6, 26, 146)[times]
+    _assert_matches_oracle(_d1(c))
+
+
+def test_smith_normal_form_matches_dense_oracle_on_d2():
+    solid = SimplicialComplex.from_maximal(4, [(0, 1, 2, 3)])
+    _assert_matches_oracle(_d2(solid))
+    cone = _cone(_subdivided_octahedron(1))
+    assert len(cone.tetrahedra()) == 48
+    _assert_matches_oracle(_d2(cone))
+
+
+def test_smith_normal_form_matches_dense_oracle_on_rp2():
+    _assert_matches_oracle(_d1(_rp2()))
+
+
+@pytest.mark.parametrize("rows, cols", [
+    ([], 3),                                  # no rows
+    ([{}, {}], 0),                            # no columns
+    ([{0: 2, 2: -4}, {}, {1: 3}, {}], 3),     # all-zero rows among others
+    ([{}, {}, {}], 4),                        # zero matrix
+])
+def test_smith_normal_form_edge_cases(rows, cols):
+    diag, u, vinv = smith_normal_form(rows, cols)
+    m = len(rows)
+    assert len(diag) == min(m, cols) and len(u) == m and len(vinv) == cols
+    full = Matrix.zeros(m, cols)
+    for i, x in enumerate(diag):
+        full[i, i] = x
+    a = Matrix(m, cols, [x for row in _dense(rows, cols) for x in row])
+    mu = Matrix(m, m, [x for row in _dense(u, m) for x in row])
+    mv = Matrix(cols, cols, [x for row in _dense(vinv, cols) for x in row])
+    assert mu * a == full * mv
+    assert abs(mu.det()) == 1
+    assert abs(mv.det()) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +366,57 @@ def test_reduce_rejects_non_closed_cochain():
     s = h2_integral(solid)
     with pytest.raises(NotACocycle):
         s.reduce({(0, 1, 2): 1})
+
+
+@pytest.mark.parametrize("n", [1, -2, 5])
+def test_h2_large_sphere_counts_planted_winding(n):
+    # three subdivisions of the octahedron: 866 vertices, 1728 triangles
+    c = _subdivided_octahedron(3)
+    assert (c.vertices, len(c.edges()), len(c.triangles())) == (866, 2592, 1728)
+    s = h2_integral(c)
+    assert s.free_rank == 1
+    assert s.torsion_orders == ()
+    cls = s.reduce({c.triangles()[len(c.triangles()) // 2]: n})
+    assert cls.torsion == ()
+    assert tuple(abs(x) for x in cls.free) == (abs(n),)
+
+
+def test_h2_subdivided_projective_plane_keeps_torsion_two():
+    c = _barycentric(_rp2())
+    s = h2_integral(c)
+    assert s.free_rank == 0
+    assert s.torsion_orders == (2,)
+    cls = s.reduce({c.triangles()[0]: 1})
+    assert cls.torsion == (1,)
+    assert (cls + cls).is_zero()
+
+
+def test_h2_cone_over_large_sphere_is_acyclic():
+    cone = _cone(_subdivided_octahedron(2))
+    assert cone.dim == 3 and len(cone.tetrahedra()) == 288
+    s = h2_integral(cone)
+    assert s.free_rank == 0
+    assert s.torsion_orders == ()
+    # the coboundary of an edge indicator is closed and reduces to zero
+    edge = cone.edges()[7]
+    z = {t: (-1) ** k for t in cone.triangles() for k in range(3) if t[:k] + t[k + 1:] == edge}
+    cls = s.reduce(z)
+    assert cls.free == () and cls.torsion == ()
+    with pytest.raises(NotACocycle):
+        s.reduce({cone.triangles()[0]: 1})
+
+
+def test_h2_sphere_with_attached_tetrahedron_counts_winding():
+    # a solid tetrahedron glued to the octahedron along one face leaves
+    # H^2 = Z, whose classes now pass through the kernel of delta2
+    c = SimplicialComplex.from_maximal(7, octahedron().triangles() + [(0, 1, 2, 6)])
+    assert c.dim == 3
+    s = h2_integral(c)
+    assert s.free_rank == 1
+    assert s.torsion_orders == ()
+    cls = s.reduce({(3, 4, 5): -3})
+    assert cls.torsion == ()
+    assert tuple(abs(x) for x in cls.free) == (3,)
 
 
 # ---------------------------------------------------------------------------
