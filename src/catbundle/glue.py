@@ -10,6 +10,11 @@ a family of fibre intertwiners, one per patch, matched across overlaps
 by the transition action; all operations are computed patchwise and the
 overlap compatibility is what cuts the space down.
 
+On a connected base such a family is fixed by its value at one patch:
+transport along a spanning tree gives the rest, and the edges off the
+tree (one per independent cycle) leave exactly the root values fixed by
+the holonomy.  Glued spaces are solved that way, per component.
+
 Circle-valued winding numbers on triangles travel with the datum and
 carry the part of the bundle class that constant transitions cannot
 express; they are inert in all patchwise computations and resurface in
@@ -30,6 +35,7 @@ from .basecech import (
     CechCocycle,
     Cover,
     SimplicialComplex,
+    _spanning_forest,
     circle_class,
     det_pushforward,
     equivalent,
@@ -50,8 +56,8 @@ from .groups import (
     group_distance,
     verify_normalizer,
 )
-from .linalg import ComplexMatrix, Tolerance, canonical_basis, hs_inner, kron, nullspace, opnorm
-from .repcat import antisym_projector, hat_action, intertwiners, symmetry_unitary
+from .linalg import ComplexMatrix, Tolerance, hs_inner, kron, nullspace, opnorm, tensor_power
+from .repcat import antisym_projector, intertwiners, symmetry_unitary
 
 GLUED_COEFF_CAP = 2_000_000
 
@@ -64,6 +70,10 @@ class GluingDatum:
     integers.  Construction verifies normalizer membership of every
     transition and the cocycle identity modulo the fibre group on every
     triangle, raising NotACocycleModG with the offending triangle.
+
+    Tensor powers of the transitions, the stacked fibre bases, the
+    spanning forest and the glued spaces are formed once and kept on the
+    datum.
     """
 
     def __init__(self, complex_, group, transitions, windings=None, tol=None):
@@ -94,7 +104,10 @@ class GluingDatum:
                 raise NotACocycleModG(
                     "transition defect on triangle %r is outside the fibre group" % ((i, j, k),)
                 )
-        self._hats = {}
+        self._powers = {}
+        self._stacks = {}
+        self._spaces = {}
+        self._forest = None
 
     @property
     def degree(self):
@@ -122,28 +135,50 @@ class GluingDatum:
     def fibre_basis(self, r, s):
         return intertwiners(self.group, r, s, tol=self.tol)
 
+    def _power(self, i, j, k):
+        """k-th tensor power of the (i, j) transition, as an ndarray."""
+        key = (i, j, k)
+        p = self._powers.get(key)
+        if p is None:
+            p = tensor_power(self.transition(i, j), k).a
+            self._powers[key] = p
+        return p
+
+    def _stack(self, r, s):
+        """The fibre basis as one (m, d^s, d^r) array."""
+        st = self._stacks.get((r, s))
+        if st is None:
+            d = self.degree
+            basis = self.fibre_basis(r, s)
+            st = np.array([t.a for t in basis]).reshape(len(basis), d ** s, d ** r)
+            self._stacks[(r, s)] = st
+        return st
+
+    def _trees(self):
+        """The spanning forest of the base: (root, tree edges) per component."""
+        if self._forest is None:
+            self._forest = _spanning_forest(self.complex)
+        return self._forest
+
     def hat_matrix(self, i, j, r, s):
-        """Action of the (i, j) transition on the fibre intertwiner basis."""
-        key = (i, j, r, s)
-        m = self._hats.get(key)
-        if m is not None:
-            return m
-        basis = self.fibre_basis(r, s)
-        n = len(basis)
-        u = self.transition(i, j)
-        out = np.zeros((n, n), dtype=complex)
-        for b, t in enumerate(basis):
-            img = hat_action(u, t, r, s)
-            for a in range(n):
-                out[a, b] = hs_inner(basis[a], img)
-            resid = img.a - sum(out[a, b] * basis[a].a for a in range(n))
-            if not self.tol.close(float(np.linalg.norm(resid)), scale=float(np.linalg.norm(img.a)) + 1.0):
+        """Action of the (i, j) transition on the fibre intertwiner basis.
+
+        The whole basis is moved in one batched product; each image must
+        stay in the fibre space, which is checked element by element.
+        """
+        stack = self._stack(r, s)
+        n, ds, dr = stack.shape
+        flat = stack.reshape(n, ds * dr)
+        imgs = (self._power(i, j, s) @ stack @ self._power(i, j, r).conj().T).reshape(n, ds * dr)
+        out = flat.conj() @ imgs.T  # out[a, b] = <basis a, image of basis b>
+        resid = np.linalg.norm(imgs - out.T @ flat, axis=1)
+        scale = np.linalg.norm(imgs, axis=1) + 1.0
+        for b in range(n):
+            if not self.tol.close(float(resid[b]), scale=float(scale[b])):
                 raise ConsistencyError(
                     "transition (%d, %d) does not preserve the (%d, %d) fibre space" % (i, j, r, s)
                 )
-        m = ComplexMatrix(out) if n else ComplexMatrix.zeros(0, 0)
-        self._hats[key] = m
-        return m
+        return ComplexMatrix(out)
 
     def to_json(self):
         return {
@@ -231,10 +266,11 @@ class GluedArrow:
         return max(opnorm(t) for t in self.components.values())
 
     def compatibility_residual(self):
+        datum = self.datum
         worst = 0.0
-        for (i, j) in self.datum.complex.edges():
-            img = hat_action(self.datum.transition(i, j), self.components[j], self.r, self.s)
-            worst = max(worst, float(np.linalg.norm(self.components[i].a - img.a)))
+        for (i, j) in datum.complex.edges():
+            img = datum._power(i, j, self.s) @ self.components[j].a @ datum._power(i, j, self.r).conj().T
+            worst = max(worst, float(np.linalg.norm(self.components[i].a - img)))
         return worst
 
 
@@ -267,41 +303,74 @@ class GluedSpace:
 
 
 def glued_space(datum, r, s, cap=GLUED_COEFF_CAP):
-    """Solve the overlap matching constraints in fibre coefficients.
+    """Solve the overlap matching constraints by transport and holonomy.
 
     An arrow is determined by one coefficient vector per patch over the
     fibre intertwiner basis; each edge imposes c_i = M_ij c_j where M_ij
-    is the transition action in that basis.  The joint kernel of the
-    stacked constraints is the glued space.
+    is the transition action in that basis.  The M_ij are unitary (the
+    basis is orthonormal), so along a spanning tree of each component
+    c_v = T_v c_root with T_v a product of M's and adjoints, and the
+    edges off the tree leave the root values with (T_i - M_ij T_j) c = 0:
+    one (cycles * m) x m kernel per component, decided on nullspace's
+    unit scale, since a trivial holonomy makes the whole system
+    numerically zero.  A kernel vector c gives the unit section T_v c /
+    sqrt(|component|) on its component and zero elsewhere.
+
+    ``cap`` bounds the entries of what is built, the holonomy rows plus
+    the transports, and is checked on every call; the space itself is
+    solved once per (datum, r, s) and kept on the datum.
     """
-    basis = datum.fibre_basis(r, s)
-    m = len(basis)
+    m = len(datum.fibre_basis(r, s))
     n = datum.complex.vertices
-    if m == 0:
-        return GluedSpace(datum, r, s, [], 0)
     edges = datum.complex.edges()
-    rows = len(edges) * m
-    cols = n * m
-    if rows * cols > cap:
+    forest = datum._trees()
+    cycles = len(edges) - n + len(forest)
+    if (cycles + n) * m * m > cap:
         raise SizeCapExceeded(
-            "glued constraint system %d x %d exceeds the cap" % (rows, cols)
+            "glued holonomy system (%d + %d) x %d blocks of %d x %d exceeds the cap"
+            % (cycles, n, m, m, m)
         )
-    op = np.zeros((rows, cols), dtype=complex)
-    for e, (i, j) in enumerate(edges):
-        mij = datum.hat_matrix(i, j, r, s)
-        blk = slice(e * m, (e + 1) * m)
-        op[blk, i * m : (i + 1) * m] += np.eye(m)
-        op[blk, j * m : (j + 1) * m] -= mij.a
-    kernel = nullspace(ComplexMatrix(op), tol=datum.tol)
+    space = datum._spaces.get((r, s))
+    if space is None:
+        space = GluedSpace(datum, r, s, _holonomy_sections(datum, r, s, edges) if m else [], m)
+        datum._spaces[(r, s)] = space
+    return space
+
+
+def _holonomy_sections(datum, r, s, edges):
+    """Orthonormal glued sections, component by component (see glued_space)."""
+    stack = datum._stack(r, s)
+    m, ds, dr = stack.shape
+    n = datum.complex.vertices
+    flat = stack.reshape(m, ds * dr)
+    trans = np.zeros((n, m, m), dtype=complex)
     arrows = []
-    for x in kernel:
-        xv = x.a.reshape(-1)
-        comps = {}
-        for v in range(n):
-            acc = sum(xv[v * m + a] * basis[a].a for a in range(m))
-            comps[v] = ComplexMatrix(acc)
-        arrows.append(GluedArrow(datum, r, s, comps))
-    return GluedSpace(datum, r, s, arrows, m)
+    for root, tree in datum._trees():
+        trans[root] = np.eye(m)
+        verts = [root]
+        for (pv, cv) in tree:
+            # c_cv = M_(cv, pv) c_pv, and M_(cv, pv) = M_(pv, cv)* since the
+            # action is unitary, so only the stored orientation i < j is moved
+            if cv < pv:
+                step = datum.hat_matrix(cv, pv, r, s).a
+            else:
+                step = datum.hat_matrix(pv, cv, r, s).a.conj().T
+            trans[cv] = step @ trans[pv]
+            verts.append(cv)
+        on_tree = {(min(e), max(e)) for e in tree}
+        inside = set(verts)
+        rows = [
+            trans[i] - datum.hat_matrix(i, j, r, s).a @ trans[j]
+            for (i, j) in edges
+            if i in inside and (i, j) not in on_tree
+        ]
+        op = np.concatenate(rows) if rows else np.zeros((0, m), dtype=complex)
+        for x in nullspace(op, tol=datum.tol):
+            coeffs = np.zeros((n, m), dtype=complex)
+            coeffs[verts] = (trans[verts] @ x.a.ravel()) / math.sqrt(len(verts))
+            mats = (coeffs @ flat).reshape(n, ds, dr)
+            arrows.append(GluedArrow(datum, r, s, {v: ComplexMatrix(mats[v]) for v in range(n)}))
+    return arrows
 
 
 class GluedCategory:
@@ -312,17 +381,13 @@ class GluedCategory:
             raise ValueError("the power cap must be nonnegative")
         self.datum = datum
         self.r_max = r_max
-        self.spaces = {}
-        for r in range(r_max + 1):
-            for s in range(r_max + 1):
-                self.spaces[(r, s)] = glued_space(datum, r, s, cap=cap)
+        self.cap = cap
+        self.spaces = {
+            (r, s): self.space(r, s) for r in range(r_max + 1) for s in range(r_max + 1)
+        }
 
     def space(self, r, s):
-        sp = self.spaces.get((r, s))
-        if sp is None:
-            sp = glued_space(self.datum, r, s)
-            self.spaces[(r, s)] = sp
-        return sp
+        return glued_space(self.datum, r, s, cap=self.cap)
 
     def dims(self):
         return {rs: sp.dim for rs, sp in sorted(self.spaces.items())}
@@ -388,13 +453,21 @@ def _functor_checks(d1, d2, witness, rmax, tol):
     arrows of the second datum to glued arrows of the first and respects
     composition, adjoints, tensor products and the braiding."""
     checks = []
+    powers = {}
+
+    def power(v, k):
+        p = powers.get((v, k))
+        if p is None:
+            p = powers[(v, k)] = tensor_power(witness[v], k).a
+        return p
 
     def push(arrow):
+        r, s = arrow.r, arrow.s
         comps = {
-            v: hat_action(witness[v], arrow.components[v], arrow.r, arrow.s)
-            for v in arrow.components
+            v: ComplexMatrix(power(v, s) @ t.a @ power(v, r).conj().T)
+            for v, t in arrow.components.items()
         }
-        return GluedArrow(d1, arrow.r, arrow.s, comps)
+        return GluedArrow(d1, r, s, comps)
 
     pairs = [(r, s) for r in range(rmax + 1) for s in range(rmax + 1)]
     for (r, s) in pairs:
@@ -537,10 +610,7 @@ def extract_twisted_special(cat, tol=None):
     datum = cat.datum if isinstance(cat, GluedCategory) else cat
     tol = tol or datum.tol
     d = datum.degree
-    if isinstance(cat, GluedCategory) and (0, d) in cat.spaces:
-        space = cat.spaces[(0, d)]
-    else:
-        space = glued_space(datum, 0, d)
+    space = cat.space(0, d) if isinstance(cat, GluedCategory) else glued_space(datum, 0, d)
     if space.dim == 0:
         raise RankDeficientVModule("no glued antisymmetric sections at all")
     proj = antisym_projector(d, d)
@@ -555,18 +625,10 @@ def extract_twisted_special(cat, tol=None):
         )
         cols.append(col)
     op = np.array(cols, dtype=complex).T
-    # arrows carry unit coefficient vectors, so the right reference scale
-    # for "this column combination is antisymmetric" is 1, not ||op||:
-    # the op is numerically zero exactly when every section is already
-    # antisymmetric, and a relative cutoff would discard that kernel
-    _, svals, vh = np.linalg.svd(op)
-    cutoff = tol.tau * max(1.0, float(svals[0]) if svals.size else 0.0)
-    kept = [
-        vh[i].conj()
-        for i in range(space.dim)
-        if (float(svals[i]) if i < svals.size else 0.0) <= cutoff
-    ]
-    coeffs = [ComplexMatrix(v.reshape(-1, 1)) for v in canonical_basis(kept)]
+    # arrows are unit sections, so the reference scale for "this column
+    # combination is antisymmetric" is nullspace's unit one: the op is
+    # numerically zero exactly when every section is already antisymmetric
+    coeffs = nullspace(op, tol=tol)
     if not coeffs:
         raise RankDeficientVModule("no antisymmetric sections among the glued ones")
     families = []
@@ -585,19 +647,22 @@ def extract_twisted_special(cat, tol=None):
         raise RankDeficientVModule(
             "antisymmetric section module has patch ranks %r, need all 1" % (ranks,)
         )
-    vee = None
-    for f in families:
-        if all(float(np.linalg.norm(f.components[v].a)) > tol.tau for v in range(n)):
-            vee = f
-            break
-    if vee is None:
-        raise RankDeficientVModule("every antisymmetric section vanishes on some patch")
+    # a section may vanish on whole components of the base, so the
+    # nowhere-vanishing one is picked component by component
+    vee = {}
+    for comp in datum.complex.components():
+        for f in families:
+            if all(float(np.linalg.norm(f.components[v].a)) > tol.tau for v in comp):
+                vee.update((v, f.components[v]) for v in comp)
+                break
+        else:
+            raise RankDeficientVModule(
+                "every antisymmetric section vanishes on some patch of the component of vertex %d"
+                % comp[0]
+            )
     # patchwise norms of a section are constant on components, so this
     # normalization keeps the overlap matching exact
-    comps = {
-        v: vee.components[v] * (1.0 / float(np.linalg.norm(vee.components[v].a)))
-        for v in range(n)
-    }
+    comps = {v: vee[v] * (1.0 / float(np.linalg.norm(vee[v].a))) for v in range(n)}
     checks = []
     sd = d ** d
     for v in range(n):

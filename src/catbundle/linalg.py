@@ -5,8 +5,11 @@ glued section spaces, cohomology ranks of numerical origin) traces back
 to the rank decisions made here, so the conventions are pinned once:
 
 * double precision complex entries, immutable after construction;
-* one relative tolerance, measured against the largest singular value
-  of the operand;
+* one tolerance tau, measured against max(1, the largest singular value
+  of the operand), as ``Tolerance.close`` measures residuals: the
+  operators solved here are built from unitaries, unit vectors and
+  integer weights, so their natural scale is 1 even when the operand is
+  numerically zero;
 * nullspace bases are orthonormal and canonically ordered (each vector
   phase-fixed at its largest entry, then sorted lexicographically) so
   repeated runs report identical bases.
@@ -198,9 +201,11 @@ def canonical_basis(vectors):
 def nullspace(op, tol=None):
     """Orthonormal basis of the numerical kernel of ``op``.
 
-    A vector v is kept when ||op v|| <= tau * ||op|| * ||v||, decided by
-    the singular values of op.  Returns column vectors as ComplexMatrix,
-    in canonical order.
+    A vector v is kept when ||op v|| <= tau * max(1, ||op||) * ||v||,
+    decided by the singular values of op.  The unit floor matters when
+    op is numerically zero (a trivial holonomy, say): a purely relative
+    cutoff would then discard the whole kernel.  Returns column vectors
+    as ComplexMatrix, in canonical order.
 
     The SVD is thin when op has at least as many rows as columns: the
     kernel lives in the right factor, so the m x m left factor of a tall
@@ -217,7 +222,7 @@ def nullspace(op, tol=None):
     else:
         _, s, vh = np.linalg.svd(a, full_matrices=m < n)
         smax = float(s[0]) if s.size else 0.0
-        cutoff = tol.tau * smax
+        cutoff = tol.tau * max(1.0, smax)
         vecs = []
         for i in range(n):
             sigma = float(s[i]) if i < s.size else 0.0

@@ -177,7 +177,7 @@ def intertwiners(group, r, s, tol=None, cap=INTERTWINER_UNKNOWN_CAP):
         w = _power_diagonal(lam, s, lie)[:, None] - _power_diagonal(lam, r, lie)[None, :]
         sq += np.abs(w.ravel()) ** 2
     sigma = np.sqrt(sq)
-    keep = np.flatnonzero(sigma <= tol.tau * sigma.max())
+    keep = np.flatnonzero(sigma <= tol.tau * max(1.0, sigma.max()))
     # column k of each block is vec(g_s E - E g_r) for the unit E = e_i e_j*
     ri, ci = np.divmod(keep, dr)
     k = np.arange(keep.size)

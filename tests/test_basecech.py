@@ -1,7 +1,6 @@
 """Cech layer: Smith normal form, H^2, circle classes, witnesses."""
 
 import cmath
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -34,6 +33,7 @@ from catbundle import (
     special_unitary,
     trivial_cocycle,
 )
+from octahedra import barycentric, subdivided_octahedron
 
 
 # ---------------------------------------------------------------------------
@@ -198,27 +198,6 @@ def test_smith_normal_form_matches_dense_oracle_on_random_matrices():
     assert stats["stray"] > 10
 
 
-def _barycentric(c):
-    """Barycentric subdivision of a pure complex: vertices are the
-    simplices of ``c``, maximal simplices its full flags."""
-    simps = sorted(c.simplices, key=lambda s: (len(s), sorted(s)))
-    index = {s: k for k, s in enumerate(simps)}
-    flags = [
-        [index[frozenset(p[: k + 1])] for k in range(len(p))]
-        for s in simps
-        if len(s) == c.dim + 1
-        for p in itertools.permutations(sorted(s))
-    ]
-    return SimplicialComplex.from_maximal(len(simps), flags)
-
-
-def _subdivided_octahedron(times):
-    c = octahedron()
-    for _ in range(times):
-        c = _barycentric(c)
-    return c
-
-
 def _cone(c):
     apex = c.vertices
     return SimplicialComplex.from_maximal(apex + 1, [t + (apex,) for t in c.triangles()])
@@ -247,7 +226,7 @@ def _d2(c):
 
 @pytest.mark.parametrize("times", [0, 1, 2])
 def test_smith_normal_form_matches_dense_oracle_on_sphere_d1(times):
-    c = _subdivided_octahedron(times)
+    c = subdivided_octahedron(times)
     assert c.vertices == (6, 26, 146)[times]
     _assert_matches_oracle(_d1(c))
 
@@ -255,7 +234,7 @@ def test_smith_normal_form_matches_dense_oracle_on_sphere_d1(times):
 def test_smith_normal_form_matches_dense_oracle_on_d2():
     solid = SimplicialComplex.from_maximal(4, [(0, 1, 2, 3)])
     _assert_matches_oracle(_d2(solid))
-    cone = _cone(_subdivided_octahedron(1))
+    cone = _cone(subdivided_octahedron(1))
     assert len(cone.tetrahedra()) == 48
     _assert_matches_oracle(_d2(cone))
 
@@ -371,7 +350,7 @@ def test_reduce_rejects_non_closed_cochain():
 @pytest.mark.parametrize("n", [1, -2, 5])
 def test_h2_large_sphere_counts_planted_winding(n):
     # three subdivisions of the octahedron: 866 vertices, 1728 triangles
-    c = _subdivided_octahedron(3)
+    c = subdivided_octahedron(3)
     assert (c.vertices, len(c.edges()), len(c.triangles())) == (866, 2592, 1728)
     s = h2_integral(c)
     assert s.free_rank == 1
@@ -382,7 +361,7 @@ def test_h2_large_sphere_counts_planted_winding(n):
 
 
 def test_h2_subdivided_projective_plane_keeps_torsion_two():
-    c = _barycentric(_rp2())
+    c = barycentric(_rp2())
     s = h2_integral(c)
     assert s.free_rank == 0
     assert s.torsion_orders == (2,)
@@ -392,7 +371,7 @@ def test_h2_subdivided_projective_plane_keeps_torsion_two():
 
 
 def test_h2_cone_over_large_sphere_is_acyclic():
-    cone = _cone(_subdivided_octahedron(2))
+    cone = _cone(subdivided_octahedron(2))
     assert cone.dim == 3 and len(cone.tetrahedra()) == 288
     s = h2_integral(cone)
     assert s.free_rank == 0

@@ -1,16 +1,20 @@
 """Glued categories: data validation, arrow spaces, classification, extraction."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from catbundle import (
+    ComplexMatrix,
+    ConsistencyError,
     GluingDatum,
     NotACocycleModG,
     NotInNormalizer,
     RankDeficientVModule,
     SimplicialComplex,
+    SizeCapExceeded,
     build_glued,
     cyclic_diagonal_group,
     extract_twisted_special,
@@ -20,16 +24,21 @@ from catbundle import (
     glued_space,
     glued_symmetry,
     h2_integral,
+    hat_action,
+    hs_inner,
     isomorphic,
     norm_function,
+    nullspace,
     octahedron,
     quaternion_group,
     scalar_datum,
     special_unitary,
+    GluedArrow,
     tensor_glued,
     trivial_group,
 )
 from catbundle.verify import su2_octa_datum
+from octahedra import subdivided_octahedron
 
 HAD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
@@ -105,14 +114,18 @@ def test_glued_dims_insensitive_to_twist(twist):
     assert build_glued(d, 2).dims() == SU2_GLUED
 
 
-def test_glued_space_can_be_cut_to_zero():
-    # a quarter twist around a closed edge path leaves no invariant line
+def _quarter_twist_circle():
     circ = SimplicialComplex.from_maximal(3, [(0, 1), (1, 2), (0, 2)])
-    d = GluingDatum(
+    return GluingDatum(
         circ,
         special_unitary(2),
         {(0, 1): np.eye(2), (1, 2): np.eye(2), (0, 2): np.diag([1.0, 1j])},
     )
+
+
+def test_glued_space_can_be_cut_to_zero():
+    # a quarter twist around a closed edge path leaves no invariant line
+    d = _quarter_twist_circle()
     assert glued_space(d, 0, 2).dim == 0
     with pytest.raises(RankDeficientVModule):
         extract_twisted_special(d)
@@ -250,3 +263,230 @@ def test_scalar_datum_transitions():
     t = d.transition(0, 1)
     assert np.allclose(t.a, 1j * np.eye(2))
     assert np.allclose(d.transition(1, 0).a, -1j * np.eye(2))
+
+
+# ---------------------------------------------------------------------------
+# transport and holonomy against the dense overlap system
+
+PHASE_GATE = np.diag([1.0, 1j])
+
+
+def _clifford_word(rng):
+    """A random product of the Hadamard and phase gates; both normalize Q8."""
+    u = np.eye(2, dtype=complex)
+    for _ in range(rng.randint(0, 6)):
+        u = u @ rng.choice((HAD, PHASE_GATE))
+    return u
+
+
+def _su2_scalar(c, seed, windings=None):
+    """Scalar su(2) datum with coboundary phases theta_i - theta_j."""
+    rng = random.Random(seed)
+    theta = [Fraction(rng.randint(-6, 6), rng.randint(1, 12)) for _ in range(c.vertices)]
+    phases = {(i, j): theta[i] - theta[j] for (i, j) in c.edges()}
+    return scalar_datum(c, special_unitary(2), phases, windings=windings)
+
+
+def _q8_gauged(c, seed, twist=None):
+    """Q8 transitions g_i h_ij t_ij g_j* with Clifford gauges g, random Q8
+    elements h and twists t (the identity off ``twist``)."""
+    rng = random.Random(seed)
+    els = [e.a for e in quaternion_group().elements()]
+    g = [_clifford_word(rng) for _ in range(c.vertices)]
+    twist = twist or {}
+    trans = {
+        (i, j): g[i] @ rng.choice(els) @ twist.get((i, j), np.eye(2)) @ g[j].conj().T
+        for (i, j) in c.edges()
+    }
+    return GluingDatum(c, quaternion_group(), trans)
+
+
+def _annulus(k):
+    """Triangulated annulus: inner ring 0..k-1, outer ring k..2k-1."""
+    tris = []
+    for i in range(k):
+        a, b = i, (i + 1) % k
+        tris += [(a, b, k + a), (b, k + a, k + b)]
+    return SimplicialComplex.from_maximal(2 * k, tris)
+
+
+def _q8_holonomy(k=4, seed=3):
+    """Q8 datum on the annulus whose holonomy around the ring is the Hadamard
+    matrix: it sits on the three edges crossing the seam between sectors k-1
+    and 0, and every triangle defect stays in Q8."""
+    cut = {(0, k - 1), (0, 2 * k - 1), (k, 2 * k - 1)}
+    return _q8_gauged(_annulus(k), seed, {e: HAD for e in cut})
+
+
+def _two_octahedra():
+    """Two disjoint octahedra with windings 1 and -2, one on each."""
+    faces = octahedron().triangles()
+    c = SimplicialComplex.from_maximal(12, list(faces) + [tuple(v + 6 for v in f) for f in faces])
+    windings = {faces[0]: 1, tuple(v + 6 for v in faces[3]): -2}
+    return _su2_scalar(c, 4, windings), windings
+
+
+def _transition_action(datum, i, j, r, s):
+    """Coordinates of hat_action on each fibre basis element, one at a time."""
+    basis = datum.fibre_basis(r, s)
+    u = datum.transition(i, j)
+    return np.array(
+        [[hs_inner(a, hat_action(u, b, r, s)) for b in basis] for a in basis], dtype=complex
+    ).reshape(len(basis), len(basis))
+
+
+def _dense_glued_coefficients(datum, r, s):
+    """Oracle: the kernel of the stacked (E*m) x (V*m) system c_i - M_ij c_j."""
+    m, n = len(datum.fibre_basis(r, s)), datum.complex.vertices
+    edges = datum.complex.edges()
+    op = np.zeros((len(edges) * m, n * m), dtype=complex)
+    for e, (i, j) in enumerate(edges):
+        blk = slice(e * m, (e + 1) * m)
+        op[blk, i * m : (i + 1) * m] += np.eye(m)
+        op[blk, j * m : (j + 1) * m] -= _transition_action(datum, i, j, r, s)
+    vecs = [x.a.ravel() for x in nullspace(op, tol=datum.tol)]
+    return np.array(vecs, dtype=complex).reshape(len(vecs), n * m)
+
+
+def _glued_coefficients(space):
+    """Fibre-basis coordinates of each arrow, after checking that its
+    components lie in the fibre space."""
+    basis = space.datum.fibre_basis(space.r, space.s)
+    rows = []
+    for arrow in space.arrows:
+        row = []
+        for v in range(space.datum.complex.vertices):
+            t = arrow.components[v].a
+            c = [hs_inner(b, t) for b in basis]
+            back = sum((x * b.a for x, b in zip(c, basis)), np.zeros_like(t))
+            assert np.linalg.norm(t - back) <= 1e-12
+            row += c
+        rows.append(row)
+    return np.array(rows, dtype=complex).reshape(space.dim, -1)
+
+
+def _projector(rows):
+    return rows.T @ rows.conj()
+
+
+ALL_2 = [(r, s) for r in range(3) for s in range(3)]
+ALL_3 = [(r, s) for r in range(4) for s in range(4)]
+ORACLE_CASES = {
+    "octahedron-su2": (lambda: _su2_scalar(octahedron(), 1, {(0, 1, 2): 2}), ALL_3),
+    "octahedron-q8": (lambda: _q8_gauged(octahedron(), 2), ALL_3),
+    "v26-su2": (lambda: _su2_scalar(subdivided_octahedron(1), 5, {(0, 6, 18): -1}), ALL_3),
+    "v26-q8": (lambda: _q8_gauged(subdivided_octahedron(1), 6), ALL_2),
+    "v146-su2": (lambda: _su2_scalar(subdivided_octahedron(2), 8), [(0, 2), (1, 1), (2, 2), (3, 3)]),
+    "q8-holonomy": (_q8_holonomy, ALL_3),
+    "cut-to-zero": (_quarter_twist_circle, ALL_3),
+    "two-components": (lambda: _two_octahedra()[0], ALL_3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_glued_space_matches_dense_oracle(case):
+    make, pairs = ORACLE_CASES[case]
+    d = make()
+    for (r, s) in pairs:
+        sp = glued_space(d, r, s)
+        want = _dense_glued_coefficients(d, r, s)
+        assert sp.dim == want.shape[0], (r, s)
+        if sp.dim:
+            got = _glued_coefficients(sp)
+            assert np.abs(_projector(got) - _projector(want)).max() <= 1e-9, (r, s)
+            # unit, mutually orthogonal sections, as the dense kernel has
+            assert np.abs(got.conj() @ got.T - np.eye(sp.dim)).max() <= 1e-9, (r, s)
+        for arrow in sp.arrows:
+            assert arrow.compatibility_residual() <= 1e-9
+
+
+def test_oracle_cases_cover_cut_spaces():
+    # the holonomy and the quarter twist really cut the fibre spaces down
+    hol = _q8_holonomy()
+    assert any(glued_space(hol, r, s).dim < len(hol.fibre_basis(r, s)) for r, s in ALL_3)
+    assert glued_space(_quarter_twist_circle(), 0, 2).dim == 0
+    assert len(_quarter_twist_circle().fibre_basis(0, 2)) == 1
+
+
+@pytest.mark.parametrize("make", [lambda: _q8_gauged(octahedron(), 2), _q8_holonomy])
+def test_batched_hat_matrix_matches_per_element_hat_action(make):
+    d = make()
+    for (i, j) in d.complex.edges():
+        for (r, s) in ALL_2:
+            for (a, b) in ((i, j), (j, i)):
+                got = d.hat_matrix(a, b, r, s).a
+                assert np.abs(got - _transition_action(d, a, b, r, s)).max(initial=0.0) <= 1e-12
+
+
+def test_hat_matrix_rejects_transition_leaving_the_fibre_space():
+    edge = SimplicialComplex.from_maximal(2, [(0, 1)])
+    d = GluingDatum(edge, cyclic_diagonal_group(), {(0, 1): np.eye(2)})
+    # swap in a transition outside the normalizer, past the constructor's check
+    d.transition = lambda i, j: ComplexMatrix(HAD)
+    with pytest.raises(ConsistencyError):
+        d.hat_matrix(0, 1, 1, 1)
+
+
+def test_compatibility_residual_sees_a_broken_arrow():
+    d = _q8_holonomy()
+    arrow = glued_space(d, 1, 1).arrows[0]
+    comps = dict(arrow.components)
+    comps[0] = -comps[0]
+    assert arrow.compatibility_residual() <= 1e-9
+    assert GluedArrow(d, 1, 1, comps).compatibility_residual() >= 0.1
+
+
+def test_glued_space_is_memoized_on_the_datum():
+    d = su2_octa_datum(1)
+    sp = glued_space(d, 2, 2)
+    assert glued_space(d, 2, 2) is sp
+    cat = build_glued(d, 2)
+    assert cat.space(2, 2) is sp and cat.spaces[(2, 2)] is sp
+    assert cat.space(0, 2) is glued_space(d, 0, 2)
+    assert glued_space(su2_octa_datum(1), 2, 2) is not sp
+
+
+def test_glued_cap_bounds_the_holonomy_system():
+    d = su2_octa_datum(1)
+    # octahedron: 6 vertices, 12 edges, so 7 independent cycles; m = 2 at
+    # (2, 2): holonomy rows and transports hold (7 + 6) * 2 * 2 entries
+    need = (7 + 6) * 2 * 2
+    with pytest.raises(SizeCapExceeded):
+        glued_space(d, 2, 2, cap=need - 1)
+    assert glued_space(d, 2, 2, cap=need).dim == 2
+    # the memoized space is still guarded
+    with pytest.raises(SizeCapExceeded):
+        glued_space(d, 2, 2, cap=need - 1)
+    with pytest.raises(SizeCapExceeded):
+        build_glued(d, 2, cap=need - 1)
+
+
+def test_extraction_on_two_components():
+    d, windings = _two_octahedra()
+    sp = glued_space(d, 0, 2)
+    assert sp.dim == 2
+    supports = [
+        {v for v in range(12) if np.linalg.norm(a.components[v].a) > 1e-12} for a in sp.arrows
+    ]
+    assert sorted(map(sorted, supports)) == [list(range(6)), list(range(6, 12))]
+    out = extract_twisted_special(d)
+    assert out.classes_agree
+    assert out.extracted_class == h2_integral(d.complex).reduce(windings)
+    assert sorted(abs(x) for x in out.extracted_class.free) == [1, 2]
+    for _, resid in out.checks:
+        assert resid <= 1e-9
+
+
+def test_large_sphere_glued_dims_and_chern():
+    # three subdivisions of the octahedron: 866 vertices and 2592 edges, so
+    # the dense overlap system at (0, 2) alone is 2592 x 866
+    c = subdivided_octahedron(3)
+    t = c.triangles()[len(c.triangles()) // 3]
+    d = _su2_scalar(c, 9, {t: -2})
+    assert {rs: glued_space(d, *rs).dim for rs in [(0, 2), (2, 2), (3, 3)]} == {
+        (0, 2): 1, (2, 2): 2, (3, 3): 5,
+    }
+    ext = extract_twisted_special(d)
+    assert ext.classes_agree
+    assert ext.extracted_class == h2_integral(c).reduce({t: -2})
+    assert tuple(abs(x) for x in ext.extracted_class.free) == (2,)

@@ -113,6 +113,16 @@ def test_nullspace_zero_rows():
     assert len(ker) == 2
 
 
+def test_nullspace_unit_scale():
+    # a numerically zero operator (the holonomy system of a trivial
+    # holonomy, say) has every vector in its kernel: the cutoff is
+    # tau * max(1, sigma_max), where a purely relative one would keep none
+    rng = np.random.default_rng(9)
+    assert len(nullspace(rand_mat(rng, 6, 3) * 1e-15)) == 3
+    # a small but genuine operator keeps its rank
+    assert nullspace(rand_mat(rng, 6, 3) * 1e-6) == []
+
+
 def test_canonical_basis_is_deterministic():
     rng = np.random.default_rng(4)
     vecs = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(3)]
@@ -144,7 +154,7 @@ def _full_svd_kernel_projector(a, tau=1e-9):
         return np.eye(n, dtype=complex)
     _, s, vh = np.linalg.svd(a, full_matrices=True)
     sigma = np.concatenate([s, np.zeros(n - s.size)])
-    ker = vh[sigma <= tau * s[0]].conj()
+    ker = vh[sigma <= tau * max(1.0, s[0])].conj()
     return ker.T @ ker.conj()
 
 
