@@ -48,7 +48,7 @@ from .errors import (
     WrongKind,
 )
 from .groups import GroupSpec, KIND_FINITE
-from .linalg import ComplexMatrix, Tolerance
+from .linalg import Tolerance, as_matrix, matrix_from_json, matrix_to_json
 
 COEFF_FINITE = "finite"
 COEFF_PHASE = "phase"
@@ -252,7 +252,7 @@ class CechCocycle:
             elif coeff == COEFF_INT:
                 v = int(v)
             else:
-                v = v if isinstance(v, ComplexMatrix) else ComplexMatrix(v)
+                v = as_matrix(v)
             if i > j:
                 v = self._invert(v)
             if key in store:
@@ -277,7 +277,7 @@ class CechCocycle:
             return -v
         if self.coeff == COEFF_INT:
             return -v
-        return v.adjoint()
+        return as_matrix(v.conj().T)
 
     def _identity(self):
         if self.coeff == COEFF_PHASE:
@@ -285,13 +285,13 @@ class CechCocycle:
         if self.coeff == COEFF_INT:
             return 0
         d = self.degree()
-        return ComplexMatrix.eye(d)
+        return as_matrix(np.eye(d))
 
     def degree(self):
         if self.coeff != COEFF_FINITE:
             raise WrongKind("degree only makes sense for matrix values")
         for v in self.values.values():
-            return v.rows
+            return v.shape[0]
         if self.group is not None:
             return self.group.degree
         raise MissingValue("cocycle has no values to take a degree from")
@@ -328,7 +328,7 @@ class CechCocycle:
             elif self.coeff == COEFF_INT:
                 vv = int(v)
             else:
-                vv = v.to_json()
+                vv = matrix_to_json(v)
             doc["values"].append({"edge": [i, j], "value": vv})
         if self.windings:
             doc["windings"] = [
@@ -344,7 +344,7 @@ class CechCocycle:
             i, j = item["edge"]
             v = item["value"]
             if coeff == COEFF_FINITE:
-                v = ComplexMatrix.from_json(v)
+                v = matrix_from_json(v)
             values[(int(i), int(j))] = v
         windings = {}
         for item in doc.get("windings", []):
@@ -360,7 +360,7 @@ def trivial_cocycle(cover, coeff, degree=None, group=None):
         elif coeff == COEFF_INT:
             vals[e] = 0
         else:
-            vals[e] = ComplexMatrix.eye(degree if degree is not None else group.degree)
+            vals[e] = as_matrix(np.eye(degree if degree is not None else group.degree))
     return CechCocycle(cover, coeff, vals, group=group)
 
 
@@ -394,8 +394,8 @@ def is_cocycle(c, tol=None):
             if defect != 0:
                 return CocycleCheck(False, (i, j, k), float(abs(defect)))
         else:
-            res = float(np.linalg.norm(gij.a @ gjk.a - gik.a))
-            if not tol.close(res, scale=math.sqrt(gij.rows)):
+            res = float(np.linalg.norm(gij @ gjk - gik))
+            if not tol.close(res, scale=math.sqrt(gij.shape[0])):
                 return CocycleCheck(False, (i, j, k), res)
     return CocycleCheck(True)
 
@@ -770,23 +770,23 @@ def equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None):
     if modulo is not None and modulo.kind != KIND_FINITE:
         raise WrongKind("matrix witness search modulo a group needs a finite group")
     if c.group is not None and modulo is None:
-        candidates = [e.a for e in c.group.elements()]
+        candidates = c.group.elements()
     else:
-        gens = [v.a for v in c.values.values()] + [v.a for v in c2.values.values()]
+        gens = list(c.values.values()) + list(c2.values.values())
         if modulo is not None:
-            gens += [g.a for g in modulo.generators]
+            gens += modulo.generators
         closure_spec = GroupSpec(KIND_FINITE, d, gens, enumeration_cap=search_cap)
         try:
-            candidates = [e.a for e in closure_spec.elements()]
+            candidates = closure_spec.elements()
         except CapExceeded as exc:
             raise SearchCapExceeded("candidate closure did not stay finite: %s" % exc)
     # on an edge, admissible witnesses satisfy u_i c2_ij = c_ij u_j h with
     # h in the quotient group (h = 1 when modulo is None)
-    twists = [np.eye(d)] if modulo is None else [g.a for g in modulo.elements()]
+    twists = [np.eye(d)] if modulo is None else modulo.elements()
 
     def edge_ok(u_i, u_j, i, j):
-        lhs = u_i @ c2.value(i, j).a
-        rhs = c.value(i, j).a @ u_j
+        lhs = u_i @ c2.value(i, j)
+        rhs = c.value(i, j) @ u_j
         if modulo is None:
             return np.linalg.norm(lhs - rhs) <= tol.tau * max(1.0, math.sqrt(d))
         return modulo.contains(rhs.conj().T @ lhs, tol=tol)
@@ -797,8 +797,8 @@ def equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None):
         if pos == len(order):
             return True
         pv, cv = order[pos]
-        base = c.value(cv, pv).a
-        tail = c2.value(cv, pv).a.conj().T
+        base = c.value(cv, pv)
+        tail = c2.value(cv, pv).conj().T
         for h in twists:
             budget[0] -= 1
             if budget[0] < 0:
@@ -842,7 +842,7 @@ def equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None):
         if found is None:
             return None
         witness.update(found)
-    return {v: ComplexMatrix(m) for v, m in witness.items()}
+    return {v: as_matrix(m) for v, m in witness.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -878,6 +878,6 @@ def det_pushforward(c, tol=None, max_denominator=PHASE_DENOMINATOR_BOUND):
         raise WrongKind("determinant pushforward needs matrix values")
     vals = {}
     for (i, j), v in c.values.items():
-        det = complex(np.linalg.det(v.a))
+        det = complex(np.linalg.det(v))
         vals[(i, j)] = snap_phase(det, tol, max_denominator)
     return CechCocycle(c.cover, COEFF_PHASE, vals, windings=dict(c.windings))

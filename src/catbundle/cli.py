@@ -22,9 +22,11 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import InputParse, ToolkitError
 from .glue import GluingDatum, extract_twisted_special, glued_space, isomorphic
-from .linalg import ComplexMatrix, Tolerance
+from .linalg import Tolerance, matrix_to_json
 from . import verify as verify_mod
 
 COMMANDS = ("verify", "classify", "chern", "glue-dims", "dr-check")
@@ -94,7 +96,7 @@ def _witness_json(witness):
         return None
     out = {}
     for v, u in sorted(witness.items()):
-        out[str(v)] = u.to_json() if isinstance(u, ComplexMatrix) else _fraction_str(u)
+        out[str(v)] = matrix_to_json(u) if isinstance(u, np.ndarray) else _fraction_str(u)
     return out
 
 

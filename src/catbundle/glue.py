@@ -56,7 +56,15 @@ from .groups import (
     group_distance,
     verify_normalizer,
 )
-from .linalg import ComplexMatrix, Tolerance, hs_inner, kron, nullspace, opnorm, tensor_power
+from .linalg import (
+    Tolerance,
+    as_matrix,
+    hs_inner,
+    matrix_from_json,
+    nullspace,
+    opnorm,
+    tensor_power,
+)
 from .repcat import antisym_projector, intertwiners, symmetry_unitary
 
 GLUED_COEFF_CAP = 2_000_000
@@ -84,21 +92,18 @@ class GluingDatum:
         vals = {}
         self.normalizers = {}
         for (i, j), u in dict(transitions).items():
-            if isinstance(u, NormalizerElement):
-                u = u.u
-            elif not isinstance(u, ComplexMatrix):
-                u = ComplexMatrix(u)
+            u = u.u if isinstance(u, NormalizerElement) else as_matrix(u)
             key = (min(i, j), max(i, j))
             if i > j:
-                u = u.adjoint()
+                u = as_matrix(u.conj().T)
             vals[key] = u
             self.normalizers[key] = verify_normalizer(u, group, tol=self.tol)
         self.cocycle = CechCocycle(self.cover, COEFF_FINITE, vals, windings=windings)
         for (i, j, k) in self.complex.triangles():
             w = (
-                self.cocycle.value(i, j).a
-                @ self.cocycle.value(j, k).a
-                @ self.cocycle.value(i, k).a.conj().T
+                self.cocycle.value(i, j)
+                @ self.cocycle.value(j, k)
+                @ self.cocycle.value(i, k).conj().T
             )
             if not group.contains(w, tol=self.tol):
                 raise NotACocycleModG(
@@ -125,9 +130,9 @@ class GluingDatum:
         worst = 0.0
         for (i, j, k) in self.complex.triangles():
             w = (
-                self.cocycle.value(i, j).a
-                @ self.cocycle.value(j, k).a
-                @ self.cocycle.value(i, k).a.conj().T
+                self.cocycle.value(i, j)
+                @ self.cocycle.value(j, k)
+                @ self.cocycle.value(i, k).conj().T
             )
             worst = max(worst, group_distance(self.group, w))
         return worst
@@ -140,7 +145,7 @@ class GluingDatum:
         key = (i, j, k)
         p = self._powers.get(key)
         if p is None:
-            p = tensor_power(self.transition(i, j), k).a
+            p = tensor_power(self.transition(i, j), k)
             self._powers[key] = p
         return p
 
@@ -150,7 +155,8 @@ class GluingDatum:
         if st is None:
             d = self.degree
             basis = self.fibre_basis(r, s)
-            st = np.array([t.a for t in basis]).reshape(len(basis), d ** s, d ** r)
+            st = np.array(basis.basis).reshape(len(basis), d ** s, d ** r)
+            st.setflags(write=False)
             self._stacks[(r, s)] = st
         return st
 
@@ -178,7 +184,7 @@ class GluingDatum:
                 raise ConsistencyError(
                     "transition (%d, %d) does not preserve the (%d, %d) fibre space" % (i, j, r, s)
                 )
-        return ComplexMatrix(out)
+        return as_matrix(out)
 
     def to_json(self):
         return {
@@ -195,7 +201,7 @@ class GluingDatum:
         transitions = {}
         for item in cdoc.get("values", []):
             i, j = item["edge"]
-            transitions[(int(i), int(j))] = ComplexMatrix.from_json(item["value"])
+            transitions[(int(i), int(j))] = matrix_from_json(item["value"])
         windings = {
             tuple(item["triangle"]): int(item["value"])
             for item in cdoc.get("windings", [])
@@ -232,32 +238,33 @@ class GluedArrow:
     def compose(self, other):
         if other.datum is not self.datum or other.s != self.r:
             raise ValueError("arrows do not compose")
-        comps = {v: self.components[v] @ other.components[v] for v in self.components}
+        comps = {v: as_matrix(self.components[v] @ other.components[v]) for v in self.components}
         return GluedArrow(self.datum, other.r, self.s, comps)
 
     def adjoint(self):
-        comps = {v: t.adjoint() for v, t in self.components.items()}
+        comps = {v: as_matrix(t.conj().T) for v, t in self.components.items()}
         return GluedArrow(self.datum, self.s, self.r, comps)
 
     def tensor(self, other):
         if other.datum is not self.datum:
             raise ValueError("arrows live over different data")
         comps = {
-            v: kron(self.components[v], other.components[v]) for v in self.components
+            v: as_matrix(np.kron(self.components[v], other.components[v]))
+            for v in self.components
         }
         return GluedArrow(self.datum, self.r + other.r, self.s + other.s, comps)
 
     def __add__(self, other):
         if other.datum is not self.datum or (other.r, other.s) != (self.r, self.s):
             raise ValueError("arrows live in different spaces")
-        comps = {v: self.components[v] + other.components[v] for v in self.components}
+        comps = {v: as_matrix(self.components[v] + other.components[v]) for v in self.components}
         return GluedArrow(self.datum, self.r, self.s, comps)
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
     def __mul__(self, scalar):
-        comps = {v: t * scalar for v, t in self.components.items()}
+        comps = {v: as_matrix(t * complex(scalar)) for v, t in self.components.items()}
         return GluedArrow(self.datum, self.r, self.s, comps)
 
     __rmul__ = __mul__
@@ -269,13 +276,13 @@ class GluedArrow:
         datum = self.datum
         worst = 0.0
         for (i, j) in datum.complex.edges():
-            img = datum._power(i, j, self.s) @ self.components[j].a @ datum._power(i, j, self.r).conj().T
-            worst = max(worst, float(np.linalg.norm(self.components[i].a - img)))
+            img = datum._power(i, j, self.s) @ self.components[j] @ datum._power(i, j, self.r).conj().T
+            worst = max(worst, float(np.linalg.norm(self.components[i] - img)))
         return worst
 
 
 def glued_identity(datum, r):
-    eye = ComplexMatrix.eye(datum.degree ** r)
+    eye = as_matrix(np.eye(datum.degree ** r))
     return GluedArrow(datum, r, r, {v: eye for v in range(datum.complex.vertices)})
 
 
@@ -352,24 +359,24 @@ def _holonomy_sections(datum, r, s, edges):
             # c_cv = M_(cv, pv) c_pv, and M_(cv, pv) = M_(pv, cv)* since the
             # action is unitary, so only the stored orientation i < j is moved
             if cv < pv:
-                step = datum.hat_matrix(cv, pv, r, s).a
+                step = datum.hat_matrix(cv, pv, r, s)
             else:
-                step = datum.hat_matrix(pv, cv, r, s).a.conj().T
+                step = datum.hat_matrix(pv, cv, r, s).conj().T
             trans[cv] = step @ trans[pv]
             verts.append(cv)
         on_tree = {(min(e), max(e)) for e in tree}
         inside = set(verts)
         rows = [
-            trans[i] - datum.hat_matrix(i, j, r, s).a @ trans[j]
+            trans[i] - datum.hat_matrix(i, j, r, s) @ trans[j]
             for (i, j) in edges
             if i in inside and (i, j) not in on_tree
         ]
         op = np.concatenate(rows) if rows else np.zeros((0, m), dtype=complex)
         for x in nullspace(op, tol=datum.tol):
             coeffs = np.zeros((n, m), dtype=complex)
-            coeffs[verts] = (trans[verts] @ x.a.ravel()) / math.sqrt(len(verts))
+            coeffs[verts] = (trans[verts] @ x.ravel()) / math.sqrt(len(verts))
             mats = (coeffs @ flat).reshape(n, ds, dr)
-            arrows.append(GluedArrow(datum, r, s, {v: ComplexMatrix(mats[v]) for v in range(n)}))
+            arrows.append(GluedArrow(datum, r, s, {v: as_matrix(mats[v]) for v in range(n)}))
     return arrows
 
 
@@ -412,15 +419,15 @@ def norm_function(arrow):
     """
     per = {v: opnorm(t) for v, t in arrow.components.items()}
     comps = [arrow.components[v] for v in sorted(arrow.components)]
-    rows = sum(t.rows for t in comps)
-    cols = sum(t.cols for t in comps)
+    rows = sum(t.shape[0] for t in comps)
+    cols = sum(t.shape[1] for t in comps)
     block = np.zeros((rows, cols), dtype=complex)
     ro = co = 0
     for t in comps:
-        block[ro : ro + t.rows, co : co + t.cols] = t.a
-        ro += t.rows
-        co += t.cols
-    return {"per_vertex": per, "global": opnorm(ComplexMatrix(block))}
+        block[ro : ro + t.shape[0], co : co + t.shape[1]] = t
+        ro += t.shape[0]
+        co += t.shape[1]
+    return {"per_vertex": per, "global": opnorm(as_matrix(block))}
 
 
 def tensor_glued(a, b, tol=None):
@@ -458,13 +465,13 @@ def _functor_checks(d1, d2, witness, rmax, tol):
     def power(v, k):
         p = powers.get((v, k))
         if p is None:
-            p = powers[(v, k)] = tensor_power(witness[v], k).a
+            p = powers[(v, k)] = tensor_power(witness[v], k)
         return p
 
     def push(arrow):
         r, s = arrow.r, arrow.s
         comps = {
-            v: ComplexMatrix(power(v, s) @ t.a @ power(v, r).conj().T)
+            v: as_matrix(power(v, s) @ t @ power(v, r).conj().T)
             for v, t in arrow.components.items()
         }
         return GluedArrow(d1, r, s, comps)
@@ -518,7 +525,7 @@ def isomorphic(d1, d2, rmax=2, tol=None):
         # spanned by permutation operators
         d = d1.degree
         witness = {
-            v: ComplexMatrix(np.eye(d)) for v in range(d1.complex.vertices)
+            v: as_matrix(np.eye(d)) for v in range(d1.complex.vertices)
         }
         checks, ok = _functor_checks(d1, d2, witness, rmax, tol)
         if not ok:
@@ -540,7 +547,7 @@ def isomorphic(d1, d2, rmax=2, tol=None):
             return IsomorphismReport(False, None, dist)
         d = d1.degree
         witness = {
-            v: ComplexMatrix(cmath.exp(2j * math.pi * float(q) / d) * np.eye(d))
+            v: as_matrix(cmath.exp(2j * math.pi * float(q) / d) * np.eye(d))
             for v, q in theta.items()
         }
         checks, ok = _functor_checks(d1, d2, witness, rmax, tol)
@@ -619,7 +626,7 @@ def extract_twisted_special(cat, tol=None):
     for arrow in space.arrows:
         col = np.concatenate(
             [
-                ((np.eye(d ** d) - proj.a) @ arrow.components[v].a).reshape(-1)
+                ((np.eye(d ** d) - proj) @ arrow.components[v]).reshape(-1)
                 for v in range(n)
             ]
         )
@@ -633,16 +640,16 @@ def extract_twisted_special(cat, tol=None):
         raise RankDeficientVModule("no antisymmetric sections among the glued ones")
     families = []
     for x in coeffs:
-        xv = x.a.reshape(-1)
+        xv = x.reshape(-1)
         comps = {}
         for v in range(n):
-            acc = sum(xv[b] * space.arrows[b].components[v].a for b in range(space.dim))
-            comps[v] = ComplexMatrix(acc)
+            acc = sum(xv[b] * space.arrows[b].components[v] for b in range(space.dim))
+            comps[v] = as_matrix(acc)
         families.append(GluedArrow(datum, 0, d, comps))
     ranks = {}
     for v in range(n):
-        block = np.array([f.components[v].a.reshape(-1) for f in families])
-        ranks[v] = int(np.linalg.matrix_rank(block, tol=1e-8))
+        block = np.array([f.components[v].reshape(-1) for f in families])
+        ranks[v] = len(families) - len(nullspace(block.T, tol=tol))
     if any(rk != 1 for rk in ranks.values()):
         raise RankDeficientVModule(
             "antisymmetric section module has patch ranks %r, need all 1" % (ranks,)
@@ -652,7 +659,7 @@ def extract_twisted_special(cat, tol=None):
     vee = {}
     for comp in datum.complex.components():
         for f in families:
-            if all(float(np.linalg.norm(f.components[v].a)) > tol.tau for v in comp):
+            if all(float(np.linalg.norm(f.components[v])) > tol.tau for v in comp):
                 vee.update((v, f.components[v]) for v in comp)
                 break
         else:
@@ -662,14 +669,14 @@ def extract_twisted_special(cat, tol=None):
             )
     # patchwise norms of a section are constant on components, so this
     # normalization keeps the overlap matching exact
-    comps = {v: vee[v] * (1.0 / float(np.linalg.norm(vee[v].a))) for v in range(n)}
+    comps = {v: as_matrix(vee[v] * complex(1.0 / float(np.linalg.norm(vee[v])))) for v in range(n)}
     checks = []
     sd = d ** d
     for v in range(n):
-        V = comps[v].a
+        V = comps[v]
         checks.append(("isometry patch %d" % v, float(abs((V.conj().T @ V)[0, 0] - 1.0))))
         checks.append(
-            ("range projector patch %d" % v, float(np.linalg.norm(V @ V.conj().T - proj.a)))
+            ("range projector patch %d" % v, float(np.linalg.norm(V @ V.conj().T - proj)))
         )
         lhs = np.kron(V.conj().T, np.eye(d)) @ np.kron(np.eye(d), V)
         want = ((-1.0) ** (d - 1)) / d * np.eye(d)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, NotInNormalizer, NotUnitary, WrongKind
-from .linalg import ComplexMatrix, Tolerance
+from .linalg import Tolerance, as_matrix, matrix_from_json, matrix_to_json
 
 KIND_FINITE = "finite"
 KIND_SU = "su"
@@ -60,13 +60,13 @@ class GroupSpec:
         if degree < 1:
             raise ValueError("degree must be at least 1")
         tol = tol or Tolerance()
-        gens = tuple(g if isinstance(g, ComplexMatrix) else ComplexMatrix(g) for g in generators)
+        gens = tuple(as_matrix(g) for g in generators)
         if kind != KIND_FINITE and gens:
             raise ValueError("%s groups are Lie presented and take no generators" % kind)
         for k, g in enumerate(gens):
             if g.shape != (degree, degree):
                 raise WrongKind("generator %d has shape %r, expected degree %d" % (k, g.shape, degree))
-            _require_unitary(g.a, tol, "generator %d" % k)
+            _require_unitary(g, tol, "generator %d" % k)
         self.kind = kind
         self.degree = degree
         self.generators = gens
@@ -81,7 +81,7 @@ class GroupSpec:
             raise WrongKind("only finite groups enumerate; kind is %r" % (self.kind,))
         if self._elements is None:
             self._elements = enumerate_finite(self)
-            self._element_index = {_bucket_key(e.a): i for i, e in enumerate(self._elements)}
+            self._element_index = {_bucket_key(e): i for i, e in enumerate(self._elements)}
         return self._elements
 
     def order(self):
@@ -90,7 +90,7 @@ class GroupSpec:
     def contains(self, u, tol=None):
         """Membership within tolerance; for Lie kinds this is a defining-property check."""
         tol = tol or self.tol
-        a = u.a if isinstance(u, ComplexMatrix) else np.asarray(u, dtype=complex)
+        a = np.asarray(u, dtype=complex)
         if a.shape != (self.degree, self.degree):
             return False
         if _unitarity_residual(a) > tol.tau * max(1.0, math.sqrt(self.degree)):
@@ -101,16 +101,16 @@ class GroupSpec:
             return abs(np.linalg.det(a) - 1.0) <= tol.tau * max(1.0, math.sqrt(self.degree))
         elems = self.elements()
         i = self._element_index.get(_bucket_key(a))
-        if i is not None and np.linalg.norm(a - elems[i].a) <= tol.tau:
+        if i is not None and np.linalg.norm(a - elems[i]) <= tol.tau:
             return True
         # fallback scan guards against quantization boundaries
-        return any(np.linalg.norm(a - e.a) <= tol.tau for e in elems)
+        return any(np.linalg.norm(a - e) <= tol.tau for e in elems)
 
     def to_json(self):
         return {
             "kind": self.kind,
             "degree": self.degree,
-            "generators": [g.to_json() for g in self.generators],
+            "generators": [matrix_to_json(g) for g in self.generators],
         }
 
     @classmethod
@@ -118,7 +118,7 @@ class GroupSpec:
         return cls(
             doc["kind"],
             int(doc["degree"]),
-            [ComplexMatrix.from_json(g) for g in doc.get("generators", [])],
+            [matrix_from_json(g) for g in doc.get("generators", [])],
             enumeration_cap=int(doc.get("enumeration_cap", DEFAULT_ENUMERATION_CAP)),
         )
 
@@ -143,7 +143,7 @@ class LieBasis:
 class NormalizerElement:
     """A verified normalizer element together with its determinant phase."""
 
-    u: ComplexMatrix
+    u: np.ndarray
     phase_det: complex
     group: GroupSpec
 
@@ -164,7 +164,7 @@ def enumerate_finite(group, tol=None):
     elems = [eye]
     index = {_bucket_key(eye): 0}
     queue = [eye]
-    gens = [g.a for g in group.generators]
+    gens = group.generators
     while queue:
         h = queue.pop()
         for g in gens:
@@ -182,7 +182,7 @@ def enumerate_finite(group, tol=None):
             index[key] = len(elems)
             elems.append(p)
             queue.append(p)
-    return [ComplexMatrix(e) for e in elems]
+    return [as_matrix(e) for e in elems]
 
 
 def lie_basis(group):
@@ -200,18 +200,18 @@ def lie_basis(group):
             m = np.zeros((d, d), dtype=complex)
             m[j, k] = 1.0
             m[k, j] = -1.0
-            out.append(ComplexMatrix(m))
+            out.append(as_matrix(m))
             m = np.zeros((d, d), dtype=complex)
             m[j, k] = 1j
             m[k, j] = 1j
-            out.append(ComplexMatrix(m))
+            out.append(as_matrix(m))
     for j in range(d - 1):
         m = np.zeros((d, d), dtype=complex)
         m[j, j] = 1j
         m[j + 1, j + 1] = -1j
-        out.append(ComplexMatrix(m))
+        out.append(as_matrix(m))
     if group.kind == KIND_U:
-        out.append(ComplexMatrix(1j * np.eye(d)))
+        out.append(as_matrix(1j * np.eye(d)))
     return LieBasis(kind=group.kind, degree=d, matrices=tuple(out))
 
 
@@ -224,18 +224,18 @@ def verify_normalizer(u, group, tol=None):
     u(d).  Raises NotInNormalizer with the offending generator index.
     """
     tol = tol or group.tol
-    um = u if isinstance(u, ComplexMatrix) else ComplexMatrix(u)
+    um = as_matrix(u)
     if um.shape != (group.degree, group.degree):
         raise WrongKind(
             "normalizer candidate has shape %r, group degree is %d" % (um.shape, group.degree)
         )
-    _require_unitary(um.a, tol, "normalizer candidate")
+    _require_unitary(um, tol, "normalizer candidate")
     if group.kind == KIND_FINITE:
         for k, g in enumerate(group.generators):
-            c = um.a @ g.a @ um.a.conj().T
+            c = um @ g @ um.conj().T
             if not group.contains(c, tol=tol):
                 raise NotInNormalizer("conjugate of generator %d leaves the group" % k)
-    det = complex(np.linalg.det(um.a))
+    det = complex(np.linalg.det(um))
     return NormalizerElement(u=um, phase_det=det, group=group)
 
 
@@ -246,14 +246,14 @@ def group_distance(group, a, tol=None):
     defining-property residuals (unitarity, and for su the determinant),
     which vanish exactly on the group.
     """
-    a = a.a if isinstance(a, ComplexMatrix) else np.asarray(a, dtype=complex)
+    a = np.asarray(a, dtype=complex)
     if a.shape != (group.degree, group.degree):
         raise WrongKind("shape %r does not match degree %d" % (a.shape, group.degree))
     if group.kind == KIND_U:
         return _unitarity_residual(a)
     if group.kind == KIND_SU:
         return max(_unitarity_residual(a), float(abs(np.linalg.det(a) - 1.0)))
-    return min(float(np.linalg.norm(a - e.a)) for e in group.elements())
+    return min(float(np.linalg.norm(a - e)) for e in group.elements())
 
 
 def trivial_group(degree):

@@ -1,10 +1,16 @@
 """Dense complex matrices under a single numerical contract.
 
+A matrix is a plain 2-d complex128 ndarray.  ``as_matrix`` is the one
+place one is made: it copies, checks the shape and the entries, and
+freezes the copy, so every matrix a result or a cache holds is
+read-only and finite; ``matrix_to_json`` and ``matrix_from_json`` are
+its JSON boundary.
+
 Every dimension reported by the rest of the package (intertwiner spaces,
 glued section spaces, cohomology ranks of numerical origin) traces back
 to the rank decisions made here, so the conventions are pinned once:
 
-* double precision complex entries, immutable after construction;
+* double precision complex entries, read-only once ``as_matrix`` made them;
 * one tolerance tau, measured against max(1, the largest singular value
   of the operand), as ``Tolerance.close`` measures residuals: the
   operators solved here are built from unitaries, unit vectors and
@@ -39,141 +45,70 @@ class Tolerance:
         return residual <= self.tau * max(1.0, scale)
 
 
-class ComplexMatrix:
-    """Immutable dense complex matrix, row-major entries."""
+def as_matrix(entries):
+    """A read-only, C-ordered complex128 copy of ``entries`` as a 2-d array.
 
-    __slots__ = ("_a",)
-
-    def __init__(self, entries):
-        a = np.array(entries, dtype=complex, order="C")
-        if a.ndim == 1:
-            a = a.reshape(-1, 1)
-        if a.ndim != 2:
-            raise ValueError("expected a 2-d array, got shape %r" % (a.shape,))
-        if a.size and not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
-        a.setflags(write=False)
-        object.__setattr__(self, "_a", a)
-
-    @property
-    def a(self):
-        """Read-only ndarray view of the entries."""
-        return self._a
-
-    @property
-    def rows(self):
-        return self._a.shape[0]
-
-    @property
-    def cols(self):
-        return self._a.shape[1]
-
-    @property
-    def shape(self):
-        return self._a.shape
-
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls(np.zeros((rows, cols)))
-
-    @classmethod
-    def eye(cls, n):
-        return cls(np.eye(n))
-
-    def adjoint(self):
-        return ComplexMatrix(self._a.conj().T)
-
-    def conj(self):
-        """Entrywise conjugate (no transpose)."""
-        return ComplexMatrix(self._a.conj())
-
-    def trace(self):
-        return complex(np.trace(self._a))
-
-    def __matmul__(self, other):
-        return ComplexMatrix(self._a @ _as_array(other))
-
-    def __add__(self, other):
-        return ComplexMatrix(self._a + _as_array(other))
-
-    def __sub__(self, other):
-        return ComplexMatrix(self._a - _as_array(other))
-
-    def __mul__(self, scalar):
-        return ComplexMatrix(self._a * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ComplexMatrix(-self._a)
-
-    def __repr__(self):
-        return "ComplexMatrix(%d x %d)" % self._a.shape
-
-    def to_json(self):
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "re": [float(x) for x in self._a.real.ravel()],
-            "im": [float(x) for x in self._a.imag.ravel()],
-        }
-
-    @classmethod
-    def from_json(cls, doc):
-        rows, cols = int(doc["rows"]), int(doc["cols"])
-        re, im = doc["re"], doc["im"]
-        if len(re) != rows * cols or len(im) != rows * cols:
-            raise ValueError(
-                "matrix document has %d/%d entries for shape %d x %d"
-                % (len(re), len(im), rows, cols)
-            )
-        a = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
-        return cls(a.reshape(rows, cols))
+    A 1-d input becomes a column.  The copy is always taken, so freezing
+    it never reaches the caller's array.  Raises ValueError on any other
+    rank and on non-finite entries.
+    """
+    a = np.array(entries, dtype=complex, order="C")
+    if a.ndim == 1:
+        a = a.reshape(-1, 1)
+    if a.ndim != 2:
+        raise ValueError("expected a 2-d array, got shape %r" % (a.shape,))
+    if a.size and not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    a.setflags(write=False)
+    return a
 
 
-def _as_array(m):
-    if isinstance(m, ComplexMatrix):
-        return m.a
-    return np.asarray(m, dtype=complex)
+def matrix_to_json(a):
+    """The ``{rows, cols, re, im}`` document of a matrix, entries row-major."""
+    rows, cols = a.shape
+    return {
+        "rows": rows,
+        "cols": cols,
+        "re": [float(x) for x in a.real.ravel()],
+        "im": [float(x) for x in a.imag.ravel()],
+    }
 
 
-def kron(a, b):
-    """Tensor product, left factor on the leading slot: (a x b)(v x w) = av x bw."""
-    return ComplexMatrix(np.kron(_as_array(a), _as_array(b)))
-
-
-def adjoint(a):
-    return ComplexMatrix(_as_array(a).conj().T)
-
-
-def identity(n):
-    return ComplexMatrix.eye(n)
+def matrix_from_json(doc):
+    """Inverse of ``matrix_to_json``, checking the entry count and the entries."""
+    rows, cols = int(doc["rows"]), int(doc["cols"])
+    re, im = doc["re"], doc["im"]
+    if len(re) != rows * cols or len(im) != rows * cols:
+        raise ValueError(
+            "matrix document has %d/%d entries for shape %d x %d"
+            % (len(re), len(im), rows, cols)
+        )
+    a = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
+    return as_matrix(a.reshape(rows, cols))
 
 
 def tensor_power(a, r):
     """r-fold tensor power; the zeroth power is the 1 x 1 identity."""
     out = np.eye(1, dtype=complex)
-    aa = _as_array(a)
     for _ in range(r):
-        out = np.kron(out, aa)
-    return ComplexMatrix(out)
+        out = np.kron(out, a)
+    return as_matrix(out)
 
 
 def opnorm(a):
     """Operator norm (largest singular value)."""
-    aa = _as_array(a)
-    if aa.size == 0:
+    if np.size(a) == 0:
         return 0.0
-    return float(np.linalg.svd(aa, compute_uv=False)[0])
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def hs_inner(a, b):
     """Hilbert-Schmidt inner product trace(a* b), conjugate-linear in a."""
-    return complex(np.vdot(_as_array(a), _as_array(b)))
+    return complex(np.vdot(a, b))
 
 
 def hs_norm(a):
-    return float(np.linalg.norm(_as_array(a)))
+    return float(np.linalg.norm(a))
 
 
 def _canonical_phase(v):
@@ -204,8 +139,8 @@ def nullspace(op, tol=None):
     A vector v is kept when ||op v|| <= tau * max(1, ||op||) * ||v||,
     decided by the singular values of op.  The unit floor matters when
     op is numerically zero (a trivial holonomy, say): a purely relative
-    cutoff would then discard the whole kernel.  Returns column vectors
-    as ComplexMatrix, in canonical order.
+    cutoff would then discard the whole kernel.  Returns read-only
+    column vectors, in canonical order.
 
     The SVD is thin when op has at least as many rows as columns: the
     kernel lives in the right factor, so the m x m left factor of a tall
@@ -213,14 +148,13 @@ def nullspace(op, tol=None):
     factor, whose rows beyond m span part of the kernel.
     """
     tol = tol or Tolerance()
-    a = _as_array(op)
-    m, n = a.shape
+    m, n = op.shape
     if n == 0:
         return []
     if m == 0:
         vecs = list(np.eye(n, dtype=complex))
     else:
-        _, s, vh = np.linalg.svd(a, full_matrices=m < n)
+        _, s, vh = np.linalg.svd(op, full_matrices=m < n)
         smax = float(s[0]) if s.size else 0.0
         cutoff = tol.tau * max(1.0, smax)
         vecs = []
@@ -228,14 +162,14 @@ def nullspace(op, tol=None):
             sigma = float(s[i]) if i < s.size else 0.0
             if sigma <= cutoff:
                 vecs.append(vh[i].conj())
-    return [ComplexMatrix(v.reshape(-1, 1)) for v in canonical_basis(vecs)]
+    return [as_matrix(v) for v in canonical_basis(vecs)]
 
 
 def projection_residual(vec, basis_vectors):
     """Distance from ``vec`` to the span of orthonormal ``basis_vectors``."""
-    v = _as_array(vec).ravel()
-    rem = v.copy()
+    v = np.ravel(vec)
+    rem = v
     for b in basis_vectors:
-        bb = _as_array(b).ravel()
+        bb = np.ravel(b)
         rem = rem - np.vdot(bb, v) * bb
     return float(np.linalg.norm(rem))

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import SizeCapExceeded, WrongKind
 from .groups import KIND_FINITE, GroupSpec, NormalizerElement, lie_basis
-from .linalg import ComplexMatrix, Tolerance, canonical_basis, nullspace, tensor_power
+from .linalg import Tolerance, as_matrix, canonical_basis, matrix_to_json, nullspace, tensor_power
 
 INTERTWINER_UNKNOWN_CAP = 10_000
 ANTISYM_POWER_CAP = 6
@@ -78,7 +78,7 @@ class IntertwinerSpace:
             "group": self.group.to_json(),
             "r": self.r,
             "s": self.s,
-            "basis": [b.to_json() for b in self.basis],
+            "basis": [matrix_to_json(b) for b in self.basis],
         }
 
 
@@ -87,11 +87,11 @@ class SpecialObjectData:
     """Top antisymmetric isometry S in (1, H^d) with S*S = 1."""
 
     degree: int
-    isometry: ComplexMatrix
+    isometry: np.ndarray
 
     @property
     def projector(self):
-        return ComplexMatrix(self.isometry.a @ self.isometry.a.conj().T)
+        return as_matrix(self.isometry @ self.isometry.conj().T)
 
     @property
     def pairing_scalar(self):
@@ -105,8 +105,8 @@ class ConjugatePair:
     """Standard solution of the conjugate equations for the defining power."""
 
     degree: int
-    r: ComplexMatrix
-    rbar: ComplexMatrix
+    r: np.ndarray
+    rbar: np.ndarray
     dim_value: float
 
 
@@ -136,7 +136,7 @@ def _power_diagonal(lam, power, lie):
 
 
 def _power_action(x, power, d, lie):
-    return _derived_power(x, power, d) if lie else tensor_power(x, power).a
+    return _derived_power(x, power, d) if lie else tensor_power(x, power)
 
 
 def intertwiners(group, r, s, tol=None, cap=INTERTWINER_UNKNOWN_CAP):
@@ -167,8 +167,7 @@ def intertwiners(group, r, s, tol=None, cap=INTERTWINER_UNKNOWN_CAP):
     lie = group.kind != KIND_FINITE
     gens = lie_basis(group).matrices if lie else group.generators
     diagonal, others = [], []
-    for g in gens:
-        a = g.a
+    for a in gens:
         (diagonal if np.array_equal(a, np.diag(np.diagonal(a))) else others).append(a)
     # singular values of the stacked diagonal constraints, one per unknown
     sq = np.zeros(n)
@@ -194,9 +193,9 @@ def intertwiners(group, r, s, tol=None, cap=INTERTWINER_UNKNOWN_CAP):
     vecs = []
     for v in nullspace(op, tol):
         x = np.zeros(n, dtype=complex)
-        x[keep] = v.a.ravel()
+        x[keep] = v.ravel()
         vecs.append(x)
-    basis = tuple(ComplexMatrix(x.reshape(ds, dr)) for x in canonical_basis(vecs))
+    basis = tuple(as_matrix(x.reshape(ds, dr)) for x in canonical_basis(vecs))
     space = IntertwinerSpace(group=group, r=r, s=s, basis=basis)
     group.cache[key] = space
     return space
@@ -207,16 +206,16 @@ def group_average(group, t, r, s):
     if group.kind != KIND_FINITE:
         raise WrongKind("group averaging needs a finite group")
     d = group.degree
-    tt = t.a if isinstance(t, ComplexMatrix) else np.asarray(t, dtype=complex)
+    tt = np.asarray(t, dtype=complex)
     if tt.shape != (d ** s, d ** r):
         raise ValueError("arrow shape %r does not match (r, s) = (%d, %d)" % (tt.shape, r, s))
     acc = np.zeros_like(tt)
     elems = group.elements()
     for g in elems:
-        gs = tensor_power(g, s).a
-        gr = tensor_power(g, r).a
+        gs = tensor_power(g, s)
+        gr = tensor_power(g, r)
         acc += gs @ tt @ gr.conj().T
-    return ComplexMatrix(acc / len(elems))
+    return as_matrix(acc / len(elems))
 
 
 def permutation_unitary(perm, d):
@@ -240,7 +239,7 @@ def permutation_unitary(perm, d):
             row = row * d + dst[k]
             col = col * d + src[k]
         u[row, col] = 1.0
-    return ComplexMatrix(u)
+    return as_matrix(u)
 
 
 def symmetry_unitary(r, s, d):
@@ -265,8 +264,8 @@ def antisym_projector(d, r):
     n = d ** r
     acc = np.zeros((n, n), dtype=complex)
     for p in itertools.permutations(range(r)):
-        acc += _sign(p) * permutation_unitary(p, d).a
-    return ComplexMatrix(acc / math.factorial(r))
+        acc += _sign(p) * permutation_unitary(p, d)
+    return as_matrix(acc / math.factorial(r))
 
 
 def special_isometry(d):
@@ -282,7 +281,7 @@ def special_isometry(d):
         for k in range(d):
             row = row * d + p[k]
         vec[row, 0] = _sign(p) * coeff
-    return SpecialObjectData(degree=d, isometry=ComplexMatrix(vec))
+    return SpecialObjectData(degree=d, isometry=as_matrix(vec))
 
 
 def conjugate_pair(d):
@@ -293,7 +292,7 @@ def conjugate_pair(d):
     vec = np.zeros((d * d, 1), dtype=complex)
     for k in range(d):
         vec[k * d + k, 0] = 1.0
-    r = ComplexMatrix(vec)
+    r = as_matrix(vec)
     return ConjugatePair(degree=d, r=r, rbar=r, dim_value=float(d))
 
 
@@ -301,10 +300,9 @@ def hat_action(u, t, r, s):
     """Conjugation by tensor powers: t -> u^(x s) t (u^(x r))*."""
     if isinstance(u, NormalizerElement):
         u = u.u
-    us = tensor_power(u, s).a
-    ur = tensor_power(u, r).a
-    tt = t.a if isinstance(t, ComplexMatrix) else np.asarray(t, dtype=complex)
-    return ComplexMatrix(us @ tt @ ur.conj().T)
+    us = tensor_power(u, s)
+    ur = tensor_power(u, r)
+    return as_matrix(us @ t @ ur.conj().T)
 
 
 def averaged_fixed_space(group, r, s, tol=None):
@@ -323,11 +321,11 @@ def averaged_fixed_space(group, r, s, tol=None):
     acc = np.zeros((n, n), dtype=complex)
     elems = group.elements()
     for g in elems:
-        gs = tensor_power(g, s).a
-        gr = tensor_power(g, r).a
+        gs = tensor_power(g, s)
+        gr = tensor_power(g, r)
         acc += np.kron(gs, gr.conj())
     acc /= len(elems)
     # acc is the HS-orthogonal projector onto the fixed space
     w, v = np.linalg.eigh((acc + acc.conj().T) / 2.0)
     vecs = [v[:, i] for i in range(n) if w[i] > 0.5]
-    return [ComplexMatrix(x.reshape(ds, dr)) for x in canonical_basis(vecs)]
+    return [as_matrix(x.reshape(ds, dr)) for x in canonical_basis(vecs)]

@@ -510,15 +510,15 @@ def test_equivalent_finite_with_group():
     q8 = quaternion_group()
     cov = Cover(octahedron())
     els = q8.elements()
-    u = {v: els[(2 * v + 1) % len(els)].a for v in range(6)}
+    u = {v: els[(2 * v + 1) % len(els)] for v in range(6)}
     vals = {(i, j): u[i] @ u[j].conj().T for (i, j) in cov.complex.edges()}
     c = CechCocycle(cov, "finite", vals, group=q8)
     c2 = trivial_cocycle(cov, "finite", group=q8)
     w = equivalent(c, c2)
     assert w is not None
     for (i, j) in cov.complex.edges():
-        lhs = w[i].a @ c2.value(i, j).a
-        rhs = c.value(i, j).a @ w[j].a
+        lhs = w[i] @ c2.value(i, j)
+        rhs = c.value(i, j) @ w[j]
         assert np.linalg.norm(lhs - rhs) <= 1e-9
 
 
@@ -535,7 +535,7 @@ def test_equivalent_search_cap():
     q8 = quaternion_group()
     cov = Cover(octahedron())
     els = q8.elements()
-    u = {v: els[v % len(els)].a for v in range(6)}
+    u = {v: els[v % len(els)] for v in range(6)}
     vals = {(i, j): u[i] @ u[j].conj().T for (i, j) in cov.complex.edges()}
     c = CechCocycle(cov, "finite", vals, group=q8)
     with pytest.raises(SearchCapExceeded):
@@ -545,7 +545,7 @@ def test_equivalent_search_cap():
 def _q8_coboundary_without_group():
     els = quaternion_group().elements()
     cov = Cover(octahedron())
-    u = {v: els[v % len(els)].a for v in range(6)}
+    u = {v: els[v % len(els)] for v in range(6)}
     vals = {(i, j): u[i] @ u[j].conj().T for (i, j) in cov.complex.edges()}
     return CechCocycle(cov, "finite", vals), trivial_cocycle(cov, "finite", degree=2)
 
@@ -603,7 +603,7 @@ def test_det_pushforward_ignores_unimodular_factors():
     basis = lie_basis(special_unitary(2)).matrices
     a = {}
     for v in range(6):
-        x = 0.3 * basis[v % len(basis)].a
+        x = 0.3 * basis[v % len(basis)]
         m = np.eye(2)
         term = np.eye(2)
         for k in range(1, 30):
@@ -648,11 +648,11 @@ def test_cocycle_json_roundtrip_finite():
     q8 = quaternion_group()
     cov = Cover(octahedron())
     els = q8.elements()
-    vals = {e: els[(e[0] + e[1]) % len(els)].a for e in cov.complex.edges()}
+    vals = {e: els[(e[0] + e[1]) % len(els)] for e in cov.complex.edges()}
     c = CechCocycle(cov, "finite", vals, group=q8)
     back = CechCocycle.from_json(c.to_json(), cov, group=q8)
     for e in cov.complex.edges():
-        assert np.array_equal(back.value(*e).a, c.value(*e).a)
+        assert np.array_equal(back.value(*e), c.value(*e))
 
 
 def test_complex_json_roundtrip():

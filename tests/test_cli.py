@@ -204,3 +204,18 @@ def test_command_flag_alone_works(capsys):
     code, report = _report(capsys, ["--command", "dr-check", "--level", "2"])
     assert code == 0
     assert report["command"] == "dr-check"
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_chern_rejects_bad_matrix_documents(tmp_path, capsys, part):
+    doc = su2_octa_datum(1).to_json()
+    value = doc["cocycle"]["values"][0]["value"]
+    if part == "re":
+        value["re"][0] = float("nan")  # json writes and reads the literal NaN
+    else:
+        value["im"] = value["im"][:-1]
+    path = _write(tmp_path, "bad-%s.json" % part, doc)
+    code, out, err = _run(capsys, ["chern", "--input", path])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "InputParse"

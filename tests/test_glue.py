@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from catbundle import (
-    ComplexMatrix,
     ConsistencyError,
     GluingDatum,
     NotACocycleModG,
@@ -15,6 +14,7 @@ from catbundle import (
     RankDeficientVModule,
     SimplicialComplex,
     SizeCapExceeded,
+    as_matrix,
     build_glued,
     cyclic_diagonal_group,
     extract_twisted_special,
@@ -56,7 +56,7 @@ def _q8_coboundary(windings=None):
     q8 = quaternion_group()
     octa = octahedron()
     els = q8.elements()
-    a = {v: els[(3 * v) % len(els)].a for v in range(6)}
+    a = {v: els[(3 * v) % len(els)] for v in range(6)}
     trans = {(i, j): a[i] @ a[j].conj().T for (i, j) in octa.edges()}
     return GluingDatum(octa, q8, trans, windings=windings)
 
@@ -97,7 +97,7 @@ def test_datum_json_roundtrip():
     assert back.group.kind == d.group.kind
     assert back.windings == d.windings
     for e in d.complex.edges():
-        assert np.allclose(back.transition(*e).a, d.transition(*e).a)
+        assert np.allclose(back.transition(*e), d.transition(*e))
     assert back.mod_group_residual() <= 1e-12
 
 
@@ -176,7 +176,7 @@ def test_fibre_eval_returns_components():
     d = su2_octa_datum(0)
     a = glued_space(d, 1, 1).arrows[0]
     for v in range(6):
-        assert np.array_equal(fibre_eval(a, v).a, a.components[v].a)
+        assert np.array_equal(fibre_eval(a, v), a.components[v])
 
 
 def test_norm_function_sup_formula():
@@ -234,8 +234,8 @@ def test_extraction_matches_pushforward(n):
         assert resid <= 1e-9
     # patchwise isometries onto the antisymmetric line
     for v, V in out.isometries.items():
-        assert V.rows == 4 and V.cols == 1
-        assert abs(float(np.linalg.norm(V.a)) - 1.0) <= 1e-12
+        assert V.shape == (4, 1)
+        assert abs(float(np.linalg.norm(V)) - 1.0) <= 1e-12
 
 
 def test_extraction_carries_windings():
@@ -261,8 +261,8 @@ def test_scalar_datum_transitions():
     # a bare quarter twist on one edge is a cocycle mod the full unitary fibre
     d = scalar_datum(octa, full_unitary(2), phases)
     t = d.transition(0, 1)
-    assert np.allclose(t.a, 1j * np.eye(2))
-    assert np.allclose(d.transition(1, 0).a, -1j * np.eye(2))
+    assert np.allclose(t, 1j * np.eye(2))
+    assert np.allclose(d.transition(1, 0), -1j * np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +291,7 @@ def _q8_gauged(c, seed, twist=None):
     """Q8 transitions g_i h_ij t_ij g_j* with Clifford gauges g, random Q8
     elements h and twists t (the identity off ``twist``)."""
     rng = random.Random(seed)
-    els = [e.a for e in quaternion_group().elements()]
+    els = list(quaternion_group().elements())
     g = [_clifford_word(rng) for _ in range(c.vertices)]
     twist = twist or {}
     trans = {
@@ -344,7 +344,7 @@ def _dense_glued_coefficients(datum, r, s):
         blk = slice(e * m, (e + 1) * m)
         op[blk, i * m : (i + 1) * m] += np.eye(m)
         op[blk, j * m : (j + 1) * m] -= _transition_action(datum, i, j, r, s)
-    vecs = [x.a.ravel() for x in nullspace(op, tol=datum.tol)]
+    vecs = [x.ravel() for x in nullspace(op, tol=datum.tol)]
     return np.array(vecs, dtype=complex).reshape(len(vecs), n * m)
 
 
@@ -356,9 +356,9 @@ def _glued_coefficients(space):
     for arrow in space.arrows:
         row = []
         for v in range(space.datum.complex.vertices):
-            t = arrow.components[v].a
+            t = arrow.components[v]
             c = [hs_inner(b, t) for b in basis]
-            back = sum((x * b.a for x, b in zip(c, basis)), np.zeros_like(t))
+            back = sum((x * b for x, b in zip(c, basis)), np.zeros_like(t))
             assert np.linalg.norm(t - back) <= 1e-12
             row += c
         rows.append(row)
@@ -414,7 +414,7 @@ def test_batched_hat_matrix_matches_per_element_hat_action(make):
     for (i, j) in d.complex.edges():
         for (r, s) in ALL_2:
             for (a, b) in ((i, j), (j, i)):
-                got = d.hat_matrix(a, b, r, s).a
+                got = d.hat_matrix(a, b, r, s)
                 assert np.abs(got - _transition_action(d, a, b, r, s)).max(initial=0.0) <= 1e-12
 
 
@@ -422,7 +422,7 @@ def test_hat_matrix_rejects_transition_leaving_the_fibre_space():
     edge = SimplicialComplex.from_maximal(2, [(0, 1)])
     d = GluingDatum(edge, cyclic_diagonal_group(), {(0, 1): np.eye(2)})
     # swap in a transition outside the normalizer, past the constructor's check
-    d.transition = lambda i, j: ComplexMatrix(HAD)
+    d.transition = lambda i, j: as_matrix(HAD)
     with pytest.raises(ConsistencyError):
         d.hat_matrix(0, 1, 1, 1)
 
@@ -446,6 +446,19 @@ def test_glued_space_is_memoized_on_the_datum():
     assert glued_space(su2_octa_datum(1), 2, 2) is not sp
 
 
+def test_memoized_glued_arrows_are_read_only():
+    d = su2_octa_datum(1)
+    sp = glued_space(d, 2, 2)
+    before = {v: t.copy() for v, t in sp.arrows[0].components.items()}
+    with pytest.raises(ValueError):
+        sp.arrows[0].components[0][0, 0] = 5.0
+    with pytest.raises(ValueError):
+        d.transition(0, 1)[0, 0] = 5.0
+    again = glued_space(d, 2, 2)
+    assert again is sp
+    assert all(np.array_equal(again.arrows[0].components[v], t) for v, t in before.items())
+
+
 def test_glued_cap_bounds_the_holonomy_system():
     d = su2_octa_datum(1)
     # octahedron: 6 vertices, 12 edges, so 7 independent cycles; m = 2 at
@@ -466,7 +479,7 @@ def test_extraction_on_two_components():
     sp = glued_space(d, 0, 2)
     assert sp.dim == 2
     supports = [
-        {v for v in range(12) if np.linalg.norm(a.components[v].a) > 1e-12} for a in sp.arrows
+        {v for v in range(12) if np.linalg.norm(a.components[v]) > 1e-12} for a in sp.arrows
     ]
     assert sorted(map(sorted, supports)) == [list(range(6)), list(range(6, 12))]
     out = extract_twisted_special(d)

@@ -42,7 +42,7 @@ def test_enumeration_closed_under_products():
     elems = g.elements()
     for a in elems:
         for b in elems:
-            assert g.contains(a.a @ b.a)
+            assert g.contains(a @ b)
 
 
 def test_enumeration_cap():
@@ -66,8 +66,8 @@ def test_lie_basis_counts():
 
 def test_lie_basis_anti_hermitian_and_traceless():
     for x in lie_basis(special_unitary(3)).matrices:
-        assert np.linalg.norm(x.a + x.a.conj().T) <= 1e-12
-        assert abs(np.trace(x.a)) <= 1e-12
+        assert np.linalg.norm(x + x.conj().T) <= 1e-12
+        assert abs(np.trace(x)) <= 1e-12
 
 
 def test_lie_basis_exponentials_unitary():
@@ -76,7 +76,7 @@ def test_lie_basis_exponentials_unitary():
         acc = np.eye(2, dtype=complex)
         term = np.eye(2, dtype=complex)
         for k in range(1, 30):
-            term = term @ (0.1 * x.a) / k
+            term = term @ (0.1 * x) / k
             acc = acc + term
         assert np.linalg.norm(acc.conj().T @ acc - np.eye(2)) <= 1e-8
 
@@ -145,6 +145,28 @@ def test_group_json_roundtrip():
     assert su.kind == KIND_SU and su.degree == 3
     u = GroupSpec.from_json(full_unitary(2).to_json())
     assert u.kind == KIND_U
+
+
+def test_group_elements_are_read_only():
+    q8 = quaternion_group()
+    before = [e.copy() for e in q8.elements()]
+    with pytest.raises(ValueError):
+        q8.elements()[1][0, 0] = 5.0
+    with pytest.raises(ValueError):
+        q8.generators[0][0, 0] = 5.0
+    assert all(np.array_equal(e, want) for e, want in zip(q8.elements(), before))
+
+
+def test_arrays_passed_in_stay_writable():
+    gi = np.diag([1j, -1j])
+    g = GroupSpec(KIND_FINITE, 2, [gi])
+    u = HADAMARD.copy()
+    verify_normalizer(u, quaternion_group())
+    assert gi.flags.writeable and u.flags.writeable
+    # the group holds its own copy
+    gi[0, 0] = 7.0
+    assert g.generators[0][0, 0] == 1j
+    assert g.order() == 4
 
 
 def test_lie_kind_rejects_generators():

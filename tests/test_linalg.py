@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catbundle.linalg import (
-    ComplexMatrix,
     Tolerance,
-    adjoint,
+    as_matrix,
     canonical_basis,
     hs_inner,
     hs_norm,
-    identity,
-    kron,
+    matrix_from_json,
+    matrix_to_json,
     nullspace,
     opnorm,
     projection_residual,
@@ -20,68 +19,30 @@ from catbundle.linalg import (
 
 
 def rand_mat(rng, n, m):
-    return ComplexMatrix(rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
-
-
-def rand_unitary(rng, n):
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return ComplexMatrix(q)
+    return as_matrix(rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
 
 
 def test_matrix_shape_and_json_roundtrip():
-    a = ComplexMatrix([[1, 2j], [3, 4]])
-    assert a.shape == (2, 2) and a.rows == 2 and a.cols == 2
-    b = ComplexMatrix.from_json(a.to_json())
-    assert np.array_equal(a.a, b.a)
-
-
-def test_adjoint_involution_and_example():
-    a = ComplexMatrix([[0, 1], [0, 0]])
-    assert np.array_equal(adjoint(a).a, np.array([[0, 0], [1, 0]], dtype=complex))
-    rng = np.random.default_rng(0)
-    m = rand_mat(rng, 3, 2)
-    assert np.array_equal(adjoint(adjoint(m)).a, m.a)
-    assert abs(opnorm(adjoint(m)) - opnorm(m)) < 1e-12
-
-
-def test_kron_identities():
-    assert np.array_equal(kron(identity(2), identity(2)).a, np.eye(4))
-    d = ComplexMatrix(np.diag([1.0, 2.0]))
-    assert np.array_equal(kron(d, identity(2)).a, np.diag([1.0, 1.0, 2.0, 2.0]))
-
-
-def test_kron_of_unitaries_is_unitary():
-    rng = np.random.default_rng(1)
-    x, y = rand_unitary(rng, 2), rand_unitary(rng, 2)
-    k = kron(x, y)
-    assert np.linalg.norm(k.a.conj().T @ k.a - np.eye(4)) <= 1e-9
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2 ** 16 - 1))
-def test_kron_mixed_product(seed):
-    rng = np.random.default_rng(seed)
-    a, b = rand_mat(rng, 2, 3), rand_mat(rng, 2, 2)
-    c, d = rand_mat(rng, 3, 2), rand_mat(rng, 2, 3)
-    left = kron(a, b) @ kron(c, d)
-    right = kron(a @ c, b @ d)
-    assert np.linalg.norm(left.a - right.a) <= 1e-10 * max(1.0, hs_norm(left))
+    a = as_matrix([[1, 2j], [3, 4]])
+    assert a.shape == (2, 2)
+    b = matrix_from_json(matrix_to_json(a))
+    assert np.array_equal(a, b)
 
 
 def test_tensor_power_zeroth_is_scalar():
-    a = ComplexMatrix([[2.0]])
+    a = as_matrix([[2.0]])
     assert tensor_power(a, 0).shape == (1, 1)
-    assert tensor_power(a, 0).a[0, 0] == 1.0
-    u = ComplexMatrix(np.diag([1j, -1j]))
-    assert np.array_equal(tensor_power(u, 2).a, np.kron(u.a, u.a))
+    assert tensor_power(a, 0)[0, 0] == 1.0
+    u = as_matrix(np.diag([1j, -1j]))
+    assert np.array_equal(tensor_power(u, 2), np.kron(u, u))
 
 
 def test_opnorm_matches_svd_oracle():
     rng = np.random.default_rng(2)
     m = rand_mat(rng, 5, 3)
-    want = float(np.linalg.norm(m.a, ord=2))
+    want = float(np.linalg.norm(m, ord=2))
     assert abs(opnorm(m) - want) <= 1e-12 * max(1.0, want)
-    assert opnorm(ComplexMatrix.zeros(3, 3)) == 0.0
+    assert opnorm(as_matrix(np.zeros((3, 3)))) == 0.0
 
 
 def test_hs_inner_conjugate_linear_in_first():
@@ -95,21 +56,21 @@ def test_nullspace_engineered_kernel():
     # rank-1 projector acting on C^3: kernel is the orthogonal plane
     v = np.array([[1.0], [2.0], [2.0]]) / 3.0
     p = v @ v.T
-    ker = nullspace(ComplexMatrix(p))
+    ker = nullspace(as_matrix(p))
     assert len(ker) == 2
     for x in ker:
-        assert np.linalg.norm(p @ x.a) <= 1e-12
-        assert abs(np.linalg.norm(x.a) - 1.0) <= 1e-12
+        assert np.linalg.norm(p @ x) <= 1e-12
+        assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
     # orthonormal pair
-    assert abs(complex(np.vdot(ker[0].a, ker[1].a))) <= 1e-12
+    assert abs(complex(np.vdot(ker[0], ker[1]))) <= 1e-12
 
 
 def test_nullspace_full_rank_is_empty():
-    assert nullspace(ComplexMatrix(np.eye(3))) == []
+    assert nullspace(as_matrix(np.eye(3))) == []
 
 
 def test_nullspace_zero_rows():
-    ker = nullspace(ComplexMatrix(np.zeros((0, 2))))
+    ker = nullspace(as_matrix(np.zeros((0, 2))))
     assert len(ker) == 2
 
 
@@ -178,9 +139,51 @@ def _low_rank(rng, m, n, rank):
 def test_nullspace_projector_matches_full_svd(m, n, rank):
     rng = np.random.default_rng(100 + 10 * m + n)
     a = _low_rank(rng, m, n, rank) if rank else np.zeros((m, n), dtype=complex)
-    ker = nullspace(ComplexMatrix(a))
+    ker = nullspace(as_matrix(a))
     assert len(ker) == n - rank
-    got = sum((x.a @ x.a.conj().T for x in ker), np.zeros((n, n), dtype=complex))
+    got = sum((x @ x.conj().T for x in ker), np.zeros((n, n), dtype=complex))
     assert np.linalg.norm(got - _full_svd_kernel_projector(a)) <= 1e-9
     for x in ker:
-        assert np.linalg.norm(a @ x.a) <= 1e-9 * max(1.0, float(np.linalg.norm(a)))
+        assert np.linalg.norm(a @ x) <= 1e-9 * max(1.0, float(np.linalg.norm(a)))
+
+
+# ---------------------------------------------------------------------------
+# the matrix boundary: as_matrix and its JSON document
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_as_matrix_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="finite"):
+        as_matrix([[1.0, bad], [0.0, 1.0]])
+
+
+def test_as_matrix_rejects_three_dimensional_input():
+    with pytest.raises(ValueError, match="2-d"):
+        as_matrix(np.zeros((2, 2, 2)))
+
+
+def test_as_matrix_copies_and_freezes():
+    src = np.arange(4.0).reshape(2, 2)
+    a = as_matrix(src)
+    assert a.dtype == complex and a.flags.c_contiguous and not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0] = 7.0
+    # the caller's array stays writable and unshared
+    src[0, 0] = 9.0
+    assert a[0, 0] == 0.0
+    # a 1-d input becomes a column
+    assert as_matrix([1.0, 2.0]).shape == (2, 1)
+
+
+def test_matrix_from_json_rejects_short_entry_lists():
+    doc = matrix_to_json(as_matrix(np.eye(2)))
+    with pytest.raises(ValueError, match="entries for shape"):
+        matrix_from_json(dict(doc, re=doc["re"][:-1]))
+    with pytest.raises(ValueError, match="entries for shape"):
+        matrix_from_json(dict(doc, im=doc["im"][:-1]))
+
+
+def test_matrix_json_document_format():
+    doc = matrix_to_json(as_matrix([[1, 2j], [3, 4]]))
+    assert doc == {"rows": 2, "cols": 2, "re": [1.0, 0.0, 3.0, 4.0], "im": [0.0, 2.0, 0.0, 0.0]}
+    assert not matrix_from_json(doc).flags.writeable

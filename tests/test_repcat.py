@@ -15,7 +15,7 @@ from catbundle.groups import (
     quaternion_group,
     special_unitary,
 )
-from catbundle.linalg import ComplexMatrix, hs_inner, projection_residual, tensor_power
+from catbundle.linalg import as_matrix, hs_inner, projection_residual, tensor_power
 from catbundle.repcat import (
     _derived_power,
     antisym_projector,
@@ -69,9 +69,9 @@ def test_full_unitary_two_leg_space_is_span_of_identity_and_swap():
     sp = intertwiners(full_unitary(2), 2, 2)
     assert sp.dim == 2
     swap = permutation_unitary((1, 0), 2)
-    basis = [t.a.reshape(-1) for t in sp]
+    basis = [t.reshape(-1) for t in sp]
     assert projection_residual(np.eye(4, dtype=complex).reshape(-1), basis) <= 1e-9
-    assert projection_residual(swap.a.reshape(-1), basis) <= 1e-9
+    assert projection_residual(swap.reshape(-1), basis) <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -99,7 +99,7 @@ def test_intertwiner_basis_is_orthonormal_and_invariant():
     for e in g.elements():
         for t in sp:
             moved = hat_action(e, t, 2, 2)
-            assert np.linalg.norm(moved.a - t.a) <= 1e-9
+            assert np.linalg.norm(moved - t) <= 1e-9
 
 
 def test_averaging_route_agrees_with_constraint_route():
@@ -109,8 +109,8 @@ def test_averaging_route_agrees_with_constraint_route():
                 avg = averaged_fixed_space(g, r, s)
                 con = intertwiners(g, r, s)
                 assert len(avg) == con.dim
-                av = [m.a.reshape(-1) for m in avg]
-                cv = [m.a.reshape(-1) for m in con]
+                av = [m.reshape(-1) for m in avg]
+                cv = [m.reshape(-1) for m in con]
                 for v in av:
                     assert projection_residual(v, cv) <= 1e-9
                 for v in cv:
@@ -121,11 +121,11 @@ def test_group_average_is_idempotent_projection():
     g = quaternion_group()
     rng = np.random.default_rng(5)
     t = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    p1 = group_average(g, ComplexMatrix(t), 2, 2)
+    p1 = group_average(g, as_matrix(t), 2, 2)
     p2 = group_average(g, p1, 2, 2)
-    assert np.linalg.norm(p1.a - p2.a) <= 1e-10
-    basis = [m.a.reshape(-1) for m in intertwiners(g, 2, 2)]
-    assert projection_residual(p1.a.reshape(-1), basis) <= 1e-9
+    assert np.linalg.norm(p1 - p2) <= 1e-10
+    basis = [m.reshape(-1) for m in intertwiners(g, 2, 2)]
+    assert projection_residual(p1.reshape(-1), basis) <= 1e-9
 
 
 def test_permutation_unitary_composition_convention():
@@ -136,7 +136,7 @@ def test_permutation_unitary_composition_convention():
         q = tuple(rng.permutation(3))
         pq = tuple(p[q[k]] for k in range(3))
         left = permutation_unitary(p, d) @ permutation_unitary(q, d)
-        assert np.linalg.norm(left.a - permutation_unitary(pq, d).a) <= 1e-12
+        assert np.linalg.norm(left - permutation_unitary(pq, d)) <= 1e-12
 
 
 def test_permutation_unitary_moves_slots():
@@ -147,7 +147,7 @@ def test_permutation_unitary_moves_slots():
     vec = np.kron(np.kron(x, y), z)
     # slot k of the source goes to slot perm[k]: x lands in slot 1, y in 2, z in 0
     want = np.kron(np.kron(z, x), y)
-    assert np.linalg.norm(cyc.a @ vec - want) <= 1e-10
+    assert np.linalg.norm(cyc @ vec - want) <= 1e-10
 
 
 def test_symmetry_unitary_flips_blocks():
@@ -156,8 +156,8 @@ def test_symmetry_unitary_flips_blocks():
     v = rng.standard_normal(d ** 2) + 0j
     w = rng.standard_normal(d) + 0j
     th = symmetry_unitary(2, 1, d)
-    assert np.linalg.norm(th.a @ np.kron(v, w) - np.kron(w, v)) <= 1e-10
-    assert np.array_equal(symmetry_unitary(0, 2, d).a, np.eye(4))
+    assert np.linalg.norm(th @ np.kron(v, w) - np.kron(w, v)) <= 1e-10
+    assert np.array_equal(symmetry_unitary(0, 2, d), np.eye(4))
 
 
 def test_symmetry_naturality():
@@ -165,20 +165,20 @@ def test_symmetry_naturality():
     rng = np.random.default_rng(9)
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    th = symmetry_unitary(1, 1, d).a
+    th = symmetry_unitary(1, 1, d)
     assert np.linalg.norm(th @ np.kron(a, b) - np.kron(b, a) @ th) <= 1e-10
 
 
 def test_antisym_projector_properties():
     for d, r, trace in ((2, 2, 1.0), (3, 2, 3.0), (3, 3, 1.0)):
-        p = antisym_projector(d, r).a
+        p = antisym_projector(d, r)
         assert np.linalg.norm(p @ p - p) <= 1e-10
         assert np.linalg.norm(p - p.conj().T) <= 1e-10
         assert abs(np.trace(p).real - trace) <= 1e-10
 
 
 def test_special_isometry_d2_explicit():
-    s = special_isometry(2).isometry.a
+    s = special_isometry(2).isometry
     want = np.zeros((4, 1), dtype=complex)
     want[1, 0] = 1.0 / math.sqrt(2.0)
     want[2, 0] = -1.0 / math.sqrt(2.0)
@@ -188,9 +188,9 @@ def test_special_isometry_d2_explicit():
 @pytest.mark.parametrize("d", [2, 3])
 def test_special_isometry_identities(d):
     data = special_isometry(d)
-    s = data.isometry.a
+    s = data.isometry
     assert np.linalg.norm(s.conj().T @ s - 1.0) <= 1e-9
-    assert np.linalg.norm(s @ s.conj().T - antisym_projector(d, d).a) <= 1e-9
+    assert np.linalg.norm(s @ s.conj().T - antisym_projector(d, d)) <= 1e-9
     lhs = np.kron(s.conj().T, np.eye(d)) @ np.kron(np.eye(d), s)
     assert np.linalg.norm(lhs - data.pairing_scalar * np.eye(d)) <= 1e-9
 
@@ -200,25 +200,25 @@ def test_hat_action_on_special_isometry_is_determinant():
     for d in (2, 3):
         s = special_isometry(d).isometry
         q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-        moved = hat_action(ComplexMatrix(q), s, 0, d)
+        moved = hat_action(as_matrix(q), s, 0, d)
         det = complex(np.linalg.det(q))
-        assert np.linalg.norm(moved.a - det * s.a) <= 1e-9
+        assert np.linalg.norm(moved - det * s) <= 1e-9
 
 
 def test_hat_action_multiplicative():
     rng = np.random.default_rng(11)
     u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     v, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-    t = ComplexMatrix(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
-    one = hat_action(ComplexMatrix(u), hat_action(ComplexMatrix(v), t, 1, 2), 1, 2)
-    two = hat_action(ComplexMatrix(u @ v), t, 1, 2)
-    assert np.linalg.norm(one.a - two.a) <= 1e-10
+    t = as_matrix(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
+    one = hat_action(as_matrix(u), hat_action(as_matrix(v), t, 1, 2), 1, 2)
+    two = hat_action(as_matrix(u @ v), t, 1, 2)
+    assert np.linalg.norm(one - two) <= 1e-10
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_conjugate_equations(d):
     pair = conjugate_pair(d)
-    r = pair.r.a
+    r = pair.r
     left = np.kron(r.conj().T, np.eye(d)) @ np.kron(np.eye(d), r)
     right = np.kron(np.eye(d), r.conj().T) @ np.kron(r, np.eye(d))
     assert np.linalg.norm(left - np.eye(d)) <= 1e-9
@@ -231,6 +231,17 @@ def test_intertwiner_space_sequence_protocol():
     sp = intertwiners(quaternion_group(), 1, 1)
     assert len(sp) == sp.dim == 1
     assert list(iter(sp))[0] is sp[0]
+
+
+def test_cached_intertwiner_basis_is_read_only():
+    g = quaternion_group()
+    sp = intertwiners(g, 2, 2)
+    before = [t.copy() for t in sp]
+    with pytest.raises(ValueError):
+        sp[0][0, 0] = 5.0
+    again = intertwiners(g, 2, 2)
+    assert again is sp
+    assert all(np.array_equal(t, want) for t, want in zip(again, before))
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +264,10 @@ def dense_intertwiner_projector(group, r, s, tau=1e-9):
     ds, dr = d ** s, d ** r
     n = ds * dr
     if group.kind == KIND_FINITE:
-        acts = [(tensor_power(g, s).a, tensor_power(g, r).a) for g in group.generators]
+        acts = [(tensor_power(g, s), tensor_power(g, r)) for g in group.generators]
     else:
         acts = [
-            (_derived_power(x.a, s, d), _derived_power(x.a, r, d))
+            (_derived_power(x, s, d), _derived_power(x, r, d))
             for x in lie_basis(group).matrices
         ]
     if not acts:
@@ -270,7 +281,7 @@ def dense_intertwiner_projector(group, r, s, tau=1e-9):
 
 def basis_projector(mats, n):
     return sum(
-        (np.outer(m.a.reshape(-1), m.a.reshape(-1).conj()) for m in mats),
+        (np.outer(m.reshape(-1), m.reshape(-1).conj()) for m in mats),
         np.zeros((n, n), dtype=complex),
     )
 
