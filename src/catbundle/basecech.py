@@ -182,29 +182,6 @@ def octahedron():
     return SimplicialComplex.from_maximal(6, faces)
 
 
-@dataclass(frozen=True)
-class Cover:
-    """The closed-star cover of a complex; patches are indexed by vertices."""
-
-    complex: SimplicialComplex
-
-    @property
-    def patch_count(self):
-        return self.complex.vertices
-
-    def patch(self, i):
-        return self.complex.star(i)
-
-    def overlap_pairs(self):
-        return self.complex.edges()
-
-    def __eq__(self, other):
-        return isinstance(other, Cover) and self.complex == other.complex
-
-    def __hash__(self):
-        return hash(self.complex)
-
-
 def _as_fraction(x):
     if isinstance(x, Fraction):
         return x
@@ -230,15 +207,15 @@ class CechCocycle:
     ``equivalent`` then searches witnesses in that group.
     """
 
-    def __init__(self, cover, coeff, values, windings=None, group=None):
+    def __init__(self, complex_, coeff, values, windings=None, group=None):
         if coeff not in _COEFFS:
             raise ValueError("unknown coefficient kind %r" % (coeff,))
-        self.cover = cover
+        self.complex = complex_
         self.coeff = coeff
         self.group = group
         if group is not None and coeff != COEFF_FINITE:
             raise ValueError("a structure group only makes sense for matrix values")
-        edges = set(cover.complex.edges())
+        edges = set(complex_.edges())
         store = {}
         for (i, j), v in dict(values).items():
             i, j = int(i), int(j)
@@ -263,7 +240,7 @@ class CechCocycle:
         if windings:
             if coeff == COEFF_INT:
                 raise ValueError("integer cocycles carry no windings")
-            tris = set(cover.complex.triangles())
+            tris = set(complex_.triangles())
             for t, n in dict(windings).items():
                 key = tuple(sorted(int(v) for v in t))
                 if key not in tris:
@@ -312,13 +289,13 @@ class CechCocycle:
         """Pointwise product; abelian kinds only, windings add."""
         if self.coeff == COEFF_FINITE or other.coeff != self.coeff:
             raise WrongKind("cocycle products are defined for phase and integer kinds")
-        if self.cover != other.cover:
+        if self.complex != other.complex:
             raise ValueError("cocycles live on different covers")
         vals = {e: self.values[e] + other.values[e] for e in self.values}
         wind = dict(self.windings)
         for t, n in other.windings.items():
             wind[t] = wind.get(t, 0) + n
-        return CechCocycle(self.cover, self.coeff, vals, windings=wind)
+        return CechCocycle(self.complex, self.coeff, vals, windings=wind)
 
     def to_json(self):
         doc = {"coeff": self.coeff, "values": []}
@@ -337,7 +314,7 @@ class CechCocycle:
         return doc
 
     @classmethod
-    def from_json(cls, doc, cover, group=None):
+    def from_json(cls, doc, complex_, group=None):
         coeff = doc["coeff"]
         values = {}
         for item in doc.get("values", []):
@@ -349,19 +326,19 @@ class CechCocycle:
         windings = {}
         for item in doc.get("windings", []):
             windings[tuple(item["triangle"])] = int(item["value"])
-        return cls(cover, coeff, values, windings=windings, group=group)
+        return cls(complex_, coeff, values, windings=windings, group=group)
 
 
-def trivial_cocycle(cover, coeff, degree=None, group=None):
+def trivial_cocycle(complex_, coeff, degree=None, group=None):
     vals = {}
-    for e in cover.complex.edges():
+    for e in complex_.edges():
         if coeff == COEFF_PHASE:
             vals[e] = Fraction(0)
         elif coeff == COEFF_INT:
             vals[e] = 0
         else:
             vals[e] = as_matrix(np.eye(degree if degree is not None else group.degree))
-    return CechCocycle(cover, coeff, vals, group=group)
+    return CechCocycle(complex_, coeff, vals, group=group)
 
 
 @dataclass(frozen=True)
@@ -381,7 +358,7 @@ def is_cocycle(c, tol=None):
     exactly (a phase triple must sum to an integer).
     """
     tol = tol or Tolerance()
-    for (i, j, k) in c.cover.complex.triangles():
+    for (i, j, k) in c.complex.triangles():
         gij = c.value(i, j)
         gjk = c.value(j, k)
         gik = c.value(i, k)
@@ -676,7 +653,7 @@ def circle_class(c, tol=None):
             "phase data fails the cocycle identity on %r" % (check.triangle,)
         )
     z = {}
-    for (i, j, k) in c.cover.complex.triangles():
+    for (i, j, k) in c.complex.triangles():
         n = (
             normalized_lift(c.value(i, j))
             + normalized_lift(c.value(j, k))
@@ -684,7 +661,7 @@ def circle_class(c, tol=None):
         )
         assert n.denominator == 1
         z[(i, j, k)] = int(n) + c.winding(i, j, k)
-    return h2_integral(c.cover.complex).reduce(z)
+    return h2_integral(c.complex).reduce(z)
 
 
 # ---------------------------------------------------------------------------
@@ -731,11 +708,11 @@ def equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None):
     family as a dict or None.
     """
     tol = tol or Tolerance()
-    if c.cover != c2.cover:
+    if c.complex != c2.complex:
         raise ValueError("cocycles live on different covers")
     if c.coeff != c2.coeff:
         raise ValueError("coefficient kinds differ")
-    complex_ = c.cover.complex
+    complex_ = c.complex
     forest = _spanning_forest(complex_)
 
     if c.coeff == COEFF_PHASE:
@@ -880,4 +857,4 @@ def det_pushforward(c, tol=None, max_denominator=PHASE_DENOMINATOR_BOUND):
     for (i, j), v in c.values.items():
         det = complex(np.linalg.det(v))
         vals[(i, j)] = snap_phase(det, tol, max_denominator)
-    return CechCocycle(c.cover, COEFF_PHASE, vals, windings=dict(c.windings))
+    return CechCocycle(c.complex, COEFF_PHASE, vals, windings=dict(c.windings))

@@ -32,14 +32,12 @@ from .groups import (
     lie_basis,
     verify_normalizer,
 )
-from .linalg import Tolerance, as_matrix, nullspace, opnorm
+from .linalg import Tolerance, as_matrix, nullspace, opnorm, power_action
 from .repcat import (
     averaged_fixed_space,
-    hat_action,
     intertwiners,
     special_isometry,
     symmetry_unitary,
-    _derived_power,
 )
 
 DEFAULT_LEVEL = 4
@@ -67,10 +65,6 @@ class DRTruncation:
     @property
     def degree(self):
         return (self.group or self.datum.group).degree
-
-    @property
-    def fibre_group(self):
-        return self.group if self.group is not None else self.datum.group
 
     @property
     def glued(self):
@@ -282,7 +276,7 @@ def gauge_action(g, a, tol=None):
         raise WrongKind("gauge unitary has shape %r, fibre degree is %d" % (g.shape, d))
     if not tol.close(float(np.linalg.norm(g.conj().T @ g - np.eye(d))), scale=float(d)):
         raise NotUnitary("gauge parameter is not unitary")
-    value = _apply(lambda t: hat_action(g, t, a.r, a.s), a.value)
+    value = _apply(lambda t: as_matrix(power_action(g, t, a.r, a.s)), a.value)
     return DRElement(a.trunc, a.r, a.s, value)
 
 
@@ -350,11 +344,12 @@ def fixed_points(group, r, s, level=DEFAULT_LEVEL, tol=None):
         return averaged_fixed_space(group, r, s, tol=tol)
     d = group.degree
     ds, dr = d ** s, d ** r
-    ks = []
-    for xg in lie_basis(group).matrices:
-        ls = _derived_power(xg, s, d)
-        lr = _derived_power(xg, r, d)
-        ks.append(np.kron(ls, np.eye(dr)) - np.kron(np.eye(ds), lr.T))
+    units = np.eye(ds * dr, dtype=complex).reshape(-1, ds, dr)
+    # column k of each block is the derivation applied to the k-th unit
+    ks = [
+        power_action(x, units, r, s, lie=True).reshape(ds * dr, ds * dr).T
+        for x in lie_basis(group).matrices
+    ]
     return [as_matrix(x.reshape(ds, dr)) for x in nullspace(np.vstack(ks), tol)]
 
 
@@ -382,14 +377,17 @@ def stabilizer_test(u, v, group, level=3, tol=None):
         raise WrongKind("the stabilizer test needs a finite fibre group")
     un = u if isinstance(u, NormalizerElement) else verify_normalizer(u, group, tol=tol)
     vn = v if isinstance(v, NormalizerElement) else verify_normalizer(v, group, tol=tol)
+    d = group.degree
     witness = None
     for r in range(level + 1):
         for s in range(level + 1):
-            for idx, t in enumerate(intertwiners(group, r, s, tol=tol)):
-                du = hat_action(un, t, r, s)
-                dv = hat_action(vn, t, r, s)
-                resid = float(np.linalg.norm(du - dv))
-                if not tol.close(resid, scale=max(1.0, float(np.linalg.norm(t)))):
+            basis = intertwiners(group, r, s, tol=tol).basis
+            stack = np.array(basis).reshape(len(basis), d ** s, d ** r)
+            diff = power_action(un.u, stack, r, s) - power_action(vn.u, stack, r, s)
+            resid = np.linalg.norm(diff, axis=(1, 2))
+            scale = np.linalg.norm(stack, axis=(1, 2))
+            for idx in range(len(basis)):
+                if not tol.close(float(resid[idx]), scale=max(1.0, float(scale[idx]))):
                     witness = (r, s, idx)
                     break
             if witness is not None:

@@ -33,7 +33,6 @@ from .basecech import (
     COEFF_FINITE,
     COEFF_PHASE,
     CechCocycle,
-    Cover,
     SimplicialComplex,
     _spanning_forest,
     circle_class,
@@ -63,11 +62,14 @@ from .linalg import (
     matrix_from_json,
     nullspace,
     opnorm,
-    tensor_power,
+    power_action,
 )
 from .repcat import antisym_projector, intertwiners, symmetry_unitary
 
 GLUED_COEFF_CAP = 2_000_000
+# transitions act on runs of edges whose stacked images hold at most this
+# many entries (and never more than GLUED_COEFF_CAP): batched, yet small
+EDGE_RUN_ENTRIES = 1 << 13
 
 
 class GluingDatum:
@@ -79,14 +81,13 @@ class GluingDatum:
     transition and the cocycle identity modulo the fibre group on every
     triangle, raising NotACocycleModG with the offending triangle.
 
-    Tensor powers of the transitions, the stacked fibre bases, the
-    spanning forest and the glued spaces are formed once and kept on the
-    datum.
+    The stacked fibre bases, the spanning forest and the glued spaces
+    are formed once and kept on the datum; the transitions act on a
+    fibre basis through ``power_action``, all edges in one batched call.
     """
 
     def __init__(self, complex_, group, transitions, windings=None, tol=None):
-        self.complex = complex_ if isinstance(complex_, SimplicialComplex) else complex_.complex
-        self.cover = Cover(self.complex)
+        self.complex = complex_
         self.group = group
         self.tol = tol or Tolerance()
         vals = {}
@@ -98,7 +99,7 @@ class GluingDatum:
                 u = as_matrix(u.conj().T)
             vals[key] = u
             self.normalizers[key] = verify_normalizer(u, group, tol=self.tol)
-        self.cocycle = CechCocycle(self.cover, COEFF_FINITE, vals, windings=windings)
+        self.cocycle = CechCocycle(self.complex, COEFF_FINITE, vals, windings=windings)
         for (i, j, k) in self.complex.triangles():
             w = (
                 self.cocycle.value(i, j)
@@ -109,7 +110,6 @@ class GluingDatum:
                 raise NotACocycleModG(
                     "transition defect on triangle %r is outside the fibre group" % ((i, j, k),)
                 )
-        self._powers = {}
         self._stacks = {}
         self._spaces = {}
         self._forest = None
@@ -140,14 +140,20 @@ class GluingDatum:
     def fibre_basis(self, r, s):
         return intertwiners(self.group, r, s, tol=self.tol)
 
-    def _power(self, i, j, k):
-        """k-th tensor power of the (i, j) transition, as an ndarray."""
-        key = (i, j, k)
-        p = self._powers.get(key)
-        if p is None:
-            p = tensor_power(self.transition(i, j), k)
-            self._powers[key] = p
-        return p
+    def _edge_runs(self, per_edge):
+        """``complex.edges()`` cut into runs, each with its (len, d, d)
+        transitions, so that ``per_edge`` entries per edge stay within
+        EDGE_RUN_ENTRIES and GLUED_COEFF_CAP."""
+        if per_edge > GLUED_COEFF_CAP:
+            raise SizeCapExceeded(
+                "one edge needs %d entries, cap is %d" % (per_edge, GLUED_COEFF_CAP)
+            )
+        d = self.degree
+        edges = self.complex.edges()
+        step = max(1, min(EDGE_RUN_ENTRIES, GLUED_COEFF_CAP) // max(1, per_edge))
+        for lo in range(0, len(edges), step):
+            run = edges[lo : lo + step]
+            yield run, np.array([self.transition(i, j) for i, j in run]).reshape(len(run), d, d)
 
     def _stack(self, r, s):
         """The fibre basis as one (m, d^s, d^r) array."""
@@ -166,25 +172,35 @@ class GluingDatum:
             self._forest = _spanning_forest(self.complex)
         return self._forest
 
-    def hat_matrix(self, i, j, r, s):
-        """Action of the (i, j) transition on the fibre intertwiner basis.
+    def hat_matrix(self, r, s):
+        """Actions of the transitions on the (r, s) fibre intertwiner basis.
 
-        The whole basis is moved in one batched product; each image must
+        Returns an (E, m, m) array over ``complex.edges()`` in the stored
+        orientation i < j, entry [e, a, b] the coordinate on basis a of
+        the image of basis b; the reverse orientation is the adjoint.  The
+        edges are moved in runs (see ``_edge_runs``; SizeCapExceeded if
+        one edge's images exceed GLUED_COEFF_CAP), and each image must
         stay in the fibre space, which is checked element by element.
         """
         stack = self._stack(r, s)
-        n, ds, dr = stack.shape
-        flat = stack.reshape(n, ds * dr)
-        imgs = (self._power(i, j, s) @ stack @ self._power(i, j, r).conj().T).reshape(n, ds * dr)
-        out = flat.conj() @ imgs.T  # out[a, b] = <basis a, image of basis b>
-        resid = np.linalg.norm(imgs - out.T @ flat, axis=1)
-        scale = np.linalg.norm(imgs, axis=1) + 1.0
-        for b in range(n):
-            if not self.tol.close(float(resid[b]), scale=float(scale[b])):
+        m, ds, dr = stack.shape
+        flat = stack.reshape(m, ds * dr)
+        out = []
+        for run, u in self._edge_runs(m * ds * dr):
+            imgs = power_action(u[:, None], stack, r, s).reshape(len(run), m, ds * dr)
+            coords = flat.conj() @ imgs.transpose(0, 2, 1)
+            resid = np.linalg.norm(imgs - coords.transpose(0, 2, 1) @ flat, axis=2)
+            scale = np.linalg.norm(imgs, axis=2) + 1.0
+            bad = np.flatnonzero(~(resid <= self.tol.tau * scale).all(axis=1))
+            if bad.size:
+                i, j = run[bad[0]]
                 raise ConsistencyError(
                     "transition (%d, %d) does not preserve the (%d, %d) fibre space" % (i, j, r, s)
                 )
-        return as_matrix(out)
+            out.append(coords)
+        out = np.concatenate(out) if out else np.zeros((0, m, m), dtype=complex)
+        out.setflags(write=False)
+        return out
 
     def to_json(self):
         return {
@@ -273,11 +289,12 @@ class GluedArrow:
         return max(opnorm(t) for t in self.components.values())
 
     def compatibility_residual(self):
-        datum = self.datum
         worst = 0.0
-        for (i, j) in datum.complex.edges():
-            img = datum._power(i, j, self.s) @ self.components[j] @ datum._power(i, j, self.r).conj().T
-            worst = max(worst, float(np.linalg.norm(self.components[i] - img)))
+        for run, u in self.datum._edge_runs(self.datum.degree ** (self.r + self.s)):
+            ci = np.array([self.components[i] for i, _ in run])
+            cj = np.array([self.components[j] for _, j in run])
+            img = power_action(u, cj, self.r, self.s)
+            worst = max(worst, float(np.linalg.norm(ci - img, axis=(1, 2)).max()))
         return worst
 
 
@@ -350,6 +367,9 @@ def _holonomy_sections(datum, r, s, edges):
     m, ds, dr = stack.shape
     n = datum.complex.vertices
     flat = stack.reshape(m, ds * dr)
+    hats = datum.hat_matrix(r, s)
+    index = {e: k for k, e in enumerate(edges)}
+    ends = np.array(edges, dtype=int).reshape(-1, 2)
     trans = np.zeros((n, m, m), dtype=complex)
     arrows = []
     for root, tree in datum._trees():
@@ -357,21 +377,18 @@ def _holonomy_sections(datum, r, s, edges):
         verts = [root]
         for (pv, cv) in tree:
             # c_cv = M_(cv, pv) c_pv, and M_(cv, pv) = M_(pv, cv)* since the
-            # action is unitary, so only the stored orientation i < j is moved
+            # action is unitary, so only the stored orientation i < j is kept
             if cv < pv:
-                step = datum.hat_matrix(cv, pv, r, s)
+                step = hats[index[(cv, pv)]]
             else:
-                step = datum.hat_matrix(pv, cv, r, s).conj().T
+                step = hats[index[(pv, cv)]].conj().T
             trans[cv] = step @ trans[pv]
             verts.append(cv)
         on_tree = {(min(e), max(e)) for e in tree}
         inside = set(verts)
-        rows = [
-            trans[i] - datum.hat_matrix(i, j, r, s) @ trans[j]
-            for (i, j) in edges
-            if i in inside and (i, j) not in on_tree
-        ]
-        op = np.concatenate(rows) if rows else np.zeros((0, m), dtype=complex)
+        off = [k for k, (i, j) in enumerate(edges) if i in inside and (i, j) not in on_tree]
+        i, j = ends[off].T
+        op = (trans[i] - hats[off] @ trans[j]).reshape(len(off) * m, m)
         for x in nullspace(op, tol=datum.tol):
             coeffs = np.zeros((n, m), dtype=complex)
             coeffs[verts] = (trans[verts] @ x.ravel()) / math.sqrt(len(verts))
@@ -460,21 +477,12 @@ def _functor_checks(d1, d2, witness, rmax, tol):
     arrows of the second datum to glued arrows of the first and respects
     composition, adjoints, tensor products and the braiding."""
     checks = []
-    powers = {}
-
-    def power(v, k):
-        p = powers.get((v, k))
-        if p is None:
-            p = powers[(v, k)] = tensor_power(witness[v], k)
-        return p
 
     def push(arrow):
-        r, s = arrow.r, arrow.s
-        comps = {
-            v: as_matrix(power(v, s) @ t @ power(v, r).conj().T)
-            for v, t in arrow.components.items()
-        }
-        return GluedArrow(d1, r, s, comps)
+        verts = list(arrow.components)
+        u = np.array([witness[v] for v in verts])
+        imgs = power_action(u, np.array([arrow.components[v] for v in verts]), arrow.r, arrow.s)
+        return GluedArrow(d1, arrow.r, arrow.s, {v: as_matrix(t) for v, t in zip(verts, imgs)})
 
     pairs = [(r, s) for r in range(rmax + 1) for s in range(rmax + 1)]
     for (r, s) in pairs:
@@ -691,7 +699,7 @@ def extract_twisted_special(cat, tol=None):
         cj = complex(hs_inner(sref, comps[j]))
         phases[(i, j)] = snap_phase(ci * cj.conjugate() / abs(ci * cj), tol)
     cocycle = CechCocycle(
-        datum.cover, COEFF_PHASE, phases, windings=dict(datum.windings)
+        datum.complex, COEFF_PHASE, phases, windings=dict(datum.windings)
     )
     if not is_cocycle(cocycle, tol):
         raise ConsistencyError("extracted phases fail the cocycle identity")

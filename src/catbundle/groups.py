@@ -74,7 +74,6 @@ class GroupSpec:
         self.tol = tol
         self._elements = None
         self._element_index = None
-        self.cache = {}
 
     def elements(self):
         if self.kind != KIND_FINITE:

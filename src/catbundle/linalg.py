@@ -87,12 +87,36 @@ def matrix_from_json(doc):
     return as_matrix(a.reshape(rows, cols))
 
 
-def tensor_power(a, r):
-    """r-fold tensor power; the zeroth power is the 1 x 1 identity."""
-    out = np.eye(1, dtype=complex)
-    for _ in range(r):
-        out = np.kron(out, a)
-    return as_matrix(out)
+def power_action(u, t, r, s, lie=False):
+    """The action t -> u^(x s) t (u^(x r))* of a unitary on (H^r, H^s).
+
+    ``u`` has shape (..., d, d) and ``t`` shape (..., d^s, d^r); their
+    leading axes broadcast, so one call moves a whole stack of arrows by
+    a whole stack of unitaries.  The tensor powers are never formed: t is
+    viewed slot by slot and each slot takes one batched product, u on the
+    s row slots and conj(u) on the r column slots.
+
+    With ``lie`` set, u is a Lie algebra element x and the slot terms are
+    summed instead, giving the derivative L_s(x) t + t L_r(x)* of the
+    action at the identity (L_k(x) the sum of x over the k slots).
+    """
+    u = np.asarray(u, dtype=complex)
+    t = np.asarray(t, dtype=complex)
+    d = u.shape[-1]
+    n = r + s
+    lead = np.broadcast_shapes(u.shape[:-2], t.shape[:-2])
+    shape = lead + t.shape[-2:]
+    whole = np.broadcast_to(t, shape)
+    out = np.zeros(shape, dtype=complex) if lie else whole
+    rows, cols = u[..., None, :, :], u.conj()[..., None, :, :]
+    for p in range(n):
+        slot = (whole if lie else out).reshape(lead + (d ** p, d, d ** (n - 1 - p)))
+        moved = ((rows if p < s else cols) @ slot).reshape(shape)
+        if lie:
+            out += moved
+        else:
+            out = moved
+    return out
 
 
 def opnorm(a):

@@ -5,8 +5,9 @@ H^r to H^s are the d^s x d^r matrices t with g^(x s) t = t g^(x r) for
 every group element.  For finite groups the constraint is imposed for
 each generator; for the su/u kinds the equivalent derivative condition
 is imposed for each element of a Lie algebra basis, so continuous groups
-are never sampled.  Row-major vectorization turns t -> a t b into
-(a kron b^T).
+are never sampled.  Both are the one slot-wise ``power_action`` of
+``linalg``, applied to a stack of matrix units, whose images are the
+columns of the constraint operator.
 
 The solve is restricted to matching weights, then the remaining
 constraints.  A diagonal constraint (a Cartan element, i*I, a diagonal
@@ -16,8 +17,7 @@ equal weight; only the other constraints are solved, on those units.
 
 The module also builds the permutation unitaries and symmetries of the
 tensor powers, antisymmetric projectors, the top antisymmetric isometry
-with its sign identity, the standard conjugate solutions, and the hat
-action of normalizer elements.
+with its sign identity, and the standard conjugate solutions.
 """
 
 from __future__ import annotations
@@ -29,11 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeCapExceeded, WrongKind
-from .groups import KIND_FINITE, GroupSpec, NormalizerElement, lie_basis
-from .linalg import Tolerance, as_matrix, canonical_basis, matrix_to_json, nullspace, tensor_power
+from .groups import KIND_FINITE, GroupSpec, lie_basis
+from .linalg import Tolerance, as_matrix, canonical_basis, matrix_to_json, nullspace, power_action
 
 INTERTWINER_UNKNOWN_CAP = 10_000
 ANTISYM_POWER_CAP = 6
+
+# solved intertwiner spaces by (kind, degree, generator bytes, r, s, tau)
+_SPACES = {}
 
 
 @dataclass(frozen=True)
@@ -110,18 +113,6 @@ class ConjugatePair:
     dim_value: float
 
 
-def _derived_power(x, r, d):
-    """Derivative of g -> g^(x r) at the identity: sum over slots of x."""
-    if r == 0:
-        return np.zeros((1, 1), dtype=complex)
-    out = np.zeros((d ** r, d ** r), dtype=complex)
-    for k in range(r):
-        out += np.kron(
-            np.kron(np.eye(d ** k), x), np.eye(d ** (r - 1 - k))
-        )
-    return out
-
-
 def _power_diagonal(lam, power, lie):
     """Diagonal of the power action of diag(lam), row-major over slots.
 
@@ -135,10 +126,6 @@ def _power_diagonal(lam, power, lie):
     return out
 
 
-def _power_action(x, power, d, lie):
-    return _derived_power(x, power, d) if lie else tensor_power(x, power)
-
-
 def intertwiners(group, r, s, tol=None, cap=INTERTWINER_UNKNOWN_CAP):
     """Orthonormal basis of the intertwiner space (H^r, H^s).
 
@@ -150,19 +137,21 @@ def intertwiners(group, r, s, tol=None, cap=INTERTWINER_UNKNOWN_CAP):
     scattered back into d^s x d^r matrices in canonical order.
 
     Raises SizeCapExceeded when the vectorized problem has more than
-    ``cap`` unknowns.  Results are cached on the group.
+    ``cap`` unknowns, before any cached result is consulted.  Results are
+    cached by the group's value (kind, degree, generators), so separately
+    built equal groups share one solve.
     """
     tol = tol or Tolerance()
-    key = ("intertwiners", r, s, tol.tau)
-    hit = group.cache.get(key)
-    if hit is not None:
-        return hit
     d = group.degree
     n = d ** r * d ** s
     if n > cap:
         raise SizeCapExceeded(
             "intertwiner problem has %d unknowns, cap is %d" % (n, cap)
         )
+    key = (group.kind, d, b"".join(g.tobytes() for g in group.generators), r, s, tol.tau)
+    hit = _SPACES.get(key)
+    if hit is not None:
+        return hit
     ds, dr = d ** s, d ** r
     lie = group.kind != KIND_FINITE
     gens = lie_basis(group).matrices if lie else group.generators
@@ -177,19 +166,17 @@ def intertwiners(group, r, s, tol=None, cap=INTERTWINER_UNKNOWN_CAP):
         sq += np.abs(w.ravel()) ** 2
     sigma = np.sqrt(sq)
     keep = np.flatnonzero(sigma <= tol.tau * max(1.0, sigma.max()))
-    # column k of each block is vec(g_s E - E g_r) for the unit E = e_i e_j*
-    ri, ci = np.divmod(keep, dr)
-    k = np.arange(keep.size)
+    # column k of each block is the image of the k-th kept unit E: the
+    # action of a generator minus E, or the derivative for a Lie element
+    units = np.zeros((keep.size, n), dtype=complex)
+    units[np.arange(keep.size), keep] = 1.0
+    units = units.reshape(keep.size, ds, dr)
     blocks = []
     for a in others:
-        gs = _power_action(a, s, d, lie)
-        gr = _power_action(a, r, d, lie)
-        blk = np.zeros((ds, dr, keep.size), dtype=complex)
-        blk[:, ci, k] = gs[:, ri]
-        blk[ri, :, k] -= gr[ci, :]
-        blocks.append(blk.reshape(n, keep.size))
+        moved = power_action(a, units, r, s, lie)
+        blk = (moved if lie else moved - units).reshape(keep.size, n).T
+        blocks.append(blk[np.any(blk, axis=1)])
     op = np.vstack(blocks) if blocks else np.zeros((0, keep.size), dtype=complex)
-    op = op[np.any(op, axis=1)]
     vecs = []
     for v in nullspace(op, tol):
         x = np.zeros(n, dtype=complex)
@@ -197,7 +184,7 @@ def intertwiners(group, r, s, tol=None, cap=INTERTWINER_UNKNOWN_CAP):
         vecs.append(x)
     basis = tuple(as_matrix(x.reshape(ds, dr)) for x in canonical_basis(vecs))
     space = IntertwinerSpace(group=group, r=r, s=s, basis=basis)
-    group.cache[key] = space
+    _SPACES[key] = space
     return space
 
 
@@ -212,9 +199,7 @@ def group_average(group, t, r, s):
     acc = np.zeros_like(tt)
     elems = group.elements()
     for g in elems:
-        gs = tensor_power(g, s)
-        gr = tensor_power(g, r)
-        acc += gs @ tt @ gr.conj().T
+        acc += power_action(g, tt, r, s)
     return as_matrix(acc / len(elems))
 
 
@@ -296,15 +281,6 @@ def conjugate_pair(d):
     return ConjugatePair(degree=d, r=r, rbar=r, dim_value=float(d))
 
 
-def hat_action(u, t, r, s):
-    """Conjugation by tensor powers: t -> u^(x s) t (u^(x r))*."""
-    if isinstance(u, NormalizerElement):
-        u = u.u
-    us = tensor_power(u, s)
-    ur = tensor_power(u, r)
-    return as_matrix(us @ t @ ur.conj().T)
-
-
 def averaged_fixed_space(group, r, s, tol=None):
     """Image of the group averaging projector, as an orthonormal basis.
 
@@ -318,13 +294,13 @@ def averaged_fixed_space(group, r, s, tol=None):
     d = group.degree
     ds, dr = d ** s, d ** r
     n = ds * dr
+    units = np.eye(n, dtype=complex).reshape(n, ds, dr)
     acc = np.zeros((n, n), dtype=complex)
     elems = group.elements()
     for g in elems:
-        gs = tensor_power(g, s)
-        gr = tensor_power(g, r)
-        acc += np.kron(gs, gr.conj())
-    acc /= len(elems)
+        # row k is the image of the k-th unit, so acc is the transposed superoperator
+        acc += power_action(g, units, r, s).reshape(n, n)
+    acc = acc.T / len(elems)
     # acc is the HS-orthogonal projector onto the fixed space
     w, v = np.linalg.eigh((acc + acc.conj().T) / 2.0)
     vecs = [v[:, i] for i in range(n) if w[i] > 0.5]

@@ -22,7 +22,6 @@ import numpy as np
 from .basecech import (
     COEFF_PHASE,
     CechCocycle,
-    Cover,
     circle_class,
     equivalent,
     h2_integral,
@@ -216,7 +215,6 @@ def cech_engine_checks(pairs=10, seed=7):
     h2 = h2_integral(comp)
     out.append(_exact("octahedron free rank 1", h2.free_rank == 1))
     out.append(_exact("octahedron no torsion", h2.torsion_orders == ()))
-    cover = Cover(comp)
     rng = np.random.default_rng(seed)
     agree = True
     witnessed = True
@@ -227,9 +225,9 @@ def cech_engine_checks(pairs=10, seed=7):
             for t in comp.triangles()
             if rng.integers(0, 2)
         }
-        c = CechCocycle(cover, COEFF_PHASE, _coboundary_phases(comp, theta), windings=w)
+        c = CechCocycle(comp, COEFF_PHASE, _coboundary_phases(comp, theta), windings=w)
         eta = _random_phase_cochain(rng, comp.vertices)
-        pert = CechCocycle(cover, COEFF_PHASE, _coboundary_phases(comp, eta))
+        pert = CechCocycle(comp, COEFF_PHASE, _coboundary_phases(comp, eta))
         c2 = c.product(pert)
         if not (is_cocycle(c) and is_cocycle(c2)):
             agree = False

@@ -13,7 +13,6 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from catbundle import (
     CechCocycle,
-    Cover,
     IrrationalPhase,
     NotACocycle,
     SearchCapExceeded,
@@ -404,18 +403,18 @@ def test_h2_sphere_with_attached_tetrahedron_counts_winding():
 
 def _coboundary(cover, theta, windings=None):
     vals = {(i, j): theta.get(i, Fraction(0)) - theta.get(j, Fraction(0))
-            for (i, j) in cover.complex.edges()}
+            for (i, j) in cover.edges()}
     return CechCocycle(cover, "phase", vals, windings=windings)
 
 
 def test_circle_class_of_trivial_is_zero():
-    cov = Cover(octahedron())
+    cov = octahedron()
     assert circle_class(trivial_cocycle(cov, "phase")).is_zero()
 
 
 def test_circle_class_counts_windings():
-    cov = Cover(octahedron())
-    tri = cov.complex.triangles()[0]
+    cov = octahedron()
+    tri = cov.triangles()[0]
     c = _coboundary(cov, {}, windings={tri: 1})
     cls = circle_class(c)
     assert cls.torsion == ()
@@ -423,16 +422,16 @@ def test_circle_class_counts_windings():
 
 
 def test_circle_class_additive_under_product():
-    cov = Cover(octahedron())
-    t0, t1 = cov.complex.triangles()[:2]
+    cov = octahedron()
+    t0, t1 = cov.triangles()[:2]
     a = _coboundary(cov, {0: Fraction(1, 3)}, windings={t0: 1})
     b = _coboundary(cov, {2: Fraction(1, 5)}, windings={t1: 2})
     assert circle_class(a.product(b)) == circle_class(a) + circle_class(b)
 
 
 def test_circle_class_requires_cocycle():
-    cov = Cover(octahedron())
-    vals = {e: Fraction(0) for e in cov.complex.edges()}
+    cov = octahedron()
+    vals = {e: Fraction(0) for e in cov.edges()}
     vals[(0, 1)] = Fraction(1, 3)
     c = CechCocycle(cov, "phase", vals)
     assert not is_cocycle(c)
@@ -441,7 +440,7 @@ def test_circle_class_requires_cocycle():
 
 
 def test_circle_class_wrong_kind():
-    cov = Cover(octahedron())
+    cov = octahedron()
     with pytest.raises(WrongKind):
         circle_class(trivial_cocycle(cov, "int"))
 
@@ -460,11 +459,11 @@ _WINDS = st.lists(st.integers(min_value=-2, max_value=2), min_size=8, max_size=8
 @settings(max_examples=25, deadline=None)
 @given(_THETA, _WINDS)
 def test_circle_class_ignores_flat_coboundary(theta, winds):
-    cov = Cover(octahedron())
-    tris = cov.complex.triangles()
+    cov = octahedron()
+    tris = cov.triangles()
     w = {t: n for t, n in zip(tris, winds) if n}
     c = _coboundary(cov, dict(enumerate(theta)), windings=w)
-    assert circle_class(c) == h2_integral(cov.complex).reduce(w)
+    assert circle_class(c) == h2_integral(cov).reduce(w)
 
 
 # ---------------------------------------------------------------------------
@@ -472,51 +471,51 @@ def test_circle_class_ignores_flat_coboundary(theta, winds):
 
 
 def test_equivalent_phase_witness():
-    cov = Cover(octahedron())
+    cov = octahedron()
     theta = {0: Fraction(1, 3), 1: Fraction(1, 4), 5: Fraction(-2, 7)}
     c = _coboundary(cov, theta)
     c2 = trivial_cocycle(cov, "phase")
     w = equivalent(c, c2)
     assert w is not None
-    for (i, j) in cov.complex.edges():
+    for (i, j) in cov.edges():
         resid = w[i] - w[j] - (c.value(i, j) - c2.value(i, j))
         assert resid.denominator == 1
 
 
 def test_equivalent_phase_none_on_class_mismatch():
-    cov = Cover(octahedron())
-    tri = cov.complex.triangles()[0]
+    cov = octahedron()
+    tri = cov.triangles()[0]
     c = _coboundary(cov, {}, windings={tri: 1})
     assert equivalent(c, trivial_cocycle(cov, "phase")) is None
 
 
 def test_equivalent_int_kind():
-    cov = Cover(octahedron())
+    cov = octahedron()
     m = {0: 3, 1: -1, 4: 2}
-    vals = {(i, j): m.get(i, 0) - m.get(j, 0) for (i, j) in cov.complex.edges()}
+    vals = {(i, j): m.get(i, 0) - m.get(j, 0) for (i, j) in cov.edges()}
     c = CechCocycle(cov, "int", vals)
     c2 = trivial_cocycle(cov, "int")
     w = equivalent(c, c2)
     assert w is not None
-    for (i, j) in cov.complex.edges():
+    for (i, j) in cov.edges():
         assert w[i] - w[j] == c.value(i, j)
     # a 1 on a single edge is not a coboundary
-    bad = {e: 0 for e in cov.complex.edges()}
+    bad = {e: 0 for e in cov.edges()}
     bad[(1, 2)] = 1
     assert equivalent(CechCocycle(cov, "int", bad), c2) is None
 
 
 def test_equivalent_finite_with_group():
     q8 = quaternion_group()
-    cov = Cover(octahedron())
+    cov = octahedron()
     els = q8.elements()
     u = {v: els[(2 * v + 1) % len(els)] for v in range(6)}
-    vals = {(i, j): u[i] @ u[j].conj().T for (i, j) in cov.complex.edges()}
+    vals = {(i, j): u[i] @ u[j].conj().T for (i, j) in cov.edges()}
     c = CechCocycle(cov, "finite", vals, group=q8)
     c2 = trivial_cocycle(cov, "finite", group=q8)
     w = equivalent(c, c2)
     assert w is not None
-    for (i, j) in cov.complex.edges():
+    for (i, j) in cov.edges():
         lhs = w[i] @ c2.value(i, j)
         rhs = c.value(i, j) @ w[j]
         assert np.linalg.norm(lhs - rhs) <= 1e-9
@@ -525,7 +524,7 @@ def test_equivalent_finite_with_group():
 def test_equivalent_none_for_nontrivial_holonomy():
     # a bare 3-cycle has no triangles, so the only obstruction is holonomy
     circ = SimplicialComplex.from_maximal(3, [(0, 1), (1, 2), (0, 2)])
-    cov = Cover(circ)
+    cov = circ
     c = CechCocycle(cov, "finite", {
         (0, 1): np.eye(2), (1, 2): np.eye(2), (0, 2): -np.eye(2)})
     assert equivalent(c, trivial_cocycle(cov, "finite", degree=2)) is None
@@ -533,10 +532,10 @@ def test_equivalent_none_for_nontrivial_holonomy():
 
 def test_equivalent_search_cap():
     q8 = quaternion_group()
-    cov = Cover(octahedron())
+    cov = octahedron()
     els = q8.elements()
     u = {v: els[v % len(els)] for v in range(6)}
-    vals = {(i, j): u[i] @ u[j].conj().T for (i, j) in cov.complex.edges()}
+    vals = {(i, j): u[i] @ u[j].conj().T for (i, j) in cov.edges()}
     c = CechCocycle(cov, "finite", vals, group=q8)
     with pytest.raises(SearchCapExceeded):
         equivalent(c, trivial_cocycle(cov, "finite", group=q8), search_cap=3)
@@ -544,9 +543,9 @@ def test_equivalent_search_cap():
 
 def _q8_coboundary_without_group():
     els = quaternion_group().elements()
-    cov = Cover(octahedron())
+    cov = octahedron()
     u = {v: els[v % len(els)] for v in range(6)}
-    vals = {(i, j): u[i] @ u[j].conj().T for (i, j) in cov.complex.edges()}
+    vals = {(i, j): u[i] @ u[j].conj().T for (i, j) in cov.edges()}
     return CechCocycle(cov, "finite", vals), trivial_cocycle(cov, "finite", degree=2)
 
 
@@ -585,11 +584,11 @@ def test_snap_phase_exact_and_irrational():
 
 
 def test_det_pushforward_scalar_transitions():
-    cov = Cover(octahedron())
+    cov = octahedron()
     q = Fraction(1, 5)
     vals = {e: cmath.exp(2j * math.pi * float(q)) * np.eye(2)
-            for e in cov.complex.edges()}
-    tri = cov.complex.triangles()[0]
+            for e in cov.edges()}
+    tri = cov.triangles()[0]
     c = CechCocycle(cov, "finite", vals, windings={tri: 3})
     p = det_pushforward(c)
     assert all(v == Fraction(2, 5) for v in p.values.values())
@@ -599,7 +598,7 @@ def test_det_pushforward_scalar_transitions():
 def test_det_pushforward_ignores_unimodular_factors():
     # transitions e^{2 pi i (t_i - t_j)} a_i a_j^* with det(a) = 1: the
     # determinant class only sees the windings
-    cov = Cover(octahedron())
+    cov = octahedron()
     basis = lie_basis(special_unitary(2)).matrices
     a = {}
     for v in range(6):
@@ -611,8 +610,8 @@ def test_det_pushforward_ignores_unimodular_factors():
             m = m + term
         a[v] = m
     theta = {v: Fraction(v, 7) for v in range(6)}
-    tri = cov.complex.triangles()[2]
-    edges = cov.complex.edges()
+    tri = cov.triangles()[2]
+    edges = cov.edges()
 
     def datum(with_su2):
         vals = {}
@@ -625,7 +624,7 @@ def test_det_pushforward_ignores_unimodular_factors():
     plain = circle_class(det_pushforward(datum(False)))
     dressed = circle_class(det_pushforward(datum(True)))
     assert plain == dressed
-    assert plain == h2_integral(cov.complex).reduce({tri: 2})
+    assert plain == h2_integral(cov).reduce({tri: 2})
 
 
 # ---------------------------------------------------------------------------
@@ -633,8 +632,8 @@ def test_det_pushforward_ignores_unimodular_factors():
 
 
 def test_cocycle_json_roundtrip_phase():
-    cov = Cover(octahedron())
-    tri = cov.complex.triangles()[1]
+    cov = octahedron()
+    tri = cov.triangles()[1]
     c = _coboundary(cov, {0: Fraction(2, 9)}, windings={tri: -1})
     doc = c.to_json()
     assert any("/" in item["value"] for item in doc["values"])
@@ -646,12 +645,12 @@ def test_cocycle_json_roundtrip_phase():
 
 def test_cocycle_json_roundtrip_finite():
     q8 = quaternion_group()
-    cov = Cover(octahedron())
+    cov = octahedron()
     els = q8.elements()
-    vals = {e: els[(e[0] + e[1]) % len(els)] for e in cov.complex.edges()}
+    vals = {e: els[(e[0] + e[1]) % len(els)] for e in cov.edges()}
     c = CechCocycle(cov, "finite", vals, group=q8)
     back = CechCocycle.from_json(c.to_json(), cov, group=q8)
-    for e in cov.complex.edges():
+    for e in cov.edges():
         assert np.array_equal(back.value(*e), c.value(*e))
 
 
@@ -663,16 +662,16 @@ def test_complex_json_roundtrip():
 
 
 def test_cover_basics():
-    cov = Cover(octahedron())
-    assert cov.patch_count == 6
-    assert cov.overlap_pairs() == octahedron().edges()
-    star0 = cov.patch(0)
+    cov = octahedron()
+    assert cov.vertices == 6
+    assert cov.edges() == octahedron().edges()
+    star0 = octahedron().star(0)
     assert frozenset([0, 1, 2]) in star0
     assert frozenset([5]) not in star0
 
 
 def test_cocycle_rejects_bad_input():
-    cov = Cover(octahedron())
+    cov = octahedron()
     with pytest.raises(ValueError):
         CechCocycle(cov, "phase", {(0, 5): Fraction(1, 2)})  # not an edge
     with pytest.raises(ValueError):

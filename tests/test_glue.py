@@ -24,7 +24,6 @@ from catbundle import (
     glued_space,
     glued_symmetry,
     h2_integral,
-    hat_action,
     hs_inner,
     isomorphic,
     norm_function,
@@ -37,7 +36,9 @@ from catbundle import (
     tensor_glued,
     trivial_group,
 )
+from catbundle import glue
 from catbundle.verify import su2_octa_datum
+from kronecker import kron_action
 from octahedra import subdivided_octahedron
 
 HAD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -327,11 +328,11 @@ def _two_octahedra():
 
 
 def _transition_action(datum, i, j, r, s):
-    """Coordinates of hat_action on each fibre basis element, one at a time."""
+    """Coordinates of the Kronecker-route action on each fibre basis element, one at a time."""
     basis = datum.fibre_basis(r, s)
     u = datum.transition(i, j)
     return np.array(
-        [[hs_inner(a, hat_action(u, b, r, s)) for b in basis] for a in basis], dtype=complex
+        [[hs_inner(a, kron_action(u, b, r, s)) for b in basis] for a in basis], dtype=complex
     ).reshape(len(basis), len(basis))
 
 
@@ -411,11 +412,14 @@ def test_oracle_cases_cover_cut_spaces():
 @pytest.mark.parametrize("make", [lambda: _q8_gauged(octahedron(), 2), _q8_holonomy])
 def test_batched_hat_matrix_matches_per_element_hat_action(make):
     d = make()
-    for (i, j) in d.complex.edges():
-        for (r, s) in ALL_2:
-            for (a, b) in ((i, j), (j, i)):
-                got = d.hat_matrix(a, b, r, s)
-                assert np.abs(got - _transition_action(d, a, b, r, s)).max(initial=0.0) <= 1e-12
+    for (r, s) in ALL_2:
+        hats = d.hat_matrix(r, s)
+        assert hats.shape[0] == len(d.complex.edges())
+        for e, (i, j) in enumerate(d.complex.edges()):
+            # the stored orientation i < j, and its adjoint for the reverse
+            assert np.abs(hats[e] - _transition_action(d, i, j, r, s)).max(initial=0.0) <= 1e-12
+            back = hats[e].conj().T
+            assert np.abs(back - _transition_action(d, j, i, r, s)).max(initial=0.0) <= 1e-12
 
 
 def test_hat_matrix_rejects_transition_leaving_the_fibre_space():
@@ -424,7 +428,22 @@ def test_hat_matrix_rejects_transition_leaving_the_fibre_space():
     # swap in a transition outside the normalizer, past the constructor's check
     d.transition = lambda i, j: as_matrix(HAD)
     with pytest.raises(ConsistencyError):
-        d.hat_matrix(0, 1, 1, 1)
+        d.hat_matrix(1, 1)
+
+
+def test_chunked_hat_matrix_equals_unchunked(monkeypatch):
+    d = _q8_gauged(subdivided_octahedron(1), 6)
+    whole = {rs: d.hat_matrix(*rs) for rs in ALL_3}
+    # room for 3 edges of the (3, 3) images (16 x 8 x 8 entries each)
+    monkeypatch.setattr(glue, "GLUED_COEFF_CAP", 3 * 16 * 8 * 8)
+    for rs, want in whole.items():
+        got = d.hat_matrix(*rs)
+        assert got.shape == want.shape == (len(d.complex.edges()),) + want.shape[1:]
+        assert np.abs(got - want).max(initial=0.0) <= 1e-14, rs
+    # one edge's (3, 3) images alone would exceed the cap
+    monkeypatch.setattr(glue, "GLUED_COEFF_CAP", 16 * 8 * 8 - 1)
+    with pytest.raises(SizeCapExceeded):
+        d.hat_matrix(3, 3)
 
 
 def test_compatibility_residual_sees_a_broken_arrow():

@@ -13,9 +13,11 @@ from catbundle.linalg import (
     matrix_to_json,
     nullspace,
     opnorm,
+    power_action,
     projection_residual,
-    tensor_power,
 )
+from catbundle.groups import full_unitary, lie_basis, special_unitary
+from kronecker import kron_action, kron_derivation, tensor_power
 
 
 def rand_mat(rng, n, m):
@@ -31,10 +33,73 @@ def test_matrix_shape_and_json_roundtrip():
 
 def test_tensor_power_zeroth_is_scalar():
     a = as_matrix([[2.0]])
-    assert tensor_power(a, 0).shape == (1, 1)
-    assert tensor_power(a, 0)[0, 0] == 1.0
+    t = as_matrix([[3.0]])
+    assert power_action(a, t, 0, 0).shape == (1, 1)
+    assert power_action(a, t, 0, 0)[0, 0] == 3.0
     u = as_matrix(np.diag([1j, -1j]))
-    assert np.array_equal(tensor_power(u, 2), np.kron(u, u))
+    # the columns e_k of H^2 go to the columns of u (x) u
+    cols = power_action(u, np.eye(4)[:, :, None], 0, 2)[:, :, 0].T
+    assert np.array_equal(cols, np.kron(u, u))
+
+
+def rand_unitary(rng, d):
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q
+
+
+POWERS = [(r, s) for r in range(4) for s in range(4)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_power_action_matches_kronecker_route(d):
+    rng = np.random.default_rng(20 + d)
+    u = rand_unitary(rng, d)
+    for r, s in POWERS:
+        t = rand_mat(rng, d ** s, d ** r)
+        got = power_action(u, t, r, s)
+        assert got.shape == t.shape
+        assert np.abs(got - kron_action(u, t, r, s)).max() <= 1e-12, (r, s)
+
+
+@pytest.mark.parametrize("group", [special_unitary(2), full_unitary(3)], ids=["su2", "u3"])
+def test_lie_power_action_matches_kronecker_sums(group):
+    rng = np.random.default_rng(30)
+    d = group.degree
+    for x in lie_basis(group).matrices:
+        for r, s in POWERS:
+            if d ** (r + s) > 729:
+                continue
+            t = rand_mat(rng, d ** s, d ** r)
+            got = power_action(x, t, r, s, lie=True)
+            assert np.abs(got - kron_derivation(x, t, r, s, d)).max() <= 1e-12, (r, s)
+
+
+def test_power_action_at_power_zero():
+    rng = np.random.default_rng(31)
+    u = rand_unitary(rng, 2)
+    x = lie_basis(special_unitary(2)).matrices[0]
+    row = rand_mat(rng, 1, 8)  # (H^3, H^0): only the column slots move
+    col = rand_mat(rng, 8, 1)  # (H^0, H^3): only the row slots move
+    u3 = tensor_power(u, 3)
+    assert np.abs(power_action(u, row, 3, 0) - row @ u3.conj().T).max() <= 1e-12
+    assert np.abs(power_action(u, col, 0, 3) - u3 @ col).max() <= 1e-12
+    one = as_matrix([[2.0 - 1j]])
+    assert np.array_equal(power_action(u, one, 0, 0), one)
+    assert np.array_equal(power_action(x, one, 0, 0, lie=True), np.zeros((1, 1)))
+
+
+def test_power_action_broadcasts_edges_against_basis():
+    rng = np.random.default_rng(32)
+    us = np.array([rand_unitary(rng, 2) for _ in range(5)])
+    ts = np.array([rand_mat(rng, 4, 8) for _ in range(3)])
+    got = power_action(us[:, None], ts, 3, 2)
+    assert got.shape == (5, 3, 4, 8)
+    for e in range(5):
+        for b in range(3):
+            assert np.abs(got[e, b] - kron_action(us[e], ts[b], 3, 2)).max() <= 1e-12
+    # one unitary per arrow, paired along the same leading axis
+    paired = power_action(us[:3], ts, 3, 2)
+    assert all(np.abs(paired[k] - got[k, k]).max() <= 1e-12 for k in range(3))
 
 
 def test_opnorm_matches_svd_oracle():

@@ -15,19 +15,18 @@ from catbundle.groups import (
     quaternion_group,
     special_unitary,
 )
-from catbundle.linalg import as_matrix, hs_inner, projection_residual, tensor_power
+from catbundle.linalg import as_matrix, hs_inner, power_action, projection_residual
 from catbundle.repcat import (
-    _derived_power,
     antisym_projector,
     averaged_fixed_space,
     conjugate_pair,
     group_average,
-    hat_action,
     intertwiners,
     permutation_unitary,
     special_isometry,
     symmetry_unitary,
 )
+from kronecker import derived_power, tensor_power
 
 # multiplicity tables computed by character arithmetic (finite groups)
 # and Clebsch-Gordan bookkeeping (su(2)); frozen here as the oracle
@@ -98,7 +97,7 @@ def test_intertwiner_basis_is_orthonormal_and_invariant():
             assert abs(hs_inner(sp[a], sp[b]) - want) <= 1e-10
     for e in g.elements():
         for t in sp:
-            moved = hat_action(e, t, 2, 2)
+            moved = power_action(e, t, 2, 2)
             assert np.linalg.norm(moved - t) <= 1e-9
 
 
@@ -200,7 +199,7 @@ def test_hat_action_on_special_isometry_is_determinant():
     for d in (2, 3):
         s = special_isometry(d).isometry
         q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-        moved = hat_action(as_matrix(q), s, 0, d)
+        moved = power_action(q, s, 0, d)
         det = complex(np.linalg.det(q))
         assert np.linalg.norm(moved - det * s) <= 1e-9
 
@@ -210,8 +209,8 @@ def test_hat_action_multiplicative():
     u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     v, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     t = as_matrix(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
-    one = hat_action(as_matrix(u), hat_action(as_matrix(v), t, 1, 2), 1, 2)
-    two = hat_action(as_matrix(u @ v), t, 1, 2)
+    one = power_action(u, power_action(v, t, 1, 2), 1, 2)
+    two = power_action(u @ v, t, 1, 2)
     assert np.linalg.norm(one - two) <= 1e-10
 
 
@@ -267,7 +266,7 @@ def dense_intertwiner_projector(group, r, s, tau=1e-9):
         acts = [(tensor_power(g, s), tensor_power(g, r)) for g in group.generators]
     else:
         acts = [
-            (_derived_power(x, s, d), _derived_power(x, r, d))
+            (derived_power(x, s, d), derived_power(x, r, d))
             for x in lie_basis(group).matrices
         ]
     if not acts:
@@ -340,3 +339,18 @@ def test_size_cap_counts_all_unknowns():
     with pytest.raises(SizeCapExceeded):
         intertwiners(full_unitary(3), 2, 3, cap=242)
     assert intertwiners(full_unitary(3), 2, 3, cap=243).dim == 0
+
+
+def test_equal_groups_share_one_cached_solve():
+    for make in (lambda: special_unitary(2), quaternion_group):
+        first, second = make(), make()
+        assert first is not second
+        assert intertwiners(first, 2, 2) is intertwiners(second, 2, 2)
+    # a different value is a different problem
+    assert intertwiners(quaternion_group(), 1, 1) is not intertwiners(cyclic_diagonal_group(), 1, 1)
+
+
+def test_size_cap_is_checked_before_the_cache():
+    assert intertwiners(full_unitary(3), 3, 3).dim == 6
+    with pytest.raises(SizeCapExceeded):
+        intertwiners(full_unitary(3), 3, 3, cap=728)
