@@ -87,6 +87,7 @@ class SimplicialComplex:
                         raise ValueError("face %r of %r is missing" % (sorted(s - {v}), sorted(s)))
         self.simplices = frozenset(simps)
         self._h2 = None
+        self._by_dim = {}
 
     @classmethod
     def from_maximal(cls, vertices, maximal):
@@ -107,8 +108,15 @@ class SimplicialComplex:
         return max(len(s) for s in self.simplices) - 1
 
     def simplices_of_dim(self, k):
-        out = [tuple(sorted(s)) for s in self.simplices if len(s) == k + 1]
-        out.sort()
+        """The k-simplices as sorted vertex tuples, in increasing order.
+
+        Formed once per k; the result is a tuple, so the shared value
+        cannot be changed by a caller.
+        """
+        out = self._by_dim.get(k)
+        if out is None:
+            out = tuple(sorted(tuple(sorted(s)) for s in self.simplices if len(s) == k + 1))
+            self._by_dim[k] = out
         return out
 
     def edges(self):

@@ -150,9 +150,16 @@ class NormalizerElement:
 def enumerate_finite(group, tol=None):
     """All elements of a finite matrix group, by closure from the generators.
 
-    The identity is always included.  Products are re-unitarized by a
-    polar correction when accumulated drift exceeds tau/10.  Raises
-    CapExceeded when the closure leaves ``enumeration_cap``.
+    Depth-first from the identity, which is always included.  Only the
+    distinct generators act (the first of each ``_bucket_key``; a
+    repeat's products fall in buckets already seen), and each popped
+    element h is multiplied by all of them in one batched product, whose
+    unitarity residuals and bucket keys are also taken in one pass.  The
+    new keys are then walked in generator order, so the elements, their
+    order and their values are those of multiplying one generator at a
+    time.  Products are re-unitarized by a polar correction when
+    accumulated drift exceeds tau/10.  Raises CapExceeded when the
+    closure leaves ``enumeration_cap``.
     """
     if group.kind != KIND_FINITE:
         raise WrongKind("enumerate_finite needs a finite group, got %r" % (group.kind,))
@@ -160,24 +167,30 @@ def enumerate_finite(group, tol=None):
     d = group.degree
     drift_cap = tol.tau / 10.0
     eye = np.eye(d, dtype=complex)
+    distinct = {}
+    for g in group.generators:
+        distinct.setdefault(_bucket_key(g), g)
+    gens = np.array(list(distinct.values()), dtype=complex).reshape(-1, d, d)
+    step = d * d * eye.itemsize
     elems = [eye]
     index = {_bucket_key(eye): 0}
     queue = [eye]
-    gens = group.generators
     while queue:
-        h = queue.pop()
-        for g in gens:
-            p = h @ g
-            if _unitarity_residual(p) > drift_cap:
-                w, _, vh = np.linalg.svd(p)
-                p = w @ vh
-            key = _bucket_key(p)
+        prods = queue.pop() @ gens
+        drift = np.linalg.norm(prods.conj().transpose(0, 2, 1) @ prods - eye, axis=(1, 2))
+        for k in np.flatnonzero(drift > drift_cap):
+            w, _, vh = np.linalg.svd(prods[k])
+            prods[k] = w @ vh
+        keys = (np.round(prods, 6) + 0.0).tobytes()
+        for k in range(len(gens)):
+            key = keys[k * step : (k + 1) * step]
             if key in index:
                 continue
             if len(elems) >= group.enumeration_cap:
                 raise CapExceeded(
                     "group closure exceeds cap %d elements" % group.enumeration_cap
                 )
+            p = prods[k].copy()  # a view would keep the whole batch alive
             index[key] = len(elems)
             elems.append(p)
             queue.append(p)

@@ -296,6 +296,18 @@ def test_octahedron_counts():
     assert c.components() == [[0, 1, 2, 3, 4, 5]]
 
 
+def test_simplex_lists_are_formed_once_and_immutable():
+    c = _cone(subdivided_octahedron(1))
+    for k, get in enumerate((lambda: c.simplices_of_dim(0), c.edges, c.triangles, c.tetrahedra)):
+        first = get()
+        assert first == tuple(sorted(tuple(sorted(s)) for s in c.simplices if len(s) == k + 1))
+        assert get() is first and c.simplices_of_dim(k) is first
+        assert isinstance(first, tuple) and all(isinstance(s, tuple) for s in first)
+        with pytest.raises(TypeError):
+            first[0] = (0,)
+    assert len(c.tetrahedra()) == 48
+
+
 def test_h2_sphere_is_free_rank_one():
     s = h2_integral(octahedron())
     assert s.free_rank == 1
@@ -387,7 +399,7 @@ def test_h2_cone_over_large_sphere_is_acyclic():
 def test_h2_sphere_with_attached_tetrahedron_counts_winding():
     # a solid tetrahedron glued to the octahedron along one face leaves
     # H^2 = Z, whose classes now pass through the kernel of delta2
-    c = SimplicialComplex.from_maximal(7, octahedron().triangles() + [(0, 1, 2, 6)])
+    c = SimplicialComplex.from_maximal(7, list(octahedron().triangles()) + [(0, 1, 2, 6)])
     assert c.dim == 3
     s = h2_integral(c)
     assert s.free_rank == 1

@@ -18,7 +18,12 @@ from catbundle.groups import (
     special_unitary,
     trivial_group,
     verify_normalizer,
+    _bucket_key,
+    _unitarity_residual,
 )
+
+from octahedra import subdivided_octahedron
+from test_glue import _q8_gauged
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 
@@ -177,3 +182,109 @@ def test_lie_kind_rejects_generators():
 def test_finite_enumerate_only():
     with pytest.raises(WrongKind):
         special_unitary(2).elements()
+
+
+# ---------------------------------------------------------------------------
+# batched closure against the one-product-at-a-time loop
+
+
+def _loop_closure(group):
+    """The closure one generator product at a time: the oracle for
+    ``enumerate_finite``, which batches the products of each element."""
+    d = group.degree
+    drift_cap = group.tol.tau / 10.0
+    eye = np.eye(d, dtype=complex)
+    elems = [eye]
+    index = {_bucket_key(eye): 0}
+    queue = [eye]
+    while queue:
+        h = queue.pop()
+        for g in group.generators:
+            p = h @ g
+            if _unitarity_residual(p) > drift_cap:
+                w, _, vh = np.linalg.svd(p)
+                p = w @ vh
+            key = _bucket_key(p)
+            if key in index:
+                continue
+            if len(elems) >= group.enumeration_cap:
+                raise CapExceeded("group closure exceeds cap %d elements" % group.enumeration_cap)
+            index[key] = len(elems)
+            elems.append(p)
+            queue.append(p)
+    return elems
+
+
+def _assert_same_closure(group):
+    got, want = enumerate_finite(group), _loop_closure(group)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    return got
+
+
+def _rotation12():
+    w = np.exp(2j * math.pi / 12)
+    return GroupSpec(KIND_FINITE, 1, [np.array([[w]])])
+
+
+def _q8_near_duplicates():
+    gi, gj = quaternion_group().generators
+    t = 1e-8  # far inside the 6-decimal bucket of gi
+    near_gi = np.diag([np.exp(1j * (math.pi / 2 + t)), np.exp(-1j * (math.pi / 2 + t))])
+    assert _bucket_key(near_gi) == _bucket_key(gi) and not np.array_equal(near_gi, gi)
+    return GroupSpec(KIND_FINITE, 2, [near_gi, gj, gi, gj, near_gi, gi @ gj])
+
+
+@pytest.mark.parametrize(
+    "make, order",
+    [
+        (quaternion_group, 8),
+        (cyclic_diagonal_group, 4),
+        (lambda: trivial_group(3), 1),
+        (_rotation12, 12),
+        (_q8_near_duplicates, 8),
+    ],
+    ids=["q8", "c4", "trivial3", "rotation12", "repeats"],
+)
+def test_batched_closure_matches_loop(make, order):
+    assert len(_assert_same_closure(make())) == order
+
+
+def test_batched_closure_matches_loop_on_gauged_q8_values():
+    # the witness search's closure on a 26-vertex base: the values of two
+    # gauged Q8 data and the Q8 generators
+    c = subdivided_octahedron(1)
+    d1, d2 = _q8_gauged(c, 6), _q8_gauged(c, 7)
+    gens = list(d1.cocycle.values.values()) + list(d2.cocycle.values.values())
+    gens += list(d1.group.generators)
+    assert len(gens) == 146
+    assert len(_assert_same_closure(GroupSpec(KIND_FINITE, 2, gens))) == 192
+
+
+def test_batched_closure_polar_correction():
+    # a generator off the unitary group by more than tau/10 but within the
+    # acceptance bound: every product is re-unitarized, on both routes
+    tau = GroupSpec(KIND_FINITE, 2).tol.tau
+    g = np.diag([1j, -1j]) * (1.0 + tau / 8.0)
+    assert tau / 10.0 < _unitarity_residual(g) <= tau * math.sqrt(2.0)
+    elems = _assert_same_closure(GroupSpec(KIND_FINITE, 2, [g]))
+    assert len(elems) == 4
+    assert not np.array_equal(elems[1], g)
+    assert np.linalg.norm(elems[1] - np.diag([1j, -1j])) <= 1e-15
+    assert all(_unitarity_residual(e) <= tau / 10.0 for e in elems)
+
+
+@pytest.mark.parametrize(
+    "make, order",
+    [(quaternion_group, 8), (cyclic_diagonal_group, 4), (_rotation12, 12)],
+    ids=["q8", "c4", "rotation12"],
+)
+def test_closure_cap_parity(make, order):
+    g = make()
+    at_order = GroupSpec(KIND_FINITE, g.degree, g.generators, enumeration_cap=order)
+    assert len(_assert_same_closure(at_order)) == order
+    below = GroupSpec(KIND_FINITE, g.degree, g.generators, enumeration_cap=order - 1)
+    with pytest.raises(CapExceeded):
+        enumerate_finite(below)
+    with pytest.raises(CapExceeded):
+        _loop_closure(below)

@@ -10,6 +10,9 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
+from catbundle import GluingDatum, octahedron, quaternion_group
 from catbundle.verify import su2_octa_datum
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -47,3 +50,34 @@ def test_tracer_runs_glue_dims(tmp_path):
     assert report["command"] == "glue-dims"
     names = {name for name, _, _, _, _ in spans}
     assert {"glue.GluingDatum.hat_matrix", "linalg.power_action"} <= names
+
+
+def _gauged_q8(gauge):
+    """Q8 transitions u_i h_ij u_j* on the octahedron, with h_ij in Q8 and
+    u_i = (H P)^gauge[i] for the Hadamard H and the phase gate P, both of
+    which normalize Q8."""
+    hp = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0) @ np.diag([1.0, 1j])
+    u = [np.linalg.matrix_power(hp, n) for n in gauge]
+    els = quaternion_group().elements()
+    octa = octahedron()
+    trans = {(i, j): u[i] @ els[(i + 2 * j) % 8] @ u[j].conj().T for (i, j) in octa.edges()}
+    return GluingDatum(octa, quaternion_group(), trans)
+
+
+def test_tracer_runs_classify(tmp_path):
+    # the cocycles carry no group, so the witness search enumerates the
+    # closure of their values
+    args = []
+    for k, gauge in enumerate(([0, 1, 2, 3, 4, 5], [3, 1, 4, 1, 5, 2])):
+        d = _gauged_q8(gauge)
+        assert d.cocycle.group is None
+        path = tmp_path / ("q8-%d.json" % k)
+        path.write_text(json.dumps(d.to_json()), encoding="utf-8")
+        args += ["--input", str(path)]
+    report, spans = _traced(tmp_path, "classify", *args, "--rmax", "1")
+    assert report["data"]["verdict"] == "equivalent"
+    names = {name for name, _, _, _, _ in spans}
+    assert "basecech.equivalent" in names
+    # beside Q8 itself, the closure of the values, which holds the gauges
+    sizes = [info for name, _, _, _, info in spans if name == "groups.enumerate_finite"]
+    assert 8 in sizes and max(sizes) > 8, sizes
