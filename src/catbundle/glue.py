@@ -81,9 +81,10 @@ class GluingDatum:
     transition and the cocycle identity modulo the fibre group on every
     triangle, raising NotACocycleModG with the offending triangle.
 
-    The stacked fibre bases, the spanning forest and the glued spaces
-    are formed once and kept on the datum; the transitions act on a
-    fibre basis through ``power_action``, all edges in one batched call.
+    The stacked transitions, the stacked fibre bases, the spanning forest
+    and the glued spaces are formed once and kept on the datum; the
+    transitions act on a fibre basis through ``power_action``, in runs of
+    edges (see ``_edge_runs``), one batched call per run.
     """
 
     def __init__(self, complex_, group, transitions, windings=None, tol=None):
@@ -113,6 +114,7 @@ class GluingDatum:
         self._stacks = {}
         self._spaces = {}
         self._forest = None
+        self._transitions = None
 
     @property
     def degree(self):
@@ -143,17 +145,23 @@ class GluingDatum:
     def _edge_runs(self, per_edge):
         """``complex.edges()`` cut into runs, each with its (len, d, d)
         transitions, so that ``per_edge`` entries per edge stay within
-        EDGE_RUN_ENTRIES and GLUED_COEFF_CAP."""
+        EDGE_RUN_ENTRIES and GLUED_COEFF_CAP.
+
+        The transitions are stacked once, on the first call, and each
+        run is a read-only slice of that stack."""
         if per_edge > GLUED_COEFF_CAP:
             raise SizeCapExceeded(
                 "one edge needs %d entries, cap is %d" % (per_edge, GLUED_COEFF_CAP)
             )
-        d = self.degree
         edges = self.complex.edges()
+        if self._transitions is None:
+            d = self.degree
+            stack = np.array([self.transition(i, j) for i, j in edges]).reshape(len(edges), d, d)
+            stack.setflags(write=False)
+            self._transitions = stack
         step = max(1, min(EDGE_RUN_ENTRIES, GLUED_COEFF_CAP) // max(1, per_edge))
         for lo in range(0, len(edges), step):
-            run = edges[lo : lo + step]
-            yield run, np.array([self.transition(i, j) for i, j in run]).reshape(len(run), d, d)
+            yield edges[lo : lo + step], self._transitions[lo : lo + step]
 
     def _stack(self, r, s):
         """The fibre basis as one (m, d^s, d^r) array."""
@@ -179,14 +187,17 @@ class GluingDatum:
         orientation i < j, entry [e, a, b] the coordinate on basis a of
         the image of basis b; the reverse orientation is the adjoint.  The
         edges are moved in runs (see ``_edge_runs``; SizeCapExceeded if
-        one edge's images exceed GLUED_COEFF_CAP), and each image must
-        stay in the fibre space, which is checked element by element.
+        one edge's images and tensor powers exceed GLUED_COEFF_CAP), and
+        each image must stay in the fibre space, which is checked element
+        by element.
         """
         stack = self._stack(r, s)
         m, ds, dr = stack.shape
         flat = stack.reshape(m, ds * dr)
         out = []
-        for run, u in self._edge_runs(m * ds * dr):
+        # per edge: the m images, and power_action's powers (at most
+        # d^(2s) entries on the rows and d^(2r) on the columns)
+        for run, u in self._edge_runs(m * ds * dr + ds * ds + dr * dr):
             imgs = power_action(u[:, None], stack, r, s).reshape(len(run), m, ds * dr)
             coords = flat.conj() @ imgs.transpose(0, 2, 1)
             resid = np.linalg.norm(imgs - coords.transpose(0, 2, 1) @ flat, axis=2)
@@ -286,11 +297,16 @@ class GluedArrow:
     __rmul__ = __mul__
 
     def norm(self):
-        return max(opnorm(t) for t in self.components.values())
+        """The largest operator norm of a component, from one stacked SVD."""
+        stack = np.array(list(self.components.values()))
+        return float(np.linalg.svd(stack, compute_uv=False)[:, 0].max())
 
     def compatibility_residual(self):
+        d = self.datum.degree
         worst = 0.0
-        for run, u in self.datum._edge_runs(self.datum.degree ** (self.r + self.s)):
+        # per edge: both ends and the image, and power_action's powers
+        per_edge = 3 * d ** (self.r + self.s) + d ** (2 * self.r) + d ** (2 * self.s)
+        for run, u in self.datum._edge_runs(per_edge):
             ci = np.array([self.components[i] for i, _ in run])
             cj = np.array([self.components[j] for _, j in run])
             img = power_action(u, cj, self.r, self.s)
@@ -393,8 +409,16 @@ def _holonomy_sections(datum, r, s, edges):
             coeffs = np.zeros((n, m), dtype=complex)
             coeffs[verts] = (trans[verts] @ x.ravel()) / math.sqrt(len(verts))
             mats = (coeffs @ flat).reshape(n, ds, dr)
-            arrows.append(GluedArrow(datum, r, s, {v: as_matrix(mats[v]) for v in range(n)}))
+            arrows.append(GluedArrow(datum, r, s, _frozen_components(range(n), mats)))
     return arrows
+
+
+def _frozen_components(verts, mats):
+    """Components over ``verts`` from an (n, ds, dr) stack: one read-only
+    copy of the whole stack through ``as_matrix``, and a view of it each."""
+    n, ds, dr = mats.shape
+    block = as_matrix(mats.reshape(n * ds, dr)).reshape(n, ds, dr)
+    return dict(zip(verts, block))
 
 
 class GluedCategory:
@@ -472,6 +496,14 @@ class IsomorphismReport:
         return self.isomorphic
 
 
+def _pushed(datum, witness, arrow):
+    """The arrow conjugated patchwise by the witness, as an arrow over ``datum``."""
+    verts = list(arrow.components)
+    u = np.array([witness[v] for v in verts])
+    imgs = power_action(u, np.array([arrow.components[v] for v in verts]), arrow.r, arrow.s)
+    return GluedArrow(datum, arrow.r, arrow.s, _frozen_components(verts, imgs))
+
+
 def _functor_checks(d1, d2, witness, rmax, tol):
     """Verify that patchwise conjugation by the witness carries glued
     arrows of the second datum to glued arrows of the first and respects
@@ -479,10 +511,7 @@ def _functor_checks(d1, d2, witness, rmax, tol):
     checks = []
 
     def push(arrow):
-        verts = list(arrow.components)
-        u = np.array([witness[v] for v in verts])
-        imgs = power_action(u, np.array([arrow.components[v] for v in verts]), arrow.r, arrow.s)
-        return GluedArrow(d1, arrow.r, arrow.s, {v: as_matrix(t) for v, t in zip(verts, imgs)})
+        return _pushed(d1, witness, arrow)
 
     pairs = [(r, s) for r in range(rmax + 1) for s in range(rmax + 1)]
     for (r, s) in pairs:

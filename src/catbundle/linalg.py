@@ -19,6 +19,12 @@ to the rank decisions made here, so the conventions are pinned once:
 * nullspace bases are orthonormal and canonically ordered (each vector
   phase-fixed at its largest entry, then sorted lexicographically) so
   repeated runs report identical bases.
+
+``power_action`` is the one tensor-power action of the package.  It
+moves the r + s slots of an arrow in blocks of at most (r + s) // 2
+slots (one slot at r + s <= 3), one batched product by a formed power
+per block, so no power it forms beyond u itself holds more entries than
+one image.
 """
 
 from __future__ import annotations
@@ -87,17 +93,54 @@ def matrix_from_json(doc):
     return as_matrix(a.reshape(rows, cols))
 
 
+def _slot_blocks(first, count, width):
+    """``count`` consecutive slots from ``first`` cut into at most ``width``
+    wide blocks of near-equal width: (first slot, width) pairs."""
+    nb = -(-count // width)
+    blocks = []
+    for k in range(nb):
+        size = count // nb + (k < count % nb)
+        blocks.append((first, size))
+        first += size
+    return blocks
+
+
+def _block_power(x, k, lie):
+    """x^(x k) for a stack (..., d, d), or with ``lie`` the Kronecker sum
+    of x over k slots; one broadcast outer product per extra slot."""
+    d = x.shape[-1]
+    p = x
+    for j in range(1, k):
+        w = d ** j
+        if lie:
+            grown = p[..., :, None, :, None] * np.eye(d)[:, None, :]
+            grown = grown + np.eye(w)[:, None, :, None] * x[..., None, :, None, :]
+        else:
+            grown = p[..., :, None, :, None] * x[..., None, :, None, :]
+        p = grown.reshape(x.shape[:-2] + (w * d, w * d))
+    return p
+
+
 def power_action(u, t, r, s, lie=False):
     """The action t -> u^(x s) t (u^(x r))* of a unitary on (H^r, H^s).
 
     ``u`` has shape (..., d, d) and ``t`` shape (..., d^s, d^r); their
     leading axes broadcast, so one call moves a whole stack of arrows by
-    a whole stack of unitaries.  The tensor powers are never formed: t is
-    viewed slot by slot and each slot takes one batched product, u on the
-    s row slots and conj(u) on the r column slots.
+    a whole stack of unitaries.
 
-    With ``lie`` set, u is a Lie algebra element x and the slot terms are
-    summed instead, giving the derivative L_s(x) t + t L_r(x)* of the
+    The r + s tensor slots of t (the s row slots, then the r column
+    slots) are cut into blocks of at most max(1, (r + s) // 2)
+    consecutive slots, never mixing rows and columns, and each block
+    takes one batched product by a formed power: u^(x k) on a block of k
+    row slots, conj(u)^(x k) on a block of k column slots.  The width
+    rule keeps every power of two or more slots at d^(2k) <= d^(r + s)
+    entries per unitary, no more than one image, so the images bound the
+    memory whatever the powers: at r = s = 3 a call is two products by d^3 x d^3 powers, and
+    at (0, 12) two by d^6 x d^6 ones, never the d^12 x d^12 power.
+
+    With ``lie`` set, u is a Lie algebra element x and the block terms
+    are summed instead, each block power being the Kronecker sum of x
+    over its slots, giving the derivative L_s(x) t + t L_r(x)* of the
     action at the identity (L_k(x) the sum of x over the k slots).
     """
     u = np.asarray(u, dtype=complex)
@@ -106,16 +149,28 @@ def power_action(u, t, r, s, lie=False):
     n = r + s
     lead = np.broadcast_shapes(u.shape[:-2], t.shape[:-2])
     shape = lead + t.shape[-2:]
-    whole = np.broadcast_to(t, shape)
-    out = np.zeros(shape, dtype=complex) if lie else whole
-    rows, cols = u[..., None, :, :], u.conj()[..., None, :, :]
-    for p in range(n):
-        slot = (whole if lie else out).reshape(lead + (d ** p, d, d ** (n - 1 - p)))
-        moved = ((rows if p < s else cols) @ slot).reshape(shape)
-        if lie:
-            out += moved
+    if n == 0:
+        return np.zeros(shape, dtype=complex) if lie else np.broadcast_to(t, shape)
+    width = max(1, n // 2)
+    blocks = [(p, k, False) for p, k in _slot_blocks(0, s, width)]
+    blocks += [(p, k, True) for p, k in _slot_blocks(s, r, width)]
+    powers = {}
+    out = np.zeros(shape, dtype=complex) if lie else t
+    for p, k, col in blocks:
+        if k not in powers:
+            powers[k] = _block_power(u, k, lie)
+        power = powers[k].conj() if col else powers[k]
+        src = t if lie else out
+        a, b = d ** p, d ** (n - p - k)
+        if b == 1:
+            # the last slots: one right product by the transposed power
+            moved = src.reshape(src.shape[:-2] + (a, d ** k)) @ np.swapaxes(power, -1, -2)
         else:
-            out = moved
+            moved = power[..., None, :, :] @ src.reshape(src.shape[:-2] + (a, d ** k, b))
+        if lie:
+            out += moved.reshape(shape)
+        else:
+            out = moved.reshape(shape)
     return out
 
 

@@ -5,9 +5,10 @@ H^r to H^s are the d^s x d^r matrices t with g^(x s) t = t g^(x r) for
 every group element.  For finite groups the constraint is imposed for
 each generator; for the su/u kinds the equivalent derivative condition
 is imposed for each element of a Lie algebra basis, so continuous groups
-are never sampled.  Both are the one slot-wise ``power_action`` of
-``linalg``, applied to a stack of matrix units, whose images are the
-columns of the constraint operator.
+are never sampled.  Both are the one ``power_action`` of ``linalg``
+(blocks of at most half the slots, each a product by a formed power no
+bigger than one image), applied to a stack of matrix units, whose
+images are the columns of the constraint operator.
 
 The solve is restricted to matching weights, then the remaining
 constraints.  A diagonal constraint (a Cartan element, i*I, a diagonal

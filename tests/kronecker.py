@@ -1,8 +1,13 @@
-"""The Kronecker route to tensor powers: the oracle for ``power_action``.
+"""Oracles for ``power_action``: the Kronecker route and the slot-wise kernel.
 
-The library applies a unitary slot by slot and never forms u^(x r);
-these helpers form the powers and their derivatives as explicit
-matrices, the way the library once did, so the tests can compare.
+The library applies the tensor powers in blocks of at most half the
+slots, each block one product by a formed power of that width, so no
+power it forms (beyond u itself) holds more entries than one image.  These
+helpers reach the same action two other ways, so the tests can compare:
+``kron_action`` and ``kron_derivation`` form the whole powers and their
+derivatives as explicit matrices, and ``slot_action`` forms no power
+at all and moves one slot at a time by a batched product with u
+(conj(u) on the column slots).
 """
 
 import numpy as np
@@ -32,3 +37,24 @@ def kron_action(u, t, r, s):
 def kron_derivation(x, t, r, s, d):
     """L_s(x) t + t L_r(x)* through the formed Kronecker sums."""
     return derived_power(x, s, d) @ t + t @ derived_power(x, r, d).conj().T
+
+
+def slot_action(u, t, r, s, lie=False):
+    """``power_action`` one slot at a time, with the same broadcasting."""
+    u = np.asarray(u, dtype=complex)
+    t = np.asarray(t, dtype=complex)
+    d = u.shape[-1]
+    n = r + s
+    lead = np.broadcast_shapes(u.shape[:-2], t.shape[:-2])
+    shape = lead + t.shape[-2:]
+    whole = np.broadcast_to(t, shape)
+    out = np.zeros(shape, dtype=complex) if lie else whole
+    rows, cols = u[..., None, :, :], u.conj()[..., None, :, :]
+    for p in range(n):
+        slot = (whole if lie else out).reshape(lead + (d ** p, d, d ** (n - 1 - p)))
+        moved = ((rows if p < s else cols) @ slot).reshape(shape)
+        if lie:
+            out += moved
+        else:
+            out = moved
+    return out

@@ -29,6 +29,7 @@ from catbundle import (
     norm_function,
     nullspace,
     octahedron,
+    opnorm,
     quaternion_group,
     scalar_datum,
     special_unitary,
@@ -444,6 +445,78 @@ def test_chunked_hat_matrix_equals_unchunked(monkeypatch):
     monkeypatch.setattr(glue, "GLUED_COEFF_CAP", 16 * 8 * 8 - 1)
     with pytest.raises(SizeCapExceeded):
         d.hat_matrix(3, 3)
+
+
+def test_edge_run_budget_counts_the_powers(monkeypatch):
+    d = _q8_gauged(subdivided_octahedron(1), 6)
+    want = d.hat_matrix(3, 3)
+    m = want.shape[1]
+    # one edge's (3, 3) images, plus the 8 x 8 powers on its rows and columns
+    need = m * 8 * 8 + 2 * 8 * 8
+    monkeypatch.setattr(glue, "GLUED_COEFF_CAP", need)
+    assert np.abs(d.hat_matrix(3, 3) - want).max(initial=0.0) <= 1e-14
+    monkeypatch.setattr(glue, "GLUED_COEFF_CAP", need - 1)
+    with pytest.raises(SizeCapExceeded):
+        d.hat_matrix(3, 3)
+    arrow = glued_space(d, 1, 1).arrows[0]
+    # both ends, the image and the two 2 x 2 powers of one (1, 1) edge
+    monkeypatch.setattr(glue, "GLUED_COEFF_CAP", 3 * 4 + 2 * 4 - 1)
+    with pytest.raises(SizeCapExceeded):
+        arrow.compatibility_residual()
+
+
+def test_transitions_are_stacked_once_per_datum(monkeypatch):
+    d = _q8_gauged(octahedron(), 2)
+    calls = []
+    stored = d.transition
+
+    def counted(i, j):
+        calls.append((i, j))
+        return stored(i, j)
+
+    monkeypatch.setattr(d, "transition", counted)
+    d.hat_matrix(1, 1)
+    assert calls == list(d.complex.edges())
+    d.hat_matrix(2, 2)
+    for sp in (glued_space(d, 1, 1), glued_space(d, 0, 2)):
+        for arrow in sp.arrows:
+            assert arrow.compatibility_residual() <= 1e-9
+    assert len(calls) == len(d.complex.edges())
+    runs = list(d._edge_runs(glue.EDGE_RUN_ENTRIES // 4))
+    assert [len(run) for run, _ in runs] == [4, 4, 4]
+    for run, u in runs:
+        assert not u.flags.writeable
+        for (i, j), t in zip(run, u):
+            assert np.array_equal(t, stored(i, j))
+
+
+def test_glued_and_pushed_components_are_read_only():
+    d1, d2 = _q8_gauged(octahedron(), 2), _q8_gauged(octahedron(), 2)
+    witness = {v: as_matrix(HAD if v % 2 else PHASE_GATE) for v in range(6)}
+    for r, s in [(1, 1), (0, 2), (2, 1)]:
+        for arrow in glued_space(d2, r, s).arrows:
+            pushed = glue._pushed(d1, witness, arrow)
+            for v in range(6):
+                with pytest.raises(ValueError):
+                    arrow.components[v][0, 0] = 5.0
+                with pytest.raises(ValueError):
+                    pushed.components[v][0, 0] = 5.0
+                want = kron_action(witness[v], arrow.components[v], r, s)
+                assert np.abs(pushed.components[v] - want).max() <= 1e-12
+
+
+def test_arrow_norm_matches_per_component_opnorm():
+    d = _q8_holonomy()
+    rng = np.random.default_rng(5)
+    for r, s in [(1, 1), (0, 2), (2, 2), (3, 1)]:
+        # unglued families too, so the norms differ from patch to patch
+        comps = {
+            v: as_matrix((v + 1) * rng.standard_normal((2 ** s, 2 ** r)))
+            for v in range(d.complex.vertices)
+        }
+        for arrow in glued_space(d, r, s).arrows + [GluedArrow(d, r, s, comps)]:
+            want = max(opnorm(t) for t in arrow.components.values())
+            assert abs(arrow.norm() - want) <= 1e-12 * max(1.0, want)
 
 
 def test_compatibility_residual_sees_a_broken_arrow():

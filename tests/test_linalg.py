@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from catbundle.linalg import (
     projection_residual,
 )
 from catbundle.groups import full_unitary, lie_basis, special_unitary
-from kronecker import kron_action, kron_derivation, tensor_power
+from kronecker import kron_action, kron_derivation, slot_action, tensor_power
 
 
 def rand_mat(rng, n, m):
@@ -100,6 +102,58 @@ def test_power_action_broadcasts_edges_against_basis():
     # one unitary per arrow, paired along the same leading axis
     paired = power_action(us[:3], ts, 3, 2)
     assert all(np.abs(paired[k] - got[k, k]).max() <= 1e-12 for k in range(3))
+
+
+# every (r, s) up to 3, and lopsided powers whose blocks differ in width
+BLOCK_POWERS = POWERS + [(0, 5), (5, 0), (1, 4), (4, 1)]
+
+
+def _lead_cases(rng, d, r, s, lie):
+    """(u, t, index pairs) for the three leading shapes: an (E, 1) stack
+    of unitaries against m arrows, E unitaries paired with E arrows, and
+    a single unitary; each pair names the u and t moved together."""
+    make = (lambda: rand_mat(rng, d, d)) if lie else (lambda: rand_unitary(rng, d))
+    arrows = np.array([rand_mat(rng, d ** s, d ** r) for _ in range(3)])
+    us = np.array([make() for _ in range(2)])
+    return [
+        (us[:, None], arrows, [((e, 0), b, (e, b)) for e in range(2) for b in range(3)]),
+        (us, arrows[:2], [(e, e, e) for e in range(2)]),
+        (us[0], arrows[0], [((), (), ())]),
+    ]
+
+
+@pytest.mark.parametrize("lie", [False, True], ids=["group", "lie"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_blocked_power_action_matches_slot_and_kronecker_routes(d, lie):
+    rng = np.random.default_rng(40 + d)
+    for r, s in BLOCK_POWERS:
+        for u, t, pairs in _lead_cases(rng, d, r, s, lie):
+            got = power_action(u, t, r, s, lie)
+            slot = slot_action(u, t, r, s, lie)
+            assert got.shape == slot.shape
+            scale = max(1.0, float(np.abs(slot).max()))
+            assert np.abs(got - slot).max() <= 1e-12 * scale, (r, s, u.shape)
+            for ui, ti, gi in pairs:
+                if lie:
+                    want = kron_derivation(u[ui], t[ti], r, s, d)
+                else:
+                    want = kron_action(u[ui], t[ti], r, s)
+                assert np.abs(got[gi] - want).max() <= 1e-12 * scale, (r, s, u.shape)
+
+
+def test_power_action_memory_is_bounded_by_the_image():
+    rng = np.random.default_rng(41)
+    u = rand_unitary(rng, 2)
+    t = rand_mat(rng, 4096, 1)  # (H^0, H^12): the full power would hold 4096^2 entries
+    want = slot_action(u, t, 0, 12)
+    tracemalloc.start()
+    try:
+        got = power_action(u, t, 0, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
+    assert np.abs(got - want).max() <= 1e-12
 
 
 def test_opnorm_matches_svd_oracle():
