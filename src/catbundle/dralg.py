@@ -15,8 +15,11 @@ the antisymmetric isometry family commutes with both, which is the
 algebraic shadow of the determinant twist.
 
 The carrier is either a plain group fibre or a glued family over a
-base; all arithmetic is patchwise in the glued case, and the overlap
-matching survives because paddings and products are patchwise too.
+base.  A plain element's value is a d^s x d^r matrix; a glued one's is
+the read-only (vertices, d^s, d^r) stack of its patches, the matrix
+being the stack's 2-d case, so every operation is one numpy expression
+that broadcasts over the patch axis.  The overlap matching survives
+because paddings and products are patchwise.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .groups import (
     lie_basis,
     verify_normalizer,
 )
-from .linalg import Tolerance, as_matrix, nullspace, opnorm, power_action
+from .linalg import Tolerance, _as_stack, as_matrix, nullspace, power_action
 from .repcat import (
     averaged_fixed_space,
     intertwiners,
@@ -81,7 +84,7 @@ class DRElement:
     trunc: DRTruncation
     r: int
     s: int
-    value: object
+    value: np.ndarray
 
     @property
     def grade(self):
@@ -89,94 +92,75 @@ class DRElement:
 
     @property
     def glued(self):
-        return isinstance(self.value, dict)
+        return self.trunc.glued
 
 
 def _strip_once(t, r, s, d, tol):
-    """If t = t0 (x) 1 on the last leg, return t0, else None."""
+    """If t = t0 (x) 1 on the last leg, return t0, else None.
+
+    A stack strips only when every patch does, each one measured on its
+    own scale."""
     if r < 1 or s < 1:
         return None
+    lead = t.shape[:-2]
     rows, cols = d ** (s - 1), d ** (r - 1)
-    a = t.reshape(rows, d, cols, d)
-    t0 = np.trace(a, axis1=1, axis2=3) / d
-    resid = float(np.linalg.norm(t - np.kron(t0, np.eye(d))))
-    if tol.close(resid, scale=max(1.0, float(np.linalg.norm(t)))):
-        return as_matrix(t0)
+    t0 = np.trace(t.reshape(lead + (rows, d, cols, d)), axis1=-3, axis2=-1) / d
+    resid = np.linalg.norm(t - _pad(t0, 1, d), axis=(-2, -1))
+    scale = np.linalg.norm(t, axis=(-2, -1))
+    if all(map(tol.close, resid.ravel(), scale.ravel())):
+        return t0
     return None
 
 
-def _reduce(value, r, s, d, tol):
-    while r >= 1 and s >= 1:
-        if isinstance(value, dict):
-            stripped = {v: _strip_once(t, r, s, d, tol) for v, t in value.items()}
-            if any(t is None for t in stripped.values()):
-                break
-            value = stripped
-        else:
-            t0 = _strip_once(value, r, s, d, tol)
-            if t0 is None:
-                break
-            value = t0
-        r -= 1
-        s -= 1
-    return value, r, s
-
-
-def _apply(f, value, *others):
-    if isinstance(value, dict):
-        return {v: f(value[v], *[o[v] for o in others]) for v in value}
-    return f(value, *others)
+def _reduced(trunc, r, s, value, tol=None):
+    """The element (r, s, value) with identity legs stripped off while
+    they split, its value frozen."""
+    tol = tol or Tolerance()
+    d = trunc.degree
+    while True:
+        t0 = _strip_once(value, r, s, d, tol)
+        if t0 is None:
+            return DRElement(trunc, r, s, _as_stack(value))
+        value, r, s = t0, r - 1, s - 1
 
 
 def _pad(value, q, d):
-    if q == 0:
-        return value
-    eye = np.eye(d ** q)
-    return _apply(lambda t: as_matrix(np.kron(t, eye)), value)
+    """Identity legs on the right; np.kron takes a stack patch by patch,
+    the 2-d identity being promoted to a (1, d^q, d^q) stack."""
+    return value if q == 0 else np.kron(value, np.eye(d ** q))
 
 
 def dr_element(trunc, r, s, value, tol=None):
-    """Wrap a matrix (or a patch family) as a reduced algebra element."""
-    tol = tol or Tolerance()
+    """Wrap a matrix as a reduced algebra element.
+
+    Over a glued carrier the value is a (vertices, d^s, d^r) stack, or a
+    matrix standing for the constant family; any other shape, a stack
+    that misses a patch or has one too many included, is a ValueError.
+    """
     d = trunc.degree
     if not trunc.admits(r, s):
         raise TruncationOverflow(
             "powers (%d, %d) exceed the truncation window at level %d" % (r, s, trunc.level)
         )
+    value = np.asarray(value)
+    want = (d ** s, d ** r)
     if trunc.glued:
-        if not isinstance(value, dict):
-            value = {v: value for v in range(trunc.datum.complex.vertices)}
-        comps = {}
-        for v, t in value.items():
-            t = as_matrix(t)
-            if t.shape != (d ** s, d ** r):
-                raise ValueError("component %r has shape %r" % (v, t.shape))
-            comps[v] = t
-        value = comps
-    else:
-        value = as_matrix(value)
-        if value.shape != (d ** s, d ** r):
-            raise ValueError(
-                "value shape %r does not match powers (%d, %d)" % (value.shape, r, s)
-            )
-    value, r, s = _reduce(value, r, s, d, tol)
-    return DRElement(trunc, r, s, value)
+        want = (trunc.datum.complex.vertices,) + want
+        if value.ndim == 2:
+            value = np.broadcast_to(value, want[:1] + value.shape)
+    if value.shape != want:
+        raise ValueError("value shape %r does not match powers (%d, %d)" % (value.shape, r, s))
+    # frozen before reducing, so that non-finite entries fail here
+    return _reduced(trunc, r, s, _as_stack(value), tol)
 
 
 def dr_one(trunc):
-    if trunc.glued:
-        one = as_matrix(np.eye(1))
-        return DRElement(
-            trunc, 0, 0, {v: one for v in range(trunc.datum.complex.vertices)}
-        )
-    return DRElement(trunc, 0, 0, as_matrix(np.eye(1)))
+    return dr_element(trunc, 0, 0, np.eye(1))
 
 
 def _same_carrier(a, b):
     if a.trunc is not b.trunc and a.trunc != b.trunc:
         raise WrongKind("elements live in different truncations")
-    if a.glued != b.glued:
-        raise WrongKind("cannot mix a plain element with a glued one")
 
 
 def dr_mul(a, b, tol=None):
@@ -186,7 +170,6 @@ def dr_mul(a, b, tol=None):
     whichever is smaller gets identity legs appended on the right.  A
     padding that pushes a source power past the window is refused.
     """
-    tol = tol or Tolerance()
     _same_carrier(a, b)
     trunc = a.trunc
     d = trunc.degree
@@ -200,21 +183,15 @@ def dr_mul(a, b, tol=None):
             "product pads to source power %d, window level is %d"
             % (max(a.r + p, b.r + q), trunc.level)
         )
-    xv = _pad(a.value, p, d)
-    yv = _pad(b.value, q, d)
-    prod = _apply(lambda x, y: as_matrix(x @ y), xv, yv)
-    value, r, s = _reduce(prod, r_out, s_out, d, tol)
-    return DRElement(trunc, r, s, value)
+    return _reduced(trunc, r_out, s_out, _pad(a.value, p, d) @ _pad(b.value, q, d), tol)
 
 
 def dr_adjoint(a):
-    value = _apply(lambda t: as_matrix(t.conj().T), a.value)
-    return DRElement(a.trunc, a.s, a.r, value)
+    return DRElement(a.trunc, a.s, a.r, _as_stack(np.swapaxes(a.value, -1, -2).conj()))
 
 
 def dr_add(a, b, scalar=1.0, tol=None):
     """a + scalar * b; grades must agree, the shorter one is padded up."""
-    tol = tol or Tolerance()
     _same_carrier(a, b)
     trunc = a.trunc
     d = trunc.degree
@@ -227,15 +204,12 @@ def dr_add(a, b, scalar=1.0, tol=None):
         xv, yv, r, s = _pad(a.value, -q, d), b.value, b.r, b.s
     if not trunc.admits(r, s):
         raise TruncationOverflow("sum needs powers (%d, %d)" % (r, s))
-    out = _apply(lambda x, y: as_matrix(x + y * complex(scalar)), xv, yv)
-    value, r, s = _reduce(out, r, s, d, tol)
-    return DRElement(trunc, r, s, value)
+    return _reduced(trunc, r, s, xv + yv * complex(scalar), tol)
 
 
 def dr_norm(a):
-    if a.glued:
-        return max(opnorm(t) for t in a.value.values())
-    return opnorm(a.value)
+    """The operator norm, over a glued carrier the largest patch's."""
+    return float(np.linalg.svd(a.value, compute_uv=False).max())
 
 
 def dr_close(a, b, tol=None):
@@ -252,10 +226,7 @@ def canonical_endo(a):
     d = trunc.degree
     if a.r + 1 > trunc.level or not trunc.admits(a.r + 1, a.s + 1):
         raise TruncationOverflow("endomorphism image leaves the truncation window")
-    eye = np.eye(d)
-    value = _apply(lambda t: as_matrix(np.kron(eye, t)), a.value)
-    value, r, s = _reduce(value, a.r + 1, a.s + 1, d, Tolerance())
-    return DRElement(trunc, r, s, value)
+    return _reduced(trunc, a.r + 1, a.s + 1, np.kron(np.eye(d), a.value))
 
 
 def circle_action(z, a, tol=None):
@@ -263,8 +234,7 @@ def circle_action(z, a, tol=None):
     if abs(abs(z) - 1.0) > tol.tau:
         raise ValueError("circle parameter must have modulus one")
     scal = z ** a.grade
-    value = _apply(lambda t: as_matrix(t * complex(scal)), a.value)
-    return DRElement(a.trunc, a.r, a.s, value)
+    return DRElement(a.trunc, a.r, a.s, _as_stack(a.value * complex(scal)))
 
 
 def gauge_action(g, a, tol=None):
@@ -276,8 +246,7 @@ def gauge_action(g, a, tol=None):
         raise WrongKind("gauge unitary has shape %r, fibre degree is %d" % (g.shape, d))
     if not tol.close(float(np.linalg.norm(g.conj().T @ g - np.eye(d))), scale=float(d)):
         raise NotUnitary("gauge parameter is not unitary")
-    value = _apply(lambda t: as_matrix(power_action(g, t, a.r, a.s)), a.value)
-    return DRElement(a.trunc, a.r, a.s, value)
+    return DRElement(a.trunc, a.r, a.s, _as_stack(power_action(g, a.value, a.r, a.s)))
 
 
 def eq_rhoeps(a):
@@ -291,15 +260,9 @@ def eq_rhoeps(a):
     d = a.trunc.degree
     ths = symmetry_unitary(a.s, 1, d)
     thr = symmetry_unitary(1, a.r, d)
-
-    def resid(t):
-        lhs = np.kron(np.eye(d), t)
-        rhs = ths @ np.kron(t, np.eye(d)) @ thr
-        return float(np.linalg.norm(lhs - rhs))
-
-    if a.glued:
-        return max(resid(t) for t in a.value.values())
-    return resid(a.value)
+    lhs = np.kron(np.eye(d), a.value)
+    rhs = ths @ _pad(a.value, 1, d) @ thr
+    return float(np.linalg.norm(lhs - rhs, axis=(-2, -1)).max())
 
 
 def special_element(trunc, tol=None):
@@ -308,8 +271,8 @@ def special_element(trunc, tol=None):
     if trunc.glued:
         from .glue import extract_twisted_special
 
-        extraction = extract_twisted_special(trunc.datum, tol=tol)
-        return dr_element(trunc, 0, d, dict(extraction.isometries), tol=tol)
+        isometries = extract_twisted_special(trunc.datum, tol=tol).isometries
+        return dr_element(trunc, 0, d, isometries, tol=tol)
     return dr_element(trunc, 0, d, special_isometry(d).isometry, tol=tol)
 
 

@@ -57,6 +57,7 @@ from .groups import (
 )
 from .linalg import (
     Tolerance,
+    _as_stack,
     as_matrix,
     hs_inner,
     matrix_from_json,
@@ -252,54 +253,65 @@ def scalar_datum(complex_, group, phases, windings=None, tol=None):
 
 @dataclass
 class GluedArrow:
-    """A family of fibre intertwiners matched across overlaps."""
+    """A family of fibre intertwiners matched across overlaps.
+
+    ``components`` is one read-only (vertices, d^s, d^r) stack: slice v
+    is the fibre arrow over patch v.  The constructor checks that shape
+    against the base (ValueError on a family that misses a patch or has
+    one too many) and freezes a copy, so every operation below is one
+    expression on the stack.
+    """
 
     datum: GluingDatum
     r: int
     s: int
-    components: dict
+    components: np.ndarray
 
-    def component(self, v):
-        return self.components[v]
+    def __post_init__(self):
+        d = self.datum.degree
+        want = (self.datum.complex.vertices, d ** self.s, d ** self.r)
+        shape = np.shape(self.components)
+        if shape != want:
+            raise ValueError(
+                "components have shape %r, the (%d, %d) family needs %r" % (shape, self.r, self.s, want)
+            )
+        self.components = _as_stack(self.components)
 
     def compose(self, other):
         if other.datum is not self.datum or other.s != self.r:
             raise ValueError("arrows do not compose")
-        comps = {v: as_matrix(self.components[v] @ other.components[v]) for v in self.components}
-        return GluedArrow(self.datum, other.r, self.s, comps)
+        return GluedArrow(self.datum, other.r, self.s, self.components @ other.components)
 
     def adjoint(self):
-        comps = {v: as_matrix(t.conj().T) for v, t in self.components.items()}
-        return GluedArrow(self.datum, self.s, self.r, comps)
+        return GluedArrow(self.datum, self.s, self.r, self.components.conj().transpose(0, 2, 1))
 
     def tensor(self, other):
         if other.datum is not self.datum:
             raise ValueError("arrows live over different data")
-        comps = {
-            v: as_matrix(np.kron(self.components[v], other.components[v]))
-            for v in self.components
-        }
+        # the Kronecker product patch by patch: np.kron of two stacks
+        # would also multiply across the patch axis
+        a, b = self.components, other.components
+        n = len(a)
+        prod = a[:, :, None, :, None] * b[:, None, :, None, :]
+        comps = prod.reshape(n, a.shape[1] * b.shape[1], a.shape[2] * b.shape[2])
         return GluedArrow(self.datum, self.r + other.r, self.s + other.s, comps)
 
     def __add__(self, other):
         if other.datum is not self.datum or (other.r, other.s) != (self.r, self.s):
             raise ValueError("arrows live in different spaces")
-        comps = {v: as_matrix(self.components[v] + other.components[v]) for v in self.components}
-        return GluedArrow(self.datum, self.r, self.s, comps)
+        return GluedArrow(self.datum, self.r, self.s, self.components + other.components)
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
     def __mul__(self, scalar):
-        comps = {v: as_matrix(t * complex(scalar)) for v, t in self.components.items()}
-        return GluedArrow(self.datum, self.r, self.s, comps)
+        return GluedArrow(self.datum, self.r, self.s, self.components * complex(scalar))
 
     __rmul__ = __mul__
 
     def norm(self):
         """The largest operator norm of a component, from one stacked SVD."""
-        stack = np.array(list(self.components.values()))
-        return float(np.linalg.svd(stack, compute_uv=False)[:, 0].max())
+        return float(np.linalg.svd(self.components, compute_uv=False)[:, 0].max())
 
     def compatibility_residual(self):
         d = self.datum.degree
@@ -307,24 +319,22 @@ class GluedArrow:
         # per edge: both ends and the image, and power_action's powers
         per_edge = 3 * d ** (self.r + self.s) + d ** (2 * self.r) + d ** (2 * self.s)
         for run, u in self.datum._edge_runs(per_edge):
-            ci = np.array([self.components[i] for i, _ in run])
-            cj = np.array([self.components[j] for _, j in run])
-            img = power_action(u, cj, self.r, self.s)
-            worst = max(worst, float(np.linalg.norm(ci - img, axis=(1, 2)).max()))
+            i, j = np.array(run, dtype=int).reshape(-1, 2).T
+            img = power_action(u, self.components[j], self.r, self.s)
+            worst = max(worst, float(np.linalg.norm(self.components[i] - img, axis=(1, 2)).max()))
         return worst
 
 
 def glued_identity(datum, r):
-    eye = as_matrix(np.eye(datum.degree ** r))
-    return GluedArrow(datum, r, r, {v: eye for v in range(datum.complex.vertices)})
+    eye = np.eye(datum.degree ** r)
+    return GluedArrow(datum, r, r, np.broadcast_to(eye, (datum.complex.vertices,) + eye.shape))
 
 
 def glued_symmetry(r, s, datum):
     """The braiding family: constant because permutations commute with tensor powers."""
     th = symmetry_unitary(r, s, datum.degree)
-    return GluedArrow(
-        datum, r + s, s + r, {v: th for v in range(datum.complex.vertices)}
-    )
+    n = datum.complex.vertices
+    return GluedArrow(datum, r + s, s + r, np.broadcast_to(th, (n,) + th.shape))
 
 
 @dataclass
@@ -408,17 +418,8 @@ def _holonomy_sections(datum, r, s, edges):
         for x in nullspace(op, tol=datum.tol):
             coeffs = np.zeros((n, m), dtype=complex)
             coeffs[verts] = (trans[verts] @ x.ravel()) / math.sqrt(len(verts))
-            mats = (coeffs @ flat).reshape(n, ds, dr)
-            arrows.append(GluedArrow(datum, r, s, _frozen_components(range(n), mats)))
+            arrows.append(GluedArrow(datum, r, s, (coeffs @ flat).reshape(n, ds, dr)))
     return arrows
-
-
-def _frozen_components(verts, mats):
-    """Components over ``verts`` from an (n, ds, dr) stack: one read-only
-    copy of the whole stack through ``as_matrix``, and a view of it each."""
-    n, ds, dr = mats.shape
-    block = as_matrix(mats.reshape(n * ds, dr)).reshape(n, ds, dr)
-    return dict(zip(verts, block))
 
 
 class GluedCategory:
@@ -448,7 +449,7 @@ def build_glued(datum, r_max, cap=GLUED_COEFF_CAP):
 
 def fibre_eval(arrow, v):
     """Evaluate a glued arrow in the fibre over patch v."""
-    return arrow.component(v)
+    return arrow.components[v]
 
 
 def norm_function(arrow):
@@ -458,17 +459,13 @@ def norm_function(arrow):
     as a maximum, so comparing it against the patchwise supremum is a
     real check of the sup formula.
     """
-    per = {v: opnorm(t) for v, t in arrow.components.items()}
-    comps = [arrow.components[v] for v in sorted(arrow.components)]
-    rows = sum(t.shape[0] for t in comps)
-    cols = sum(t.shape[1] for t in comps)
-    block = np.zeros((rows, cols), dtype=complex)
-    ro = co = 0
-    for t in comps:
-        block[ro : ro + t.shape[0], co : co + t.shape[1]] = t
-        ro += t.shape[0]
-        co += t.shape[1]
-    return {"per_vertex": per, "global": opnorm(as_matrix(block))}
+    comps = arrow.components
+    n, ds, dr = comps.shape
+    per = {v: opnorm(t) for v, t in enumerate(comps)}
+    # block v of the direct sum sits at rows v*ds.. and columns v*dr..
+    block = np.zeros((n, ds, n, dr), dtype=complex)
+    block[np.arange(n), :, np.arange(n), :] = comps
+    return {"per_vertex": per, "global": opnorm(block.reshape(n * ds, n * dr))}
 
 
 def tensor_glued(a, b, tol=None):
@@ -498,10 +495,8 @@ class IsomorphismReport:
 
 def _pushed(datum, witness, arrow):
     """The arrow conjugated patchwise by the witness, as an arrow over ``datum``."""
-    verts = list(arrow.components)
-    u = np.array([witness[v] for v in verts])
-    imgs = power_action(u, np.array([arrow.components[v] for v in verts]), arrow.r, arrow.s)
-    return GluedArrow(datum, arrow.r, arrow.s, _frozen_components(verts, imgs))
+    u = np.array([witness[v] for v in range(len(arrow.components))])
+    return GluedArrow(datum, arrow.r, arrow.s, power_action(u, arrow.components, arrow.r, arrow.s))
 
 
 def _functor_checks(d1, d2, witness, rmax, tol):
@@ -628,7 +623,10 @@ def isomorphic(d1, d2, rmax=2, tol=None):
 
 @dataclass
 class TwistedSpecialExtraction:
-    isometries: dict
+    """``isometries`` is the read-only (vertices, d^d, 1) stack of the
+    unit antisymmetric section, patch v at slice v."""
+
+    isometries: np.ndarray
     module_basis: list
     phase_cocycle: CechCocycle
     extracted_class: object
@@ -659,33 +657,19 @@ def extract_twisted_special(cat, tol=None):
         raise RankDeficientVModule("no glued antisymmetric sections at all")
     proj = antisym_projector(d, d)
     n = datum.complex.vertices
-    cols = []
-    for arrow in space.arrows:
-        col = np.concatenate(
-            [
-                ((np.eye(d ** d) - proj) @ arrow.components[v]).reshape(-1)
-                for v in range(n)
-            ]
-        )
-        cols.append(col)
-    op = np.array(cols, dtype=complex).T
+    sections = np.array([arrow.components for arrow in space.arrows])
+    op = ((np.eye(d ** d) - proj) @ sections).reshape(space.dim, -1).T
     # arrows are unit sections, so the reference scale for "this column
     # combination is antisymmetric" is nullspace's unit one: the op is
     # numerically zero exactly when every section is already antisymmetric
     coeffs = nullspace(op, tol=tol)
     if not coeffs:
         raise RankDeficientVModule("no antisymmetric sections among the glued ones")
-    families = []
-    for x in coeffs:
-        xv = x.reshape(-1)
-        comps = {}
-        for v in range(n):
-            acc = sum(xv[b] * space.arrows[b].components[v] for b in range(space.dim))
-            comps[v] = as_matrix(acc)
-        families.append(GluedArrow(datum, 0, d, comps))
+    stacks = np.tensordot(np.array([x.reshape(-1) for x in coeffs]), sections, axes=1)
+    families = [GluedArrow(datum, 0, d, f) for f in stacks]
     ranks = {}
     for v in range(n):
-        block = np.array([f.components[v].reshape(-1) for f in families])
+        block = stacks[:, v].reshape(len(families), -1)
         ranks[v] = len(families) - len(nullspace(block.T, tol=tol))
     if any(rk != 1 for rk in ranks.values()):
         raise RankDeficientVModule(
@@ -693,11 +677,11 @@ def extract_twisted_special(cat, tol=None):
         )
     # a section may vanish on whole components of the base, so the
     # nowhere-vanishing one is picked component by component
-    vee = {}
+    vee = np.zeros(stacks.shape[1:], dtype=complex)
     for comp in datum.complex.components():
-        for f in families:
-            if all(float(np.linalg.norm(f.components[v])) > tol.tau for v in comp):
-                vee.update((v, f.components[v]) for v in comp)
+        for f in stacks:
+            if all(float(np.linalg.norm(f[v])) > tol.tau for v in comp):
+                vee[comp] = f[comp]
                 break
         else:
             raise RankDeficientVModule(
@@ -706,7 +690,8 @@ def extract_twisted_special(cat, tol=None):
             )
     # patchwise norms of a section are constant on components, so this
     # normalization keeps the overlap matching exact
-    comps = {v: as_matrix(vee[v] * complex(1.0 / float(np.linalg.norm(vee[v])))) for v in range(n)}
+    scale = np.array([1.0 / float(np.linalg.norm(V)) for V in vee])
+    comps = _as_stack(vee * scale[:, None, None])
     checks = []
     sd = d ** d
     for v in range(n):

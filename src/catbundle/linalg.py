@@ -4,7 +4,9 @@ A matrix is a plain 2-d complex128 ndarray.  ``as_matrix`` is the one
 place one is made: it copies, checks the shape and the entries, and
 freezes the copy, so every matrix a result or a cache holds is
 read-only and finite; ``matrix_to_json`` and ``matrix_from_json`` are
-its JSON boundary.
+its JSON boundary.  A stack of matrices (leading axes first, as a
+family over the patches of a base is kept) goes through the same checks
+by ``_as_stack``.
 
 Every dimension reported by the rest of the package (intertwiner spaces,
 glued section spaces, cohomology ranks of numerical origin) traces back
@@ -67,6 +69,15 @@ def as_matrix(entries):
         raise ValueError("matrix entries must be finite")
     a.setflags(write=False)
     return a
+
+
+def _as_stack(entries):
+    """``as_matrix`` for a (..., rows, cols) stack: the leading axes fold
+    into the rows for the copy, the checks and the freeze, then unfold."""
+    a = np.asarray(entries)
+    if a.ndim < 2:
+        raise ValueError("expected a stack of matrices, got shape %r" % (a.shape,))
+    return as_matrix(a.reshape(-1 if a.size else 0, a.shape[-1])).reshape(a.shape)
 
 
 def matrix_to_json(a):

@@ -306,12 +306,49 @@ def test_glued_elements_broadcast_and_multiply_patchwise():
     u = _rand(rng, 1, 1)
     a = dr_element(tr, 1, 1, t)
     b = dr_element(tr, 1, 1, u)
-    assert a.glued and set(a.value) == set(range(6))
+    assert a.glued and a.value.shape == (6, 2, 2)
     ab = dr_mul(a, b)
     for v in range(6):
         assert np.allclose(ab.value[v], t @ u)
     assert dr_close(dr_mul(ab, dr_one(tr)), ab)
     assert eq_rhoeps(ab) <= 1e-9
+
+
+@pytest.mark.parametrize("patches", [1, 5, 7, 9])
+def test_glued_element_needs_exactly_the_patches_of_the_base(patches):
+    rng = np.random.default_rng(17)
+    tr = _glued_trunc()
+    stack = np.array([_rand(rng, 1, 1) for _ in range(patches)])
+    with pytest.raises(ValueError):
+        dr_element(tr, 1, 1, stack)
+    with pytest.raises(ValueError):
+        dr_element(tr, 1, 1, dict(enumerate(stack)))
+
+
+def test_glued_strip_rule():
+    rng = np.random.default_rng(18)
+    tr = _glued_trunc()
+    t0 = _rand(rng, 1, 1)
+    padded = np.kron(t0, np.eye(2))
+    # one patch that does not split keeps the identity leg on all of them
+    stack = np.array([padded] * 6)
+    stack[3] = _rand(rng, 2, 2)
+    el = dr_element(tr, 2, 2, stack)
+    assert (el.r, el.s) == (2, 2)
+    # each patch is measured on its own scale: a perturbation that is
+    # roundoff next to a large patch still counts on a unit one
+    noise = 1e-5 * _rand(rng, 2, 2)
+    stack = np.array([padded] * 6)
+    stack[0] = 1e6 * padded + noise
+    assert dr_element(tr, 2, 2, stack).r == 1
+    stack[1] = padded + noise
+    assert dr_element(tr, 2, 2, stack).r == 2
+    # a constant family reduces exactly as the plain element does
+    t = np.kron(_rand(rng, 1, 0), np.eye(4))
+    plain = dr_element(_trunc(2), 2, 3, t)
+    glued = dr_element(tr, 2, 3, np.array([t] * 6))
+    assert (glued.r, glued.s) == (plain.r, plain.s) == (0, 1)
+    assert all(np.array_equal(glued.value[v], plain.value) for v in range(6))
 
 
 def test_glued_special_element():

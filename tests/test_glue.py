@@ -8,6 +8,7 @@ import pytest
 
 from catbundle import (
     ConsistencyError,
+    DRTruncation,
     GluingDatum,
     NotACocycleModG,
     NotInNormalizer,
@@ -16,10 +17,16 @@ from catbundle import (
     SizeCapExceeded,
     as_matrix,
     build_glued,
+    canonical_endo,
     cyclic_diagonal_group,
+    dr_element,
+    dr_mul,
+    dr_norm,
+    eq_rhoeps,
     extract_twisted_special,
     fibre_eval,
     full_unitary,
+    gauge_action,
     glued_identity,
     glued_space,
     glued_symmetry,
@@ -235,7 +242,7 @@ def test_extraction_matches_pushforward(n):
     for _, resid in out.checks:
         assert resid <= 1e-9
     # patchwise isometries onto the antisymmetric line
-    for v, V in out.isometries.items():
+    for V in out.isometries:
         assert V.shape == (4, 1)
         assert abs(float(np.linalg.norm(V)) - 1.0) <= 1e-12
 
@@ -510,22 +517,74 @@ def test_arrow_norm_matches_per_component_opnorm():
     rng = np.random.default_rng(5)
     for r, s in [(1, 1), (0, 2), (2, 2), (3, 1)]:
         # unglued families too, so the norms differ from patch to patch
-        comps = {
-            v: as_matrix((v + 1) * rng.standard_normal((2 ** s, 2 ** r)))
-            for v in range(d.complex.vertices)
-        }
+        comps = np.array(
+            [(v + 1) * rng.standard_normal((2 ** s, 2 ** r)) for v in range(d.complex.vertices)]
+        )
         for arrow in glued_space(d, r, s).arrows + [GluedArrow(d, r, s, comps)]:
-            want = max(opnorm(t) for t in arrow.components.values())
+            want = max(opnorm(t) for t in arrow.components)
             assert abs(arrow.norm() - want) <= 1e-12 * max(1.0, want)
 
 
 def test_compatibility_residual_sees_a_broken_arrow():
     d = _q8_holonomy()
     arrow = glued_space(d, 1, 1).arrows[0]
-    comps = dict(arrow.components)
+    comps = arrow.components.copy()
     comps[0] = -comps[0]
     assert arrow.compatibility_residual() <= 1e-9
     assert GluedArrow(d, 1, 1, comps).compatibility_residual() >= 0.1
+
+
+@pytest.mark.parametrize("patches", [5, 7])
+def test_glued_arrow_needs_exactly_the_patches_of_the_base(patches):
+    d = su2_octa_datum(1)
+    comps = glued_space(d, 1, 1).arrows[0].components
+    stack = np.concatenate([comps, comps])[:patches]
+    with pytest.raises(ValueError):
+        GluedArrow(d, 1, 1, stack)
+    with pytest.raises(ValueError):
+        GluedArrow(d, 1, 1, dict(enumerate(stack)))
+
+
+def test_stack_operations_match_a_per_patch_kronecker_loop():
+    """Patches that differ, so that a product mixing patches (np.kron on
+    two stacks, say) cannot agree with the patch-by-patch loop."""
+    d = _q8_holonomy()
+    n = d.complex.vertices
+    rng = np.random.default_rng(21)
+
+    def stack(s, r):
+        shape = (n, 2 ** s, 2 ** r)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    x, y = stack(1, 1), stack(2, 1)
+    out = GluedArrow(d, 1, 1, x).tensor(GluedArrow(d, 1, 2, y))
+    assert (out.r, out.s) == (2, 3)
+    for v in range(n):
+        assert np.abs(out.components[v] - np.kron(x[v], y[v])).max() <= 1e-12
+
+    glued = DRTruncation(level=3, datum=d)
+    plain = DRTruncation(level=3, group=quaternion_group())
+    g = HAD @ PHASE_GATE
+    a, b, c = stack(1, 1), stack(2, 1), stack(1, 2)
+    ga, gb, gc = dr_element(glued, 1, 1, a), dr_element(glued, 1, 2, b), dr_element(glued, 2, 1, c)
+    ops = [
+        lambda x, y, z: dr_mul(x, y),  # pads the left factor
+        lambda x, y, z: dr_mul(z, x),  # pads the right factor
+        lambda x, y, z: canonical_endo(x),
+        lambda x, y, z: gauge_action(g, y),
+    ]
+    for op in ops:
+        got = op(ga, gb, gc)
+        for v in range(n):
+            ref = op(*(dr_element(plain, e.r, e.s, e.value[v]) for e in (ga, gb, gc)))
+            assert (got.r, got.s) == (ref.r, ref.s)
+            assert np.abs(got.value[v] - ref.value).max() <= 1e-12 * max(1.0, dr_norm(ref))
+    assert np.abs(dr_mul(ga, gb).value[0] - np.kron(a[0], np.eye(2)) @ b[0]).max() <= 1e-12
+    assert np.abs(dr_mul(gc, ga).value[0] - c[0] @ np.kron(a[0], np.eye(2))).max() <= 1e-12
+    # the exchange identity holds for every matrix, so both sides are roundoff
+    for e in (ga, gb, gc):
+        want = max(eq_rhoeps(dr_element(plain, e.r, e.s, e.value[v])) for v in range(n))
+        assert max(eq_rhoeps(e), want) <= 1e-12 * max(1.0, dr_norm(e))
 
 
 def test_glued_space_is_memoized_on_the_datum():
@@ -541,14 +600,14 @@ def test_glued_space_is_memoized_on_the_datum():
 def test_memoized_glued_arrows_are_read_only():
     d = su2_octa_datum(1)
     sp = glued_space(d, 2, 2)
-    before = {v: t.copy() for v, t in sp.arrows[0].components.items()}
+    before = sp.arrows[0].components.copy()
     with pytest.raises(ValueError):
         sp.arrows[0].components[0][0, 0] = 5.0
     with pytest.raises(ValueError):
         d.transition(0, 1)[0, 0] = 5.0
     again = glued_space(d, 2, 2)
     assert again is sp
-    assert all(np.array_equal(again.arrows[0].components[v], t) for v, t in before.items())
+    assert np.array_equal(again.arrows[0].components, before)
 
 
 def test_glued_cap_bounds_the_holonomy_system():

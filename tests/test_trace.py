@@ -18,13 +18,11 @@ from catbundle.verify import su2_octa_datum
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _traced(tmp_path, *cli_args):
-    """Run one CLI call under the tracer; its exit code, report and spans."""
-    spans_path = tmp_path / "spans.json"
+def _stdout(*argv):
+    """Run a child Python with the package on its path; its stdout."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    tracer = os.path.join(ROOT, "perfbench", "tracechild.py")
     proc = subprocess.run(
-        [sys.executable, tracer, str(spans_path)] + list(cli_args),
+        [sys.executable] + list(argv),
         cwd=ROOT,
         env=env,
         capture_output=True,
@@ -32,8 +30,21 @@ def _traced(tmp_path, *cli_args):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    spans = json.loads(spans_path.read_text(encoding="utf-8"))["spans"]
-    return json.loads(proc.stdout), spans
+    return proc.stdout
+
+
+def _traced_text(tmp_path, *cli_args):
+    """Run one CLI call under the tracer; its report text and spans."""
+    spans_path = tmp_path / "spans.json"
+    tracer = os.path.join(ROOT, "perfbench", "tracechild.py")
+    out = _stdout(tracer, str(spans_path), *cli_args)
+    return out, json.loads(spans_path.read_text(encoding="utf-8"))["spans"]
+
+
+def _traced(tmp_path, *cli_args):
+    """Run one CLI call under the tracer; its report and spans."""
+    out, spans = _traced_text(tmp_path, *cli_args)
+    return json.loads(out), spans
 
 
 def test_tracer_runs_dr_check(tmp_path):
@@ -50,6 +61,16 @@ def test_tracer_runs_glue_dims(tmp_path):
     assert report["command"] == "glue-dims"
     names = {name for name, _, _, _, _ in spans}
     assert {"glue.GluingDatum.hat_matrix", "linalg.power_action"} <= names
+
+
+def test_tracer_runs_chern_without_touching_the_report(tmp_path):
+    path = tmp_path / "octahedron.json"
+    path.write_text(json.dumps(su2_octa_datum(1).to_json()), encoding="utf-8")
+    traced, spans = _traced_text(tmp_path, "chern", "--input", str(path))
+    assert traced == _stdout("-m", "catbundle.cli", "chern", "--input", str(path))
+    assert json.loads(traced)["command"] == "chern"
+    names = {name for name, _, _, _, _ in spans}
+    assert {"basecech.smith_normal_form", "glue.extract_twisted_special"} <= names
 
 
 def _gauged_q8(gauge):
