@@ -47,7 +47,7 @@ from .errors import (
     SearchCapExceeded,
     WrongKind,
 )
-from .groups import GroupSpec, KIND_FINITE
+from .groups import GroupSpec, KIND_FINITE, verify_normalizer
 from .linalg import Tolerance, as_matrix, matrix_from_json, matrix_to_json
 
 COEFF_FINITE = "finite"
@@ -705,128 +705,101 @@ def _spanning_forest(complex_):
 def equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None):
     """Search for a coboundary witness u with u_i c2_ij = c_ij u_j.
 
-    Phase kind: solve the flat part exactly over the rationals along a
-    spanning forest, check the remaining edges modulo 1, and require the
-    integral classes to agree; the witness phases are rational.  Integer
-    kind: exact solve.  Finite kind: enumerate candidate root values per
-    component (the attached structure group, or the closure generated by
-    the values of both cocycles and ``modulo``), propagate along the
-    forest, verify every edge; with ``modulo`` set, equalities hold up to
-    right multiplication by elements of that group.  Returns the witness
-    family as a dict or None.
+    One propagation serves every coefficient kind.  On each component of
+    the spanning forest, each root candidate in turn is carried to every
+    vertex along the tree, and the first candidate whose values pass
+    every edge of the component is kept.  Phase and integer data have
+    the single root candidate 0 and step u_cv = u_pv + c_(cv,pv) -
+    c2_(cv,pv); an edge passes when the residual is an integer (phase)
+    or zero (integer), and phase data must also have equal integral
+    classes.  The phase witness is rational.
+
+    Matrix data take their root candidates from the attached structure
+    group, or, with ``modulo`` set or no group attached, from the closure
+    generated by the values of both cocycles and ``modulo``, in
+    enumeration order.  The step is u_cv = c_(cv,pv) u_pv c2_(cv,pv)*.
+    With ``modulo`` set an edge passes when u_i c2_ij = c_ij u_j h for
+    some h in that group.  Right-multiplying any u_v by an element of
+    the group changes no edge verdict, because every value of c2
+    normalizes the group, so no twist h is ever tried: the untwisted
+    propagation passes whenever a twisted one does.  That precondition
+    is checked up front, raising NotInNormalizer.
+
+    Every kind spends one unit of ``search_cap`` per root candidate and
+    one per propagated vertex; SearchCapExceeded is raised when the
+    units run out or the candidate closure overflows the cap.  Returns
+    the witness family as a dict or None.
     """
     tol = tol or Tolerance()
     if c.complex != c2.complex:
         raise ValueError("cocycles live on different covers")
     if c.coeff != c2.coeff:
         raise ValueError("coefficient kinds differ")
-    complex_ = c.complex
-    forest = _spanning_forest(complex_)
+
+    if c.coeff == COEFF_FINITE:
+        d = c.degree()
+        if modulo is not None:
+            if modulo.kind != KIND_FINITE:
+                raise WrongKind("matrix witness search modulo a group needs a finite group")
+            for v in c2.values.values():
+                verify_normalizer(v, modulo, tol=tol)
+        if c.group is not None and modulo is None:
+            candidates = c.group.elements()
+        else:
+            gens = list(c.values.values()) + list(c2.values.values())
+            if modulo is not None:
+                gens += modulo.generators
+            closure_spec = GroupSpec(KIND_FINITE, d, gens, enumeration_cap=search_cap)
+            try:
+                candidates = closure_spec.elements()
+            except CapExceeded as exc:
+                raise SearchCapExceeded("candidate closure did not stay finite: %s" % exc)
+
+        def step(u_pv, pv, cv):
+            return c.value(cv, pv) @ u_pv @ c2.value(cv, pv).conj().T
+
+        def edge_ok(u_i, u_j, i, j):
+            lhs = u_i @ c2.value(i, j)
+            rhs = c.value(i, j) @ u_j
+            if modulo is None:
+                return np.linalg.norm(lhs - rhs) <= tol.tau * max(1.0, math.sqrt(d))
+            return modulo.contains(rhs.conj().T @ lhs, tol=tol)
+    else:
+        phase = c.coeff == COEFF_PHASE
+        candidates = [Fraction(0) if phase else 0]
+
+        def step(u_pv, pv, cv):
+            return u_pv + c.value(cv, pv) - c2.value(cv, pv)
+
+        def edge_ok(u_i, u_j, i, j):
+            resid = u_i - u_j - (c.value(i, j) - c2.value(i, j))
+            return resid.denominator == 1 if phase else resid == 0
+
+    edges = c.complex.edges()
+    budget = search_cap
+    witness = {}
+    for root, tree in _spanning_forest(c.complex):
+        comp = {root} | {cv for _, cv in tree}
+        comp_edges = [(i, j) for (i, j) in edges if i in comp]
+        for w in candidates:
+            budget -= 1 + len(tree)
+            if budget < 0:
+                raise SearchCapExceeded("witness search passed %d assignments" % search_cap)
+            u = {root: w}
+            for (pv, cv) in tree:
+                u[cv] = step(u[pv], pv, cv)
+            if all(edge_ok(u[i], u[j], i, j) for (i, j) in comp_edges):
+                witness.update(u)
+                break
+        else:
+            return None
 
     if c.coeff == COEFF_PHASE:
-        theta = {}
-        for root, tree in forest:
-            theta[root] = Fraction(0)
-            for (pv, cv) in tree:
-                # theta_i - theta_j = q_ij - q'_ij along the edge (i=cv or pv)
-                diff = c.value(cv, pv) - c2.value(cv, pv)
-                theta[cv] = theta[pv] + diff
-        for (i, j) in complex_.edges():
-            resid = theta[i] - theta[j] - (c.value(i, j) - c2.value(i, j))
-            if resid.denominator != 1:
-                return None
         if circle_class(c, tol) != circle_class(c2, tol):
             return None
-        return {v: normalized_lift(theta[v]) for v in theta}
-
+        return {v: normalized_lift(q) for v, q in witness.items()}
     if c.coeff == COEFF_INT:
-        m = {}
-        for root, tree in forest:
-            m[root] = 0
-            for (pv, cv) in tree:
-                m[cv] = m[pv] + c.value(cv, pv) - c2.value(cv, pv)
-        for (i, j) in complex_.edges():
-            if m[i] - m[j] != c.value(i, j) - c2.value(i, j):
-                return None
-        return m
-
-    # matrix values
-    d = c.degree()
-    if modulo is not None and modulo.kind != KIND_FINITE:
-        raise WrongKind("matrix witness search modulo a group needs a finite group")
-    if c.group is not None and modulo is None:
-        candidates = c.group.elements()
-    else:
-        gens = list(c.values.values()) + list(c2.values.values())
-        if modulo is not None:
-            gens += modulo.generators
-        closure_spec = GroupSpec(KIND_FINITE, d, gens, enumeration_cap=search_cap)
-        try:
-            candidates = closure_spec.elements()
-        except CapExceeded as exc:
-            raise SearchCapExceeded("candidate closure did not stay finite: %s" % exc)
-    # on an edge, admissible witnesses satisfy u_i c2_ij = c_ij u_j h with
-    # h in the quotient group (h = 1 when modulo is None)
-    twists = [np.eye(d)] if modulo is None else modulo.elements()
-
-    def edge_ok(u_i, u_j, i, j):
-        lhs = u_i @ c2.value(i, j)
-        rhs = c.value(i, j) @ u_j
-        if modulo is None:
-            return np.linalg.norm(lhs - rhs) <= tol.tau * max(1.0, math.sqrt(d))
-        return modulo.contains(rhs.conj().T @ lhs, tol=tol)
-
-    budget = [search_cap]
-
-    def assign(order, back_edges, u, pos):
-        if pos == len(order):
-            return True
-        pv, cv = order[pos]
-        base = c.value(cv, pv)
-        tail = c2.value(cv, pv).conj().T
-        for h in twists:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise SearchCapExceeded(
-                    "witness search passed %d assignments" % search_cap
-                )
-            u[cv] = base @ u[pv] @ h @ tail
-            if all(
-                edge_ok(u[i], u[j], i, j)
-                for (i, j) in back_edges.get(cv, ())
-            ):
-                if assign(order, back_edges, u, pos + 1):
-                    return True
-        del u[cv]
-        return False
-
-    witness = {}
-    for root, tree in forest:
-        comp_vertices = {root} | {cv for _, cv in tree}
-        seen_at = {root: 0}
-        for pos, (pv, cv) in enumerate(tree):
-            seen_at[cv] = pos + 1
-        back_edges = {}
-        for (i, j) in complex_.edges():
-            if i not in comp_vertices:
-                continue
-            later = i if seen_at[i] >= seen_at[j] else j
-            back_edges.setdefault(later, []).append((i, j))
-        found = None
-        for w in candidates:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise SearchCapExceeded(
-                    "witness search passed %d assignments" % search_cap
-                )
-            u = {root: w}
-            if all(edge_ok(u[i], u[j], i, j) for (i, j) in back_edges.get(root, ())):
-                if assign(tree, back_edges, u, 0):
-                    found = u
-                    break
-        if found is None:
-            return None
-        witness.update(found)
+        return witness
     return {v: as_matrix(m) for v, m in witness.items()}
 
 

@@ -252,10 +252,10 @@ def gauge_action(g, a, tol=None):
 def eq_rhoeps(a):
     """Residual of the exchange identity 1 (x) t = th(s,1) (t (x) 1) th(1,r).
 
-    Zero exactly when tensoring an identity leg on the left agrees with
-    tensoring on the right up to the braiding; this is the finite,
-    checkable identity behind the canonical endomorphism being inner to
-    the ambient shift.
+    The identity holds for every d^s x d^r matrix t, intertwiner or not,
+    so the residual says nothing about ``a``: it only checks that
+    ``symmetry_unitary`` is the tensor flip that moves an identity leg
+    from the right of t to its left.
     """
     d = a.trunc.degree
     ths = symmetry_unitary(a.s, 1, d)

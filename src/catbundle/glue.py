@@ -93,24 +93,18 @@ class GluingDatum:
         self.group = group
         self.tol = tol or Tolerance()
         vals = {}
-        self.normalizers = {}
         for (i, j), u in dict(transitions).items():
             u = u.u if isinstance(u, NormalizerElement) else as_matrix(u)
             key = (min(i, j), max(i, j))
             if i > j:
                 u = as_matrix(u.conj().T)
             vals[key] = u
-            self.normalizers[key] = verify_normalizer(u, group, tol=self.tol)
+            verify_normalizer(u, group, tol=self.tol)
         self.cocycle = CechCocycle(self.complex, COEFF_FINITE, vals, windings=windings)
-        for (i, j, k) in self.complex.triangles():
-            w = (
-                self.cocycle.value(i, j)
-                @ self.cocycle.value(j, k)
-                @ self.cocycle.value(i, k).conj().T
-            )
+        for tri, w in self._triangle_defects():
             if not group.contains(w, tol=self.tol):
                 raise NotACocycleModG(
-                    "transition defect on triangle %r is outside the fibre group" % ((i, j, k),)
+                    "transition defect on triangle %r is outside the fibre group" % (tri,)
                 )
         self._stacks = {}
         self._spaces = {}
@@ -131,14 +125,15 @@ class GluingDatum:
     def mod_group_residual(self):
         """Worst distance of a triangle transition defect from the fibre group."""
         worst = 0.0
-        for (i, j, k) in self.complex.triangles():
-            w = (
-                self.cocycle.value(i, j)
-                @ self.cocycle.value(j, k)
-                @ self.cocycle.value(i, k).conj().T
-            )
+        for _, w in self._triangle_defects():
             worst = max(worst, group_distance(self.group, w))
         return worst
+
+    def _triangle_defects(self):
+        """Each triangle (i, j, k) with its defect c_ij c_jk c_ik*."""
+        value = self.cocycle.value
+        for (i, j, k) in self.complex.triangles():
+            yield (i, j, k), value(i, j) @ value(j, k) @ value(i, k).conj().T
 
     def fibre_basis(self, r, s):
         return intertwiners(self.group, r, s, tol=self.tol)

@@ -1,4 +1,5 @@
-"""Subdivided octahedra: the family of 2-sphere bases 6 -> 26 -> 146 -> 866 vertices."""
+"""Test bases: the subdivided octahedra, the family of 2-sphere bases
+6 -> 26 -> 146 -> 866 vertices, and the triangulated annuli."""
 
 import itertools
 
@@ -24,3 +25,12 @@ def subdivided_octahedron(times):
     for _ in range(times):
         c = barycentric(c)
     return c
+
+
+def annulus(k):
+    """Triangulated annulus of k sectors: inner ring 0..k-1, outer ring k..2k-1."""
+    tris = []
+    for i in range(k):
+        a, b = i, (i + 1) % k
+        tris += [(a, b, k + a), (b, k + a, k + b)]
+    return SimplicialComplex.from_maximal(2 * k, tris)

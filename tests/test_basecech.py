@@ -15,6 +15,7 @@ from catbundle import (
     CechCocycle,
     IrrationalPhase,
     NotACocycle,
+    NotInNormalizer,
     SearchCapExceeded,
     SimplicialComplex,
     WrongKind,
@@ -32,7 +33,7 @@ from catbundle import (
     special_unitary,
     trivial_cocycle,
 )
-from octahedra import barycentric, subdivided_octahedron
+from octahedra import annulus, barycentric, subdivided_octahedron
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +581,28 @@ def test_equivalent_closure_propagates_unrelated_errors(monkeypatch):
     monkeypatch.setattr(groups_module, "enumerate_finite", broken)
     with pytest.raises(RuntimeError, match="enumeration broke"):
         equivalent(c, c2)
+
+
+@pytest.mark.parametrize("coeff", ["phase", "int"])
+def test_equivalent_budget_is_one_root_plus_the_propagated_vertices(coeff):
+    # one root candidate, 0, on the single component: 1 + 5 units
+    cov = annulus(3)
+    c = trivial_cocycle(cov, coeff)
+    assert equivalent(c, c, search_cap=6) == {v: 0 for v in range(6)}
+    with pytest.raises(SearchCapExceeded):
+        equivalent(c, c, search_cap=5)
+
+
+def test_equivalent_modulo_needs_c2_in_the_normalizer():
+    # the twist-free search is exact only when every value of c2 normalizes
+    # the quotient group; a generic rotation does not normalize Q8
+    cov = annulus(3)
+    c = trivial_cocycle(cov, "finite", degree=2)
+    vals = {e: np.eye(2) for e in cov.edges()}
+    vals[(0, 1)] = math.cos(0.3) * np.eye(2) + 1j * math.sin(0.3) * np.array([[0, 1], [1, 0]])
+    c2 = CechCocycle(cov, "finite", vals)
+    with pytest.raises(NotInNormalizer):
+        equivalent(c, c2, modulo=quaternion_group())
 
 
 # ---------------------------------------------------------------------------

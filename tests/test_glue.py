@@ -23,6 +23,7 @@ from catbundle import (
     dr_mul,
     dr_norm,
     eq_rhoeps,
+    equivalent,
     extract_twisted_special,
     fibre_eval,
     full_unitary,
@@ -47,7 +48,8 @@ from catbundle import (
 from catbundle import glue
 from catbundle.verify import su2_octa_datum
 from kronecker import kron_action
-from octahedra import subdivided_octahedron
+from octahedra import annulus, subdivided_octahedron
+from witness_oracle import backtracking_equivalent
 
 HAD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
@@ -70,9 +72,9 @@ def _q8_coboundary(windings=None):
     return GluingDatum(octa, q8, trans, windings=windings)
 
 
-def _q8_trivial():
-    octa = octahedron()
-    return GluingDatum(octa, quaternion_group(), {e: np.eye(2) for e in octa.edges()})
+def _q8_trivial(base=None):
+    base = base or octahedron()
+    return GluingDatum(base, quaternion_group(), {e: np.eye(2) for e in base.edges()})
 
 
 # ---------------------------------------------------------------------------
@@ -310,21 +312,26 @@ def _q8_gauged(c, seed, twist=None):
     return GluingDatum(c, quaternion_group(), trans)
 
 
-def _annulus(k):
-    """Triangulated annulus: inner ring 0..k-1, outer ring k..2k-1."""
-    tris = []
-    for i in range(k):
-        a, b = i, (i + 1) % k
-        tris += [(a, b, k + a), (b, k + a, k + b)]
-    return SimplicialComplex.from_maximal(2 * k, tris)
+def _seam(k):
+    """The three edges of the k-sector annulus crossing the seam between
+    sectors k-1 and 0."""
+    return {(0, k - 1), (0, 2 * k - 1), (k, 2 * k - 1)}
 
 
 def _q8_holonomy(k=4, seed=3):
     """Q8 datum on the annulus whose holonomy around the ring is the Hadamard
-    matrix: it sits on the three edges crossing the seam between sectors k-1
-    and 0, and every triangle defect stays in Q8."""
-    cut = {(0, k - 1), (0, 2 * k - 1), (k, 2 * k - 1)}
-    return _q8_gauged(_annulus(k), seed, {e: HAD for e in cut})
+    matrix: it sits on the seam edges, and every triangle defect stays in Q8."""
+    return _q8_gauged(annulus(k), seed, {e: HAD for e in _seam(k)})
+
+
+def _hadamard_pair(k):
+    """The Q8 datum on the k-sector annulus whose only non-identity
+    transitions are the Hadamard gate on the seam edges, and its conjugate
+    by the phase gate: equivalent modulo Q8."""
+    c = annulus(k)
+    trans = {e: HAD if e in _seam(k) else np.eye(2) for e in c.edges()}
+    conj = {e: PHASE_GATE @ u @ PHASE_GATE.conj().T for e, u in trans.items()}
+    return GluingDatum(c, quaternion_group(), trans), GluingDatum(c, quaternion_group(), conj)
 
 
 def _two_octahedra():
@@ -654,3 +661,58 @@ def test_large_sphere_glued_dims_and_chern():
     assert ext.classes_agree
     assert ext.extracted_class == h2_integral(c).reduce({t: -2})
     assert tuple(abs(x) for x in ext.extracted_class.free) == (2,)
+
+
+# ---------------------------------------------------------------------------
+# witness search against the backtracking oracle
+
+WITNESS_CASES = {
+    "q8-coboundary": lambda: (_q8_coboundary(), _q8_trivial()),
+    "q8-gauged": lambda: (_q8_gauged(octahedron(), 2), _q8_gauged(octahedron(), 5)),
+    "q8-gauged-trivial": lambda: (_q8_gauged(octahedron(), 2), _q8_trivial()),
+    "q8-holonomy": lambda: (_q8_holonomy(), _q8_holonomy()),
+    "q8-holonomy-trivial": lambda: (_q8_holonomy(k=3), _q8_trivial(annulus(3))),
+    "hadamard-pair": lambda: _hadamard_pair(3),
+}
+
+
+@pytest.mark.parametrize("modulo", [None, "q8"])
+@pytest.mark.parametrize("case", sorted(WITNESS_CASES))
+def test_witness_search_matches_backtracking_oracle(case, modulo):
+    d1, d2 = WITNESS_CASES[case]()
+    group = quaternion_group() if modulo else None
+    got = equivalent(d1.cocycle, d2.cocycle, modulo=group)
+    want = backtracking_equivalent(d1.cocycle, d2.cocycle, modulo=group)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert list(got) == list(want)
+        for v in want:
+            assert np.array_equal(got[v], want[v])
+
+
+def test_oracle_cases_cover_both_verdicts():
+    verdicts = {
+        equivalent(d1.cocycle, d2.cocycle, modulo=quaternion_group()) is None
+        for d1, d2 in (make() for make in WITNESS_CASES.values())
+    }
+    assert verdicts == {True, False}
+
+
+def test_six_sector_hadamard_pair_has_a_witness_within_the_cap():
+    # backtracking over the twists spends the 2000 units on failing root
+    # candidates; the twist-free propagation finds the witness
+    d1, d2 = _hadamard_pair(6)
+    q8 = quaternion_group()
+    w = equivalent(d1.cocycle, d2.cocycle, modulo=q8, search_cap=2000)
+    assert w is not None
+    assert set(w) == set(range(12))
+    for (i, j) in d1.complex.edges():
+        lhs = w[i] @ d2.transition(i, j)
+        rhs = d1.transition(i, j) @ w[j]
+        assert q8.contains(rhs.conj().T @ lhs)
+
+
+def test_forty_sector_hadamard_pair_is_isomorphic():
+    rep = isomorphic(*_hadamard_pair(40), rmax=1)
+    assert rep.isomorphic
+    assert max(r for _, r in rep.checks) <= 1e-9
