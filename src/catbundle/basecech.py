@@ -36,6 +36,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .errors import (
     WrongKind,
 )
 from .groups import GroupSpec, KIND_FINITE, verify_normalizer
-from .linalg import Tolerance, as_matrix, matrix_from_json, matrix_to_json
+from .linalg import Tolerance, _as_stack, as_matrix, matrix_from_json, matrix_to_json
 
 COEFF_FINITE = "finite"
 COEFF_PHASE = "phase"
@@ -86,8 +87,9 @@ class SimplicialComplex:
                     if s - {v} not in simps:
                         raise ValueError("face %r of %r is missing" % (sorted(s - {v}), sorted(s)))
         self.simplices = frozenset(simps)
-        self._h2 = None
         self._by_dim = {}
+        self._positions = {}
+        self._triangle_edges = None
 
     @classmethod
     def from_maximal(cls, vertices, maximal):
@@ -118,6 +120,25 @@ class SimplicialComplex:
             out = tuple(sorted(tuple(sorted(s)) for s in self.simplices if len(s) == k + 1))
             self._by_dim[k] = out
         return out
+
+    def positions(self, k):
+        """Each k-simplex's position in ``simplices_of_dim(k)``, as a
+        read-only mapping formed once per k."""
+        out = self._positions.get(k)
+        if out is None:
+            index = {s: a for a, s in enumerate(self.simplices_of_dim(k))}
+            out = self._positions[k] = MappingProxyType(index)
+        return out
+
+    def triangle_edges(self):
+        """The read-only (T, 3) table of each triangle (i, j, k)'s edge
+        positions in ``edges()``, in the order (ij, jk, ik)."""
+        if self._triangle_edges is None:
+            pos = self.positions(1)
+            rows = [(pos[(i, j)], pos[(j, k)], pos[(i, k)]) for i, j, k in self.triangles()]
+            self._triangle_edges = np.array(rows, dtype=int).reshape(-1, 3)
+            self._triangle_edges.setflags(write=False)
+        return self._triangle_edges
 
     def edges(self):
         return self.simplices_of_dim(1)
@@ -201,15 +222,21 @@ def _as_fraction(x):
 
 
 def normalized_lift(q):
-    """The representative of q mod 1 in the half-open interval (-1/2, 1/2]."""
-    return q - math.ceil(q - Fraction(1, 2))
+    """The representative of q mod 1 in the half-open interval (-1/2, 1/2];
+    elementwise on an object array of rationals."""
+    return q + (Fraction(1, 2) - q) // 1
 
 
 class CechCocycle:
     """Transition data on the closed-star cover of a complex.
 
-    Values are stored on edges (i, j) with i < j; the value for (j, i) is
-    the inverse, and the value on a repeated index is the identity.
+    ``values`` is one read-only array in ``complex.edges()`` order, the
+    value on (i, j) with i < j: an (E, d, d) stack for the finite kind,
+    and a 1-d object array of exact ``Fraction``s (phase) or Python ints
+    (integer) otherwise.  The construction takes a value on every edge,
+    keyed by either orientation (ValueError if one is missing); the
+    values on (j, i), the inverses, are formed once as a second read-only
+    array, so ``value`` only ever reads a stored entry.
     Phase and finite kinds may carry integer windings on triangles.
     An optional structure group may be attached to a finite-kind cocycle;
     ``equivalent`` then searches witnesses in that group.
@@ -223,32 +250,40 @@ class CechCocycle:
         self.group = group
         if group is not None and coeff != COEFF_FINITE:
             raise ValueError("a structure group only makes sense for matrix values")
-        edges = set(complex_.edges())
-        store = {}
+        edges = complex_.edges()
+        pos = complex_.positions(1)
+        slots = [None] * len(edges)
         for (i, j), v in dict(values).items():
             i, j = int(i), int(j)
-            if i == j:
-                raise ValueError("diagonal value on (%d, %d)" % (i, j))
             key = (min(i, j), max(i, j))
-            if key not in edges:
+            a = pos.get(key)
+            if a is None:
                 raise ValueError("pair %r is not an overlap of the cover" % (key,))
-            if coeff == COEFF_PHASE:
-                v = _as_fraction(v)
-            elif coeff == COEFF_INT:
-                v = int(v)
-            else:
-                v = as_matrix(v)
-            if i > j:
-                v = self._invert(v)
-            if key in store:
+            if slots[a] is not None:
                 raise ValueError("duplicate value for %r" % (key,))
-            store[key] = v
-        self.values = store
+            slots[a] = (i > j, v)
+        if None in slots:
+            raise ValueError("no value on overlap %r" % (edges[slots.index(None)],))
+        flip = np.array([f for f, _ in slots], dtype=bool)
+        if coeff == COEFF_FINITE:
+            d = group.degree if group is not None else 0
+            vals = np.array([v for _, v in slots] or np.zeros((0, d, d)), dtype=complex)
+            if vals.ndim != 3 or vals.shape[1] != vals.shape[2]:
+                raise ValueError("matrix values must be square and of one size")
+            vals[flip] = vals[flip].conj().transpose(0, 2, 1)
+            self.values, self._reversed = _as_stack(vals), _as_stack(vals.conj().transpose(0, 2, 1))
+        else:
+            exact = _as_fraction if coeff == COEFF_PHASE else int
+            vals = np.array([exact(v) for _, v in slots], dtype=object)
+            vals[flip] = -vals[flip]
+            self.values, self._reversed = vals, -vals
+            for a in (self.values, self._reversed):
+                a.setflags(write=False)
         wind = {}
         if windings:
             if coeff == COEFF_INT:
                 raise ValueError("integer cocycles carry no windings")
-            tris = set(complex_.triangles())
+            tris = complex_.positions(2)
             for t, n in dict(windings).items():
                 key = tuple(sorted(int(v) for v in t))
                 if key not in tris:
@@ -257,38 +292,23 @@ class CechCocycle:
                     wind[key] = int(n)
         self.windings = wind
 
-    def _invert(self, v):
-        if self.coeff == COEFF_PHASE:
-            return -v
-        if self.coeff == COEFF_INT:
-            return -v
-        return as_matrix(v.conj().T)
-
-    def _identity(self):
-        if self.coeff == COEFF_PHASE:
-            return Fraction(0)
-        if self.coeff == COEFF_INT:
-            return 0
-        d = self.degree()
-        return as_matrix(np.eye(d))
-
     def degree(self):
         if self.coeff != COEFF_FINITE:
             raise WrongKind("degree only makes sense for matrix values")
-        for v in self.values.values():
-            return v.shape[0]
-        if self.group is not None:
-            return self.group.degree
+        if len(self.values) or self.group is not None:
+            return self.values.shape[1]
         raise MissingValue("cocycle has no values to take a degree from")
 
     def value(self, i, j):
-        if i == j:
-            return self._identity()
-        key = (min(i, j), max(i, j))
-        v = self.values.get(key)
-        if v is None:
-            raise MissingValue("no value on overlap %r" % (key,))
-        return v if i < j else self._invert(v)
+        """The stored value on the overlap (i, j), in either orientation."""
+        pos = self.complex.positions(1)
+        a = pos.get((i, j))
+        if a is not None:
+            return self.values[a]
+        a = pos.get((j, i))
+        if a is None:
+            raise MissingValue("no value on overlap %r" % ((min(i, j), max(i, j)),))
+        return self._reversed[a]
 
     def winding(self, i, j, k):
         return self.windings.get(tuple(sorted((i, j, k))), 0)
@@ -299,15 +319,15 @@ class CechCocycle:
             raise WrongKind("cocycle products are defined for phase and integer kinds")
         if self.complex != other.complex:
             raise ValueError("cocycles live on different covers")
-        vals = {e: self.values[e] + other.values[e] for e in self.values}
         wind = dict(self.windings)
         for t, n in other.windings.items():
             wind[t] = wind.get(t, 0) + n
+        vals = zip(self.complex.edges(), self.values + other.values)
         return CechCocycle(self.complex, self.coeff, vals, windings=wind)
 
     def to_json(self):
         doc = {"coeff": self.coeff, "values": []}
-        for (i, j), v in sorted(self.values.items()):
+        for (i, j), v in zip(self.complex.edges(), self.values):
             if self.coeff == COEFF_PHASE:
                 vv = "%d/%d" % (v.numerator, v.denominator)
             elif self.coeff == COEFF_INT:
@@ -338,15 +358,11 @@ class CechCocycle:
 
 
 def trivial_cocycle(complex_, coeff, degree=None, group=None):
-    vals = {}
-    for e in complex_.edges():
-        if coeff == COEFF_PHASE:
-            vals[e] = Fraction(0)
-        elif coeff == COEFF_INT:
-            vals[e] = 0
-        else:
-            vals[e] = as_matrix(np.eye(degree if degree is not None else group.degree))
-    return CechCocycle(complex_, coeff, vals, group=group)
+    if coeff == COEFF_FINITE:
+        one = np.eye(degree if degree is not None else group.degree)
+    else:
+        one = Fraction(0) if coeff == COEFF_PHASE else 0
+    return CechCocycle(complex_, coeff, dict.fromkeys(complex_.edges(), one), group=group)
 
 
 @dataclass(frozen=True)
@@ -363,26 +379,23 @@ def is_cocycle(c, tol=None):
     """Check the cocycle identity on every triangle of the base.
 
     Matrix values are checked within tolerance, phases and integers
-    exactly (a phase triple must sum to an integer).
+    exactly (a phase triple must sum to an integer).  The first failing
+    triangle is reported with its residual: the Frobenius norm of
+    g_ij g_jk - g_ik, or the distance of the sum to the nearest integer.
     """
     tol = tol or Tolerance()
-    for (i, j, k) in c.complex.triangles():
-        gij = c.value(i, j)
-        gjk = c.value(j, k)
-        gik = c.value(i, k)
-        if c.coeff == COEFF_PHASE:
-            defect = gij + gjk - gik
-            if defect.denominator != 1:
-                return CocycleCheck(False, (i, j, k), float(abs(defect - round(defect))))
-        elif c.coeff == COEFF_INT:
-            defect = gij + gjk - gik
-            if defect != 0:
-                return CocycleCheck(False, (i, j, k), float(abs(defect)))
-        else:
-            res = float(np.linalg.norm(gij @ gjk - gik))
-            if not tol.close(res, scale=math.sqrt(gij.shape[0])):
-                return CocycleCheck(False, (i, j, k), res)
-    return CocycleCheck(True)
+    ij, jk, ik = c.complex.triangle_edges().T
+    g = c.values
+    if c.coeff == COEFF_FINITE:
+        res = np.linalg.norm(g[ij] @ g[jk] - g[ik], axis=(1, 2))
+        bad = np.flatnonzero(~(res <= tol.tau * max(1.0, math.sqrt(g.shape[1]))))
+    else:
+        res = g[ij] + g[jk] - g[ik]
+        bad = np.flatnonzero((res % 1 if c.coeff == COEFF_PHASE else res) != 0)
+    if not bad.size:
+        return CocycleCheck(True)
+    x = res[bad[0]] - round(res[bad[0]]) if c.coeff == COEFF_PHASE else res[bad[0]]
+    return CocycleCheck(False, c.complex.triangles()[bad[0]], float(abs(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -578,18 +591,12 @@ class CohomologySummary:
         if complex_.dim > 3:
             raise WrongKind("second cohomology is computed for complexes of dimension <= 3")
         self.complex = complex_
-        edges = complex_.edges()
-        tris = complex_.triangles()
         tets = complex_.tetrahedra()
-        eidx = {e: a for a, e in enumerate(edges)}
-        tidx = {t: a for a, t in enumerate(tris)}
-        n1, n2 = len(edges), len(tris)
-        self._tris = tris
+        tidx = complex_.positions(2)
+        n1, n2 = len(complex_.edges()), len(tidx)
+        self._tris = complex_.triangles()
         # delta1 as one sparse row per triangle, over the edges
-        d1 = [
-            {eidx[(j, k)]: 1, eidx[(i, k)]: -1, eidx[(i, j)]: 1}
-            for (i, j, k) in tris
-        ]
+        d1 = [{jk: 1, ik: -1, ij: 1} for ij, jk, ik in complex_.triangle_edges().tolist()]
         if tets:
             d2 = [
                 {tidx[(j, k, l)]: 1, tidx[(i, k, l)]: -1, tidx[(i, j, l)]: 1, tidx[(i, j, k)]: -1}
@@ -633,18 +640,26 @@ class CohomologySummary:
 
     def reduce(self, zdict):
         """Class coordinates of an integral 2-cocycle given per triangle."""
-        z = [int(zdict.get(t, 0)) for t in self._tris]
+        return self._reduce([int(zdict.get(t, 0)) for t in self._tris])
+
+    def _reduce(self, z):
+        """Class coordinates of the integers z in ``triangles()`` order."""
         x = self._kernel_coords(z)
         torsion = tuple(_dot(row, x) % f for row, f in self._torsion_rows)
         free = tuple(_dot(row, x) for row in self._free_rows)
         return IntegralCohomClass(free=free, torsion=torsion, torsion_orders=self.torsion_orders)
 
 
+_H2 = {}  # H^2 summaries by the complex's value
+
+
 def h2_integral(complex_):
-    """Integral H^2 summary of a complex, cached on the complex."""
-    if complex_._h2 is None:
-        complex_._h2 = CohomologySummary(complex_)
-    return complex_._h2
+    """Integral H^2 summary of a complex, formed once per complex value, so
+    separately built equal complexes share one Smith normal form."""
+    summary = _H2.get(complex_)
+    if summary is None:
+        summary = _H2[complex_] = CohomologySummary(complex_)
+    return summary
 
 
 def circle_class(c, tol=None):
@@ -660,16 +675,14 @@ def circle_class(c, tol=None):
         raise NotACocycle(
             "phase data fails the cocycle identity on %r" % (check.triangle,)
         )
-    z = {}
-    for (i, j, k) in c.complex.triangles():
-        n = (
-            normalized_lift(c.value(i, j))
-            + normalized_lift(c.value(j, k))
-            - normalized_lift(c.value(i, k))
-        )
-        assert n.denominator == 1
-        z[(i, j, k)] = int(n) + c.winding(i, j, k)
-    return h2_integral(c.complex).reduce(z)
+    ij, jk, ik = c.complex.triangle_edges().T
+    lift = normalized_lift(c.values)
+    # an integer on every triangle, since c passed the cocycle check
+    z = (lift[ij] + lift[jk] - lift[ik]) // 1
+    pos = c.complex.positions(2)
+    for t, n in c.windings.items():
+        z[pos[t]] += n
+    return h2_integral(c.complex)._reduce(z)
 
 
 # ---------------------------------------------------------------------------
@@ -717,13 +730,15 @@ def equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None):
     Matrix data take their root candidates from the attached structure
     group, or, with ``modulo`` set or no group attached, from the closure
     generated by the values of both cocycles and ``modulo``, in
-    enumeration order.  The step is u_cv = c_(cv,pv) u_pv c2_(cv,pv)*.
+    enumeration order.  The step is u_cv = c_(cv,pv) u_pv c2_(pv,cv).
     With ``modulo`` set an edge passes when u_i c2_ij = c_ij u_j h for
     some h in that group.  Right-multiplying any u_v by an element of
     the group changes no edge verdict, because every value of c2
     normalizes the group, so no twist h is ever tried: the untwisted
     propagation passes whenever a twisted one does.  That precondition
-    is checked up front, raising NotInNormalizer.
+    is checked up front on the values of both cocycles, raising
+    NotInNormalizer, so a value of infinite order never reaches the
+    closure enumeration.
 
     Every kind spends one unit of ``search_cap`` per root candidate and
     one per propagated vertex; SearchCapExceeded is raised when the
@@ -741,12 +756,12 @@ def equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None):
         if modulo is not None:
             if modulo.kind != KIND_FINITE:
                 raise WrongKind("matrix witness search modulo a group needs a finite group")
-            for v in c2.values.values():
+            for v in (*c.values, *c2.values):
                 verify_normalizer(v, modulo, tol=tol)
         if c.group is not None and modulo is None:
             candidates = c.group.elements()
         else:
-            gens = list(c.values.values()) + list(c2.values.values())
+            gens = [*c.values, *c2.values]
             if modulo is not None:
                 gens += modulo.generators
             closure_spec = GroupSpec(KIND_FINITE, d, gens, enumeration_cap=search_cap)
@@ -756,7 +771,7 @@ def equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None):
                 raise SearchCapExceeded("candidate closure did not stay finite: %s" % exc)
 
         def step(u_pv, pv, cv):
-            return c.value(cv, pv) @ u_pv @ c2.value(cv, pv).conj().T
+            return c.value(cv, pv) @ u_pv @ c2.value(pv, cv)
 
         def edge_ok(u_i, u_j, i, j):
             lhs = u_i @ c2.value(i, j)
@@ -834,8 +849,6 @@ def det_pushforward(c, tol=None, max_denominator=PHASE_DENOMINATOR_BOUND):
     tol = tol or Tolerance()
     if c.coeff != COEFF_FINITE:
         raise WrongKind("determinant pushforward needs matrix values")
-    vals = {}
-    for (i, j), v in c.values.items():
-        det = complex(np.linalg.det(v))
-        vals[(i, j)] = snap_phase(det, tol, max_denominator)
+    dets = np.linalg.det(c.values)
+    vals = {e: snap_phase(complex(z), tol, max_denominator) for e, z in zip(c.complex.edges(), dets)}
     return CechCocycle(c.complex, COEFF_PHASE, vals, windings=dict(c.windings))

@@ -60,7 +60,6 @@ from .linalg import (
     _as_stack,
     as_matrix,
     hs_inner,
-    matrix_from_json,
     nullspace,
     opnorm,
     power_action,
@@ -76,32 +75,30 @@ EDGE_RUN_ENTRIES = 1 << 13
 class GluingDatum:
     """Transitions in the normalizer of the fibre group, cocycle modulo it.
 
-    ``transitions`` maps overlap pairs to unitaries; values on (j, i) are
-    the adjoints of values on (i, j).  ``windings`` maps triangles to
-    integers.  Construction verifies normalizer membership of every
+    ``transitions`` maps every overlap pair, in either orientation, to a
+    unitary (ValueError if an edge has none); values on (j, i) are the
+    adjoints of values on (i, j).  ``windings`` maps triangles to
+    integers.  Both become ``cocycle``, whose ``values`` stack in
+    ``complex.edges()`` order is the datum's one copy of the
+    transitions.  Construction verifies normalizer membership of every
     transition and the cocycle identity modulo the fibre group on every
     triangle, raising NotACocycleModG with the offending triangle.
 
-    The stacked transitions, the stacked fibre bases, the spanning forest
-    and the glued spaces are formed once and kept on the datum; the
-    transitions act on a fibre basis through ``power_action``, in runs of
-    edges (see ``_edge_runs``), one batched call per run.
+    The stacked fibre bases, the spanning forest and the glued spaces are
+    formed once and kept on the datum; the transitions act on a fibre
+    basis through ``power_action``, in runs of edges (see
+    ``_edge_runs``), one batched call per run.
     """
 
     def __init__(self, complex_, group, transitions, windings=None, tol=None):
         self.complex = complex_
         self.group = group
         self.tol = tol or Tolerance()
-        vals = {}
-        for (i, j), u in dict(transitions).items():
-            u = u.u if isinstance(u, NormalizerElement) else as_matrix(u)
-            key = (min(i, j), max(i, j))
-            if i > j:
-                u = as_matrix(u.conj().T)
-            vals[key] = u
-            verify_normalizer(u, group, tol=self.tol)
+        vals = {e: u.u if isinstance(u, NormalizerElement) else u for e, u in dict(transitions).items()}
         self.cocycle = CechCocycle(self.complex, COEFF_FINITE, vals, windings=windings)
-        for tri, w in self._triangle_defects():
+        for u in self.cocycle.values:
+            verify_normalizer(u, group, tol=self.tol)
+        for tri, w in zip(self.complex.triangles(), self._triangle_defects()):
             if not group.contains(w, tol=self.tol):
                 raise NotACocycleModG(
                     "transition defect on triangle %r is outside the fibre group" % (tri,)
@@ -109,7 +106,6 @@ class GluingDatum:
         self._stacks = {}
         self._spaces = {}
         self._forest = None
-        self._transitions = None
 
     @property
     def degree(self):
@@ -124,16 +120,14 @@ class GluingDatum:
 
     def mod_group_residual(self):
         """Worst distance of a triangle transition defect from the fibre group."""
-        worst = 0.0
-        for _, w in self._triangle_defects():
-            worst = max(worst, group_distance(self.group, w))
-        return worst
+        return max([0.0] + [group_distance(self.group, w) for w in self._triangle_defects()])
 
     def _triangle_defects(self):
-        """Each triangle (i, j, k) with its defect c_ij c_jk c_ik*."""
-        value = self.cocycle.value
-        for (i, j, k) in self.complex.triangles():
-            yield (i, j, k), value(i, j) @ value(j, k) @ value(i, k).conj().T
+        """The defects c_ij c_jk c_ik* of ``complex.triangles()``, as one
+        (T, d, d) product over the stacked transitions."""
+        ij, jk, ik = self.complex.triangle_edges().T
+        c = self.cocycle.values
+        return c[ij] @ c[jk] @ c[ik].conj().transpose(0, 2, 1)
 
     def fibre_basis(self, r, s):
         return intertwiners(self.group, r, s, tol=self.tol)
@@ -141,23 +135,16 @@ class GluingDatum:
     def _edge_runs(self, per_edge):
         """``complex.edges()`` cut into runs, each with its (len, d, d)
         transitions, so that ``per_edge`` entries per edge stay within
-        EDGE_RUN_ENTRIES and GLUED_COEFF_CAP.
-
-        The transitions are stacked once, on the first call, and each
-        run is a read-only slice of that stack."""
+        EDGE_RUN_ENTRIES and GLUED_COEFF_CAP.  Each run's transitions are
+        a read-only slice of the cocycle's ``values`` stack."""
         if per_edge > GLUED_COEFF_CAP:
             raise SizeCapExceeded(
                 "one edge needs %d entries, cap is %d" % (per_edge, GLUED_COEFF_CAP)
             )
         edges = self.complex.edges()
-        if self._transitions is None:
-            d = self.degree
-            stack = np.array([self.transition(i, j) for i, j in edges]).reshape(len(edges), d, d)
-            stack.setflags(write=False)
-            self._transitions = stack
         step = max(1, min(EDGE_RUN_ENTRIES, GLUED_COEFF_CAP) // max(1, per_edge))
         for lo in range(0, len(edges), step):
-            yield edges[lo : lo + step], self._transitions[lo : lo + step]
+            yield edges[lo : lo + step], self.cocycle.values[lo : lo + step]
 
     def _stack(self, r, s):
         """The fibre basis as one (m, d^s, d^r) array."""
@@ -220,16 +207,9 @@ class GluingDatum:
     def from_json(cls, doc, tol=None):
         complex_ = SimplicialComplex.from_json(doc["complex"])
         group = GroupSpec.from_json(doc["group"])
-        cdoc = doc["cocycle"]
-        transitions = {}
-        for item in cdoc.get("values", []):
-            i, j = item["edge"]
-            transitions[(int(i), int(j))] = matrix_from_json(item["value"])
-        windings = {
-            tuple(item["triangle"]): int(item["value"])
-            for item in cdoc.get("windings", [])
-        }
-        return cls(complex_, group, transitions, windings=windings, tol=tol)
+        # the cocycle document is read as matrix data whatever its "coeff"
+        c = CechCocycle.from_json(dict(doc["cocycle"], coeff=COEFF_FINITE), complex_)
+        return cls(complex_, group, zip(complex_.edges(), c.values), windings=c.windings, tol=tol)
 
 
 def scalar_datum(complex_, group, phases, windings=None, tol=None):
@@ -389,7 +369,7 @@ def _holonomy_sections(datum, r, s, edges):
     n = datum.complex.vertices
     flat = stack.reshape(m, ds * dr)
     hats = datum.hat_matrix(r, s)
-    index = {e: k for k, e in enumerate(edges)}
+    index = datum.complex.positions(1)
     ends = np.array(edges, dtype=int).reshape(-1, 2)
     trans = np.zeros((n, m, m), dtype=complex)
     arrows = []

@@ -14,6 +14,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from catbundle import (
     CechCocycle,
     IrrationalPhase,
+    MissingValue,
     NotACocycle,
     NotInNormalizer,
     SearchCapExceeded,
@@ -33,6 +34,7 @@ from catbundle import (
     special_unitary,
     trivial_cocycle,
 )
+from cochain_oracle import loop_circle_class, loop_det_pushforward, loop_is_cocycle
 from octahedra import annulus, barycentric, subdivided_octahedron
 
 
@@ -309,6 +311,22 @@ def test_simplex_lists_are_formed_once_and_immutable():
     assert len(c.tetrahedra()) == 48
 
 
+def test_position_tables_are_formed_once_and_read_only():
+    c = _cone(subdivided_octahedron(1))
+    for k in range(4):
+        pos = c.positions(k)
+        assert c.positions(k) is pos
+        assert list(pos) == list(c.simplices_of_dim(k)) and list(pos.values()) == list(range(len(pos)))
+        with pytest.raises(TypeError):
+            pos[(0,) * (k + 1)] = 0
+    table = c.triangle_edges()
+    assert c.triangle_edges() is table and not table.flags.writeable
+    edges = c.edges()
+    assert [(edges[a], edges[b], edges[e]) for a, b, e in table] == [
+        ((i, j), (j, k), (i, k)) for i, j, k in c.triangles()
+    ]
+
+
 def test_h2_sphere_is_free_rank_one():
     s = h2_integral(octahedron())
     assert s.free_rank == 1
@@ -344,6 +362,24 @@ def test_h2_contractible_cases():
         s = h2_integral(c)
         assert s.free_rank == 0
         assert s.torsion_orders == ()
+
+
+def test_h2_summary_is_shared_by_equal_complexes(monkeypatch):
+    import catbundle.basecech as basecech_module
+
+    calls = []
+    snf = basecech_module.smith_normal_form
+
+    def counted(a, cols):
+        calls.append(cols)
+        return snf(a, cols)
+
+    monkeypatch.setattr(basecech_module, "_H2", {})
+    monkeypatch.setattr(basecech_module, "smith_normal_form", counted)
+    a, b = _rp2(), _rp2()
+    assert a is not b and a == b
+    assert h2_integral(a) is h2_integral(b)
+    assert calls == [len(a.edges())]
 
 
 def test_h2_rejects_high_dimension():
@@ -603,6 +639,10 @@ def test_equivalent_modulo_needs_c2_in_the_normalizer():
     c2 = CechCocycle(cov, "finite", vals)
     with pytest.raises(NotInNormalizer):
         equivalent(c, c2, modulo=quaternion_group())
+    # the same rotation in c: rejected up front, before a closure of
+    # infinite order is enumerated up to the search cap
+    with pytest.raises(NotInNormalizer):
+        equivalent(c2, c, modulo=quaternion_group())
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +666,7 @@ def test_det_pushforward_scalar_transitions():
     tri = cov.triangles()[0]
     c = CechCocycle(cov, "finite", vals, windings={tri: 3})
     p = det_pushforward(c)
-    assert all(v == Fraction(2, 5) for v in p.values.values())
+    assert all(v == Fraction(2, 5) and isinstance(v, Fraction) for v in p.values)
     assert p.windings == {tri: 3}
 
 
@@ -673,7 +713,7 @@ def test_cocycle_json_roundtrip_phase():
     doc = c.to_json()
     assert any("/" in item["value"] for item in doc["values"])
     back = CechCocycle.from_json(doc, cov)
-    assert back.values == c.values
+    assert list(back.values) == list(c.values)
     assert back.windings == c.windings
     assert circle_class(back) == circle_class(c)
 
@@ -713,3 +753,96 @@ def test_cocycle_rejects_bad_input():
         CechCocycle(cov, "int", {(0, 1): 1}, windings={(0, 1, 2): 1})
     with pytest.raises(WrongKind):
         trivial_cocycle(cov, "phase").product(trivial_cocycle(cov, "int"))
+
+
+# ---------------------------------------------------------------------------
+# edge-ordered value arrays
+
+
+def test_cocycle_needs_a_value_on_every_edge():
+    cov = octahedron()
+    vals = {e: Fraction(0) for e in cov.edges()[1:]}
+    with pytest.raises(ValueError, match="no value on overlap"):
+        CechCocycle(cov, "phase", vals)
+    c = CechCocycle(cov, "phase", {(j, i): v for (i, j), v in vals.items()} | {(0, 1): 0})
+    with pytest.raises(MissingValue):
+        c.value(0, 5)  # not an edge
+    with pytest.raises(MissingValue):
+        c.value(2, 2)
+
+
+def _one_cocycle_per_kind():
+    cov = octahedron()
+    els = quaternion_group().elements()
+    edges = cov.edges()
+    return cov, [
+        CechCocycle(cov, "finite", {e: els[(3 * a) % len(els)] for a, e in enumerate(edges)}),
+        _coboundary(cov, {0: Fraction(1, 3), 4: Fraction(-5, 7)}),
+        CechCocycle(cov, "int", {e: a - 5 for a, e in enumerate(edges)}),
+    ]
+
+
+def test_cocycle_values_are_one_read_only_edge_ordered_array():
+    cov, cocycles = _one_cocycle_per_kind()
+    for c in cocycles:
+        assert len(c.values) == len(cov.edges()) and not c.values.flags.writeable
+        with pytest.raises(ValueError):
+            c.values[0] = c.values[1]
+        for (i, j), v in zip(cov.edges(), c.values):
+            assert c.value(i, j) is v or np.shares_memory(c.value(i, j), c.values)
+            back = c.value(j, i)
+            if c.coeff == "finite":
+                assert np.array_equal(back, v.conj().T) and not back.flags.writeable
+                with pytest.raises(ValueError):
+                    back[0, 0] = 0.0
+            else:
+                assert back == -v and type(back) is type(v)
+                assert isinstance(v, Fraction if c.coeff == "phase" else int)
+
+
+def test_cocycle_values_taken_in_either_orientation():
+    cov, cocycles = _one_cocycle_per_kind()
+    for c in cocycles:
+        flipped = CechCocycle(cov, c.coeff, {(j, i): c.value(j, i) for (i, j) in cov.edges()})
+        assert all(np.array_equal(a, b) for a, b in zip(flipped.values, c.values))
+
+
+def test_phase_values_stay_fractions_under_product_and_pushforward():
+    cov, (fin, phase, _) = _one_cocycle_per_kind()
+    for c in (phase.product(phase), det_pushforward(fin)):
+        assert all(isinstance(v, Fraction) for v in c.values)
+    assert list(phase.product(phase).values) == [2 * v for v in phase.values]
+
+
+_BASES = {"octahedron": octahedron(), "rp2": _rp2()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_array_routes_match_the_loops_on_phase_cochains(data):
+    # a coboundary with lifts shifted by integers, windings, and sometimes
+    # a few edges pushed off the cocycle identity
+    cov = _BASES[data.draw(st.sampled_from(sorted(_BASES)))]
+    edges, tris = cov.edges(), cov.triangles()
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=12)
+    theta = data.draw(st.lists(small, min_size=cov.vertices, max_size=cov.vertices))
+    shift = data.draw(st.lists(st.integers(-2, 2), min_size=len(edges), max_size=len(edges)))
+    winds = data.draw(st.lists(st.integers(-3, 3), min_size=len(tris), max_size=len(tris)))
+    pushed = data.draw(st.dictionaries(st.sampled_from(edges), small, max_size=2))
+    vals = {
+        (i, j): theta[i] - theta[j] + n + pushed.get((i, j), 0)
+        for (i, j), n in zip(edges, shift)
+    }
+    c = CechCocycle(cov, "phase", vals, windings=dict(zip(tris, winds)))
+    check = is_cocycle(c)
+    assert check == loop_is_cocycle(c)
+    if check:
+        assert circle_class(c) == loop_circle_class(c)
+    # diag(e^(2 pi i q), e^(2 pi i t)) has determinant phase q + t
+    fin = CechCocycle(cov, "finite", {
+        (i, j): np.diag([cmath.exp(2j * math.pi * float(q)), cmath.exp(2j * math.pi * float(theta[j]))])
+        for (i, j), q in vals.items()
+    }, windings=c.windings)
+    pushed_forward, oracle = det_pushforward(fin), loop_det_pushforward(fin)
+    assert pushed_forward.to_json() == oracle.to_json()
+    assert all(isinstance(v, Fraction) for v in pushed_forward.values)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from catbundle import (
+    CechCocycle,
     ConsistencyError,
     DRTruncation,
     GluingDatum,
@@ -85,6 +86,12 @@ def test_datum_rejects_non_normalizer_transition():
     edge = SimplicialComplex.from_maximal(2, [(0, 1)])
     with pytest.raises(NotInNormalizer):
         GluingDatum(edge, cyclic_diagonal_group(), {(0, 1): HAD})
+
+
+def test_datum_rejects_missing_transition():
+    tri = SimplicialComplex.from_maximal(3, [(0, 1, 2)])
+    with pytest.raises(ValueError, match="no value on overlap"):
+        GluingDatum(tri, trivial_group(2), {(0, 1): np.eye(2), (2, 1): np.eye(2)})
 
 
 def test_datum_rejects_cocycle_defect_outside_group():
@@ -441,7 +448,7 @@ def test_hat_matrix_rejects_transition_leaving_the_fibre_space():
     edge = SimplicialComplex.from_maximal(2, [(0, 1)])
     d = GluingDatum(edge, cyclic_diagonal_group(), {(0, 1): np.eye(2)})
     # swap in a transition outside the normalizer, past the constructor's check
-    d.transition = lambda i, j: as_matrix(HAD)
+    d.cocycle = CechCocycle(edge, "finite", {(0, 1): HAD})
     with pytest.raises(ConsistencyError):
         d.hat_matrix(1, 1)
 
@@ -479,29 +486,16 @@ def test_edge_run_budget_counts_the_powers(monkeypatch):
         arrow.compatibility_residual()
 
 
-def test_transitions_are_stacked_once_per_datum(monkeypatch):
+def test_edge_runs_are_views_of_the_cocycle_stack():
     d = _q8_gauged(octahedron(), 2)
-    calls = []
-    stored = d.transition
-
-    def counted(i, j):
-        calls.append((i, j))
-        return stored(i, j)
-
-    monkeypatch.setattr(d, "transition", counted)
-    d.hat_matrix(1, 1)
-    assert calls == list(d.complex.edges())
-    d.hat_matrix(2, 2)
-    for sp in (glued_space(d, 1, 1), glued_space(d, 0, 2)):
-        for arrow in sp.arrows:
-            assert arrow.compatibility_residual() <= 1e-9
-    assert len(calls) == len(d.complex.edges())
+    stack = d.cocycle.values
     runs = list(d._edge_runs(glue.EDGE_RUN_ENTRIES // 4))
     assert [len(run) for run, _ in runs] == [4, 4, 4]
+    assert [e for run, _ in runs for e in run] == list(d.complex.edges())
     for run, u in runs:
-        assert not u.flags.writeable
+        assert np.shares_memory(u, stack) and not u.flags.writeable
         for (i, j), t in zip(run, u):
-            assert np.array_equal(t, stored(i, j))
+            assert np.array_equal(t, d.transition(i, j))
 
 
 def test_glued_and_pushed_components_are_read_only():

@@ -255,7 +255,7 @@ def test_batched_closure_matches_loop_on_gauged_q8_values():
     # gauged Q8 data and the Q8 generators
     c = subdivided_octahedron(1)
     d1, d2 = _q8_gauged(c, 6), _q8_gauged(c, 7)
-    gens = list(d1.cocycle.values.values()) + list(d2.cocycle.values.values())
+    gens = [*d1.cocycle.values, *d2.cocycle.values]
     gens += list(d1.group.generators)
     assert len(gens) == 146
     assert len(_assert_same_closure(GroupSpec(KIND_FINITE, 2, gens))) == 192

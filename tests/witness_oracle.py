@@ -30,7 +30,7 @@ def backtracking_equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None)
     if c.group is not None and modulo is None:
         candidates = c.group.elements()
     else:
-        gens = list(c.values.values()) + list(c2.values.values())
+        gens = [*c.values, *c2.values]
         if modulo is not None:
             gens += modulo.generators
         closure_spec = GroupSpec("finite", d, gens, enumeration_cap=search_cap)
