@@ -48,7 +48,7 @@ from .errors import (
     SearchCapExceeded,
     WrongKind,
 )
-from .groups import GroupSpec, KIND_FINITE, verify_normalizer
+from .groups import GroupSpec, KIND_FINITE, _require_normalizing
 from .linalg import Tolerance, _as_stack, as_matrix, matrix_from_json, matrix_to_json
 
 COEFF_FINITE = "finite"
@@ -756,8 +756,8 @@ def equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None):
         if modulo is not None:
             if modulo.kind != KIND_FINITE:
                 raise WrongKind("matrix witness search modulo a group needs a finite group")
-            for v in (*c.values, *c2.values):
-                verify_normalizer(v, modulo, tol=tol)
+            for values in (c.values, c2.values):
+                _require_normalizing(values, modulo, tol=tol)
         if c.group is not None and modulo is None:
             candidates = c.group.elements()
         else:

@@ -112,13 +112,10 @@ def run_classify(config):
     tol = Tolerance(config.tolerance)
     d1 = load_datum(config.inputs[0], tol)
     d2 = load_datum(config.inputs[1], tol)
-    checks = []
-    for k, d in ((0, d1), (1, d2)):
-        checks.append(
-            verify_mod._c(
-                "input %d cocycle identity (mod G)" % k, d.mod_group_residual(), config.tolerance
-            )
-        )
+    checks = [
+        verify_mod._c("input %d cocycle identity (mod G)" % k, d.mod_group_residual(), config.tolerance)
+        for k, d in enumerate((d1, d2))
+    ]
     report = isomorphic(d1, d2, rmax=config.rmax, tol=tol)
     for name, resid in report.checks:
         checks.append(verify_mod._c("witness " + name, resid, config.tolerance))
@@ -245,14 +242,7 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         config = parse_config(argv)
-    except InputParse as exc:
-        sys.stderr.write(json.dumps({"error": _error_doc(exc)}, indent=2, sort_keys=True) + "\n")
-        return 2
-    try:
         report = _RUNNERS[config.command](config)
-    except InputParse as exc:
-        sys.stderr.write(json.dumps({"error": _error_doc(exc)}, indent=2, sort_keys=True) + "\n")
-        return 2
     except ToolkitError as exc:
         sys.stderr.write(json.dumps({"error": _error_doc(exc)}, indent=2, sort_keys=True) + "\n")
         return 2

@@ -32,6 +32,7 @@ from .errors import ConsistencyError, NotUnitary, TruncationOverflow, WrongKind
 from .groups import (
     KIND_FINITE,
     NormalizerElement,
+    _unitarity_residual,
     lie_basis,
     verify_normalizer,
 )
@@ -244,7 +245,7 @@ def gauge_action(g, a, tol=None):
     d = a.trunc.degree
     if g.shape != (d, d):
         raise WrongKind("gauge unitary has shape %r, fibre degree is %d" % (g.shape, d))
-    if not tol.close(float(np.linalg.norm(g.conj().T @ g - np.eye(d))), scale=float(d)):
+    if not tol.close(_unitarity_residual(g), scale=float(d)):
         raise NotUnitary("gauge parameter is not unitary")
     return DRElement(a.trunc, a.r, a.s, _as_stack(power_action(g, a.value, a.r, a.s)))
 
@@ -340,23 +341,7 @@ def stabilizer_test(u, v, group, level=3, tol=None):
         raise WrongKind("the stabilizer test needs a finite fibre group")
     un = u if isinstance(u, NormalizerElement) else verify_normalizer(u, group, tol=tol)
     vn = v if isinstance(v, NormalizerElement) else verify_normalizer(v, group, tol=tol)
-    d = group.degree
-    witness = None
-    for r in range(level + 1):
-        for s in range(level + 1):
-            basis = intertwiners(group, r, s, tol=tol).basis
-            stack = np.array(basis).reshape(len(basis), d ** s, d ** r)
-            diff = power_action(un.u, stack, r, s) - power_action(vn.u, stack, r, s)
-            resid = np.linalg.norm(diff, axis=(1, 2))
-            scale = np.linalg.norm(stack, axis=(1, 2))
-            for idx in range(len(basis)):
-                if not tol.close(float(resid[idx]), scale=max(1.0, float(scale[idx]))):
-                    witness = (r, s, idx)
-                    break
-            if witness is not None:
-                break
-        if witness is not None:
-            break
+    witness = _first_disagreement(un.u, vn.u, group, level, tol)
     agree = witness is None
     in_group = group.contains(un.u @ vn.u.conj().T, tol=tol)
     if agree != in_group:
@@ -364,3 +349,20 @@ def stabilizer_test(u, v, group, level=3, tol=None):
             "gauge action agreement (%s) contradicts membership (%s)" % (agree, in_group)
         )
     return StabilizerVerdict(agree, in_group, witness)
+
+
+def _first_disagreement(u, v, group, level, tol):
+    """The first (r, s, basis index) where u and v act differently on an
+    intertwiner (a NaN residual counts as a difference), or None."""
+    d = group.degree
+    for r in range(level + 1):
+        for s in range(level + 1):
+            basis = intertwiners(group, r, s, tol=tol).basis
+            stack = np.array(basis).reshape(len(basis), d ** s, d ** r)
+            diff = power_action(u, stack, r, s) - power_action(v, stack, r, s)
+            resid = np.linalg.norm(diff, axis=(1, 2))
+            scale = np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
+            ok = resid <= tol.tau * scale
+            if not ok.all():
+                return (r, s, int(np.argmin(ok)))  # the first False
+    return None

@@ -52,14 +52,13 @@ from .groups import (
     KIND_SU,
     KIND_U,
     NormalizerElement,
+    _require_normalizing,
     group_distance,
-    verify_normalizer,
 )
 from .linalg import (
     Tolerance,
     _as_stack,
     as_matrix,
-    hs_inner,
     nullspace,
     opnorm,
     power_action,
@@ -80,9 +79,10 @@ class GluingDatum:
     adjoints of values on (i, j).  ``windings`` maps triangles to
     integers.  Both become ``cocycle``, whose ``values`` stack in
     ``complex.edges()`` order is the datum's one copy of the
-    transitions.  Construction verifies normalizer membership of every
-    transition and the cocycle identity modulo the fibre group on every
-    triangle, raising NotACocycleModG with the offending triangle.
+    transitions.  Construction checks the transition stack for normalizer
+    membership, then the triangle defect stack for the cocycle identity
+    modulo the fibre group, one call each, and raises for the first
+    offending edge, or NotACocycleModG with the first offending triangle.
 
     The stacked fibre bases, the spanning forest and the glued spaces are
     formed once and kept on the datum; the transitions act on a fibre
@@ -96,13 +96,11 @@ class GluingDatum:
         self.tol = tol or Tolerance()
         vals = {e: u.u if isinstance(u, NormalizerElement) else u for e, u in dict(transitions).items()}
         self.cocycle = CechCocycle(self.complex, COEFF_FINITE, vals, windings=windings)
-        for u in self.cocycle.values:
-            verify_normalizer(u, group, tol=self.tol)
-        for tri, w in zip(self.complex.triangles(), self._triangle_defects()):
-            if not group.contains(w, tol=self.tol):
-                raise NotACocycleModG(
-                    "transition defect on triangle %r is outside the fibre group" % (tri,)
-                )
+        _require_normalizing(self.cocycle.values, group, tol=self.tol)
+        inside = group.contains(self._triangle_defects(), tol=self.tol)
+        if not inside.all():
+            tri = self.complex.triangles()[np.argmin(inside)]  # the first False
+            raise NotACocycleModG("transition defect on triangle %r is outside the fibre group" % (tri,))
         self._stacks = {}
         self._spaces = {}
         self._forest = None
@@ -120,14 +118,14 @@ class GluingDatum:
 
     def mod_group_residual(self):
         """Worst distance of a triangle transition defect from the fibre group."""
-        return max([0.0] + [group_distance(self.group, w) for w in self._triangle_defects()])
+        return float(group_distance(self.group, self._triangle_defects()).max(initial=0.0))
 
     def _triangle_defects(self):
-        """The defects c_ij c_jk c_ik* of ``complex.triangles()``, as one
-        (T, d, d) product over the stacked transitions."""
+        """The defects c_ij c_jk c_ik* of ``complex.triangles()``, one (T, d, d)
+        product (also when a base without edges stores (0, 0, 0) values)."""
         ij, jk, ik = self.complex.triangle_edges().T
         c = self.cocycle.values
-        return c[ij] @ c[jk] @ c[ik].conj().transpose(0, 2, 1)
+        return (c[ij] @ c[jk] @ c[ik].conj().transpose(0, 2, 1)).reshape(-1, self.degree, self.degree)
 
     def fibre_basis(self, r, s):
         return intertwiners(self.group, r, s, tol=self.tol)
@@ -543,14 +541,12 @@ def isomorphic(d1, d2, rmax=2, tol=None):
     p2 = det_pushforward(d2.cocycle, tol)
     c1 = circle_class(p1, tol)
     c2 = circle_class(p2, tol)
+    by_class = {"invariant": "determinant class", "first": c1.to_json(), "second": c2.to_json()}
 
     if d1.group.kind == KIND_SU:
         theta = equivalent(p1, p2, tol=tol)
         if theta is None:
-            if c1 != c2:
-                dist = {"invariant": "determinant class", "first": c1.to_json(), "second": c2.to_json()}
-            else:
-                dist = {"invariant": "determinant holonomy"}
+            dist = by_class if c1 != c2 else {"invariant": "determinant holonomy"}
             return IsomorphismReport(False, None, dist)
         d = d1.degree
         witness = {
@@ -563,29 +559,21 @@ def isomorphic(d1, d2, rmax=2, tol=None):
         return IsomorphismReport(True, witness, None, checks)
 
     if c1 != c2:
-        dist = {"invariant": "determinant class", "first": c1.to_json(), "second": c2.to_json()}
-        return IsomorphismReport(False, None, dist)
+        return IsomorphismReport(False, None, by_class)
     w = equivalent(d1.cocycle, d2.cocycle, modulo=d1.group, tol=tol)
     if w is None:
-        dims = {}
-        differ = None
-        for r in range(rmax + 1):
-            for s in range(rmax + 1):
-                a, b = glued_space(d1, r, s).dim, glued_space(d2, r, s).dim
-                dims[(r, s)] = (a, b)
-                if a != b and differ is None:
-                    differ = (r, s)
+        dist = {"invariant": "no witness in the transition closure"}
+        dims = [
+            ((r, s), glued_space(d1, r, s).dim, glued_space(d2, r, s).dim)
+            for r in range(rmax + 1)
+            for s in range(rmax + 1)
+        ]
+        differ = next((x for x in dims if x[1] != x[2]), None)
         if differ is not None:
-            dist = {
-                "invariant": "glued dimension at %r" % (differ,),
-                "first": dims[differ][0],
-                "second": dims[differ][1],
-            }
-        else:
-            dist = {"invariant": "no witness in the transition closure"}
+            rs, a, b = differ
+            dist = {"invariant": "glued dimension at %r" % (rs,), "first": a, "second": b}
         return IsomorphismReport(False, None, dist)
-    for v, u in w.items():
-        verify_normalizer(u, d1.group, tol=tol)
+    _require_normalizing(np.array(list(w.values())), d1.group, tol=tol)
     checks, ok = _functor_checks(d1, d2, w, rmax, tol)
     if not ok:
         raise ConsistencyError("cocycle witness failed the functor checks")
@@ -681,12 +669,11 @@ def extract_twisted_special(cat, tol=None):
     for name, resid in checks:
         if not tol.close(resid, scale=math.sqrt(sd)):
             raise ConsistencyError("twisted special identity failed: %s (%g)" % (name, resid))
-    sref = comps[0]
-    phases = {}
-    for (i, j) in datum.complex.edges():
-        ci = complex(hs_inner(sref, comps[i]))
-        cj = complex(hs_inner(sref, comps[j]))
-        phases[(i, j)] = snap_phase(ci * cj.conjugate() / abs(ci * cj), tol)
+    # <sref, comps[v]> for every vertex in one product, sref = comps[0]
+    inner = comps.reshape(n, sd) @ comps[0].conj().ravel()
+    i, j = np.array(datum.complex.edges(), dtype=int).reshape(-1, 2).T
+    z = inner[i] * inner[j].conj()
+    phases = {e: snap_phase(complex(w), tol) for e, w in zip(datum.complex.edges(), z / np.abs(z))}
     cocycle = CechCocycle(
         datum.complex, COEFF_PHASE, phases, windings=dict(datum.windings)
     )

@@ -4,7 +4,9 @@ Three kinds are supported: finite matrix groups (enumerated by closure
 under products), the special unitary group, and the full unitary group
 of a given degree.  Continuous groups are never enumerated or sampled;
 downstream intertwiner computations reach them exclusively through the
-Lie algebra bases produced here.
+Lie algebra bases produced here.  Membership runs on stacks: ``contains``,
+``group_distance`` and normalizer verification take a (..., d, d) stack,
+one matrix being its 2-d case.
 """
 
 from __future__ import annotations
@@ -27,23 +29,20 @@ DEFAULT_ENUMERATION_CAP = 4096
 
 
 def _unitarity_residual(a):
-    d = a.shape[0]
-    return float(np.linalg.norm(a.conj().T @ a - np.eye(d)))
-
-
-def _require_unitary(a, tol, what):
-    if a.shape[0] != a.shape[1]:
-        raise NotUnitary("%s is not square: shape %r" % (what, a.shape))
-    res = _unitarity_residual(a)
-    if not tol.close(res, scale=math.sqrt(a.shape[0])):
-        raise NotUnitary("%s fails unitarity, residual %g" % (what, res))
+    """||a* a - 1|| per matrix of a (..., d, d) stack; a float for one matrix."""
+    res = np.linalg.norm(np.swapaxes(a, -1, -2).conj() @ a - np.eye(a.shape[-1]), axis=(-2, -1))
+    return float(res) if a.ndim == 2 else res
 
 
 def _bucket_key(a):
-    # 6-decimal quantization; group elements at desk scale are separated
-    # by far more than the rounding step.  Adding 0.0 folds -0.0 into
-    # +0.0, whose byte patterns differ.
-    return (np.round(a, 6) + 0.0).tobytes()
+    """The bytes key of a matrix, or the list of keys of a (..., d, d) stack."""
+    # 6-decimal quantization of the real view (rounding as complex rounding
+    # does, only faster); group elements at desk scale are far apart.
+    # Adding 0.0 folds -0.0 into +0.0, whose byte patterns differ.
+    q = np.round(np.ascontiguousarray(a, dtype=complex).view(float), 6) + 0.0
+    if q.ndim == 2:
+        return q.tobytes()
+    return [m.tobytes() for m in q.reshape(-1, q.shape[-2] * q.shape[-1])]
 
 
 class GroupSpec:
@@ -63,47 +62,61 @@ class GroupSpec:
         gens = tuple(as_matrix(g) for g in generators)
         if kind != KIND_FINITE and gens:
             raise ValueError("%s groups are Lie presented and take no generators" % kind)
-        for k, g in enumerate(gens):
-            if g.shape != (degree, degree):
-                raise WrongKind("generator %d has shape %r, expected degree %d" % (k, g.shape, degree))
-            _require_unitary(g, tol, "generator %d" % k)
+        n = next((k for k, g in enumerate(gens) if g.shape != (degree, degree)), len(gens))
+        res = _unitarity_residual(np.reshape(gens[:n], (n, degree, degree)))
+        ok = tol.close(res, math.sqrt(degree))
+        if not ok.all():
+            k = int(np.argmin(ok))  # the first False
+            raise NotUnitary("generator %d fails unitarity, residual %g" % (k, res[k]))
+        if n < len(gens):
+            raise WrongKind("generator %d has shape %r, expected degree %d" % (n, gens[n].shape, degree))
         self.kind = kind
         self.degree = degree
         self.generators = gens
         self.enumeration_cap = int(enumeration_cap)
         self.tol = tol
-        self._elements = None
-        self._element_index = None
+        self._elements = self._element_stack = self._element_index = None
 
     def elements(self):
         if self.kind != KIND_FINITE:
             raise WrongKind("only finite groups enumerate; kind is %r" % (self.kind,))
         if self._elements is None:
             self._elements = enumerate_finite(self)
-            self._element_index = {_bucket_key(e): i for i, e in enumerate(self._elements)}
+            self._element_stack = np.array(self._elements)
+            self._element_index = {key: i for i, key in enumerate(_bucket_key(self._element_stack))}
         return self._elements
 
     def order(self):
         return len(self.elements())
 
     def contains(self, u, tol=None):
-        """Membership within tolerance; for Lie kinds this is a defining-property check."""
+        """Membership within tolerance of a matrix (a bool) or of each matrix
+        of a (..., d, d) stack (an array); a wrong trailing shape is no
+        member.  Lie kinds test their defining property; the finite kind
+        looks all bucket keys up at once and scans the elements only for
+        the unitary matrices whose bucket missed."""
         tol = tol or self.tol
         a = np.asarray(u, dtype=complex)
-        if a.shape != (self.degree, self.degree):
-            return False
-        if _unitarity_residual(a) > tol.tau * max(1.0, math.sqrt(self.degree)):
-            return False
-        if self.kind == KIND_U:
-            return True
+        d = self.degree
+        if a.shape[-2:] != (d, d):
+            return False if a.ndim <= 2 else np.zeros(a.shape[:-2], dtype=bool)
+        flat = a.reshape(-1, d, d)
+        ok = tol.close(_unitarity_residual(flat), math.sqrt(d))
         if self.kind == KIND_SU:
-            return abs(np.linalg.det(a) - 1.0) <= tol.tau * max(1.0, math.sqrt(self.degree))
-        elems = self.elements()
-        i = self._element_index.get(_bucket_key(a))
-        if i is not None and np.linalg.norm(a - elems[i]) <= tol.tau:
-            return True
-        # fallback scan guards against quantization boundaries
-        return any(np.linalg.norm(a - e) <= tol.tau for e in elems)
+            ok &= tol.close(np.abs(np.linalg.det(flat) - 1.0), math.sqrt(d))
+        elif self.kind == KIND_FINITE and ok.any():
+            self.elements()
+            idx = np.array([self._element_index.get(key, -1) for key in _bucket_key(flat)])
+            near = np.linalg.norm(flat - self._element_stack[idx], axis=(1, 2)) <= tol.tau
+            hit = ok & (idx >= 0) & near
+            # fallback scan guards against quantization boundaries
+            miss = np.flatnonzero(ok & ~hit)
+            ok = hit
+            if miss.size:
+                rest = flat[miss]
+                for e in self._elements:
+                    ok[miss] |= np.linalg.norm(rest - e, axis=(1, 2)) <= tol.tau
+        return bool(ok[0]) if a.ndim == 2 else ok.reshape(a.shape[:-2])
 
     def to_json(self):
         return {
@@ -171,19 +184,15 @@ def enumerate_finite(group, tol=None):
     for g in group.generators:
         distinct.setdefault(_bucket_key(g), g)
     gens = np.array(list(distinct.values()), dtype=complex).reshape(-1, d, d)
-    step = d * d * eye.itemsize
     elems = [eye]
     index = {_bucket_key(eye): 0}
     queue = [eye]
     while queue:
         prods = queue.pop() @ gens
-        drift = np.linalg.norm(prods.conj().transpose(0, 2, 1) @ prods - eye, axis=(1, 2))
-        for k in np.flatnonzero(drift > drift_cap):
+        for k in np.flatnonzero(_unitarity_residual(prods) > drift_cap):
             w, _, vh = np.linalg.svd(prods[k])
             prods[k] = w @ vh
-        keys = (np.round(prods, 6) + 0.0).tobytes()
-        for k in range(len(gens)):
-            key = keys[k * step : (k + 1) * step]
+        for k, key in enumerate(_bucket_key(prods)):
             if key in index:
                 continue
             if len(elems) >= group.enumeration_cap:
@@ -234,38 +243,55 @@ def verify_normalizer(u, group, tol=None):
     membership; it is enough to test generators because conjugation is an
     automorphism.  Every unitary of matching degree normalizes su(d) and
     u(d).  Raises NotInNormalizer with the offending generator index.
+    This is the one-matrix case of ``_require_normalizing``.
     """
-    tol = tol or group.tol
     um = as_matrix(u)
-    if um.shape != (group.degree, group.degree):
-        raise WrongKind(
-            "normalizer candidate has shape %r, group degree is %d" % (um.shape, group.degree)
-        )
-    _require_unitary(um, tol, "normalizer candidate")
-    if group.kind == KIND_FINITE:
-        for k, g in enumerate(group.generators):
-            c = um @ g @ um.conj().T
-            if not group.contains(c, tol=tol):
-                raise NotInNormalizer("conjugate of generator %d leaves the group" % k)
-    det = complex(np.linalg.det(um))
-    return NormalizerElement(u=um, phase_det=det, group=group)
+    _require_normalizing(um[None], group, tol)
+    return NormalizerElement(u=um, phase_det=complex(np.linalg.det(um)), group=group)
+
+
+def _require_normalizing(us, group, tol=None):
+    """``verify_normalizer``'s checks on an (n, d, d) stack, raising for
+    the first failure in a table of n rows (unitarity, then the conjugate
+    of each generator, formed in one product and tested by one
+    ``contains`` call), read row by row."""
+    tol = tol or group.tol
+    d = group.degree
+    if len(us) and us.shape[1:] != (d, d):
+        raise WrongKind("normalizer candidate has shape %r, group degree is %d" % (us.shape[1:], d))
+    us = us.reshape(-1, d, d)
+    res = _unitarity_residual(us)
+    table = tol.close(res, math.sqrt(d))[:, None]
+    if group.kind == KIND_FINITE and group.generators:
+        v = us[:, None]
+        conj = v @ np.array(group.generators) @ np.swapaxes(v, -1, -2).conj()
+        table = np.hstack([table, group.contains(conj, tol=tol)])
+    if not table.all():
+        k, g = divmod(int(np.argmin(table)), table.shape[1])  # the first False, row by row
+        if g == 0:
+            raise NotUnitary("normalizer candidate fails unitarity, residual %g" % res[k])
+        raise NotInNormalizer("conjugate of generator %d leaves the group" % (g - 1))
 
 
 def group_distance(group, a, tol=None):
-    """Frobenius distance from a matrix to the group.
-
-    Finite kind: minimum over the enumerated elements.  Lie kinds: the
-    defining-property residuals (unitarity, and for su the determinant),
-    which vanish exactly on the group.
+    """Frobenius distance to the group of a matrix (a float) or of each
+    matrix of a (..., d, d) stack (an array).  Finite kind: minimum over
+    the enumerated elements, one at a time against the stack.  Lie kinds:
+    the defining-property residuals (unitarity, and for su the
+    determinant), which vanish exactly on the group.
     """
     a = np.asarray(a, dtype=complex)
-    if a.shape != (group.degree, group.degree):
+    if a.shape[-2:] != (group.degree, group.degree):
         raise WrongKind("shape %r does not match degree %d" % (a.shape, group.degree))
     if group.kind == KIND_U:
         return _unitarity_residual(a)
     if group.kind == KIND_SU:
-        return max(_unitarity_residual(a), float(abs(np.linalg.det(a) - 1.0)))
-    return min(float(np.linalg.norm(a - e)) for e in group.elements())
+        dist = np.maximum(_unitarity_residual(a), np.abs(np.linalg.det(a) - 1.0))
+    else:
+        dist = np.full(a.shape[:-2], np.inf)
+        for e in group.elements():
+            dist = np.minimum(dist, np.linalg.norm(a - e, axis=(-2, -1)))
+    return float(dist) if a.ndim == 2 else dist
 
 
 def trivial_group(degree):

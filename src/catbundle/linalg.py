@@ -245,14 +245,16 @@ def nullspace(op, tol=None):
         vecs = list(np.eye(n, dtype=complex))
     else:
         _, s, vh = np.linalg.svd(op, full_matrices=m < n)
-        smax = float(s[0]) if s.size else 0.0
-        cutoff = tol.tau * max(1.0, smax)
-        vecs = []
-        for i in range(n):
-            sigma = float(s[i]) if i < s.size else 0.0
-            if sigma <= cutoff:
-                vecs.append(vh[i].conj())
+        # right singular vectors past the singular values have sigma 0
+        keep = np.append(_below_cutoff(s, tol), np.ones(n - s.size, dtype=bool))
+        vecs = list(vh[keep].conj())
     return [as_matrix(v) for v in canonical_basis(vecs)]
+
+
+def _below_cutoff(sigma, tol):
+    """The singular values at or below tau * max(1, the largest of them):
+    the one kernel rule, shared with ``repcat.intertwiners``."""
+    return sigma <= tol.tau * max(1.0, float(np.max(sigma, initial=0.0)))
 
 
 def projection_residual(vec, basis_vectors):

@@ -31,7 +31,9 @@ import numpy as np
 
 from .errors import SizeCapExceeded, WrongKind
 from .groups import KIND_FINITE, GroupSpec, lie_basis
-from .linalg import Tolerance, as_matrix, canonical_basis, matrix_to_json, nullspace, power_action
+from .linalg import (
+    Tolerance, _below_cutoff, as_matrix, canonical_basis, matrix_to_json, nullspace, power_action,
+)
 
 INTERTWINER_UNKNOWN_CAP = 10_000
 ANTISYM_POWER_CAP = 6
@@ -166,7 +168,7 @@ def intertwiners(group, r, s, tol=None, cap=INTERTWINER_UNKNOWN_CAP):
         w = _power_diagonal(lam, s, lie)[:, None] - _power_diagonal(lam, r, lie)[None, :]
         sq += np.abs(w.ravel()) ** 2
     sigma = np.sqrt(sq)
-    keep = np.flatnonzero(sigma <= tol.tau * max(1.0, sigma.max()))
+    keep = np.flatnonzero(_below_cutoff(sigma, tol))
     # column k of each block is the image of the k-th kept unit E: the
     # action of a generator minus E, or the derivative for a Lie element
     units = np.zeros((keep.size, n), dtype=complex)

@@ -31,6 +31,8 @@ from catbundle import (
     special_unitary,
     stabilizer_test,
 )
+from catbundle.dralg import _first_disagreement
+from catbundle.linalg import Tolerance, power_action
 
 Q8 = quaternion_group()
 
@@ -378,3 +380,41 @@ def test_stabilizer_agreement_matches_membership():
     for u in els[:4]:
         v = stabilizer_test(u, els[0], Q8, level=1)
         assert v.agree == v.in_group
+
+
+def _loop_witness(u, v, group, level, tol):
+    """The first disagreeing intertwiner, one basis element at a time."""
+    d = group.degree
+    for r in range(level + 1):
+        for s in range(level + 1):
+            basis = intertwiners(group, r, s, tol=tol).basis
+            for idx, t in enumerate(basis):
+                t = np.asarray(t).reshape(d ** s, d ** r)
+                resid = float(np.linalg.norm(power_action(u, t, r, s) - power_action(v, t, r, s)))
+                if not tol.close(resid, scale=max(1.0, float(np.linalg.norm(t)))):
+                    return (r, s, idx)
+    return None
+
+
+def test_stabilizer_witness_matches_the_loop():
+    tol = Tolerance()
+    els = Q8.elements()
+    extra = [
+        np.diag([1.0, 1j]),
+        np.array([[1, 1], [1, -1]]) / np.sqrt(2.0),
+        np.exp(1j * np.pi / 4) * np.eye(2),
+    ]
+    seen = set()
+    for u in els[:3] + [els[1] @ x for x in extra]:
+        for v in els[:2]:
+            verdict = stabilizer_test(u, v, Q8, level=3)
+            assert verdict.witness == _loop_witness(u, v, Q8, 3, tol)
+            seen.add(verdict.agree)
+    assert seen == {True, False}
+
+
+def test_nan_residual_counts_as_a_difference():
+    nan = np.full((2, 2), np.nan)
+    tol = Tolerance()
+    assert _first_disagreement(nan, np.eye(2), Q8, 2, tol) == _loop_witness(nan, np.eye(2), Q8, 2, tol)
+    assert _first_disagreement(nan, np.eye(2), Q8, 2, tol) is not None

@@ -41,6 +41,7 @@ from catbundle import (
     opnorm,
     quaternion_group,
     scalar_datum,
+    snap_phase,
     special_unitary,
     GluedArrow,
     tensor_glued,
@@ -107,6 +108,15 @@ def test_datum_rejects_cocycle_defect_outside_group():
 def test_mod_group_residual_vanishes_on_honest_data():
     assert su2_octa_datum(1).mod_group_residual() <= 1e-12
     assert _q8_coboundary().mod_group_residual() <= 1e-12
+
+
+def test_datum_over_a_base_without_edges():
+    # a base with no edges stores its cocycle values as a (0, 0, 0) stack
+    point = SimplicialComplex(1, [[0]])
+    d = GluingDatum(point, quaternion_group(), {})
+    assert d.cocycle.values.shape == (0, 0, 0)
+    assert d.mod_group_residual() == 0.0
+    assert glued_space(d, 1, 1).dim == 1
 
 
 def test_datum_json_roundtrip():
@@ -254,6 +264,20 @@ def test_extraction_matches_pushforward(n):
     for V in out.isometries:
         assert V.shape == (4, 1)
         assert abs(float(np.linalg.norm(V)) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: su2_octa_datum(2), lambda: _su2_scalar(subdivided_octahedron(1), 5)]
+)
+def test_extraction_phases_match_per_edge_inner_products(make):
+    # the phases were read from two inner products per edge; they are now
+    # read from one inner product per vertex
+    d = make()
+    out = extract_twisted_special(d)
+    sref = out.isometries[0]
+    for (i, j), q in zip(d.complex.edges(), out.phase_cocycle.values):
+        ci, cj = hs_inner(sref, out.isometries[i]), hs_inner(sref, out.isometries[j])
+        assert q == snap_phase(ci * cj.conjugate() / abs(ci * cj))
 
 
 def test_extraction_carries_windings():

@@ -3,12 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from catbundle.errors import CapExceeded, NotInNormalizer, NotUnitary, WrongKind
+from catbundle.basecech import COEFF_FINITE, CechCocycle, octahedron
+from catbundle.errors import (
+    CapExceeded,
+    NotACocycleModG,
+    NotInNormalizer,
+    NotUnitary,
+    ToolkitError,
+    WrongKind,
+)
+from catbundle.glue import GluingDatum
 from catbundle.groups import (
     KIND_FINITE,
     KIND_SU,
     KIND_U,
     GroupSpec,
+    NormalizerElement,
     cyclic_diagonal_group,
     enumerate_finite,
     full_unitary,
@@ -19,8 +29,10 @@ from catbundle.groups import (
     trivial_group,
     verify_normalizer,
     _bucket_key,
+    _require_normalizing,
     _unitarity_residual,
 )
+from catbundle.linalg import as_matrix
 
 from octahedra import subdivided_octahedron
 from test_glue import _q8_gauged
@@ -288,3 +300,291 @@ def test_closure_cap_parity(make, order):
         enumerate_finite(below)
     with pytest.raises(CapExceeded):
         _loop_closure(below)
+
+
+# ---------------------------------------------------------------------------
+# stacked membership against the one-matrix routines it replaced
+
+
+def _residual_oracle(a):
+    return float(np.linalg.norm(a.conj().T @ a - np.eye(a.shape[0])))
+
+
+def _key_oracle(a):
+    return (np.round(a, 6) + 0.0).tobytes()
+
+
+def _contains_oracle(group, u, tol=None):
+    """``GroupSpec.contains`` on one matrix, element by element."""
+    tol = tol or group.tol
+    a = np.asarray(u, dtype=complex)
+    if a.shape != (group.degree, group.degree):
+        return False
+    if _residual_oracle(a) > tol.tau * max(1.0, math.sqrt(group.degree)):
+        return False
+    if group.kind == KIND_U:
+        return True
+    if group.kind == KIND_SU:
+        return abs(np.linalg.det(a) - 1.0) <= tol.tau * max(1.0, math.sqrt(group.degree))
+    elems = group.elements()
+    i = {_key_oracle(e): i for i, e in enumerate(elems)}.get(_key_oracle(a))
+    if i is not None and np.linalg.norm(a - elems[i]) <= tol.tau:
+        return True
+    return any(np.linalg.norm(a - e) <= tol.tau for e in elems)
+
+
+def _distance_oracle(group, a):
+    """``group_distance`` on one matrix."""
+    a = np.asarray(a, dtype=complex)
+    if a.shape != (group.degree, group.degree):
+        raise WrongKind("shape %r does not match degree %d" % (a.shape, group.degree))
+    if group.kind == KIND_U:
+        return _residual_oracle(a)
+    if group.kind == KIND_SU:
+        return max(_residual_oracle(a), float(abs(np.linalg.det(a) - 1.0)))
+    return min(float(np.linalg.norm(a - e)) for e in group.elements())
+
+
+def _normalizer_oracle(u, group, tol=None):
+    """``verify_normalizer`` with one ``contains`` call per generator."""
+    tol = tol or group.tol
+    um = as_matrix(u)
+    if um.shape != (group.degree, group.degree):
+        raise WrongKind(
+            "normalizer candidate has shape %r, group degree is %d" % (um.shape, group.degree)
+        )
+    res = _residual_oracle(um)
+    if not tol.close(res, scale=math.sqrt(um.shape[0])):
+        raise NotUnitary("normalizer candidate fails unitarity, residual %g" % res)
+    if group.kind == KIND_FINITE:
+        for k, g in enumerate(group.generators):
+            if not _contains_oracle(group, um @ g @ um.conj().T, tol=tol):
+                raise NotInNormalizer("conjugate of generator %d leaves the group" % k)
+    return NormalizerElement(u=um, phase_det=complex(np.linalg.det(um)), group=group)
+
+
+def _outcome(fn, *args):
+    """(exception type, message) of a call, or ("ok", None)."""
+    try:
+        fn(*args)
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+    return "ok", None
+
+
+GROUPS = {
+    "q8": quaternion_group,
+    "c4": cyclic_diagonal_group,
+    "trivial3": lambda: trivial_group(3),
+    "su2": lambda: special_unitary(2),
+    "u2": lambda: full_unitary(2),
+}
+
+
+def _random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _probes(group, seed=5):
+    """Members; members moved by tau/2 and by 3 tau; non-unitary matrices;
+    members times a phase (det != 1, and outside every finite group here)."""
+    d, tau = group.degree, group.tol.tau
+    rng = np.random.default_rng(seed)
+    if group.kind == KIND_FINITE:
+        members = list(group.elements())
+    else:
+        members = [_random_unitary(rng, d) for _ in range(4)]
+        if group.kind == KIND_SU:
+            members = [m / np.linalg.det(m) ** (1.0 / d) for m in members]
+    direction = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    direction /= np.linalg.norm(direction)
+    out = []
+    for m in members:
+        out += [m, m + 0.5 * tau * direction, m + 3.0 * tau * direction]
+        out += [1.5 * m, m + 0.1 * direction, np.exp(1j * math.pi / 5) * m]
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_stacked_contains_matches_one_matrix_oracle(name):
+    g = GROUPS[name]()
+    probes = _probes(g)
+    want = [_contains_oracle(g, m) for m in probes]
+    assert any(want) and not all(want)
+    got = g.contains(probes)
+    assert got.dtype == bool and got.tolist() == want
+    # leading axes are kept, and one matrix is the 2-d case with a bool
+    assert g.contains(probes.reshape((1, -1) + probes.shape[1:])).tolist() == [want]
+    singles = [g.contains(m) for m in probes]
+    assert singles == want and all(type(x) is bool for x in singles)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_stacked_group_distance_matches_one_matrix_oracle(name):
+    g = GROUPS[name]()
+    probes = _probes(g)
+    want = np.array([_distance_oracle(g, m) for m in probes])
+    got = group_distance(g, probes)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, want))
+    one = group_distance(g, probes[1])
+    assert type(one) is float and abs(one - want[1]) <= 1e-14
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_wrong_trailing_shape_and_empty_stack(name):
+    g = GROUPS[name]()
+    d = g.degree
+    wrong = np.zeros((3, d + 1, d + 1))
+    assert g.contains(wrong).tolist() == [False] * 3
+    assert g.contains(wrong[0]) is False and _contains_oracle(g, wrong[0]) is False
+    assert g.contains(np.eye(d)[0]) is False
+    for a in (wrong, wrong[0]):
+        with pytest.raises(WrongKind, match=r"does not match degree %d" % d):
+            group_distance(g, a)
+    empty = np.zeros((0, d, d))
+    assert g.contains(empty).shape == (0,) and g.contains(empty).dtype == bool
+    assert group_distance(g, empty).shape == (0,)
+
+
+def test_bucket_keys_of_a_stack_are_the_one_matrix_keys():
+    rng = np.random.default_rng(9)
+    stack = rng.standard_normal((3, 4, 2, 2)) + 1j * rng.standard_normal((3, 4, 2, 2))
+    stack[0, 0] = -1e-9  # rounds to -0.0, which must key as +0.0
+    stack = np.swapaxes(stack, -1, -2)  # not C-contiguous
+    want = [_key_oracle(m) for m in stack.reshape(-1, 2, 2)]
+    assert _bucket_key(stack) == want
+    assert [_bucket_key(m) for m in stack.reshape(-1, 2, 2)] == want
+    assert want[0] == _key_oracle(np.zeros((2, 2), dtype=complex))
+    assert _bucket_key(np.zeros((0, 2, 2))) == []
+
+
+def _rotated_q8():
+    """Q8 conjugated by a real rotation chosen so that one element has an
+    entry on a 6-decimal rounding boundary."""
+    phi = math.acos(0.3000005) / 2.0
+    rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+    return GroupSpec(KIND_FINITE, 2, [rot @ g @ rot.T for g in quaternion_group().generators])
+
+
+def test_contains_falls_back_when_the_bucket_misses():
+    g = _rotated_q8()
+    assert g.order() == 8
+    e = next(e for e in g.elements() if abs(e[0, 0].imag - 0.3000005) < 1e-12)
+    nudges = [e + s * 1e-10j * np.diag([1.0, 0.0]) for s in (1.0, -1.0)]
+    keys = {_bucket_key(x) for x in g.elements()}
+    # one nudge leaves e's bucket for a bucket of no element
+    off = [m for m in nudges if _bucket_key(m) not in keys]
+    assert len(off) == 1 and np.linalg.norm(off[0] - e) <= g.tol.tau
+    probes = np.array(nudges + [off[0] + 3 * g.tol.tau * np.eye(2)])
+    want = [_contains_oracle(g, m) for m in probes]
+    assert want == [True, True, False]
+    assert g.contains(probes).tolist() == want
+    assert [g.contains(m) for m in probes] == want
+
+
+def _normalizer_probes(group):
+    d = group.degree
+    rng = np.random.default_rng(3)
+    out = list(_probes(group))
+    out += [_random_unitary(rng, d), np.diag([1.0] * (d - 1) + [np.exp(1j * math.pi / 5)])]
+    if d == 2:
+        out += [np.diag([1.0, 1j]), HADAMARD]
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_verify_normalizer_matches_one_matrix_oracle(name):
+    g = GROUPS[name]()
+    probes = _normalizer_probes(g)
+    outcomes = [_outcome(_normalizer_oracle, m, g) for m in probes]
+    kinds = {o[0] for o in outcomes}
+    assert "ok" in kinds and NotUnitary in kinds
+    if g.kind == KIND_FINITE and g.generators:
+        assert NotInNormalizer in kinds
+    for m, want in zip(probes, outcomes):
+        assert _outcome(verify_normalizer, m, g) == want
+        if want[0] == "ok":
+            n, o = verify_normalizer(m, g), _normalizer_oracle(m, g)
+            assert np.array_equal(n.u, o.u) and n.phase_det == o.phase_det and n.group is g
+    # a stack raises what the one-matrix loop raises first, from any start
+    for k in range(len(probes)):
+        first = next((o for o in outcomes[k:] if o[0] != "ok"), ("ok", None))
+        assert _outcome(_require_normalizing, probes[k:], g) == first
+    assert _outcome(verify_normalizer, np.eye(g.degree + 1), g) == _outcome(
+        _normalizer_oracle, np.eye(g.degree + 1), g
+    )
+
+
+def test_generator_checks_keep_their_order():
+    bad_unitary = np.array([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(NotUnitary, match="generator 1 fails unitarity"):
+        GroupSpec(KIND_FINITE, 2, [np.eye(2), bad_unitary, np.eye(3)])
+    with pytest.raises(WrongKind, match="generator 1 has shape"):
+        GroupSpec(KIND_FINITE, 2, [np.eye(2), np.eye(3), bad_unitary])
+
+
+# ---------------------------------------------------------------------------
+# gluing data verify their stacks as the loops did
+
+
+def _loop_outcome(base, group, transitions):
+    """What checking a datum one value and one triangle at a time raises."""
+    c = CechCocycle(base, COEFF_FINITE, transitions)
+
+    def check():
+        for u in c.values:
+            _normalizer_oracle(u, group)
+        for tri, (ij, jk, ik) in zip(base.triangles(), base.triangle_edges()):
+            w = c.values[ij] @ c.values[jk] @ c.values[ik].conj().T
+            if not _contains_oracle(group, w):
+                raise NotACocycleModG(
+                    "transition defect on triangle %r is outside the fibre group" % (tri,)
+                )
+
+    return _outcome(check)
+
+
+NOT_NORMALIZING = np.diag([1.0, np.exp(1j * math.pi / 5)])
+NOT_UNITARY = np.array([[1.0, 1.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "early, late, kind",
+    [
+        (NOT_NORMALIZING, NOT_UNITARY, NotInNormalizer),
+        (NOT_UNITARY, NOT_NORMALIZING, NotUnitary),
+        (2.0 * NOT_NORMALIZING, np.eye(2), NotUnitary),
+        (np.diag([1.0, 1j]), np.eye(2), NotACocycleModG),
+        (np.eye(2), np.diag([1j, 1.0]), NotACocycleModG),
+    ],
+    ids=["normalizer-then-unitary", "unitary-then-normalizer", "both-on-one", "defect", "late-defect"],
+)
+def test_datum_raises_what_the_loop_raised(early, late, kind):
+    base = octahedron()
+    edges = base.edges()
+    trans = {e: np.eye(2) for e in edges}
+    trans[edges[2]] = early
+    del trans[edges[7]]
+    trans[edges[7][::-1]] = late  # given in the reverse orientation
+    want = _loop_outcome(base, quaternion_group(), trans)
+    assert want[0] is kind
+    assert _outcome(GluingDatum, base, quaternion_group(), trans) == want
+
+
+def test_datum_of_the_wrong_degree_raises_what_the_loop_raised():
+    base = octahedron()
+    trans = {e: np.eye(3) for e in base.edges()}
+    want = _loop_outcome(base, quaternion_group(), trans)
+    assert want[0] is WrongKind
+    assert _outcome(GluingDatum, base, quaternion_group(), trans) == want
+
+
+def test_mod_group_residual_matches_the_loop():
+    d = _q8_gauged(subdivided_octahedron(1), 4)
+    ij, jk, ik = d.complex.triangle_edges().T
+    c = d.cocycle.values
+    defects = c[ij] @ c[jk] @ c[ik].conj().transpose(0, 2, 1)
+    want = max([0.0] + [_distance_oracle(d.group, w) for w in defects])
+    assert abs(d.mod_group_residual() - want) <= 1e-15

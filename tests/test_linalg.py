@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from catbundle.linalg import (
     Tolerance,
+    _below_cutoff,
     as_matrix,
     canonical_basis,
     hs_inner,
@@ -264,6 +265,38 @@ def test_nullspace_projector_matches_full_svd(m, n, rank):
     assert np.linalg.norm(got - _full_svd_kernel_projector(a)) <= 1e-9
     for x in ker:
         assert np.linalg.norm(a @ x) <= 1e-9 * max(1.0, float(np.linalg.norm(a)))
+
+
+def _loop_nullspace(op, tol):
+    """The kernel by the per-index cutoff loop that ``_below_cutoff`` replaced."""
+    m, n = op.shape
+    _, s, vh = np.linalg.svd(op, full_matrices=m < n)
+    smax = float(s[0]) if s.size else 0.0
+    cutoff = tol.tau * max(1.0, smax)
+    vecs = []
+    for i in range(n):
+        sigma = float(s[i]) if i < s.size else 0.0
+        if sigma <= cutoff:
+            vecs.append(vh[i].conj())
+    return [as_matrix(v) for v in canonical_basis(vecs)]
+
+
+@pytest.mark.parametrize("m, n, rank", [(9, 4, 4), (9, 5, 3), (5, 5, 2), (3, 7, 3), (4, 9, 2), (6, 3, 0)])
+@pytest.mark.parametrize("scale", [1.0, 1e-12, 1e6])
+def test_nullspace_keeps_what_the_cutoff_loop_kept(m, n, rank, scale):
+    rng = np.random.default_rng(7 + m * n + rank)
+    a = scale * (_low_rank(rng, m, n, rank) if rank else rand_mat(rng, m, n) * 1e-15)
+    got, want = nullspace(as_matrix(a)), _loop_nullspace(a, Tolerance())
+    assert len(got) == len(want) and all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+def test_cutoff_rule_boundaries():
+    tol = Tolerance()
+    sigma = np.array([2.0, 2.0 * tol.tau, 2.0 * tol.tau * (1 + 1e-15), 0.0])
+    assert _below_cutoff(sigma, tol).tolist() == [False, True, False, True]
+    # a numerically zero operand is measured on the unit scale
+    assert _below_cutoff(np.array([0.5 * tol.tau, tol.tau, 2 * tol.tau]), tol).tolist() == [True, True, False]
+    assert _below_cutoff(np.zeros(0), tol).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
