@@ -24,6 +24,7 @@ because paddings and products are patchwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,13 +240,13 @@ def circle_action(z, a, tol=None):
 
 
 def gauge_action(g, a, tol=None):
-    """Conjugation on all tensor legs by a unitary of the fibre degree."""
+    """Conjugation on all tensor legs by a unitary (as groups bound it) of the fibre degree."""
     tol = tol or Tolerance()
     g = g.u if isinstance(g, NormalizerElement) else as_matrix(g)
     d = a.trunc.degree
     if g.shape != (d, d):
         raise WrongKind("gauge unitary has shape %r, fibre degree is %d" % (g.shape, d))
-    if not tol.close(_unitarity_residual(g), scale=float(d)):
+    if not tol.close(_unitarity_residual(g), scale=math.sqrt(d)):
         raise NotUnitary("gauge parameter is not unitary")
     return DRElement(a.trunc, a.r, a.s, _as_stack(power_action(g, a.value, a.r, a.s)))
 
@@ -354,11 +355,9 @@ def stabilizer_test(u, v, group, level=3, tol=None):
 def _first_disagreement(u, v, group, level, tol):
     """The first (r, s, basis index) where u and v act differently on an
     intertwiner (a NaN residual counts as a difference), or None."""
-    d = group.degree
     for r in range(level + 1):
         for s in range(level + 1):
-            basis = intertwiners(group, r, s, tol=tol).basis
-            stack = np.array(basis).reshape(len(basis), d ** s, d ** r)
+            stack = intertwiners(group, r, s, tol=tol).stack
             diff = power_action(u, stack, r, s) - power_action(v, stack, r, s)
             resid = np.linalg.norm(diff, axis=(1, 2))
             scale = np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))

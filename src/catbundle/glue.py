@@ -58,6 +58,7 @@ from .groups import (
 from .linalg import (
     Tolerance,
     _as_stack,
+    _below_cutoff,
     as_matrix,
     nullspace,
     opnorm,
@@ -84,10 +85,9 @@ class GluingDatum:
     modulo the fibre group, one call each, and raises for the first
     offending edge, or NotACocycleModG with the first offending triangle.
 
-    The stacked fibre bases, the spanning forest and the glued spaces are
-    formed once and kept on the datum; the transitions act on a fibre
-    basis through ``power_action``, in runs of edges (see
-    ``_edge_runs``), one batched call per run.
+    The spanning forest and the glued spaces are kept on the datum; the
+    transitions act on fibre basis stacks and on section stacks through
+    ``power_action``, one batched call per run of edges (``_edge_runs``).
     """
 
     def __init__(self, complex_, group, transitions, windings=None, tol=None):
@@ -101,7 +101,6 @@ class GluingDatum:
         if not inside.all():
             tri = self.complex.triangles()[np.argmin(inside)]  # the first False
             raise NotACocycleModG("transition defect on triangle %r is outside the fibre group" % (tri,))
-        self._stacks = {}
         self._spaces = {}
         self._forest = None
 
@@ -144,16 +143,24 @@ class GluingDatum:
         for lo in range(0, len(edges), step):
             yield edges[lo : lo + step], self.cocycle.values[lo : lo + step]
 
-    def _stack(self, r, s):
-        """The fibre basis as one (m, d^s, d^r) array."""
-        st = self._stacks.get((r, s))
-        if st is None:
-            d = self.degree
-            basis = self.fibre_basis(r, s)
-            st = np.array(basis.basis).reshape(len(basis), d ** s, d ** r)
-            st.setflags(write=False)
-            self._stacks[(r, s)] = st
-        return st
+    def _overlap_residuals(self, r, s, stack):
+        """The worst |t_i - u_ij . t_j| over the edges for each family of a
+        (..., vertices, d^s, d^r) stack, one ``power_action`` per run moving
+        all the families one edge fits under GLUED_COEFF_CAP (SizeCapExceeded
+        only if a single family does not fit)."""
+        d = self.degree
+        fams = stack.reshape((-1,) + stack.shape[-3:])
+        # per edge: both ends and the image of each family, and the powers
+        one, powers = 3 * d ** (r + s), d ** (2 * r) + d ** (2 * s)
+        group = max(1, (GLUED_COEFF_CAP - powers) // one)
+        worst = np.zeros(len(fams))
+        for lo in range(0, len(fams), group):
+            part, w = fams[lo : lo + group], worst[lo : lo + group]
+            for run, u in self._edge_runs(len(part) * one + powers):
+                i, j = np.array(run, dtype=int).reshape(-1, 2).T
+                diff = part[:, i] - power_action(u, part[:, j], r, s)
+                np.maximum(w, np.linalg.norm(diff, axis=(-2, -1)).max(axis=1), out=w)
+        return worst.reshape(stack.shape[:-3])
 
     def _trees(self):
         """The spanning forest of the base: (root, tree edges) per component."""
@@ -172,7 +179,7 @@ class GluingDatum:
         each image must stay in the fibre space, which is checked element
         by element.
         """
-        stack = self._stack(r, s)
+        stack = self.fibre_basis(r, s).stack
         m, ds, dr = stack.shape
         flat = stack.reshape(m, ds * dr)
         out = []
@@ -287,15 +294,8 @@ class GluedArrow:
         return float(np.linalg.svd(self.components, compute_uv=False)[:, 0].max())
 
     def compatibility_residual(self):
-        d = self.datum.degree
-        worst = 0.0
-        # per edge: both ends and the image, and power_action's powers
-        per_edge = 3 * d ** (self.r + self.s) + d ** (2 * self.r) + d ** (2 * self.s)
-        for run, u in self.datum._edge_runs(per_edge):
-            i, j = np.array(run, dtype=int).reshape(-1, 2).T
-            img = power_action(u, self.components[j], self.r, self.s)
-            worst = max(worst, float(np.linalg.norm(self.components[i] - img, axis=(1, 2)).max()))
-        return worst
+        """The one-family case of the datum's ``_overlap_residuals``."""
+        return float(self.datum._overlap_residuals(self.r, self.s, self.components))
 
 
 def glued_identity(datum, r):
@@ -312,17 +312,24 @@ def glued_symmetry(r, s, datum):
 
 @dataclass
 class GluedSpace:
-    """All glued arrows between two tensor powers."""
+    """All glued arrows between two tensor powers as one read-only
+    (dim, vertices, d^s, d^r) stack ``sections`` of orthonormal sections,
+    checked against the overlaps or pushed by a witness in one call;
+    ``arrows`` forms the basis arrows from it on each access."""
 
     datum: GluingDatum
     r: int
     s: int
-    arrows: list
+    sections: np.ndarray
     fibre_dim: int
 
     @property
     def dim(self):
-        return len(self.arrows)
+        return len(self.sections)
+
+    @property
+    def arrows(self):
+        return [GluedArrow(self.datum, self.r, self.s, t) for t in self.sections]
 
 
 def glued_space(datum, r, s, cap=GLUED_COEFF_CAP):
@@ -341,7 +348,9 @@ def glued_space(datum, r, s, cap=GLUED_COEFF_CAP):
 
     ``cap`` bounds the entries of what is built, the holonomy rows plus
     the transports, and is checked on every call; the space itself is
-    solved once per (datum, r, s) and kept on the datum.
+    solved once per (datum, r, s) and kept on the datum as one read-only
+    section stack (GluedSpace), checked against the overlaps and pushed
+    by a witness in one call.
     """
     m = len(datum.fibre_basis(r, s))
     n = datum.complex.vertices
@@ -353,24 +362,24 @@ def glued_space(datum, r, s, cap=GLUED_COEFF_CAP):
             "glued holonomy system (%d + %d) x %d blocks of %d x %d exceeds the cap"
             % (cycles, n, m, m, m)
         )
-    space = datum._spaces.get((r, s))
-    if space is None:
-        space = GluedSpace(datum, r, s, _holonomy_sections(datum, r, s, edges) if m else [], m)
-        datum._spaces[(r, s)] = space
-    return space
+    if (r, s) not in datum._spaces:
+        d = datum.degree
+        sections = _holonomy_sections(datum, r, s, edges) if m else np.zeros((0, n, d ** s, d ** r))
+        sections.setflags(write=False)
+        datum._spaces[(r, s)] = GluedSpace(datum, r, s, sections, m)
+    return datum._spaces[(r, s)]
 
 
 def _holonomy_sections(datum, r, s, edges):
-    """Orthonormal glued sections, component by component (see glued_space)."""
-    stack = datum._stack(r, s)
+    """The (dim, vertices, d^s, d^r) orthonormal sections, by component (see glued_space)."""
+    stack = datum.fibre_basis(r, s).stack
     m, ds, dr = stack.shape
     n = datum.complex.vertices
-    flat = stack.reshape(m, ds * dr)
     hats = datum.hat_matrix(r, s)
     index = datum.complex.positions(1)
     ends = np.array(edges, dtype=int).reshape(-1, 2)
     trans = np.zeros((n, m, m), dtype=complex)
-    arrows = []
+    coeffs = []
     for root, tree in datum._trees():
         trans[root] = np.eye(m)
         verts = [root]
@@ -389,10 +398,11 @@ def _holonomy_sections(datum, r, s, edges):
         i, j = ends[off].T
         op = (trans[i] - hats[off] @ trans[j]).reshape(len(off) * m, m)
         for x in nullspace(op, tol=datum.tol):
-            coeffs = np.zeros((n, m), dtype=complex)
-            coeffs[verts] = (trans[verts] @ x.ravel()) / math.sqrt(len(verts))
-            arrows.append(GluedArrow(datum, r, s, (coeffs @ flat).reshape(n, ds, dr)))
-    return arrows
+            c = np.zeros((n, m), dtype=complex)
+            c[verts] = (trans[verts] @ x.ravel()) / math.sqrt(len(verts))
+            coeffs.append(c)
+    sections = np.reshape(coeffs, (len(coeffs), n, m)) @ stack.reshape(m, ds * dr)
+    return sections.reshape(len(coeffs), n, ds, dr)
 
 
 class GluedCategory:
@@ -434,7 +444,7 @@ def norm_function(arrow):
     """
     comps = arrow.components
     n, ds, dr = comps.shape
-    per = {v: opnorm(t) for v, t in enumerate(comps)}
+    per = dict(enumerate(np.linalg.svd(comps, compute_uv=False)[:, 0].tolist()))
     # block v of the direct sum sits at rows v*ds.. and columns v*dr..
     block = np.zeros((n, ds, n, dr), dtype=complex)
     block[np.arange(n), :, np.arange(n), :] = comps
@@ -445,8 +455,7 @@ def tensor_glued(a, b, tol=None):
     """Tensor of glued arrows, with the overlap matching rechecked."""
     tol = tol or Tolerance()
     out = a.tensor(b)
-    resid = out.compatibility_residual()
-    if not tol.close(resid, scale=max(1.0, out.norm())):
+    if not tol.close(out.compatibility_residual(), scale=max(1.0, out.norm())):
         raise ConsistencyError("tensor of glued arrows drifted off the overlap matching")
     return out
 
@@ -466,32 +475,28 @@ class IsomorphismReport:
         return self.isomorphic
 
 
-def _pushed(datum, witness, arrow):
-    """The arrow conjugated patchwise by the witness, as an arrow over ``datum``."""
-    u = np.array([witness[v] for v in range(len(arrow.components))])
-    return GluedArrow(datum, arrow.r, arrow.s, power_action(u, arrow.components, arrow.r, arrow.s))
-
-
 def _functor_checks(d1, d2, witness, rmax, tol):
     """Verify that patchwise conjugation by the witness carries glued
     arrows of the second datum to glued arrows of the first and respects
     composition, adjoints, tensor products and the braiding."""
     checks = []
+    u = np.array([witness[v] for v in range(d1.complex.vertices)])
 
     def push(arrow):
-        return _pushed(d1, witness, arrow)
+        return GluedArrow(d1, arrow.r, arrow.s, power_action(u, arrow.components, arrow.r, arrow.s))
 
-    pairs = [(r, s) for r in range(rmax + 1) for s in range(rmax + 1)]
-    for (r, s) in pairs:
+    for r, s in np.ndindex(rmax + 1, rmax + 1):
         s1 = glued_space(d1, r, s)
         s2 = glued_space(d2, r, s)
         checks.append(("dim (%d,%d)" % (r, s), float(abs(s1.dim - s2.dim))))
         if s1.dim != s2.dim:
             return checks, False
-        for arrow in s2.arrows:
-            resid = push(arrow).compatibility_residual()
+        # one push, one overlap check and one SVD per space, reported by arrow
+        resids = d1._overlap_residuals(r, s, power_action(u, s2.sections, r, s))
+        norms = np.linalg.svd(s2.sections, compute_uv=False)[..., 0].max(axis=1)
+        for resid, norm in zip(resids.tolist(), norms):
             checks.append(("transport (%d,%d)" % (r, s), resid))
-            if not tol.close(resid, scale=max(1.0, arrow.norm())):
+            if not tol.close(resid, scale=max(1.0, norm)):
                 return checks, False
     sample = glued_space(d2, 1, 1)
     if sample.dim:
@@ -610,8 +615,9 @@ def extract_twisted_special(cat, tol=None):
     phases (windings included) is the class of the datum.  Computed
     without ever looking at the transition determinants, then compared
     against the determinant pushforward route.  Accepts a glued category
-    or a bare datum.
-    """
+    or a bare datum.  The space's section stack is read whole: one stacked
+    SVD gives every patch rank, and each identity is checked on all patches
+    in one expression."""
     datum = cat.datum if isinstance(cat, GluedCategory) else cat
     tol = tol or datum.tol
     d = datum.degree
@@ -620,57 +626,50 @@ def extract_twisted_special(cat, tol=None):
         raise RankDeficientVModule("no glued antisymmetric sections at all")
     proj = antisym_projector(d, d)
     n = datum.complex.vertices
-    sections = np.array([arrow.components for arrow in space.arrows])
-    op = ((np.eye(d ** d) - proj) @ sections).reshape(space.dim, -1).T
+    op = ((np.eye(d ** d) - proj) @ space.sections).reshape(space.dim, -1).T
     # arrows are unit sections, so the reference scale for "this column
     # combination is antisymmetric" is nullspace's unit one: the op is
     # numerically zero exactly when every section is already antisymmetric
     coeffs = nullspace(op, tol=tol)
     if not coeffs:
         raise RankDeficientVModule("no antisymmetric sections among the glued ones")
-    stacks = np.tensordot(np.array([x.reshape(-1) for x in coeffs]), sections, axes=1)
-    families = [GluedArrow(datum, 0, d, f) for f in stacks]
-    ranks = {}
-    for v in range(n):
-        block = stacks[:, v].reshape(len(families), -1)
-        ranks[v] = len(families) - len(nullspace(block.T, tol=tol))
+    stacks = np.tensordot(np.array([x.reshape(-1) for x in coeffs]), space.sections, axes=1)
+    # the rank of every patch's (d^d, families) block from one stacked SVD
+    blocks = stacks.reshape(len(stacks), n, -1).transpose(1, 2, 0)
+    above = ~_below_cutoff(np.linalg.svd(blocks, compute_uv=False), tol)
+    ranks = dict(enumerate(above.sum(axis=1).tolist()))
     if any(rk != 1 for rk in ranks.values()):
         raise RankDeficientVModule(
             "antisymmetric section module has patch ranks %r, need all 1" % (ranks,)
         )
     # a section may vanish on whole components of the base, so the
     # nowhere-vanishing one is picked component by component
+    alive = np.linalg.norm(stacks, axis=(2, 3)) > tol.tau
     vee = np.zeros(stacks.shape[1:], dtype=complex)
     for comp in datum.complex.components():
-        for f in stacks:
-            if all(float(np.linalg.norm(f[v])) > tol.tau for v in comp):
-                vee[comp] = f[comp]
-                break
-        else:
+        live = np.flatnonzero(alive[:, comp].all(axis=1))
+        if not live.size:
             raise RankDeficientVModule(
                 "every antisymmetric section vanishes on some patch of the component of vertex %d"
                 % comp[0]
             )
+        vee[comp] = stacks[live[0], comp]
     # patchwise norms of a section are constant on components, so this
     # normalization keeps the overlap matching exact
     scale = np.array([1.0 / float(np.linalg.norm(V)) for V in vee])
     comps = _as_stack(vee * scale[:, None, None])
-    checks = []
-    sd = d ** d
-    for v in range(n):
-        V = comps[v]
-        checks.append(("isometry patch %d" % v, float(abs((V.conj().T @ V)[0, 0] - 1.0))))
-        checks.append(
-            ("range projector patch %d" % v, float(np.linalg.norm(V @ V.conj().T - proj)))
-        )
-        lhs = np.kron(V.conj().T, np.eye(d)) @ np.kron(np.eye(d), V)
-        want = ((-1.0) ** (d - 1)) / d * np.eye(d)
-        checks.append(("pairing patch %d" % v, float(np.linalg.norm(lhs - want))))
+    adj = comps.conj().transpose(0, 2, 1)
+    # np.kron takes the stacks patch by patch (the 2-d identity is promoted)
+    pairing = np.kron(adj, np.eye(d)) @ np.kron(np.eye(d), comps) - (-1.0) ** (d - 1) / d * np.eye(d)
+    resids = [np.abs((adj @ comps)[:, 0, 0] - 1.0), np.linalg.norm(comps @ adj - proj, axis=(1, 2))]
+    resids.append(np.linalg.norm(pairing, axis=(1, 2)))
+    names = ("isometry patch %d", "range projector patch %d", "pairing patch %d")
+    checks = [(name % v, float(x[v])) for v in range(n) for name, x in zip(names, resids)]
     for name, resid in checks:
-        if not tol.close(resid, scale=math.sqrt(sd)):
+        if not tol.close(resid, scale=math.sqrt(d ** d)):
             raise ConsistencyError("twisted special identity failed: %s (%g)" % (name, resid))
     # <sref, comps[v]> for every vertex in one product, sref = comps[0]
-    inner = comps.reshape(n, sd) @ comps[0].conj().ravel()
+    inner = comps.reshape(n, -1) @ comps[0].conj().ravel()
     i, j = np.array(datum.complex.edges(), dtype=int).reshape(-1, 2).T
     z = inner[i] * inner[j].conj()
     phases = {e: snap_phase(complex(w), tol) for e, w in zip(datum.complex.edges(), z / np.abs(z))}
@@ -681,4 +680,5 @@ def extract_twisted_special(cat, tol=None):
         raise ConsistencyError("extracted phases fail the cocycle identity")
     extracted = circle_class(cocycle, tol)
     pushed = circle_class(det_pushforward(datum.cocycle, tol), tol)
+    families = [GluedArrow(datum, 0, d, f) for f in stacks]
     return TwistedSpecialExtraction(comps, families, cocycle, extracted, pushed, checks)

@@ -253,8 +253,9 @@ def nullspace(op, tol=None):
 
 def _below_cutoff(sigma, tol):
     """The singular values at or below tau * max(1, the largest of them):
-    the one kernel rule, shared with ``repcat.intertwiners``."""
-    return sigma <= tol.tau * max(1.0, float(np.max(sigma, initial=0.0)))
+    the one kernel rule, shared with ``repcat.intertwiners``.  Each row of
+    a (..., k) array is scaled by its own largest value."""
+    return sigma <= tol.tau * np.maximum(1.0, np.max(sigma, axis=-1, keepdims=True, initial=0.0))
 
 
 def projection_residual(vec, basis_vectors):

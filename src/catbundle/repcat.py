@@ -25,14 +25,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SizeCapExceeded, WrongKind
 from .groups import KIND_FINITE, GroupSpec, lie_basis
 from .linalg import (
-    Tolerance, _below_cutoff, as_matrix, canonical_basis, matrix_to_json, nullspace, power_action,
+    Tolerance, _as_stack, _below_cutoff, as_matrix, canonical_basis, matrix_to_json, nullspace,
+    power_action,
 )
 
 INTERTWINER_UNKNOWN_CAP = 10_000
@@ -58,13 +59,15 @@ class TensorPowerObject:
 class IntertwinerSpace:
     """Orthonormal basis (Hilbert-Schmidt) of (H^r, H^s) for one group.
 
-    Behaves as a sequence of its basis matrices.
+    Behaves as a sequence of its basis matrices, the slices of ``stack``,
+    the read-only (m, d^s, d^r) array (not compared) they are views into.
     """
 
     group: GroupSpec
     r: int
     s: int
     basis: tuple
+    stack: np.ndarray = field(compare=False, repr=False)
 
     @property
     def dim(self):
@@ -180,13 +183,11 @@ def intertwiners(group, r, s, tol=None, cap=INTERTWINER_UNKNOWN_CAP):
         blk = (moved if lie else moved - units).reshape(keep.size, n).T
         blocks.append(blk[np.any(blk, axis=1)])
     op = np.vstack(blocks) if blocks else np.zeros((0, keep.size), dtype=complex)
-    vecs = []
-    for v in nullspace(op, tol):
-        x = np.zeros(n, dtype=complex)
-        x[keep] = v.ravel()
-        vecs.append(x)
-    basis = tuple(as_matrix(x.reshape(ds, dr)) for x in canonical_basis(vecs))
-    space = IntertwinerSpace(group=group, r=r, s=s, basis=basis)
+    kernel = nullspace(op, tol)
+    vecs = np.zeros((len(kernel), n), dtype=complex)
+    vecs[:, keep] = np.reshape(kernel, (len(kernel), keep.size))
+    stack = _as_stack(np.reshape(canonical_basis(vecs), (len(vecs), ds, dr)))
+    space = IntertwinerSpace(group=group, r=r, s=s, basis=tuple(stack), stack=stack)
     _SPACES[key] = space
     return space
 

@@ -43,6 +43,7 @@ from .dralg import (
     stabilizer_test,
 )
 from .glue import (
+    GluedArrow,
     extract_twisted_special,
     glued_space,
     isomorphic,
@@ -301,10 +302,8 @@ def norm_sup_checks(count=100, tol=DEFAULT_CHECK_TOL, seed=11):
             made += 1
             continue
         coeffs = rng.standard_normal(sp.dim) + 1j * rng.standard_normal(sp.dim)
-        arrow = sp.arrows[0] * complex(coeffs[0])
-        for b in range(1, sp.dim):
-            arrow = arrow + sp.arrows[b] * complex(coeffs[b])
-        nf = norm_function(arrow)
+        comps = sum(t * complex(c) for t, c in zip(sp.sections, coeffs))
+        nf = norm_function(GluedArrow(sp.datum, sp.r, sp.s, comps))
         worst = max(worst, abs(nf["global"] - max(nf["per_vertex"].values())))
         made += 1
     return [_c("norm sup formula on %d random glued arrows" % count, worst, tol)]

@@ -1,0 +1,148 @@
+"""Oracles for the section-stack routes of ``catbundle.glue``: the loops.
+
+A glued space is one (dim, vertices, d^s, d^r) stack, checked against
+the overlaps, pushed by a witness and read by the extraction in one call
+per space.  The helpers here do the same work one arrow, or one vertex,
+at a time: each arrow's overlap residual over the edge runs, each
+arrow pushed and checked on its own, and each patch rank of the
+extraction from its own ``nullspace``.  On every input both routes must
+give the same numbers, check names and errors.
+"""
+
+import math
+
+import numpy as np
+
+from catbundle import (
+    COEFF_PHASE,
+    CechCocycle,
+    ConsistencyError,
+    GluedArrow,
+    RankDeficientVModule,
+    antisym_projector,
+    circle_class,
+    det_pushforward,
+    glued_space,
+    glued_symmetry,
+    is_cocycle,
+    nullspace,
+    power_action,
+    snap_phase,
+)
+from catbundle.linalg import _as_stack
+
+
+def arrow_residual(arrow):
+    """One arrow's worst overlap mismatch, its own power_action per run."""
+    d = arrow.datum.degree
+    worst = 0.0
+    # per edge: both ends and the image, and power_action's powers
+    per_edge = 3 * d ** (arrow.r + arrow.s) + d ** (2 * arrow.r) + d ** (2 * arrow.s)
+    for run, u in arrow.datum._edge_runs(per_edge):
+        i, j = np.array(run, dtype=int).reshape(-1, 2).T
+        img = power_action(u, arrow.components[j], arrow.r, arrow.s)
+        worst = max(worst, float(np.linalg.norm(arrow.components[i] - img, axis=(1, 2)).max()))
+    return worst
+
+
+def pushed(datum, witness, arrow):
+    """The arrow conjugated patchwise by the witness, as an arrow over ``datum``."""
+    u = np.array([witness[v] for v in range(len(arrow.components))])
+    return GluedArrow(datum, arrow.r, arrow.s, power_action(u, arrow.components, arrow.r, arrow.s))
+
+
+def arrow_functor_checks(d1, d2, witness, rmax, tol):
+    """The functor checks with every arrow of a space pushed and checked
+    on its own, stopping at the first failing one."""
+    checks = []
+
+    def push(arrow):
+        return pushed(d1, witness, arrow)
+
+    pairs = [(r, s) for r in range(rmax + 1) for s in range(rmax + 1)]
+    for (r, s) in pairs:
+        s1 = glued_space(d1, r, s)
+        s2 = glued_space(d2, r, s)
+        checks.append(("dim (%d,%d)" % (r, s), float(abs(s1.dim - s2.dim))))
+        if s1.dim != s2.dim:
+            return checks, False
+        for arrow in s2.arrows:
+            resid = arrow_residual(push(arrow))
+            checks.append(("transport (%d,%d)" % (r, s), resid))
+            if not tol.close(resid, scale=max(1.0, arrow.norm())):
+                return checks, False
+    sample = glued_space(d2, 1, 1)
+    if sample.dim:
+        a = sample.arrows[0]
+        resid = (push(a.compose(a)) - push(a).compose(push(a))).norm()
+        checks.append(("composition", resid))
+        resid = (push(a.adjoint()) - push(a).adjoint()).norm()
+        checks.append(("adjoint", resid))
+        resid = (push(a.tensor(a)) - push(a).tensor(push(a))).norm()
+        checks.append(("tensor", resid))
+    th2 = glued_symmetry(1, 1, d2)
+    resid = (push(th2) - glued_symmetry(1, 1, d1)).norm()
+    checks.append(("braiding", resid))
+    return checks, all(tol.close(r) for _, r in checks)
+
+
+def vertex_extraction(datum, tol):
+    """The twisted special extraction with one ``nullspace`` rank and one
+    set of identity checks per vertex: (isometries, checks, phase cocycle,
+    extracted class, pushforward class), or the same error."""
+    d = datum.degree
+    space = glued_space(datum, 0, d)
+    if space.dim == 0:
+        raise RankDeficientVModule("no glued antisymmetric sections at all")
+    proj = antisym_projector(d, d)
+    n = datum.complex.vertices
+    sections = np.array([arrow.components for arrow in space.arrows])
+    op = ((np.eye(d ** d) - proj) @ sections).reshape(space.dim, -1).T
+    coeffs = nullspace(op, tol=tol)
+    if not coeffs:
+        raise RankDeficientVModule("no antisymmetric sections among the glued ones")
+    stacks = np.tensordot(np.array([x.reshape(-1) for x in coeffs]), sections, axes=1)
+    ranks = {}
+    for v in range(n):
+        block = stacks[:, v].reshape(len(stacks), -1)
+        ranks[v] = len(stacks) - len(nullspace(block.T, tol=tol))
+    if any(rk != 1 for rk in ranks.values()):
+        raise RankDeficientVModule(
+            "antisymmetric section module has patch ranks %r, need all 1" % (ranks,)
+        )
+    vee = np.zeros(stacks.shape[1:], dtype=complex)
+    for comp in datum.complex.components():
+        for f in stacks:
+            if all(float(np.linalg.norm(f[v])) > tol.tau for v in comp):
+                vee[comp] = f[comp]
+                break
+        else:
+            raise RankDeficientVModule(
+                "every antisymmetric section vanishes on some patch of the component of vertex %d"
+                % comp[0]
+            )
+    scale = np.array([1.0 / float(np.linalg.norm(V)) for V in vee])
+    comps = _as_stack(vee * scale[:, None, None])
+    checks = []
+    sd = d ** d
+    for v in range(n):
+        V = comps[v]
+        checks.append(("isometry patch %d" % v, float(abs((V.conj().T @ V)[0, 0] - 1.0))))
+        checks.append(
+            ("range projector patch %d" % v, float(np.linalg.norm(V @ V.conj().T - proj)))
+        )
+        lhs = np.kron(V.conj().T, np.eye(d)) @ np.kron(np.eye(d), V)
+        want = ((-1.0) ** (d - 1)) / d * np.eye(d)
+        checks.append(("pairing patch %d" % v, float(np.linalg.norm(lhs - want))))
+    for name, resid in checks:
+        if not tol.close(resid, scale=math.sqrt(sd)):
+            raise ConsistencyError("twisted special identity failed: %s (%g)" % (name, resid))
+    inner = comps.reshape(n, sd) @ comps[0].conj().ravel()
+    i, j = np.array(datum.complex.edges(), dtype=int).reshape(-1, 2).T
+    z = inner[i] * inner[j].conj()
+    phases = {e: snap_phase(complex(w), tol) for e, w in zip(datum.complex.edges(), z / np.abs(z))}
+    cocycle = CechCocycle(datum.complex, COEFF_PHASE, phases, windings=dict(datum.windings))
+    if not is_cocycle(cocycle, tol):
+        raise ConsistencyError("extracted phases fail the cocycle identity")
+    pushed_class = circle_class(det_pushforward(datum.cocycle, tol), tol)
+    return comps, checks, cocycle, circle_class(cocycle, tol), pushed_class

@@ -30,6 +30,7 @@ from catbundle import (
     special_isometry,
     special_unitary,
     stabilizer_test,
+    verify_normalizer,
 )
 from catbundle.dralg import _first_disagreement
 from catbundle.linalg import Tolerance, power_action
@@ -206,6 +207,22 @@ def test_gauge_action_rejects_bad_parameters():
         gauge_action(np.array([[1.0, 1.0], [0.0, 1.0]]), el)
     with pytest.raises(WrongKind):
         gauge_action(np.eye(3), el)
+
+
+def test_gauge_action_uses_the_group_unitarity_bound():
+    tol = Tolerance()
+    su3 = special_unitary(3)
+    el = dr_element(DRTruncation(level=1, group=su3), 1, 1, np.eye(3))
+    # unitarity residual 2 tau + tau^2: past tau * sqrt(3), the bound group
+    # membership and normalizer checks use, though within tau * 3
+    g = np.diag([1.0 + tol.tau, 1.0, 1.0])
+    with pytest.raises(NotUnitary):
+        gauge_action(g, el)
+    with pytest.raises(NotUnitary):
+        verify_normalizer(g, su3)
+    near = np.diag([1.0 + tol.tau / 4, 1.0, 1.0])
+    assert dr_close(gauge_action(near, el), el)
+    assert verify_normalizer(near, su3).group is su3
 
 
 def test_gauge_action_fixes_intertwiner_elements():

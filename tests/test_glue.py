@@ -1,6 +1,7 @@
 """Glued categories: data validation, arrow spaces, classification, extraction."""
 
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,8 @@ from catbundle import (
     RankDeficientVModule,
     SimplicialComplex,
     SizeCapExceeded,
+    Tolerance,
+    ToolkitError,
     as_matrix,
     build_glued,
     canonical_endo,
@@ -49,6 +52,7 @@ from catbundle import (
 )
 from catbundle import glue
 from catbundle.verify import su2_octa_datum
+from glue_oracle import arrow_functor_checks, arrow_residual, pushed, vertex_extraction
 from kronecker import kron_action
 from octahedra import annulus, subdivided_octahedron
 from witness_oracle import backtracking_equivalent
@@ -527,14 +531,14 @@ def test_glued_and_pushed_components_are_read_only():
     witness = {v: as_matrix(HAD if v % 2 else PHASE_GATE) for v in range(6)}
     for r, s in [(1, 1), (0, 2), (2, 1)]:
         for arrow in glued_space(d2, r, s).arrows:
-            pushed = glue._pushed(d1, witness, arrow)
+            moved = pushed(d1, witness, arrow)
             for v in range(6):
                 with pytest.raises(ValueError):
                     arrow.components[v][0, 0] = 5.0
                 with pytest.raises(ValueError):
-                    pushed.components[v][0, 0] = 5.0
+                    moved.components[v][0, 0] = 5.0
                 want = kron_action(witness[v], arrow.components[v], r, s)
-                assert np.abs(pushed.components[v] - want).max() <= 1e-12
+                assert np.abs(moved.components[v] - want).max() <= 1e-12
 
 
 def test_arrow_norm_matches_per_component_opnorm():
@@ -679,6 +683,138 @@ def test_large_sphere_glued_dims_and_chern():
     assert ext.classes_agree
     assert ext.extracted_class == h2_integral(c).reduce({t: -2})
     assert tuple(abs(x) for x in ext.extracted_class.free) == (2,)
+
+
+# ---------------------------------------------------------------------------
+# section stacks against the per-arrow and per-vertex loops
+
+
+def _gauged(d, seed):
+    """``d`` conjugated patchwise by Clifford words g (they normalize Q8 and
+    SU(2)), and g as the witness carrying d's glued arrows to the result's."""
+    rng = random.Random(seed)
+    g = [as_matrix(_clifford_word(rng)) for _ in range(d.complex.vertices)]
+    trans = {(i, j): g[i] @ d.transition(i, j) @ g[j].conj().T for (i, j) in d.complex.edges()}
+    return GluingDatum(d.complex, d.group, trans, windings=dict(d.windings)), dict(enumerate(g))
+
+
+def _octahedron_and_twisted_circle():
+    """An octahedron and a disjoint quarter-twisted circle: the antisymmetric
+    line is glued on the first component and cut to zero on the second."""
+    faces = octahedron().triangles()
+    c = SimplicialComplex.from_maximal(9, list(faces) + [(6, 7), (7, 8), (6, 8)])
+    trans = {e: np.eye(2) for e in c.edges()}
+    trans[(6, 8)] = np.diag([1.0, 1j])
+    return GluingDatum(c, special_unitary(2), trans)
+
+
+def test_glued_space_is_one_read_only_section_stack():
+    d = _q8_holonomy()
+    for r, s in ALL_3:
+        sp = glued_space(d, r, s)
+        assert sp.sections.shape == (sp.dim, d.complex.vertices, 2 ** s, 2 ** r)
+        assert not sp.sections.flags.writeable
+        # the arrows are formed from the stack on access, not kept beside it
+        assert set(vars(sp)) == {"datum", "r", "s", "sections", "fibre_dim"}
+        arrows = sp.arrows
+        assert len(arrows) == sp.dim
+        for arrow, t in zip(arrows, sp.sections):
+            assert (arrow.r, arrow.s) == (r, s) and np.array_equal(arrow.components, t)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_stacked_overlap_residuals_match_the_arrow_loop(case):
+    d = ORACLE_CASES[case][0]()
+    for r, s in ALL_3:
+        sp = glued_space(d, r, s)
+        got = d._overlap_residuals(r, s, sp.sections)
+        assert got.shape == (sp.dim,)
+        assert got.tolist() == [arrow_residual(a) for a in sp.arrows], (r, s)
+        assert [a.compatibility_residual() for a in sp.arrows] == got.tolist(), (r, s)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_stacked_functor_checks_match_the_arrow_loop(case):
+    d2 = ORACLE_CASES[case][0]()
+    d1, witness = _gauged(d2, 17)
+    got = glue._functor_checks(d1, d2, witness, 3, Tolerance())
+    assert got == arrow_functor_checks(d1, d2, witness, 3, Tolerance())
+    # a gauge is a witness, so every arrow of every space was checked
+    assert got[1]
+    transports = [name for name, _ in got[0] if name.startswith("transport")]
+    assert len(transports) == sum(glued_space(d2, r, s).dim for r, s in ALL_3)
+
+
+def test_functor_checks_stop_at_a_failing_arrow_mid_space():
+    d1, d2 = _q8_gauged(octahedron(), 2), _q8_gauged(octahedron(), 2)
+    witness = {v: as_matrix(np.eye(2)) for v in range(6)}
+    sp = glued_space(d2, 2, 2)
+    k = sp.dim // 2
+    assert 0 < k < sp.dim - 1
+    broken = np.array(sp.sections)
+    broken[k, 0] = -broken[k, 0]
+    d2._spaces[(2, 2)] = glue.GluedSpace(d2, 2, 2, glue._as_stack(broken), sp.fibre_dim)
+    got = glue._functor_checks(d1, d2, witness, 3, Tolerance())
+    assert got == arrow_functor_checks(d1, d2, witness, 3, Tolerance())
+    checks, ok = got
+    assert not ok
+    assert checks[-1][0] == "transport (2,2)" and checks[-1][1] >= 0.1
+    assert [name for name, _ in checks].count("transport (2,2)") == k + 1
+
+
+@pytest.mark.parametrize("rs", [(2, 2), (1, 3), (3, 3)])
+def test_space_built_under_a_cap_is_checked_under_it(monkeypatch, rs):
+    r, s = rs
+    d = _q8_gauged(subdivided_octahedron(1), 6)
+    m = len(d.fibre_basis(r, s))
+    # hat_matrix's need for one edge: its m images and the two powers
+    need = m * 2 ** (r + s) + 4 ** r + 4 ** s
+    monkeypatch.setattr(glue, "GLUED_COEFF_CAP", need)
+    sp = glued_space(d, r, s)
+    # the whole stack needs more than the cap, so it is checked in groups
+    assert 3 * sp.dim * 2 ** (r + s) + 4 ** r + 4 ** s > need
+    got = d._overlap_residuals(r, s, sp.sections)
+    assert got.max() <= 1e-9
+    assert got.tolist() == [arrow_residual(a) for a in sp.arrows]
+    monkeypatch.setattr(glue, "GLUED_COEFF_CAP", need - 1)
+    with pytest.raises(SizeCapExceeded):
+        d.hat_matrix(r, s)
+
+
+EXTRACTION_CASES = dict(ORACLE_CASES, **{"twisted-circle": (_octahedron_and_twisted_circle, [])})
+
+
+@pytest.mark.parametrize("case", sorted(EXTRACTION_CASES))
+def test_stacked_extraction_matches_the_vertex_loop(case):
+    d = EXTRACTION_CASES[case][0]()
+    try:
+        want = vertex_extraction(d, d.tol)
+    except ToolkitError as exc:
+        with pytest.raises(type(exc), match="^%s$" % re.escape(str(exc))):
+            extract_twisted_special(d)
+        return
+    comps, checks, cocycle, extracted, pushforward = want
+    out = extract_twisted_special(d)
+    assert np.array_equal(out.isometries, comps)
+    assert out.checks == checks
+    assert out.phase_cocycle.to_json() == cocycle.to_json()
+    assert (out.extracted_class, out.pushforward_class) == (extracted, pushforward)
+
+
+def test_extraction_cases_cover_a_patch_rank_failure():
+    with pytest.raises(RankDeficientVModule, match="patch ranks .*6: 0"):
+        extract_twisted_special(_octahedron_and_twisted_circle())
+    assert extract_twisted_special(_su2_scalar(octahedron(), 1, {(0, 1, 2): 2})).classes_agree
+
+
+def test_norm_function_per_vertex_matches_per_patch_opnorm():
+    d = _q8_holonomy()
+    rng = np.random.default_rng(9)
+    comps = np.array([(v + 1) * rng.standard_normal((4, 2)) for v in range(d.complex.vertices)])
+    arrow = GluedArrow(d, 1, 2, comps)
+    report = norm_function(arrow)
+    assert report["per_vertex"] == {v: opnorm(t) for v, t in enumerate(arrow.components)}
+    assert report["global"] == pytest.approx(max(report["per_vertex"].values()), abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,15 @@ def test_cutoff_rule_boundaries():
     assert _below_cutoff(np.zeros(0), tol).shape == (0,)
 
 
+def test_cutoff_rule_scales_each_row_by_its_own_largest_value():
+    tol = Tolerance()
+    rows = np.array([[2.0, 3 * tol.tau, 0.0], [1e6, 1e-4, 2e-3], [0.5 * tol.tau, tol.tau, 2 * tol.tau]])
+    got = _below_cutoff(rows, tol)
+    assert got.tolist() == [_below_cutoff(row, tol).tolist() for row in rows]
+    assert got.tolist() == [[False, False, True], [False, True, False], [True, True, False]]
+    assert _below_cutoff(np.zeros((3, 0)), tol).shape == (3, 0)
+
+
 # ---------------------------------------------------------------------------
 # the matrix boundary: as_matrix and its JSON document
 

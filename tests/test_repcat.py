@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -230,6 +231,17 @@ def test_intertwiner_space_sequence_protocol():
     sp = intertwiners(quaternion_group(), 1, 1)
     assert len(sp) == sp.dim == 1
     assert list(iter(sp))[0] is sp[0]
+
+
+def test_intertwiner_stack_is_the_one_copy_of_the_basis():
+    sp = intertwiners(quaternion_group(), 2, 2)
+    assert sp.stack.shape == (len(sp), 4, 4) and not sp.stack.flags.writeable
+    for k, b in enumerate(sp.basis):
+        assert np.shares_memory(b, sp.stack) and np.array_equal(b, sp.stack[k])
+    # the stack takes no part in equality or the repr
+    assert dataclasses.replace(sp, stack=sp.stack.copy()) == sp
+    assert "stack" not in repr(sp)
+    assert intertwiners(special_unitary(2), 0, 1).stack.shape == (0, 2, 1)
 
 
 def test_cached_intertwiner_basis_is_read_only():

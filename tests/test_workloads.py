@@ -1,9 +1,11 @@
 """The benchmark's correctness oracle, run in-process on every workload.
 
 For each workload of ``perfbench/inputs.py`` this writes the seed-1
-inputs, runs each invocation through ``catbundle.cli.main`` and asserts
-that ``perfbench/check.py`` finds no problem with its report, so a
-report the benchmark would count as incorrect fails here first.
+inputs (and seeds 2 and 3 of ``base-chern`` and ``glue-classify``, whose
+inputs change with the seed), runs each invocation through
+``catbundle.cli.main`` and asserts that ``perfbench/check.py`` finds no
+problem with its report, so a report the benchmark would count as
+incorrect fails here first.
 """
 
 import contextlib
@@ -32,9 +34,8 @@ inputs = _load("inputs")
 check = _load("check")
 
 
-@pytest.mark.parametrize("workload", sorted(inputs.WORKLOADS))
-def test_workload_reports_pass_the_benchmark_oracle(workload, tmp_path):
-    files, calls = inputs.generate(workload, 1)
+def _check_reports(workload, seed, tmp_path):
+    files, calls = inputs.generate(workload, seed)
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
     assert calls
@@ -47,3 +48,14 @@ def test_workload_reports_pass_the_benchmark_oracle(workload, tmp_path):
         assert check.problems(inv, code, report) == [], inv.label
         # the oracle is not vacuous: a wrong expectation is caught
         assert check.problems(check.wrong_expectation(inv), code, report), inv.label
+
+
+@pytest.mark.parametrize("workload", sorted(inputs.WORKLOADS))
+def test_workload_reports_pass_the_benchmark_oracle(workload, tmp_path):
+    _check_reports(workload, 1, tmp_path)
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+@pytest.mark.parametrize("workload", ["base-chern", "glue-classify"])
+def test_seeded_workload_reports_pass_the_benchmark_oracle(workload, seed, tmp_path):
+    _check_reports(workload, seed, tmp_path)
