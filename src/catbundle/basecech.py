@@ -90,6 +90,7 @@ class SimplicialComplex:
         self._by_dim = {}
         self._positions = {}
         self._triangle_edges = None
+        self._forest = None
 
     @classmethod
     def from_maximal(cls, vertices, maximal):
@@ -149,24 +150,40 @@ class SimplicialComplex:
     def tetrahedra(self):
         return self.simplices_of_dim(3)
 
+    def spanning_forest(self):
+        """The breadth-first spanning forest of the 1-skeleton, formed once.
+
+        One (root, tree edges) pair per component, the components in the
+        order of their least vertex and each rooted there; the tree edges
+        are (parent, child) pairs in visiting order, neighbours visited in
+        increasing order.  Tuples throughout, so the shared value cannot
+        be changed by a caller.
+        """
+        if self._forest is None:
+            adj = [[] for _ in range(self.vertices)]
+            # edges() is sorted, so every neighbour list comes out sorted
+            for i, j in self.edges():
+                adj[i].append(j)
+                adj[j].append(i)
+            seen, forest = [False] * self.vertices, []
+            for root in range(self.vertices):
+                if not seen[root]:
+                    seen[root], order, reached = True, [], [root]
+                    # reached grows while it is walked: breadth-first order
+                    for v in reached:
+                        for w in adj[v]:
+                            if not seen[w]:
+                                seen[w] = True
+                                order.append((v, w))
+                                reached.append(w)
+                    forest.append((root, tuple(order)))
+            self._forest = tuple(forest)
+        return self._forest
+
     def components(self):
-        """Vertex sets of the connected components of the 1-skeleton."""
-        parent = list(range(self.vertices))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i, j in self.edges():
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-        groups = {}
-        for v in range(self.vertices):
-            groups.setdefault(find(v), []).append(v)
-        return [sorted(g) for g in sorted(groups.values())]
+        """Vertex lists of the connected components of the 1-skeleton, in
+        the order of ``spanning_forest``."""
+        return [sorted([root] + [cv for _, cv in tree]) for root, tree in self.spanning_forest()]
 
     def star(self, v):
         """Simplices of the closed star of vertex v."""
@@ -689,32 +706,6 @@ def circle_class(c, tol=None):
 # equivalence witnesses
 
 
-def _spanning_forest(complex_):
-    """BFS tree edges per component, rooted at each component's least vertex."""
-    from collections import deque
-
-    adj = {}
-    for i, j in complex_.edges():
-        adj.setdefault(i, []).append(j)
-        adj.setdefault(j, []).append(i)
-    seen = set()
-    forest = []
-    for comp in complex_.components():
-        root = comp[0]
-        order = []
-        seen.add(root)
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in sorted(adj.get(v, [])):
-                if w not in seen:
-                    seen.add(w)
-                    order.append((v, w))
-                    queue.append(w)
-        forest.append((root, order))
-    return forest
-
-
 def equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None):
     """Search for a coboundary witness u with u_i c2_ij = c_ij u_j.
 
@@ -793,7 +784,7 @@ def equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None):
     edges = c.complex.edges()
     budget = search_cap
     witness = {}
-    for root, tree in _spanning_forest(c.complex):
+    for root, tree in c.complex.spanning_forest():
         comp = {root} | {cv for _, cv in tree}
         comp_edges = [(i, j) for (i, j) in edges if i in comp]
         for w in candidates:

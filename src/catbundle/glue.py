@@ -10,10 +10,13 @@ a family of fibre intertwiners, one per patch, matched across overlaps
 by the transition action; all operations are computed patchwise and the
 overlap compatibility is what cuts the space down.
 
-On a connected base such a family is fixed by its value at one patch:
-transport along a spanning tree gives the rest, and the edges off the
-tree (one per independent cycle) leave exactly the root values fixed by
-the holonomy.  Glued spaces are solved that way, per component.
+On a connected base such a family is fixed by its value at one patch.
+Frames u_v carried along the base's spanning forest turn every edge
+into a holonomy h_e = u_i* c_ij u_j in the normalizer (1 on the tree
+edges), so a glued arrow is a fibre intertwiner x fixed by every
+holonomy, carried to patch v by its frame.  A holonomy in the fibre
+group fixes every intertwiner, so only the holonomies outside it cut
+the space down; glued spaces are solved that way, per component.
 
 Circle-valued winding numbers on triangles travel with the datum and
 carry the part of the bundle class that constant transitions cannot
@@ -34,7 +37,6 @@ from .basecech import (
     COEFF_PHASE,
     CechCocycle,
     SimplicialComplex,
-    _spanning_forest,
     circle_class,
     det_pushforward,
     equivalent,
@@ -85,8 +87,9 @@ class GluingDatum:
     modulo the fibre group, one call each, and raises for the first
     offending edge, or NotACocycleModG with the first offending triangle.
 
-    The spanning forest and the glued spaces are kept on the datum; the
-    transitions act on fibre basis stacks and on section stacks through
+    The frames and holonomies (``_holonomies``) and the glued spaces are
+    kept on the datum; unitaries act on fibre basis stacks through
+    ``_basis_action``, and the transitions on section stacks through
     ``power_action``, one batched call per run of edges (``_edge_runs``).
     """
 
@@ -102,7 +105,7 @@ class GluingDatum:
             tri = self.complex.triangles()[np.argmin(inside)]  # the first False
             raise NotACocycleModG("transition defect on triangle %r is outside the fibre group" % (tri,))
         self._spaces = {}
-        self._forest = None
+        self._holonomy = None
 
     @property
     def degree(self):
@@ -143,30 +146,53 @@ class GluingDatum:
         for lo in range(0, len(edges), step):
             yield edges[lo : lo + step], self.cocycle.values[lo : lo + step]
 
-    def _overlap_residuals(self, r, s, stack):
+    def _overlap_residuals(self, r, s, stack, witness=None):
         """The worst |t_i - u_ij . t_j| over the edges for each family of a
         (..., vertices, d^s, d^r) stack, one ``power_action`` per run moving
         all the families one edge fits under GLUED_COEFF_CAP (SizeCapExceeded
-        only if a single family does not fit)."""
+        only if a single family does not fit).  With a (vertices, d, d)
+        ``witness`` w the families are first pushed patchwise, t_v -> w_v . t_v,
+        in groups whose pushed copy fits one run's entry budget (at least
+        one family), so the whole stack is never pushed at once."""
         d = self.degree
         fams = stack.reshape((-1,) + stack.shape[-3:])
         # per edge: both ends and the image of each family, and the powers
         one, powers = 3 * d ** (r + s), d ** (2 * r) + d ** (2 * s)
         group = max(1, (GLUED_COEFF_CAP - powers) // one)
+        if witness is not None:
+            budget = min(EDGE_RUN_ENTRIES, GLUED_COEFF_CAP)
+            group = min(group, max(1, budget // max(1, math.prod(fams.shape[1:]))))
         worst = np.zeros(len(fams))
         for lo in range(0, len(fams), group):
             part, w = fams[lo : lo + group], worst[lo : lo + group]
+            if witness is not None:
+                part = power_action(witness, part, r, s)
             for run, u in self._edge_runs(len(part) * one + powers):
                 i, j = np.array(run, dtype=int).reshape(-1, 2).T
                 diff = part[:, i] - power_action(u, part[:, j], r, s)
                 np.maximum(w, np.linalg.norm(diff, axis=(-2, -1)).max(axis=1), out=w)
         return worst.reshape(stack.shape[:-3])
 
-    def _trees(self):
-        """The spanning forest of the base: (root, tree edges) per component."""
-        if self._forest is None:
-            self._forest = _spanning_forest(self.complex)
-        return self._forest
+    def _basis_action(self, u, r, s, edges):
+        """The (k, m, m) action of a (k, d, d) stack on the (r, s) fibre basis,
+        laid out as in ``hat_matrix``.  Each image must stay in the fibre
+        space; ConsistencyError names the ``edges`` entry of the first not."""
+        stack = self.fibre_basis(r, s).stack
+        m, ds, dr = stack.shape
+        if not len(u):
+            return np.zeros((0, m, m), dtype=complex)
+        flat = stack.reshape(m, ds * dr)
+        imgs = power_action(u[:, None], stack, r, s).reshape(len(u), m, ds * dr)
+        coords = flat.conj() @ imgs.transpose(0, 2, 1)
+        resid = np.linalg.norm(imgs - coords.transpose(0, 2, 1) @ flat, axis=2)
+        scale = np.linalg.norm(imgs, axis=2) + 1.0
+        bad = np.flatnonzero(~(resid <= self.tol.tau * scale).all(axis=1))
+        if bad.size:
+            i, j = edges[bad[0]]
+            raise ConsistencyError(
+                "the action on edge (%d, %d) does not preserve the (%d, %d) fibre space" % (i, j, r, s)
+            )
+        return coords
 
     def hat_matrix(self, r, s):
         """Actions of the transitions on the (r, s) fibre intertwiner basis.
@@ -175,31 +201,40 @@ class GluingDatum:
         orientation i < j, entry [e, a, b] the coordinate on basis a of
         the image of basis b; the reverse orientation is the adjoint.  The
         edges are moved in runs (see ``_edge_runs``; SizeCapExceeded if
-        one edge's images and tensor powers exceed GLUED_COEFF_CAP), and
-        each image must stay in the fibre space, which is checked element
-        by element.
+        one edge's images and tensor powers exceed GLUED_COEFF_CAP), each
+        by one ``_basis_action``.
         """
-        stack = self.fibre_basis(r, s).stack
-        m, ds, dr = stack.shape
-        flat = stack.reshape(m, ds * dr)
-        out = []
+        m, ds, dr = self.fibre_basis(r, s).stack.shape
         # per edge: the m images, and power_action's powers (at most
         # d^(2s) entries on the rows and d^(2r) on the columns)
-        for run, u in self._edge_runs(m * ds * dr + ds * ds + dr * dr):
-            imgs = power_action(u[:, None], stack, r, s).reshape(len(run), m, ds * dr)
-            coords = flat.conj() @ imgs.transpose(0, 2, 1)
-            resid = np.linalg.norm(imgs - coords.transpose(0, 2, 1) @ flat, axis=2)
-            scale = np.linalg.norm(imgs, axis=2) + 1.0
-            bad = np.flatnonzero(~(resid <= self.tol.tau * scale).all(axis=1))
-            if bad.size:
-                i, j = run[bad[0]]
-                raise ConsistencyError(
-                    "transition (%d, %d) does not preserve the (%d, %d) fibre space" % (i, j, r, s)
-                )
-            out.append(coords)
+        runs = self._edge_runs(m * ds * dr + ds * ds + dr * dr)
+        out = [self._basis_action(u, r, s, run) for run, u in runs]
         out = np.concatenate(out) if out else np.zeros((0, m, m), dtype=complex)
         out.setflags(write=False)
         return out
+
+    def _holonomies(self):
+        """Formed once: the (vertices, d, d) frames u (u_root = 1, u_cv =
+        c_(cv,pv) u_pv along ``complex.spanning_forest()``), each vertex's
+        component, and the (k, 2) edges whose holonomy u_i* c_ij u_j lies
+        outside the fibre group with those (k, d, d) holonomies: one batched
+        product and one ``contains``.  A tree edge's holonomy is 1, so k is
+        at most the number of cycles."""
+        if self._holonomy is None:
+            d, n = self.degree, self.complex.vertices
+            frames = np.empty((n, d, d), dtype=complex)
+            comp = np.empty(n, dtype=int)
+            for k, (root, tree) in enumerate(self.complex.spanning_forest()):
+                frames[root], comp[root] = np.eye(d), k
+                for pv, cv in tree:
+                    frames[cv], comp[cv] = self.transition(cv, pv) @ frames[pv], k
+            ends = np.array(self.complex.edges(), dtype=int).reshape(-1, 2)
+            # a base without edges stores (0, 0, 0) values
+            c = self.cocycle.values.reshape(-1, d, d)
+            hol = frames[ends[:, 0]].conj().transpose(0, 2, 1) @ c @ frames[ends[:, 1]]
+            off = ~self.group.contains(hol, tol=self.tol)
+            self._holonomy = (frames, comp, ends[off], hol[off])
+        return self._holonomy
 
     def to_json(self):
         return {
@@ -333,76 +368,60 @@ class GluedSpace:
 
 
 def glued_space(datum, r, s, cap=GLUED_COEFF_CAP):
-    """Solve the overlap matching constraints by transport and holonomy.
+    """Solve the overlap matching constraints from the holonomies.
 
-    An arrow is determined by one coefficient vector per patch over the
-    fibre intertwiner basis; each edge imposes c_i = M_ij c_j where M_ij
-    is the transition action in that basis.  The M_ij are unitary (the
-    basis is orthonormal), so along a spanning tree of each component
-    c_v = T_v c_root with T_v a product of M's and adjoints, and the
-    edges off the tree leave the root values with (T_i - M_ij T_j) c = 0:
-    one (cycles * m) x m kernel per component, decided on nullspace's
-    unit scale, since a trivial holonomy makes the whole system
-    numerically zero.  A kernel vector c gives the unit section T_v c /
-    sqrt(|component|) on its component and zero elsewhere.
+    With the datum's frames u_v (``GluingDatum._holonomies``), a family
+    t_v = u_v . x matches across every tree edge, and across an edge
+    (i, j) exactly when x is fixed by its holonomy h_e = u_i* c_ij u_j.
+    So on each component the glued arrows are the (r, s) fibre
+    intertwiners fixed by its holonomies outside the fibre group (those
+    inside fix every intertwiner): the kernel of the stacked m x m blocks
+    H_e - 1 of their fibre-basis actions, decided by ``nullspace`` on its
+    unit scale, since a trivial action makes the system numerically zero.
+    With no holonomy left the operator is empty and the kernel is the
+    whole fibre basis, with no SVD.  A kernel vector x gives the unit
+    section u_v . x / sqrt(|component|) on its component and zero
+    elsewhere, all from one ``power_action`` of the frames.
 
-    ``cap`` bounds the entries of what is built, the holonomy rows plus
-    the transports, and is checked on every call; the space itself is
-    solved once per (datum, r, s) and kept on the datum as one read-only
-    section stack (GluedSpace), checked against the overlaps and pushed
-    by a witness in one call.
+    ``cap`` bounds the holonomy system by (cycles + vertices) * m * m
+    entries, an upper bound since at most one holonomy per cycle lies
+    outside the group, and is checked on every call; the space is solved
+    once per (datum, r, s) and kept on the datum as one read-only section
+    stack (GluedSpace), checked against the overlaps and pushed by a
+    witness in one call.
     """
     m = len(datum.fibre_basis(r, s))
     n = datum.complex.vertices
-    edges = datum.complex.edges()
-    forest = datum._trees()
-    cycles = len(edges) - n + len(forest)
+    cycles = len(datum.complex.edges()) - n + len(datum.complex.spanning_forest())
     if (cycles + n) * m * m > cap:
         raise SizeCapExceeded(
             "glued holonomy system (%d + %d) x %d blocks of %d x %d exceeds the cap"
             % (cycles, n, m, m, m)
         )
     if (r, s) not in datum._spaces:
-        d = datum.degree
-        sections = _holonomy_sections(datum, r, s, edges) if m else np.zeros((0, n, d ** s, d ** r))
+        sections = _holonomy_sections(datum, r, s)
         sections.setflags(write=False)
         datum._spaces[(r, s)] = GluedSpace(datum, r, s, sections, m)
     return datum._spaces[(r, s)]
 
 
-def _holonomy_sections(datum, r, s, edges):
+def _holonomy_sections(datum, r, s):
     """The (dim, vertices, d^s, d^r) orthonormal sections, by component (see glued_space)."""
     stack = datum.fibre_basis(r, s).stack
     m, ds, dr = stack.shape
-    n = datum.complex.vertices
-    hats = datum.hat_matrix(r, s)
-    index = datum.complex.positions(1)
-    ends = np.array(edges, dtype=int).reshape(-1, 2)
-    trans = np.zeros((n, m, m), dtype=complex)
-    coeffs = []
-    for root, tree in datum._trees():
-        trans[root] = np.eye(m)
-        verts = [root]
-        for (pv, cv) in tree:
-            # c_cv = M_(cv, pv) c_pv, and M_(cv, pv) = M_(pv, cv)* since the
-            # action is unitary, so only the stored orientation i < j is kept
-            if cv < pv:
-                step = hats[index[(cv, pv)]]
-            else:
-                step = hats[index[(pv, cv)]].conj().T
-            trans[cv] = step @ trans[pv]
-            verts.append(cv)
-        on_tree = {(min(e), max(e)) for e in tree}
-        inside = set(verts)
-        off = [k for k, (i, j) in enumerate(edges) if i in inside and (i, j) not in on_tree]
-        i, j = ends[off].T
-        op = (trans[i] - hats[off] @ trans[j]).reshape(len(off) * m, m)
-        for x in nullspace(op, tol=datum.tol):
-            c = np.zeros((n, m), dtype=complex)
-            c[verts] = (trans[verts] @ x.ravel()) / math.sqrt(len(verts))
-            coeffs.append(c)
-    sections = np.reshape(coeffs, (len(coeffs), n, m)) @ stack.reshape(m, ds * dr)
-    return sections.reshape(len(coeffs), n, ds, dr)
+    frames, comp, ends, hol = datum._holonomies()
+    blocks = datum._basis_action(hol, r, s, ends) - np.eye(m)
+    owner, coeffs = [], []
+    for k in range(len(datum.complex.spanning_forest())):
+        op = blocks[comp[ends[:, 0]] == k]
+        kernel = nullspace(op.reshape(len(op) * m, m), tol=datum.tol)
+        owner += [k] * len(kernel)
+        coeffs += [x.ravel() for x in kernel]
+    owner = np.array(owner, dtype=int)
+    x = np.reshape(coeffs, (len(coeffs), 1, m)) @ stack.reshape(m, ds * dr)
+    # the unit section u_v . x / sqrt(|component|) on x's component, 0 elsewhere
+    weight = (comp == owner[:, None]) / np.sqrt(np.bincount(comp)[owner])[:, None]
+    return power_action(frames, x.reshape(-1, 1, ds, dr), r, s) * weight[:, :, None, None]
 
 
 class GluedCategory:
@@ -491,8 +510,9 @@ def _functor_checks(d1, d2, witness, rmax, tol):
         checks.append(("dim (%d,%d)" % (r, s), float(abs(s1.dim - s2.dim))))
         if s1.dim != s2.dim:
             return checks, False
-        # one push, one overlap check and one SVD per space, reported by arrow
-        resids = d1._overlap_residuals(r, s, power_action(u, s2.sections, r, s))
+        # one overlap check per space, pushing the families by the witness
+        # a group at a time, and one SVD per space, reported by arrow
+        resids = d1._overlap_residuals(r, s, s2.sections, witness=u)
         norms = np.linalg.svd(s2.sections, compute_uv=False)[..., 0].max(axis=1)
         for resid, norm in zip(resids.tolist(), norms):
             checks.append(("transport (%d,%d)" % (r, s), resid))

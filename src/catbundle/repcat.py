@@ -44,18 +44,6 @@ _SPACES = {}
 
 
 @dataclass(frozen=True)
-class TensorPowerObject:
-    """The r-th tensor power of the defining space of dimension degree."""
-
-    degree: int
-    power: int
-
-    @property
-    def dim(self):
-        return self.degree ** self.power
-
-
-@dataclass(frozen=True)
 class IntertwinerSpace:
     """Orthonormal basis (Hilbert-Schmidt) of (H^r, H^s) for one group.
 

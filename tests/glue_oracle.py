@@ -7,6 +7,12 @@ at a time: each arrow's overlap residual over the edge runs, each
 arrow pushed and checked on its own, and each patch rank of the
 extraction from its own ``nullspace``.  On every input both routes must
 give the same numbers, check names and errors.
+
+``transport_sections`` solves a glued space the way the holonomy route
+replaced: the transition action on the fibre basis along every edge
+(``hat_matrix``), m x m transports along the spanning tree, and one
+(cycles * m) x m kernel per component.  Both routes must span the same
+space.
 """
 
 import math
@@ -30,6 +36,39 @@ from catbundle import (
     snap_phase,
 )
 from catbundle.linalg import _as_stack
+from witness_oracle import bfs_forest
+
+
+def transport_sections(datum, r, s):
+    """The (dim, vertices, d^s, d^r) orthonormal sections by transport:
+    c_cv = M_(cv,pv) c_pv along the tree from the root coefficients c,
+    then (T_i - M_ij T_j) c = 0 on every edge off the tree."""
+    stack = datum.fibre_basis(r, s).stack
+    m, ds, dr = stack.shape
+    n = datum.complex.vertices
+    edges = datum.complex.edges()
+    hats = datum.hat_matrix(r, s)
+    index = {e: k for k, e in enumerate(edges)}
+    trans = np.zeros((n, m, m), dtype=complex)
+    coeffs = []
+    for root, tree in bfs_forest(datum.complex):
+        trans[root] = np.eye(m)
+        verts = [root]
+        for (pv, cv) in tree:
+            # the action is unitary, so the reverse of an edge is the adjoint
+            step = hats[index[(cv, pv)]] if cv < pv else hats[index[(pv, cv)]].conj().T
+            trans[cv] = step @ trans[pv]
+            verts.append(cv)
+        on_tree, inside = {(min(e), max(e)) for e in tree}, set(verts)
+        off = [k for k, (i, j) in enumerate(edges) if i in inside and (i, j) not in on_tree]
+        i, j = np.array(edges, dtype=int).reshape(-1, 2)[off].T
+        op = (trans[i] - hats[off] @ trans[j]).reshape(len(off) * m, m)
+        for x in nullspace(op, tol=datum.tol):
+            c = np.zeros((n, m), dtype=complex)
+            c[verts] = (trans[verts] @ x.ravel()) / math.sqrt(len(verts))
+            coeffs.append(c)
+    sections = np.reshape(coeffs, (len(coeffs), n, m)) @ stack.reshape(m, ds * dr)
+    return sections.reshape(len(coeffs), n, ds, dr)
 
 
 def arrow_residual(arrow):
@@ -129,11 +168,14 @@ def vertex_extraction(datum, tol):
         V = comps[v]
         checks.append(("isometry patch %d" % v, float(abs((V.conj().T @ V)[0, 0] - 1.0))))
         checks.append(
-            ("range projector patch %d" % v, float(np.linalg.norm(V @ V.conj().T - proj)))
+            (
+                "range projector patch %d" % v,
+                float(np.linalg.norm(V @ V.conj().T - proj, axis=(-2, -1))),
+            )
         )
         lhs = np.kron(V.conj().T, np.eye(d)) @ np.kron(np.eye(d), V)
         want = ((-1.0) ** (d - 1)) / d * np.eye(d)
-        checks.append(("pairing patch %d" % v, float(np.linalg.norm(lhs - want))))
+        checks.append(("pairing patch %d" % v, float(np.linalg.norm(lhs - want, axis=(-2, -1)))))
     for name, resid in checks:
         if not tol.close(resid, scale=math.sqrt(sd)):
             raise ConsistencyError("twisted special identity failed: %s (%g)" % (name, resid))

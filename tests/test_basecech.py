@@ -36,6 +36,7 @@ from catbundle import (
 )
 from cochain_oracle import loop_circle_class, loop_det_pushforward, loop_is_cocycle
 from octahedra import annulus, barycentric, subdivided_octahedron
+from witness_oracle import bfs_forest, union_find_components
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +326,43 @@ def test_position_tables_are_formed_once_and_read_only():
     assert [(edges[a], edges[b], edges[e]) for a, b, e in table] == [
         ((i, j), (j, k), (i, k)) for i, j, k in c.triangles()
     ]
+
+
+def _forest_cases():
+    """Connected bases, two disjoint spheres, a sphere beside isolated
+    vertices, vertices with no edge at all, and a relabelled base whose
+    components interleave their vertices."""
+    faces = octahedron().triangles()
+    two = SimplicialComplex.from_maximal(12, list(faces) + [tuple(v + 6 for v in f) for f in faces])
+    mixed = SimplicialComplex.from_maximal(9, list(faces) + [(6,), (7, 8)])
+    points = SimplicialComplex(4, [[v] for v in range(4)])
+    # even vertices on one triangle, odd ones on a path
+    woven = SimplicialComplex.from_maximal(7, [(0, 2, 4), (6, 4), (1, 5), (5, 3)])
+    return [octahedron(), subdivided_octahedron(1), annulus(5), _cone(octahedron()), two, mixed, points, woven]
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_spanning_forest_matches_the_bfs_oracle(k):
+    c = _forest_cases()[k]
+    assert c.components() == union_find_components(c)
+    assert [(root, list(tree)) for root, tree in c.spanning_forest()] == bfs_forest(c)
+    # one tree edge per non-root vertex
+    assert sum(len(tree) for _, tree in c.spanning_forest()) == c.vertices - len(c.components())
+
+
+def test_spanning_forest_is_one_frozen_memo():
+    c = SimplicialComplex.from_maximal(7, [(0, 2, 4), (6, 4), (1, 5), (5, 3)])
+    forest = c.spanning_forest()
+    assert c.spanning_forest() is forest
+    assert forest == ((0, ((0, 2), (0, 4), (4, 6))), (1, ((1, 5), (5, 3))))
+    assert isinstance(forest, tuple) and all(isinstance(tree, tuple) for _, tree in forest)
+    with pytest.raises(TypeError):
+        forest[0] = (0, ())
+    with pytest.raises(TypeError):
+        forest[0][1][0] = (0, 1)
+    # components are formed from it, each call a fresh list
+    comps = c.components()
+    assert comps == [[0, 2, 4, 6], [1, 3, 5]] and c.components() is not comps
 
 
 def test_h2_sphere_is_free_rank_one():

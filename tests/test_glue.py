@@ -1,5 +1,6 @@
 """Glued categories: data validation, arrow spaces, classification, extraction."""
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -52,7 +53,13 @@ from catbundle import (
 )
 from catbundle import glue
 from catbundle.verify import su2_octa_datum
-from glue_oracle import arrow_functor_checks, arrow_residual, pushed, vertex_extraction
+from glue_oracle import (
+    arrow_functor_checks,
+    arrow_residual,
+    pushed,
+    transport_sections,
+    vertex_extraction,
+)
 from kronecker import kron_action
 from octahedra import annulus, subdivided_octahedron
 from witness_oracle import backtracking_equivalent
@@ -451,6 +458,48 @@ def test_glued_space_matches_dense_oracle(case):
             assert arrow.compatibility_residual() <= 1e-9
 
 
+def _fibre_projector(datum, r, s, sections):
+    """The projector onto the span of a section stack, in fibre-basis
+    coordinates (vertices * m of them)."""
+    basis = datum.fibre_basis(r, s).stack
+    coords = np.tensordot(sections, basis.conj(), axes=([2, 3], [1, 2])).reshape(len(sections), -1)
+    return _projector(coords)
+
+
+TRANSPORT_CASES = dict(
+    ORACLE_CASES, edgeless=(lambda: _q8_trivial(SimplicialComplex(3, [[0], [1], [2]])), ALL_3)
+)
+
+
+@pytest.mark.parametrize("case", sorted(TRANSPORT_CASES))
+def test_holonomy_route_matches_the_transport_oracle(case):
+    make, pairs = TRANSPORT_CASES[case]
+    d = make()
+    for (r, s) in pairs:
+        got, want = glued_space(d, r, s).sections, transport_sections(d, r, s)
+        assert got.shape == want.shape, (r, s)
+        if len(got):
+            diff = _fibre_projector(d, r, s, got) - _fibre_projector(d, r, s, want)
+            assert np.abs(diff).max() <= 1e-9, (r, s)
+
+
+def test_glued_space_skips_hat_matrix_and_svd_when_holonomies_lie_in_the_group(monkeypatch):
+    d = _q8_gauged(subdivided_octahedron(1), 6)
+    frames, comp, ends, hol = d._holonomies()
+    assert ends.shape == (0, 2) and hol.shape == (0, 2, 2)
+    # the fibre intertwiners are solved (by SVD) before the glued spaces
+    fibre = {rs: len(d.fibre_basis(*rs)) for rs in ALL_3}
+    calls = []
+    monkeypatch.setattr(glue.GluingDatum, "hat_matrix", lambda *a: calls.append("hat_matrix"))
+    real_svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append("svd") or real_svd(*a, **k))
+    dims = {rs: glued_space(d, *rs).dim for rs in ALL_3}
+    assert calls == [] and dims == fibre
+    # the annulus keeps its Hadamard holonomy, one per cycle at most
+    hol = _q8_holonomy()
+    assert 0 < len(hol._holonomies()[2]) <= len(hol.complex.edges()) - hol.complex.vertices + 1
+
+
 def test_oracle_cases_cover_cut_spaces():
     # the holonomy and the quarter twist really cut the fibre spaces down
     hol = _q8_holonomy()
@@ -760,6 +809,34 @@ def test_functor_checks_stop_at_a_failing_arrow_mid_space():
     assert not ok
     assert checks[-1][0] == "transport (2,2)" and checks[-1][1] >= 0.1
     assert [name for name, _ in checks].count("transport (2,2)") == k + 1
+
+
+@pytest.mark.parametrize("case", ["q8-holonomy", "v26-q8", "two-components"])
+def test_witness_push_stays_within_the_run_budget(monkeypatch, case):
+    d2 = ORACLE_CASES[case][0]()
+    d1, witness = _gauged(d2, 17)
+    want = arrow_functor_checks(d1, d2, witness, 3, Tolerance())
+    budget = 1 << 9
+    monkeypatch.setattr(glue, "EDGE_RUN_ENTRIES", budget)
+    frames = np.array([witness[v] for v in range(d2.complex.vertices)])
+    pushes = []
+    real = glue.power_action
+
+    def spy(u, t, r, s, **kw):
+        if np.shape(u) == frames.shape and np.array_equal(u, frames):
+            pushes.append((np.shape(t), glued_space(d2, r, s).dim))
+        return real(u, t, r, s, **kw)
+
+    monkeypatch.setattr(glue, "power_action", spy)
+    assert glue._functor_checks(d1, d2, witness, 3, Tolerance()) == want
+    assert want[1] and pushes
+    for shape, dim in pushes:
+        family = math.prod(shape[1:])
+        # a group of families fits the budget, or is one family
+        assert shape[0] * family <= budget or shape[0] == 1
+        assert shape[0] < dim or dim * family <= budget
+    # and some space was too large to push whole
+    assert any(shape[0] < dim for shape, dim in pushes)
 
 
 @pytest.mark.parametrize("rs", [(2, 2), (1, 3), (3, 3)])

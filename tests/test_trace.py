@@ -5,6 +5,8 @@ modules and a few methods by name; a rename there would otherwise only
 surface in the traced benchmark pass.
 """
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -60,7 +62,21 @@ def test_tracer_runs_glue_dims(tmp_path):
     report, spans = _traced(tmp_path, "glue-dims", "--input", str(path))
     assert report["command"] == "glue-dims"
     names = {name for name, _, _, _, _ in spans}
-    assert {"glue.GluingDatum.hat_matrix", "linalg.power_action"} <= names
+    assert {"glue.glued_space", "linalg.power_action"} <= names
+
+
+def test_tracer_methods_resolve_on_the_package():
+    # install() reads each listed method from its class __dict__, so a
+    # deleted method would only surface in a traced benchmark pass
+    spec = importlib.util.spec_from_file_location(
+        "tracechild", os.path.join(ROOT, "perfbench", "tracechild.py")
+    )
+    tracechild = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracechild)
+    assert tracechild.METHODS
+    for layer, cls_name, attr in tracechild.METHODS:
+        cls = getattr(importlib.import_module("catbundle." + layer), cls_name)
+        assert attr in cls.__dict__, (layer, cls_name, attr)
 
 
 def test_tracer_runs_chern_without_touching_the_report(tmp_path):

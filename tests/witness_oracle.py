@@ -1,4 +1,4 @@
-"""Oracle for the matrix witness search: the backtracking route.
+"""Oracles for the matrix witness search and the forest it walks.
 
 ``equivalent`` propagates each root candidate along the spanning forest
 with no twist, because a twist h in the fibre group can change no edge
@@ -7,15 +7,64 @@ each twist h in turn (u_cv = c_(cv,pv) u_pv h c2_(cv,pv)*), checks the
 edges back to vertices already placed, and backtracks on failure, so a
 failing root candidate can cost up to |G|^depth.  On inputs where it
 finishes, both searches must return the same None-or-witness.
+
+``SimplicialComplex.spanning_forest`` and ``components`` are checked
+against the routes they replaced: a union-find over the edges for the
+components, and a breadth-first walk of each of those components.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 
 from catbundle import GroupSpec, SearchCapExceeded, Tolerance, as_matrix
-from catbundle.basecech import SEARCH_CAP, _spanning_forest
+from catbundle.basecech import SEARCH_CAP
 from catbundle.errors import CapExceeded
+
+
+def union_find_components(complex_):
+    """Vertex sets of the components of the 1-skeleton, by union-find."""
+    parent = list(range(complex_.vertices))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, j in complex_.edges():
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+    groups = {}
+    for v in range(complex_.vertices):
+        groups.setdefault(find(v), []).append(v)
+    return [sorted(g) for g in sorted(groups.values())]
+
+
+def bfs_forest(complex_):
+    """BFS tree edges per union-find component, rooted at its least vertex."""
+    adj = {}
+    for i, j in complex_.edges():
+        adj.setdefault(i, []).append(j)
+        adj.setdefault(j, []).append(i)
+    seen = set()
+    forest = []
+    for comp in union_find_components(complex_):
+        root = comp[0]
+        order = []
+        seen.add(root)
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for w in sorted(adj.get(v, [])):
+                if w not in seen:
+                    seen.add(w)
+                    order.append((v, w))
+                    queue.append(w)
+        forest.append((root, order))
+    return forest
 
 
 def backtracking_equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None):
@@ -70,7 +119,7 @@ def backtracking_equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None)
         return False
 
     witness = {}
-    for root, tree in _spanning_forest(c.complex):
+    for root, tree in bfs_forest(c.complex):
         comp_vertices = {root} | {cv for _, cv in tree}
         seen_at = {root: 0}
         for pos, (pv, cv) in enumerate(tree):
