@@ -256,10 +256,11 @@ class CechCocycle:
     array, so ``value`` only ever reads a stored entry.
     Phase and finite kinds may carry integer windings on triangles.
     An optional structure group may be attached to a finite-kind cocycle;
-    ``equivalent`` then searches witnesses in that group.
+    ``equivalent`` then searches witnesses in that group.  ``degree``
+    (else the group's) sizes the (0, d, d) stack of a base without edges.
     """
 
-    def __init__(self, complex_, coeff, values, windings=None, group=None):
+    def __init__(self, complex_, coeff, values, windings=None, group=None, degree=None):
         if coeff not in _COEFFS:
             raise ValueError("unknown coefficient kind %r" % (coeff,))
         self.complex = complex_
@@ -283,7 +284,7 @@ class CechCocycle:
             raise ValueError("no value on overlap %r" % (edges[slots.index(None)],))
         flip = np.array([f for f, _ in slots], dtype=bool)
         if coeff == COEFF_FINITE:
-            d = group.degree if group is not None else 0
+            d = degree if degree is not None else getattr(group, "degree", 0)
             vals = np.array([v for _, v in slots] or np.zeros((0, d, d)), dtype=complex)
             if vals.ndim != 3 or vals.shape[1] != vals.shape[2]:
                 raise ValueError("matrix values must be square and of one size")
@@ -308,13 +309,35 @@ class CechCocycle:
                 if int(n):
                     wind[key] = int(n)
         self.windings = wind
+        self._holonomies = None
 
     def degree(self):
         if self.coeff != COEFF_FINITE:
             raise WrongKind("degree only makes sense for matrix values")
-        if len(self.values) or self.group is not None:
+        if self.values.shape[1]:
             return self.values.shape[1]
-        raise MissingValue("cocycle has no values to take a degree from")
+        raise MissingValue("cocycle has no values or degree to take a degree from")
+
+    def holonomies(self):
+        """The read-only (frames, holonomies) along ``complex.spanning_forest()``,
+        formed once: f_root = 1, f_cv = c_(cv,pv) f_pv by vertex and f_i* c_ij f_j
+        in ``edges()`` order (1 on tree edges); phase and integer data add:
+        f_root = 0, f_cv = c_(cv,pv) + f_pv and c_ij - f_i + f_j (0 on tree edges)."""
+        if self._holonomies is None:
+            finite = self.coeff == COEFF_FINITE
+            frames = np.empty((self.complex.vertices,) + self.values.shape[1:], dtype=self.values.dtype)
+            one = np.eye(self.degree()) if finite else Fraction(0) if self.coeff == COEFF_PHASE else 0
+            for root, tree in self.complex.spanning_forest():
+                frames[root] = one
+                for pv, cv in tree:
+                    frames[cv] = self.value(cv, pv) @ frames[pv] if finite else self.value(cv, pv) + frames[pv]
+            i, j = np.array(self.complex.edges(), dtype=int).reshape(-1, 2).T
+            hol = (frames[i].conj().transpose(0, 2, 1) @ self.values @ frames[j] if finite
+                   else self.values - frames[i] + frames[j])
+            self._holonomies = (frames, hol)
+            for a in self._holonomies:
+                a.setflags(write=False)
+        return self._holonomies
 
     def value(self, i, j):
         """The stored value on the overlap (i, j), in either orientation."""
@@ -379,7 +402,7 @@ def trivial_cocycle(complex_, coeff, degree=None, group=None):
         one = np.eye(degree if degree is not None else group.degree)
     else:
         one = Fraction(0) if coeff == COEFF_PHASE else 0
-    return CechCocycle(complex_, coeff, dict.fromkeys(complex_.edges(), one), group=group)
+    return CechCocycle(complex_, coeff, dict.fromkeys(complex_.edges(), one), group=group, degree=degree)
 
 
 @dataclass(frozen=True)
@@ -709,32 +732,32 @@ def circle_class(c, tol=None):
 def equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None):
     """Search for a coboundary witness u with u_i c2_ij = c_ij u_j.
 
-    One propagation serves every coefficient kind.  On each component of
-    the spanning forest, each root candidate in turn is carried to every
-    vertex along the tree, and the first candidate whose values pass
-    every edge of the component is kept.  Phase and integer data have
-    the single root candidate 0 and step u_cv = u_pv + c_(cv,pv) -
-    c2_(cv,pv); an edge passes when the residual is an integer (phase)
-    or zero (integer), and phase data must also have equal integral
-    classes.  The phase witness is rational.
+    One search serves every kind, on the frames f1, f2 and holonomies h1,
+    h2 of both cocycles (``CechCocycle.holonomies``): a root candidate w
+    carried along the spanning forest gives u_v = f1_v w f2_v*, so an edge
+    passes by a test on w and its two holonomies.  On each component the
+    root candidates are tested in turn, each on all its edges at once, and
+    the first to pass is carried to every vertex by u_cv = u_pv + c_(cv,pv)
+    - c2_(cv,pv) (phase, integer) or c_(cv,pv) u_pv c2_(pv,cv) (matrix).
+    Phase and integer data have the one candidate 0 and pass when h2_e -
+    h1_e is an integer (phase) or zero (integer) and, for phases, the
+    integral classes agree; the phase witness is rational.
 
     Matrix data take their root candidates from the attached structure
     group, or, with ``modulo`` set or no group attached, from the closure
     generated by the values of both cocycles and ``modulo``, in
-    enumeration order.  The step is u_cv = c_(cv,pv) u_pv c2_(pv,cv).
-    With ``modulo`` set an edge passes when u_i c2_ij = c_ij u_j h for
-    some h in that group.  Right-multiplying any u_v by an element of
-    the group changes no edge verdict, because every value of c2
-    normalizes the group, so no twist h is ever tried: the untwisted
-    propagation passes whenever a twisted one does.  That precondition
-    is checked up front on the values of both cocycles, raising
-    NotInNormalizer, so a value of infinite order never reaches the
-    closure enumeration.
+    enumeration order.  An edge passes when |w h2_e - h1_e w| is within
+    tolerance or, with ``modulo`` set, when u_i c2_ij = c_ij u_j h for some
+    h in that group, i.e. w* h1_e* w h2_e (that conjugated by f2_j) is in
+    it.  No twist h is tried: right-multiplying any u_v by an element of
+    the group changes no verdict when every value of c2 normalizes it.
+    That is checked up front on both cocycles' values (NotInNormalizer),
+    so a value of infinite order never reaches the closure enumeration.
 
-    Every kind spends one unit of ``search_cap`` per root candidate and
-    one per propagated vertex; SearchCapExceeded is raised when the
-    units run out or the candidate closure overflows the cap.  Returns
-    the witness family as a dict or None.
+    Every kind spends one unit of ``search_cap`` per root candidate tried
+    and one per other vertex of its component; SearchCapExceeded is
+    raised when the units run out or the candidate closure overflows the
+    cap.  Returns the witness family as a dict or None.
     """
     tol = tol or Tolerance()
     if c.complex != c2.complex:
@@ -760,45 +783,44 @@ def equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None):
                 candidates = closure_spec.elements()
             except CapExceeded as exc:
                 raise SearchCapExceeded("candidate closure did not stay finite: %s" % exc)
+        (_, h1), (_, h2) = c.holonomies(), c2.holonomies()
 
         def step(u_pv, pv, cv):
             return c.value(cv, pv) @ u_pv @ c2.value(pv, cv)
 
-        def edge_ok(u_i, u_j, i, j):
-            lhs = u_i @ c2.value(i, j)
-            rhs = c.value(i, j) @ u_j
+        def passes(w, on):
+            h1w, wh2 = h1[on] @ w, w @ h2[on]
             if modulo is None:
-                return np.linalg.norm(lhs - rhs) <= tol.tau * max(1.0, math.sqrt(d))
-            return modulo.contains(rhs.conj().T @ lhs, tol=tol)
+                return (np.linalg.norm(wh2 - h1w, axis=(1, 2)) <= tol.tau * max(1.0, math.sqrt(d))).all()
+            return modulo.contains(h1w.conj().transpose(0, 2, 1) @ wh2, tol=tol).all()
     else:
         phase = c.coeff == COEFF_PHASE
         candidates = [Fraction(0) if phase else 0]
+        gap = c2.holonomies()[1] - c.holonomies()[1]
+        bad = (gap % 1 if phase else gap) != 0
 
         def step(u_pv, pv, cv):
             return u_pv + c.value(cv, pv) - c2.value(cv, pv)
 
-        def edge_ok(u_i, u_j, i, j):
-            resid = u_i - u_j - (c.value(i, j) - c2.value(i, j))
-            return resid.denominator == 1 if phase else resid == 0
+        def passes(w, on):
+            return not bad[on].any()
 
-    edges = c.complex.edges()
+    tails = np.array(c.complex.edges(), dtype=int).reshape(-1, 2)[:, 0]
     budget = search_cap
     witness = {}
     for root, tree in c.complex.spanning_forest():
-        comp = {root} | {cv for _, cv in tree}
-        comp_edges = [(i, j) for (i, j) in edges if i in comp]
+        on = np.isin(tails, [root, *(cv for _, cv in tree)])
         for w in candidates:
             budget -= 1 + len(tree)
             if budget < 0:
                 raise SearchCapExceeded("witness search passed %d assignments" % search_cap)
-            u = {root: w}
-            for (pv, cv) in tree:
-                u[cv] = step(u[pv], pv, cv)
-            if all(edge_ok(u[i], u[j], i, j) for (i, j) in comp_edges):
-                witness.update(u)
+            if passes(w, on):
                 break
         else:
             return None
+        witness[root] = w
+        for (pv, cv) in tree:
+            witness[cv] = step(witness[pv], pv, cv)
 
     if c.coeff == COEFF_PHASE:
         if circle_class(c, tol) != circle_class(c2, tol):
@@ -813,8 +835,8 @@ def equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None):
 # determinant pushforward
 
 
-def snap_phase(z, tol=None, max_denominator=PHASE_DENOMINATOR_BOUND):
-    """Nearest bounded-denominator rational q with exp(2*pi*i*q) = z.
+def snap_phase(z, tol=None):
+    """Nearest rational q of denominator <= PHASE_DENOMINATOR_BOUND with exp(2*pi*i*q) = z.
 
     Raises IrrationalPhase when no such rational is within tolerance.
     """
@@ -822,16 +844,16 @@ def snap_phase(z, tol=None, max_denominator=PHASE_DENOMINATOR_BOUND):
     if abs(abs(z) - 1.0) > tol.tau:
         raise IrrationalPhase("value %r is not on the unit circle" % (z,))
     ang = cmath.phase(z) / (2.0 * math.pi)
-    q = Fraction(ang).limit_denominator(max_denominator)
+    q = Fraction(ang).limit_denominator(PHASE_DENOMINATOR_BOUND)
     q = normalized_lift(q)
     if abs(cmath.exp(2j * math.pi * float(q)) - z) > max(tol.tau, 1e-12):
         raise IrrationalPhase(
-            "phase of %r is not rational with denominator <= %d" % (z, max_denominator)
+            "phase of %r is not rational with denominator <= %d" % (z, PHASE_DENOMINATOR_BOUND)
         )
     return q
 
 
-def det_pushforward(c, tol=None, max_denominator=PHASE_DENOMINATOR_BOUND):
+def det_pushforward(c, tol=None):
     """Phase cocycle of determinants of a matrix-valued cocycle.
 
     Windings are carried over unchanged: they record the winding of the
@@ -841,5 +863,5 @@ def det_pushforward(c, tol=None, max_denominator=PHASE_DENOMINATOR_BOUND):
     if c.coeff != COEFF_FINITE:
         raise WrongKind("determinant pushforward needs matrix values")
     dets = np.linalg.det(c.values)
-    vals = {e: snap_phase(complex(z), tol, max_denominator) for e, z in zip(c.complex.edges(), dets)}
+    vals = {e: snap_phase(complex(z), tol) for e, z in zip(c.complex.edges(), dets)}
     return CechCocycle(c.complex, COEFF_PHASE, vals, windings=dict(c.windings))

@@ -80,17 +80,19 @@ class GluingDatum:
     ``transitions`` maps every overlap pair, in either orientation, to a
     unitary (ValueError if an edge has none); values on (j, i) are the
     adjoints of values on (i, j).  ``windings`` maps triangles to
-    integers.  Both become ``cocycle``, whose ``values`` stack in
-    ``complex.edges()`` order is the datum's one copy of the
-    transitions.  Construction checks the transition stack for normalizer
-    membership, then the triangle defect stack for the cocycle identity
-    modulo the fibre group, one call each, and raises for the first
-    offending edge, or NotACocycleModG with the first offending triangle.
+    integers.  Both become ``cocycle``, whose (E, d, d) ``values`` stack
+    in ``complex.edges()`` order, (0, d, d) on a base without edges, is
+    the datum's one copy of the transitions.  Construction checks the
+    transition stack for normalizer membership, then the triangle defect
+    stack for the cocycle identity modulo the fibre group, one call each,
+    and raises for the first offending edge, or NotACocycleModG with the
+    first offending triangle.
 
-    The frames and holonomies (``_holonomies``) and the glued spaces are
-    kept on the datum; unitaries act on fibre basis stacks through
-    ``_basis_action``, and the transitions on section stacks through
-    ``power_action``, one batched call per run of edges (``_edge_runs``).
+    ``_holonomies`` filters the cocycle's one frame and holonomy table;
+    it and the glued spaces are kept on the datum.  Unitaries act on
+    fibre basis stacks through ``_basis_action``, and the transitions on
+    section stacks through ``power_action``, one batched call per run of
+    edges (``_edge_runs``).
     """
 
     def __init__(self, complex_, group, transitions, windings=None, tol=None):
@@ -98,7 +100,7 @@ class GluingDatum:
         self.group = group
         self.tol = tol or Tolerance()
         vals = {e: u.u if isinstance(u, NormalizerElement) else u for e, u in dict(transitions).items()}
-        self.cocycle = CechCocycle(self.complex, COEFF_FINITE, vals, windings=windings)
+        self.cocycle = CechCocycle(self.complex, COEFF_FINITE, vals, windings=windings, degree=group.degree)
         _require_normalizing(self.cocycle.values, group, tol=self.tol)
         inside = group.contains(self._triangle_defects(), tol=self.tol)
         if not inside.all():
@@ -123,11 +125,10 @@ class GluingDatum:
         return float(group_distance(self.group, self._triangle_defects()).max(initial=0.0))
 
     def _triangle_defects(self):
-        """The defects c_ij c_jk c_ik* of ``complex.triangles()``, one (T, d, d)
-        product (also when a base without edges stores (0, 0, 0) values)."""
+        """The defects c_ij c_jk c_ik* of ``complex.triangles()``, one (T, d, d) product."""
         ij, jk, ik = self.complex.triangle_edges().T
         c = self.cocycle.values
-        return (c[ij] @ c[jk] @ c[ik].conj().transpose(0, 2, 1)).reshape(-1, self.degree, self.degree)
+        return c[ij] @ c[jk] @ c[ik].conj().transpose(0, 2, 1)
 
     def fibre_basis(self, r, s):
         return intertwiners(self.group, r, s, tol=self.tol)
@@ -214,24 +215,16 @@ class GluingDatum:
         return out
 
     def _holonomies(self):
-        """Formed once: the (vertices, d, d) frames u (u_root = 1, u_cv =
-        c_(cv,pv) u_pv along ``complex.spanning_forest()``), each vertex's
-        component, and the (k, 2) edges whose holonomy u_i* c_ij u_j lies
-        outside the fibre group with those (k, d, d) holonomies: one batched
-        product and one ``contains``.  A tree edge's holonomy is 1, so k is
-        at most the number of cycles."""
+        """Formed once: the cocycle's frames u (``CechCocycle.holonomies``),
+        each vertex's component, and the (k, 2) edges whose holonomy lies
+        outside the fibre group with those (k, d, d) holonomies, kept by one
+        ``contains``; k is at most the number of cycles."""
         if self._holonomy is None:
-            d, n = self.degree, self.complex.vertices
-            frames = np.empty((n, d, d), dtype=complex)
-            comp = np.empty(n, dtype=int)
-            for k, (root, tree) in enumerate(self.complex.spanning_forest()):
-                frames[root], comp[root] = np.eye(d), k
-                for pv, cv in tree:
-                    frames[cv], comp[cv] = self.transition(cv, pv) @ frames[pv], k
+            frames, hol = self.cocycle.holonomies()
+            comp = np.empty(self.complex.vertices, dtype=int)
+            for k, verts in enumerate(self.complex.components()):
+                comp[verts] = k
             ends = np.array(self.complex.edges(), dtype=int).reshape(-1, 2)
-            # a base without edges stores (0, 0, 0) values
-            c = self.cocycle.values.reshape(-1, d, d)
-            hol = frames[ends[:, 0]].conj().transpose(0, 2, 1) @ c @ frames[ends[:, 1]]
             off = ~self.group.contains(hol, tol=self.tol)
             self._holonomy = (frames, comp, ends[off], hol[off])
         return self._holonomy

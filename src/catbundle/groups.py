@@ -257,9 +257,8 @@ def _require_normalizing(us, group, tol=None):
     ``contains`` call), read row by row."""
     tol = tol or group.tol
     d = group.degree
-    if len(us) and us.shape[1:] != (d, d):
+    if us.shape[1:] != (d, d):
         raise WrongKind("normalizer candidate has shape %r, group degree is %d" % (us.shape[1:], d))
-    us = us.reshape(-1, d, d)
     res = _unitarity_residual(us)
     table = tol.close(res, math.sqrt(d))[:, None]
     if group.kind == KIND_FINITE and group.generators:

@@ -8,6 +8,10 @@ arrow pushed and checked on its own, and each patch rank of the
 extraction from its own ``nullspace``.  On every input both routes must
 give the same numbers, check names and errors.
 
+``forest_holonomies`` forms a datum's frames, components and holonomies
+outside the fibre group by the walk ``GluingDatum._holonomies`` made
+before it read ``CechCocycle.holonomies``; both must be bit-identical.
+
 ``transport_sections`` solves a glued space the way the holonomy route
 replaced: the transition action on the fibre basis along every edge
 (``hat_matrix``), m x m transports along the spanning tree, and one
@@ -37,6 +41,23 @@ from catbundle import (
 )
 from catbundle.linalg import _as_stack
 from witness_oracle import bfs_forest
+
+
+def forest_holonomies(datum):
+    """(frames, component of each vertex, (k, 2) edges, (k, d, d)
+    holonomies outside the group), walking the forest frame by frame."""
+    d, n = datum.degree, datum.complex.vertices
+    frames = np.empty((n, d, d), dtype=complex)
+    comp = np.empty(n, dtype=int)
+    for k, (root, tree) in enumerate(datum.complex.spanning_forest()):
+        frames[root], comp[root] = np.eye(d), k
+        for pv, cv in tree:
+            frames[cv], comp[cv] = datum.transition(cv, pv) @ frames[pv], k
+    ends = np.array(datum.complex.edges(), dtype=int).reshape(-1, 2)
+    c = datum.cocycle.values.reshape(-1, d, d)
+    hol = frames[ends[:, 0]].conj().transpose(0, 2, 1) @ c @ frames[ends[:, 1]]
+    off = ~datum.group.contains(hol, tol=datum.tol)
+    return frames, comp, ends[off], hol[off]
 
 
 def transport_sections(datum, r, s):

@@ -36,7 +36,7 @@ from catbundle import (
 )
 from cochain_oracle import loop_circle_class, loop_det_pushforward, loop_is_cocycle
 from octahedra import annulus, barycentric, subdivided_octahedron
-from witness_oracle import bfs_forest, union_find_components
+from witness_oracle import bfs_forest, propagation_equivalent, union_find_components
 
 
 # ---------------------------------------------------------------------------
@@ -681,6 +681,123 @@ def test_equivalent_modulo_needs_c2_in_the_normalizer():
     # infinite order is enumerated up to the search cap
     with pytest.raises(NotInNormalizer):
         equivalent(c2, c, modulo=quaternion_group())
+
+
+def test_equivalent_on_isolated_vertices_returns_identity_witnesses():
+    # a base without edges keeps the degree it is given: a (0, 2, 2) stack
+    points = SimplicialComplex(2, [[0], [1]])
+    c = trivial_cocycle(points, "finite", degree=2)
+    assert c.degree() == 2 and c.values.shape == (0, 2, 2)
+    for modulo in (None, quaternion_group()):
+        w = equivalent(c, c, modulo=modulo)
+        assert list(w) == [0, 1]
+        assert all(np.array_equal(u, np.eye(2)) for u in w.values())
+    # with no degree given there is none to take
+    with pytest.raises(MissingValue):
+        CechCocycle(points, "finite", {}).degree()
+
+
+def _cech_engine_pairs(pairs=10, seed=7):
+    """Phase pairs made as ``verify.cech_engine_checks`` makes them: a
+    coboundary with random windings, and its product with a second
+    coboundary."""
+    cov = octahedron()
+    rng = np.random.default_rng(seed)
+
+    def cochain():
+        return {v: Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 9))) for v in range(6)}
+
+    for _ in range(pairs):
+        theta = cochain()
+        w = {t: int(rng.integers(-2, 3)) for t in cov.triangles() if rng.integers(0, 2)}
+        c = _coboundary(cov, theta, windings=w)
+        yield c, c.product(_coboundary(cov, cochain()))
+
+
+def _abelian_pairs():
+    cov = octahedron()
+    pairs = list(_cech_engine_pairs())
+    # a class mismatch: equal flat parts, one winding apart
+    pairs.append((_coboundary(cov, {}, windings={cov.triangles()[0]: 1}), trivial_cocycle(cov, "phase")))
+    m = {0: 3, 1: -1, 4: 2}
+    good = CechCocycle(cov, "int", {(i, j): m.get(i, 0) - m.get(j, 0) for (i, j) in cov.edges()})
+    pairs.append((good, trivial_cocycle(cov, "int")))
+    # a bad integer edge: 1 on (1, 2) is not a coboundary
+    bad = {e: 0 for e in cov.edges()} | {(1, 2): 1}
+    pairs.append((CechCocycle(cov, "int", bad), trivial_cocycle(cov, "int")))
+    # two components, phases on both
+    two = SimplicialComplex.from_maximal(12, list(cov.triangles()) + [tuple(v + 6 for v in t) for t in cov.triangles()])
+    theta = {v: Fraction(v, 7) for v in range(12)}
+    pairs.append((_coboundary(two, theta), trivial_cocycle(two, "phase")))
+    return pairs
+
+
+def _outcome(f, *args, **kw):
+    try:
+        return f(*args, **kw)
+    except SearchCapExceeded:
+        return SearchCapExceeded
+
+
+@pytest.mark.parametrize("k", range(14))
+def test_abelian_witnesses_match_the_propagation_oracle(k):
+    c, c2 = _abelian_pairs()[k]
+    want = propagation_equivalent(c, c2)
+    got = equivalent(c, c2)
+    assert got == want
+    if want is not None:
+        assert [type(x) for x in got.values()] == [type(x) for x in want.values()]
+    # one root candidate: the budget runs out at the same caps
+    for cap in range(1, c.complex.vertices + 2):
+        assert _outcome(equivalent, c, c2, search_cap=cap) == _outcome(propagation_equivalent, c, c2, search_cap=cap)
+
+
+def test_abelian_oracle_pairs_cover_both_verdicts():
+    verdicts = [equivalent(c, c2) is None for c, c2 in _abelian_pairs()]
+    assert verdicts.count(True) == 2 and verdicts.count(False) == 12
+
+
+def _holonomy_cases():
+    cov = octahedron()
+    els = quaternion_group().elements()
+    two = SimplicialComplex.from_maximal(9, list(cov.triangles()) + [(6,), (7, 8)])
+    theta = {v: Fraction(v * v, 11) for v in range(9)}
+    return {
+        "phase": _coboundary(two, theta, windings={cov.triangles()[2]: 1}),
+        "int": CechCocycle(two, "int", {e: (3 * e[0] - e[1]) % 5 for e in two.edges()}),
+        "q8": CechCocycle(two, "finite", {e: els[(e[0] + 2 * e[1]) % 8] for e in two.edges()}),
+        "edgeless": trivial_cocycle(SimplicialComplex(3, [[0], [1], [2]]), "finite", degree=2),
+    }
+
+
+@pytest.mark.parametrize("kind", ["phase", "int", "q8", "edgeless"])
+def test_holonomy_table_is_one_read_only_memo_along_the_forest(kind):
+    c = _holonomy_cases()[kind]
+    frames, hol = table = c.holonomies()
+    assert c.holonomies() is table
+    n, edges = c.complex.vertices, c.complex.edges()
+    assert len(frames) == n and len(hol) == len(edges)
+    for a in table:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[:1] = a[:1]
+    finite = c.coeff == "finite"
+    tree = set()
+    for root, order in c.complex.spanning_forest():
+        assert np.array_equal(frames[root], np.eye(2)) if finite else frames[root] == 0
+        for pv, cv in order:
+            step = c.value(cv, pv) @ frames[pv] if finite else c.value(cv, pv) + frames[pv]
+            assert np.array_equal(frames[cv], step)
+            tree.add((min(pv, cv), max(pv, cv)))
+    pos = c.complex.positions(1)
+    on_tree = [pos[e] for e in sorted(tree)]
+    if finite:
+        assert np.abs(hol[on_tree] - np.eye(2)).max(initial=0.0) <= 1e-12
+    else:
+        assert all(x == 0 for x in hol[on_tree])
+        assert all(type(x) is (Fraction if c.coeff == "phase" else int) for x in hol)
+        for (i, j), h in zip(edges, hol):
+            assert h == c.value(i, j) - frames[i] + frames[j]
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 
 from catbundle import (
+    CapExceeded,
     CechCocycle,
     ConsistencyError,
     DRTruncation,
     GluingDatum,
+    GroupSpec,
     NotACocycleModG,
     NotInNormalizer,
     RankDeficientVModule,
+    SearchCapExceeded,
     SimplicialComplex,
     SizeCapExceeded,
     Tolerance,
@@ -51,18 +54,19 @@ from catbundle import (
     tensor_glued,
     trivial_group,
 )
-from catbundle import glue
+from catbundle import glue, groups
 from catbundle.verify import su2_octa_datum
 from glue_oracle import (
     arrow_functor_checks,
     arrow_residual,
+    forest_holonomies,
     pushed,
     transport_sections,
     vertex_extraction,
 )
 from kronecker import kron_action
 from octahedra import annulus, subdivided_octahedron
-from witness_oracle import backtracking_equivalent
+from witness_oracle import backtracking_equivalent, propagation_equivalent
 
 HAD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
@@ -122,10 +126,10 @@ def test_mod_group_residual_vanishes_on_honest_data():
 
 
 def test_datum_over_a_base_without_edges():
-    # a base with no edges stores its cocycle values as a (0, 0, 0) stack
+    # a base with no edges stores its cocycle values as a (0, d, d) stack
     point = SimplicialComplex(1, [[0]])
     d = GluingDatum(point, quaternion_group(), {})
-    assert d.cocycle.values.shape == (0, 0, 0)
+    assert d.cocycle.values.shape == (0, 2, 2)
     assert d.mod_group_residual() == 0.0
     assert glued_space(d, 1, 1).dim == 1
 
@@ -481,6 +485,15 @@ def test_holonomy_route_matches_the_transport_oracle(case):
         if len(got):
             diff = _fibre_projector(d, r, s, got) - _fibre_projector(d, r, s, want)
             assert np.abs(diff).max() <= 1e-9, (r, s)
+
+
+@pytest.mark.parametrize("case", sorted(TRANSPORT_CASES))
+def test_datum_holonomies_match_the_frame_walk(case):
+    d = TRANSPORT_CASES[case][0]()
+    got, want = d._holonomies(), forest_holonomies(d)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    # the frames and holonomies are the cocycle's one table
+    assert got[0] is d.cocycle.holonomies()[0]
 
 
 def test_glued_space_skips_hat_matrix_and_svd_when_holonomies_lie_in_the_group(monkeypatch):
@@ -919,6 +932,65 @@ def test_witness_search_matches_backtracking_oracle(case, modulo):
         assert list(got) == list(want)
         for v in want:
             assert np.array_equal(got[v], want[v])
+    # the per-candidate propagation route it replaced
+    want = propagation_equivalent(d1.cocycle, d2.cocycle, modulo=group)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert list(got) == list(want)
+        for v in want:
+            assert np.array_equal(got[v], want[v])
+
+
+def _search_outcome(search, d1, d2, modulo, cap):
+    try:
+        w = search(d1.cocycle, d2.cocycle, modulo=modulo, search_cap=cap)
+    except SearchCapExceeded:
+        return "cap"
+    return w if w is None else [w[v].tobytes() for v in range(d1.complex.vertices)]
+
+
+def _memo_closure(monkeypatch):
+    """Enumerate each candidate closure once: a closure of more elements
+    than the cap raises CapExceeded, as ``enumerate_finite`` does."""
+    real, memo = groups.enumerate_finite, {}
+
+    def enumerate_once(group, tol=None):
+        key = np.array(group.generators).tobytes()
+        if key not in memo:
+            memo[key] = real(GroupSpec(group.kind, group.degree, group.generators, enumeration_cap=10 ** 6))
+        if len(memo[key]) > group.enumeration_cap:
+            raise CapExceeded("group closure exceeds cap %d elements" % group.enumeration_cap)
+        return memo[key]
+
+    monkeypatch.setattr(groups, "enumerate_finite", enumerate_once)
+
+
+@pytest.mark.parametrize("modulo", [None, "q8"])
+@pytest.mark.parametrize("case", ["q8-coboundary", "q8-gauged", "q8-gauged-trivial"])
+def test_witness_search_caps_match_the_propagation_oracle(monkeypatch, case, modulo):
+    d1, d2 = WITNESS_CASES[case]()
+    group = quaternion_group() if modulo else None
+    gens = [*d1.cocycle.values, *d2.cocycle.values, *(group.generators if group else ())]
+    order = len(GroupSpec("finite", 2, gens).elements())
+    # the real closure overflows below its order and fits at it
+    for cap in (order - 1, order):
+        got = _search_outcome(equivalent, d1, d2, group, cap)
+        assert got == _search_outcome(propagation_equivalent, d1, d2, group, cap)
+    _memo_closure(monkeypatch)
+    # the least cap that lets the search finish, by bisection (more units
+    # never make it fail)
+    lo, hi = 0, 6 * order
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _search_outcome(equivalent, d1, d2, group, mid) == "cap" else (lo, mid)
+    first = hi
+    # every cap from 1 up to it; with no witness (6 * order units) the caps
+    # between 240 and the last dozen are skipped to bound the quadratic cost
+    caps = sorted(set(range(1, min(first, 240) + 1)) | set(range(first - 12, first + 1)))
+    for cap in caps:
+        got = _search_outcome(equivalent, d1, d2, group, cap)
+        assert got == _search_outcome(propagation_equivalent, d1, d2, group, cap), cap
+        assert (got == "cap") == (cap < first)
 
 
 def test_oracle_cases_cover_both_verdicts():
