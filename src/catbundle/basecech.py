@@ -244,6 +244,28 @@ def normalized_lift(q):
     return q + (Fraction(1, 2) - q) // 1
 
 
+def _lift(n, den):
+    """``normalized_lift`` on numerators: the numerators over den of the
+    representatives of n / den mod 1 in (-1/2, 1/2], elementwise."""
+    return n + den * ((den - 2 * n) // (2 * den))
+
+
+# int64 arithmetic wraps silently, so integer numerators are int64 only
+# while every value formed from them is known to stay below this bound
+_INT64_SAFE = 2 ** 62
+
+
+def _ints(a, bound):
+    """The integers a as int64 while ``bound``, a bound on every value the
+    caller forms from them, stays below 2^62; else as Python ints in an
+    object array, on which the same array expressions run exactly."""
+    return np.array(a, dtype=np.int64 if bound < _INT64_SAFE else object)
+
+
+def _absmax(a):
+    return int(np.abs(a).max(initial=0))
+
+
 class CechCocycle:
     """Transition data on the closed-star cover of a complex.
 
@@ -252,8 +274,18 @@ class CechCocycle:
     and a 1-d object array of exact ``Fraction``s (phase) or Python ints
     (integer) otherwise.  The construction takes a value on every edge,
     keyed by either orientation (ValueError if one is missing); the
-    values on (j, i), the inverses, are formed once as a second read-only
-    array, so ``value`` only ever reads a stored entry.
+    values on (j, i), the inverses, are kept as a second read-only array,
+    so ``value`` only ever reads a stored entry.
+
+    Phase and integer data are stored as one read-only array
+    ``numerators`` over one ``denominator`` L, the lcm of the values'
+    denominators (1 for integers), and every computation here runs on
+    them; ``values`` and the reversed values are formed on first access.
+    The numerators are int64 while 3 (L + V max|n|) < 2^62 (V vertices),
+    which bounds every triangle sum, lift and holonomy frame formed from
+    them, and Python ints in an object array, under the same expressions,
+    past that.  A sum of two cocycles checks its own bound.
+
     Phase and finite kinds may carry integer windings on triangles.
     An optional structure group may be attached to a finite-kind cocycle;
     ``equivalent`` then searches witnesses in that group.  ``degree``
@@ -289,27 +321,72 @@ class CechCocycle:
             if vals.ndim != 3 or vals.shape[1] != vals.shape[2]:
                 raise ValueError("matrix values must be square and of one size")
             vals[flip] = vals[flip].conj().transpose(0, 2, 1)
-            self.values, self._reversed = _as_stack(vals), _as_stack(vals.conj().transpose(0, 2, 1))
+            self._values, self._reversed = _as_stack(vals), _as_stack(vals.conj().transpose(0, 2, 1))
+            self.numerators = self.denominator = None
         else:
-            exact = _as_fraction if coeff == COEFF_PHASE else int
-            vals = np.array([exact(v) for _, v in slots], dtype=object)
-            vals[flip] = -vals[flip]
-            self.values, self._reversed = vals, -vals
-            for a in (self.values, self._reversed):
-                a.setflags(write=False)
+            exact = [(_as_fraction if coeff == COEFF_PHASE else int)(v) for _, v in slots]
+            den = math.lcm(*(q.denominator for q in exact))
+            num = np.array([q.numerator * (den // q.denominator) for q in exact], dtype=object)
+            num[flip] = -num[flip]
+            self._store(num, den)
+        self.windings = self._checked_windings(windings)
+        self._holonomies = None
+
+    @classmethod
+    def from_numerators(cls, complex_, coeff, numerators, denominator=1, windings=None):
+        """The phase (or integer, over 1) cocycle of the integers
+        ``numerators`` over ``denominator``, in ``complex_.edges()`` order."""
+        num = np.asarray(numerators)
+        if coeff not in (COEFF_PHASE, COEFF_INT) or (coeff == COEFF_INT and denominator != 1):
+            raise ValueError("numerators make phase cocycles, or integer ones over 1")
+        if num.shape != (len(complex_.edges()),) or not (num.dtype == object or num.dtype.kind in "iu"):
+            raise ValueError("expected one integer numerator per edge")
+        c = cls.__new__(cls)
+        c.complex, c.coeff, c.group = complex_, coeff, None
+        c._store(num, denominator)
+        c.windings = c._checked_windings(windings)
+        c._holonomies = None
+        return c
+
+    def _store(self, num, den):
+        """Keep the integers num over den in lowest common terms, as int64
+        while the class bound allows."""
+        den = int(den)
+        if den < 1:
+            raise ValueError("a denominator must be positive, got %r" % (den,))
+        n = num.tolist()
+        g = math.gcd(den, *n)
+        n = [x // g for x in n]
+        self.denominator = den // g
+        bound = 3 * (self.denominator + self.complex.vertices * max(map(abs, n), default=0))
+        self.numerators = _ints(n, bound)
+        self.numerators.setflags(write=False)
+        self._values = self._reversed = None
+
+    def _checked_windings(self, windings):
         wind = {}
         if windings:
-            if coeff == COEFF_INT:
+            if self.coeff == COEFF_INT:
                 raise ValueError("integer cocycles carry no windings")
-            tris = complex_.positions(2)
+            tris = self.complex.positions(2)
             for t, n in dict(windings).items():
                 key = tuple(sorted(int(v) for v in t))
                 if key not in tris:
                     raise ValueError("winding on %r which is not a triangle" % (key,))
                 if int(n):
                     wind[key] = int(n)
-        self.windings = wind
-        self._holonomies = None
+        return wind
+
+    @property
+    def values(self):
+        """The values in ``complex.edges()`` order (see the class docstring)."""
+        if self._values is None:
+            n, den = self.numerators.tolist(), self.denominator
+            vals = np.array([Fraction(x, den) for x in n] if self.coeff == COEFF_PHASE else n, dtype=object)
+            self._values, self._reversed = vals, -vals
+            for a in (self._values, self._reversed):
+                a.setflags(write=False)
+        return self._values
 
     def degree(self):
         if self.coeff != COEFF_FINITE:
@@ -321,19 +398,28 @@ class CechCocycle:
     def holonomies(self):
         """The read-only (frames, holonomies) along ``complex.spanning_forest()``,
         formed once: f_root = 1, f_cv = c_(cv,pv) f_pv by vertex and f_i* c_ij f_j
-        in ``edges()`` order (1 on tree edges); phase and integer data add:
-        f_root = 0, f_cv = c_(cv,pv) + f_pv and c_ij - f_i + f_j (0 on tree edges)."""
+        in ``edges()`` order (1 on tree edges).  Phase and integer data add,
+        on the numerators over ``denominator``: f_root = 0, f_cv = c_(cv,pv) +
+        f_pv and c_ij - f_i + f_j (0 on tree edges)."""
         if self._holonomies is None:
-            finite = self.coeff == COEFF_FINITE
-            frames = np.empty((self.complex.vertices,) + self.values.shape[1:], dtype=self.values.dtype)
-            one = np.eye(self.degree()) if finite else Fraction(0) if self.coeff == COEFF_PHASE else 0
-            for root, tree in self.complex.spanning_forest():
-                frames[root] = one
-                for pv, cv in tree:
-                    frames[cv] = self.value(cv, pv) @ frames[pv] if finite else self.value(cv, pv) + frames[pv]
             i, j = np.array(self.complex.edges(), dtype=int).reshape(-1, 2).T
-            hol = (frames[i].conj().transpose(0, 2, 1) @ self.values @ frames[j] if finite
-                   else self.values - frames[i] + frames[j])
+            if self.coeff == COEFF_FINITE:
+                frames = np.empty((self.complex.vertices,) + self.values.shape[1:], dtype=complex)
+                one = np.eye(self.degree())
+                for root, tree in self.complex.spanning_forest():
+                    frames[root] = one
+                    for pv, cv in tree:
+                        frames[cv] = self.value(cv, pv) @ frames[pv]
+                hol = frames[i].conj().transpose(0, 2, 1) @ self.values @ frames[j]
+            else:
+                # every frame is a path sum, |f| <= V max|n|, within the bound
+                n, pos = self.numerators.tolist(), self.complex.positions(1)
+                f = [0] * self.complex.vertices
+                for _, tree in self.complex.spanning_forest():
+                    for pv, cv in tree:
+                        f[cv] = f[pv] + (n[pos[(cv, pv)]] if cv < pv else -n[pos[(pv, cv)]])
+                frames = np.array(f, dtype=self.numerators.dtype)
+                hol = self.numerators - frames[i] + frames[j]
             self._holonomies = (frames, hol)
             for a in self._holonomies:
                 a.setflags(write=False)
@@ -342,9 +428,10 @@ class CechCocycle:
     def value(self, i, j):
         """The stored value on the overlap (i, j), in either orientation."""
         pos = self.complex.positions(1)
+        vals = self.values  # the reversed values are formed beside them
         a = pos.get((i, j))
         if a is not None:
-            return self.values[a]
+            return vals[a]
         a = pos.get((j, i))
         if a is None:
             raise MissingValue("no value on overlap %r" % ((min(i, j), max(i, j)),))
@@ -362,19 +449,30 @@ class CechCocycle:
         wind = dict(self.windings)
         for t, n in other.windings.items():
             wind[t] = wind.get(t, 0) + n
-        vals = zip(self.complex.edges(), self.values + other.values)
-        return CechCocycle(self.complex, self.coeff, vals, windings=wind)
+        return self._plus(other, 1, wind)
+
+    def _plus(self, other, sign, windings):
+        """The abelian cocycle self + sign * other, over the lcm of both
+        denominators."""
+        den = math.lcm(self.denominator, other.denominator)
+        a, b = den // self.denominator, den // other.denominator
+        bound = a * _absmax(self.numerators) + b * _absmax(other.numerators)
+        num = _ints(self.numerators, bound) * a + sign * (_ints(other.numerators, bound) * b)
+        return CechCocycle.from_numerators(self.complex, self.coeff, num, den, windings)
 
     def to_json(self):
-        doc = {"coeff": self.coeff, "values": []}
-        for (i, j), v in zip(self.complex.edges(), self.values):
-            if self.coeff == COEFF_PHASE:
-                vv = "%d/%d" % (v.numerator, v.denominator)
-            elif self.coeff == COEFF_INT:
-                vv = int(v)
-            else:
-                vv = matrix_to_json(v)
-            doc["values"].append({"edge": [i, j], "value": vv})
+        if self.coeff == COEFF_PHASE:
+            g = np.gcd(self.numerators, self.denominator)
+            p, q = (self.numerators // g).tolist(), (self.denominator // g).tolist()
+            vals = ["%d/%d" % pq for pq in zip(p, q)]
+        elif self.coeff == COEFF_INT:
+            vals = self.numerators.tolist()
+        else:
+            vals = [matrix_to_json(v) for v in self.values]
+        doc = {
+            "coeff": self.coeff,
+            "values": [{"edge": [i, j], "value": v} for (i, j), v in zip(self.complex.edges(), vals)],
+        }
         if self.windings:
             doc["windings"] = [
                 {"triangle": list(t), "value": n} for t, n in sorted(self.windings.items())
@@ -382,7 +480,7 @@ class CechCocycle:
         return doc
 
     @classmethod
-    def from_json(cls, doc, complex_, group=None):
+    def from_json(cls, doc, complex_, group=None, degree=None):
         coeff = doc["coeff"]
         values = {}
         for item in doc.get("values", []):
@@ -394,7 +492,7 @@ class CechCocycle:
         windings = {}
         for item in doc.get("windings", []):
             windings[tuple(item["triangle"])] = int(item["value"])
-        return cls(complex_, coeff, values, windings=windings, group=group)
+        return cls(complex_, coeff, values, windings=windings, group=group, degree=degree)
 
 
 def trivial_cocycle(complex_, coeff, degree=None, group=None):
@@ -425,17 +523,21 @@ def is_cocycle(c, tol=None):
     """
     tol = tol or Tolerance()
     ij, jk, ik = c.complex.triangle_edges().T
-    g = c.values
     if c.coeff == COEFF_FINITE:
+        g = c.values
         res = np.linalg.norm(g[ij] @ g[jk] - g[ik], axis=(1, 2))
         bad = np.flatnonzero(~(res <= tol.tau * max(1.0, math.sqrt(g.shape[1]))))
     else:
-        res = g[ij] + g[jk] - g[ik]
-        bad = np.flatnonzero((res % 1 if c.coeff == COEFF_PHASE else res) != 0)
+        n, den = c.numerators, c.denominator
+        res = n[ij] + n[jk] - n[ik]
+        bad = np.flatnonzero((res % den if c.coeff == COEFF_PHASE else res) != 0)
     if not bad.size:
         return CocycleCheck(True)
-    x = res[bad[0]] - round(res[bad[0]]) if c.coeff == COEFF_PHASE else res[bad[0]]
-    return CocycleCheck(False, c.complex.triangles()[bad[0]], float(abs(x)))
+    x = res[bad[0]]
+    if c.coeff != COEFF_FINITE:
+        # the distance of the sum to the nearest integer (phase)
+        x = min(int(x) % den, -int(x) % den) / den if c.coeff == COEFF_PHASE else abs(int(x))
+    return CocycleCheck(False, c.complex.triangles()[bad[0]], float(x))
 
 
 # ---------------------------------------------------------------------------
@@ -716,9 +818,10 @@ def circle_class(c, tol=None):
             "phase data fails the cocycle identity on %r" % (check.triangle,)
         )
     ij, jk, ik = c.complex.triangle_edges().T
-    lift = normalized_lift(c.values)
+    den = c.denominator
+    lift = _lift(c.numerators, den)
     # an integer on every triangle, since c passed the cocycle check
-    z = (lift[ij] + lift[jk] - lift[ik]) // 1
+    z = ((lift[ij] + lift[jk] - lift[ik]) // den).tolist()
     pos = c.complex.positions(2)
     for t, n in c.windings.items():
         z[pos[t]] += n
@@ -741,7 +844,9 @@ def equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None):
     - c2_(cv,pv) (phase, integer) or c_(cv,pv) u_pv c2_(pv,cv) (matrix).
     Phase and integer data have the one candidate 0 and pass when h2_e -
     h1_e is an integer (phase) or zero (integer) and, for phases, the
-    integral classes agree; the phase witness is rational.
+    integral classes agree.  Both are read on the integer numerators of
+    the one cocycle c2 - c, whose negated frames are the witness f1 - f2;
+    the phase witness is rational.
 
     Matrix data take their root candidates from the attached structure
     group, or, with ``modulo`` set or no group attached, from the closure
@@ -794,13 +899,11 @@ def equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None):
                 return (np.linalg.norm(wh2 - h1w, axis=(1, 2)) <= tol.tau * max(1.0, math.sqrt(d))).all()
             return modulo.contains(h1w.conj().transpose(0, 2, 1) @ wh2, tol=tol).all()
     else:
-        phase = c.coeff == COEFF_PHASE
-        candidates = [Fraction(0) if phase else 0]
-        gap = c2.holonomies()[1] - c.holonomies()[1]
-        bad = (gap % 1 if phase else gap) != 0
-
-        def step(u_pv, pv, cv):
-            return u_pv + c.value(cv, pv) - c2.value(cv, pv)
+        # carried along the forest, u = f1 - f2: the frames of c2 - c, negated
+        diff = c2._plus(c, -1, None)
+        frames, gap = diff.holonomies()
+        bad = (gap % diff.denominator if c.coeff == COEFF_PHASE else gap) != 0
+        candidates = [0]
 
         def passes(w, on):
             return not bad[on].any()
@@ -818,16 +921,18 @@ def equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None):
                 break
         else:
             return None
-        witness[root] = w
-        for (pv, cv) in tree:
-            witness[cv] = step(witness[pv], pv, cv)
+        if c.coeff == COEFF_FINITE:
+            witness[root] = w
+            for (pv, cv) in tree:
+                witness[cv] = step(witness[pv], pv, cv)
 
     if c.coeff == COEFF_PHASE:
         if circle_class(c, tol) != circle_class(c2, tol):
             return None
-        return {v: normalized_lift(q) for v, q in witness.items()}
+        den = diff.denominator
+        return {v: Fraction(n, den) for v, n in enumerate(_lift(-frames, den).tolist())}
     if c.coeff == COEFF_INT:
-        return witness
+        return dict(enumerate((-frames).tolist()))
     return {v: as_matrix(m) for v, m in witness.items()}
 
 
@@ -835,10 +940,36 @@ def equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None):
 # determinant pushforward
 
 
+# the stacked phase checks leave an entry within this distance of a bound
+# to ``snap_phase``, whose complex arithmetic may round differently
+_ROUNDING = 1e-14
+# rows of the (E x 360) window taken at once: two 0.7 MB temporaries
+_SNAP_ROWS = 256
+
+
 def snap_phase(z, tol=None):
     """Nearest rational q of denominator <= PHASE_DENOMINATOR_BOUND with exp(2*pi*i*q) = z.
 
-    Raises IrrationalPhase when no such rational is within tolerance.
+    The angle of z in turns goes to its closest rational of denominator at
+    most PHASE_DENOMINATOR_BOUND (``Fraction.limit_denominator``), lifted
+    into (-1/2, 1/2].  Raises IrrationalPhase when |z| is more than tau
+    from 1 or exp(2*pi*i*q) lies more than max(tau, 1e-12) from z.
+
+    ``snap_phases`` is the stacked form, by this window rule.  With
+    t = max(tau, 1e-12) and x the angle of z in turns, an accepted q has
+    |exp(2 pi i q) - z| <= t, a chord of at least 4 |q - x|, so |q - x| <=
+    t / 4.  One (E x 360) expression finds b1, the least b <= 360 with
+    |b x - round(b x)| <= 2 t b, and takes q = round(b1 x) / b1.  Distinct
+    p / b and p' / b' differ by |p b' - p' b| / (b b') >= 1 / (b b'): any
+    two of denominator <= 360 lie at least 1 / (360 * 359) ~ 7.7e-6 apart,
+    and every other one at least 1 / (360 b1) from q.  So when
+    4 t 360 b1 < 1 (always at the default tau) and q passes the checks, q
+    is the one rational within 4 t - t / 4 of x, the closest, which is what
+    ``limit_denominator`` returns.  An entry with no such b1, where the
+    tolerance may admit a second rational or a tie, or that fails a check
+    or lies within 1e-14 of a check's bound, goes through ``snap_phase``
+    itself, in edge order: the phases and the error are this function's
+    at every tolerance.
     """
     tol = tol or Tolerance()
     if abs(abs(z) - 1.0) > tol.tau:
@@ -853,6 +984,36 @@ def snap_phase(z, tol=None):
     return q
 
 
+def snap_phases(z, tol=None):
+    """``snap_phase`` on every entry of the 1-d stack z at once, by its
+    window rule: the phases as integer numerators over one common
+    denominator, as ``CechCocycle.from_numerators`` takes them.
+    IrrationalPhase names the first failing entry, with ``snap_phase``'s
+    message."""
+    tol = tol or Tolerance()
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    t = max(tol.tau, 1e-12)
+    b = np.arange(1, PHASE_DENOMINATOR_BOUND + 1)
+    window = 2 * t * b
+    x = np.angle(z) / (2.0 * math.pi)
+    den = np.zeros(len(z), dtype=np.int64)  # the smallest hit, 0 for none
+    for lo in range(0, len(z), _SNAP_ROWS):
+        bx = np.multiply.outer(x[lo : lo + _SNAP_ROWS], b)
+        bx -= np.rint(bx)
+        hits = np.abs(bx, out=bx) <= window
+        den[lo : lo + _SNAP_ROWS] = np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, 0)
+    settled = (den > 0) & (4 * t * PHASE_DENOMINATOR_BOUND * den < 1)
+    den = np.maximum(den, 1)
+    num = _lift(np.rint(np.where(settled, x, 0.0) * den).astype(np.int64), den)
+    near = np.abs(np.exp(2j * math.pi * (num / den)) - z)
+    clear = settled & (np.abs(np.abs(z) - 1.0) <= tol.tau - _ROUNDING) & (near <= t - _ROUNDING)
+    for k in np.flatnonzero(~clear):
+        q = snap_phase(complex(z[k]), tol)
+        num[k], den[k] = q.numerator, q.denominator
+    lcm = math.lcm(*set(den.tolist()))
+    return _ints(num, lcm) * (lcm // _ints(den, lcm)), lcm
+
+
 def det_pushforward(c, tol=None):
     """Phase cocycle of determinants of a matrix-valued cocycle.
 
@@ -862,6 +1023,5 @@ def det_pushforward(c, tol=None):
     tol = tol or Tolerance()
     if c.coeff != COEFF_FINITE:
         raise WrongKind("determinant pushforward needs matrix values")
-    dets = np.linalg.det(c.values)
-    vals = {e: snap_phase(complex(z), tol) for e, z in zip(c.complex.edges(), dets)}
-    return CechCocycle(c.complex, COEFF_PHASE, vals, windings=dict(c.windings))
+    num, den = snap_phases(np.linalg.det(c.values), tol)
+    return CechCocycle.from_numerators(c.complex, COEFF_PHASE, num, den, windings=c.windings)

@@ -41,7 +41,7 @@ from .basecech import (
     det_pushforward,
     equivalent,
     is_cocycle,
-    snap_phase,
+    snap_phases,
 )
 from .errors import (
     ConsistencyError,
@@ -96,11 +96,15 @@ class GluingDatum:
     """
 
     def __init__(self, complex_, group, transitions, windings=None, tol=None):
-        self.complex = complex_
+        vals = {e: u.u if isinstance(u, NormalizerElement) else u for e, u in dict(transitions).items()}
+        self._adopt(CechCocycle(complex_, COEFF_FINITE, vals, windings=windings, degree=group.degree), group, tol)
+
+    def _adopt(self, cocycle, group, tol):
+        """Check the transition stack of ``cocycle`` and keep it."""
+        self.complex = cocycle.complex
         self.group = group
         self.tol = tol or Tolerance()
-        vals = {e: u.u if isinstance(u, NormalizerElement) else u for e, u in dict(transitions).items()}
-        self.cocycle = CechCocycle(self.complex, COEFF_FINITE, vals, windings=windings, degree=group.degree)
+        self.cocycle = cocycle
         _require_normalizing(self.cocycle.values, group, tol=self.tol)
         inside = group.contains(self._triangle_defects(), tol=self.tol)
         if not inside.all():
@@ -241,8 +245,10 @@ class GluingDatum:
         complex_ = SimplicialComplex.from_json(doc["complex"])
         group = GroupSpec.from_json(doc["group"])
         # the cocycle document is read as matrix data whatever its "coeff"
-        c = CechCocycle.from_json(dict(doc["cocycle"], coeff=COEFF_FINITE), complex_)
-        return cls(complex_, group, zip(complex_.edges(), c.values), windings=c.windings, tol=tol)
+        c = CechCocycle.from_json(dict(doc["cocycle"], coeff=COEFF_FINITE), complex_, degree=group.degree)
+        datum = cls.__new__(cls)
+        datum._adopt(c, group, tol)
+        return datum
 
 
 def scalar_datum(complex_, group, phases, windings=None, tol=None):
@@ -678,17 +684,17 @@ def extract_twisted_special(cat, tol=None):
     resids.append(np.linalg.norm(pairing, axis=(1, 2)))
     names = ("isometry patch %d", "range projector patch %d", "pairing patch %d")
     checks = [(name % v, float(x[v])) for v in range(n) for name, x in zip(names, resids)]
-    for name, resid in checks:
-        if not tol.close(resid, scale=math.sqrt(d ** d)):
-            raise ConsistencyError("twisted special identity failed: %s (%g)" % (name, resid))
+    # every check at once, in the order of ``checks``
+    ok = tol.close(np.stack(resids, axis=1).ravel(), scale=math.sqrt(d ** d))
+    if not ok.all():
+        name, resid = checks[np.argmin(ok)]
+        raise ConsistencyError("twisted special identity failed: %s (%g)" % (name, resid))
     # <sref, comps[v]> for every vertex in one product, sref = comps[0]
     inner = comps.reshape(n, -1) @ comps[0].conj().ravel()
     i, j = np.array(datum.complex.edges(), dtype=int).reshape(-1, 2).T
     z = inner[i] * inner[j].conj()
-    phases = {e: snap_phase(complex(w), tol) for e, w in zip(datum.complex.edges(), z / np.abs(z))}
-    cocycle = CechCocycle(
-        datum.complex, COEFF_PHASE, phases, windings=dict(datum.windings)
-    )
+    num, den = snap_phases(z / np.abs(z), tol)
+    cocycle = CechCocycle.from_numerators(datum.complex, COEFF_PHASE, num, den, windings=datum.windings)
     if not is_cocycle(cocycle, tol):
         raise ConsistencyError("extracted phases fail the cocycle identity")
     extracted = circle_class(cocycle, tol)

@@ -1,9 +1,11 @@
 """Cech layer: Smith normal form, H^2, circle classes, witnesses."""
 
 import cmath
+import json
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from catbundle import (
     NotInNormalizer,
     SearchCapExceeded,
     SimplicialComplex,
+    Tolerance,
     WrongKind,
     circle_class,
     det_pushforward,
@@ -31,10 +34,20 @@ from catbundle import (
     quaternion_group,
     smith_normal_form,
     snap_phase,
+    snap_phases,
     special_unitary,
     trivial_cocycle,
 )
-from cochain_oracle import loop_circle_class, loop_det_pushforward, loop_is_cocycle
+from catbundle import basecech
+from catbundle.basecech import PHASE_DENOMINATOR_BOUND
+from cochain_oracle import (
+    FractionCochain,
+    exact_holonomies,
+    loop_circle_class,
+    loop_det_pushforward,
+    loop_is_cocycle,
+    loop_snap_phases,
+)
 from octahedra import annulus, barycentric, subdivided_octahedron
 from witness_oracle import bfs_forest, propagation_equivalent, union_find_components
 
@@ -782,6 +795,10 @@ def test_holonomy_table_is_one_read_only_memo_along_the_forest(kind):
         with pytest.raises(ValueError):
             a[:1] = a[:1]
     finite = c.coeff == "finite"
+    if not finite:
+        # integer numerators over the cocycle's one denominator
+        assert frames.dtype == hol.dtype == np.int64
+        frames, hol = ([Fraction(int(x), c.denominator) for x in a] for a in table)
     tree = set()
     for root, order in c.complex.spanning_forest():
         assert np.array_equal(frames[root], np.eye(2)) if finite else frames[root] == 0
@@ -794,8 +811,7 @@ def test_holonomy_table_is_one_read_only_memo_along_the_forest(kind):
     if finite:
         assert np.abs(hol[on_tree] - np.eye(2)).max(initial=0.0) <= 1e-12
     else:
-        assert all(x == 0 for x in hol[on_tree])
-        assert all(type(x) is (Fraction if c.coeff == "phase" else int) for x in hol)
+        assert all(hol[a] == 0 for a in on_tree)
         for (i, j), h in zip(edges, hol):
             assert h == c.value(i, j) - frames[i] + frames[j]
 
@@ -1001,3 +1017,147 @@ def test_array_routes_match_the_loops_on_phase_cochains(data):
     pushed_forward, oracle = det_pushforward(fin), loop_det_pushforward(fin)
     assert pushed_forward.to_json() == oracle.to_json()
     assert all(isinstance(v, Fraction) for v in pushed_forward.values)
+
+
+def _abelian_cochain(data, cov, kind):
+    """Values on every edge, keyed in either orientation: a coboundary with
+    integer lift shifts and sometimes a few edges pushed off the cocycle
+    identity, plus windings for phases."""
+    edges, tris = cov.edges(), cov.triangles()
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=12) if kind == "phase" else st.integers(-3, 3)
+    theta = data.draw(st.lists(small, min_size=cov.vertices, max_size=cov.vertices))
+    shift = data.draw(st.lists(st.integers(-2, 2), min_size=len(edges), max_size=len(edges)))
+    flip = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    pushed = data.draw(st.dictionaries(st.sampled_from(edges), small, max_size=2))
+    vals = {}
+    for (i, j), n, f in zip(edges, shift, flip):
+        v = theta[i] - theta[j] + n + pushed.get((i, j), 0)
+        vals.update({(j, i): -v} if f else {(i, j): v})
+    winds = data.draw(st.lists(st.integers(-3, 3), min_size=len(tris), max_size=len(tris)))
+    return vals, dict(zip(tris, winds)) if kind == "phase" else None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_integer_routes_match_the_fraction_oracle(data):
+    cov = _BASES[data.draw(st.sampled_from(sorted(_BASES)))]
+    kind = data.draw(st.sampled_from(["phase", "int"]))
+    (vals, w), (vals2, w2) = _abelian_cochain(data, cov, kind), _abelian_cochain(data, cov, kind)
+    c, c2 = CechCocycle(cov, kind, vals, windings=w), CechCocycle(cov, kind, vals2, windings=w2)
+    f, f2 = FractionCochain(cov, kind, vals, windings=w), FractionCochain(cov, kind, vals2, windings=w2)
+    for ours, oracle in ((c, f), (c2, f2), (c.product(c2), f.product(f2))):
+        assert ours.numerators.dtype == np.int64
+        assert list(ours.values) == list(oracle.values)
+        assert all(type(v) is (Fraction if kind == "phase" else int) for v in ours.values)
+        assert json.dumps(ours.to_json()) == json.dumps(oracle.to_json())
+        assert exact_holonomies(ours) == oracle.holonomies()
+        assert is_cocycle(ours) == loop_is_cocycle(oracle)
+    if loop_is_cocycle(f) and loop_is_cocycle(f2):
+        got = equivalent(c, c2)
+        assert got == propagation_equivalent(f, f2)
+        if got is not None:
+            assert all(type(v) is (Fraction if kind == "phase" else int) for v in got.values())
+
+
+_PRIMES = (331, 337, 347, 349, 353, 359, 367, 373)
+
+
+@pytest.mark.parametrize("count", [8, 7])
+def test_numerators_past_int64_take_python_ints(count):
+    # eight primes: the lcm passes 2^63; seven: the numerators fit int64,
+    # but with integer shifts up to 14 their triangle sums pass 2^63
+    primes = _PRIMES[:count]
+    cov = subdivided_octahedron(1)
+    tris = cov.triangles()
+
+    def cochain(k):
+        theta = {v: Fraction(3 * v + k, primes[(v + k) % count]) for v in range(cov.vertices)}
+        return {(i, j): theta[i] - theta[j] + (i * j) % 15 for (i, j) in cov.edges()}
+
+    w = {tris[0]: 2, tris[5]: -1}
+    c = CechCocycle(cov, "phase", cochain(1), windings=w)
+    c2 = c.product(CechCocycle(cov, "phase", cochain(4)))
+    f = FractionCochain(cov, "phase", cochain(1), windings=w)
+    f2 = f.product(FractionCochain(cov, "phase", cochain(4)))
+    assert c.denominator == math.prod(primes) and (math.prod(primes) > 2 ** 63) == (count == 8)
+    for ours, oracle in ((c, f), (c2, f2)):
+        assert list(ours.values) == list(oracle.values)
+        assert json.dumps(ours.to_json()) == json.dumps(oracle.to_json())
+        assert exact_holonomies(ours) == oracle.holonomies()
+        assert circle_class(ours) == loop_circle_class(oracle)
+    assert circle_class(c) == h2_integral(cov).reduce(w)
+    want = propagation_equivalent(f, f2)
+    assert want is not None and equivalent(c, c2) == want
+    assert c.numerators.dtype == c2.numerators.dtype == object
+
+
+def _right_neighbour(q):
+    """The least rational above q with denominator <= PHASE_DENOMINATOR_BOUND."""
+    return min(Fraction(q.numerator * b // q.denominator + 1, b) for b in range(1, PHASE_DENOMINATOR_BOUND + 1))
+
+
+@st.composite
+def _snap_cases(draw):
+    """Rationals of denominator <= 360 on the circle, moved just inside or
+    just outside the exp check, the hit window or the unit-circle check,
+    or put midway between two neighbouring rationals."""
+    # below 1e-12 the exp check's bound stays 1e-12 and the unit-circle
+    # check alone can fail
+    tau = draw(st.sampled_from([1e-13, 1e-9, 1e-3]))
+    t = max(tau, 1e-12)
+    zs = []
+    for _ in range(draw(st.integers(1, 8))):
+        b = draw(st.integers(1, PHASE_DENOMINATOR_BOUND))
+        q = Fraction(draw(st.integers(-b, b)), b)
+        kind = draw(st.sampled_from(["exact", "chord", "window", "tie", "radius"]))
+        side = draw(st.sampled_from([-1, 1]))
+        edge = 1 + draw(st.sampled_from([-1, 1])) * draw(st.floats(1e-6, 1e-2))
+        ang, r = float(q), 1.0
+        if kind == "chord":  # |exp(2 pi i q) - z| = t * edge
+            ang += side * math.asin(t * edge / 2) / math.pi
+        elif kind == "window":  # |x - q| = 2 t * edge
+            ang += side * 2 * t * edge
+        elif kind == "tie":
+            ang = float((q + _right_neighbour(q)) / 2)
+        elif kind == "radius":  # ||z| - 1| = tau * edge
+            r += side * tau * edge
+        zs.append(r * cmath.exp(2j * math.pi * ang))
+    return tau, zs
+
+
+def _snap_outcome(f, zs, tol):
+    try:
+        return f(zs, tol)
+    except IrrationalPhase as exc:
+        return str(exc)
+
+
+def _stacked_snap(zs, tol):
+    num, den = snap_phases(zs, tol)
+    return [Fraction(n, den) for n in num.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_snap_cases())
+def test_stacked_snap_matches_the_scalar_oracle(case):
+    # the same phases, or IrrationalPhase on the same (first failing) value
+    tau, zs = case
+    tol = Tolerance(tau)
+    assert _snap_outcome(_stacked_snap, zs, tol) == _snap_outcome(loop_snap_phases, zs, tol)
+    for z in zs:  # each alone, so that every entry that passes is compared
+        assert _snap_outcome(_stacked_snap, [z], tol) == _snap_outcome(loop_snap_phases, [z], tol)
+
+
+def test_the_window_settles_every_hit_at_the_default_tolerance():
+    rng = random.Random(5)
+    dens = [rng.randint(1, PHASE_DENOMINATOR_BOUND) for _ in range(2000)]
+    qs = [Fraction(rng.randint(-(b // 2), b // 2), b) for b in dens]
+    # well inside the exp check: a chord of about t / 3
+    zs = [cmath.exp(2j * math.pi * (float(q) + rng.choice([-1, 1]) * 5e-11)) for q in qs]
+    with mock.patch.object(basecech, "snap_phase", side_effect=AssertionError("scalar route taken")):
+        num, den = snap_phases(zs, Tolerance(1e-9))
+    assert [Fraction(n, den) for n in num.tolist()] == [normalized_lift(q) for q in qs]
+    # at the CLI ceiling every entry may admit a second rational
+    with mock.patch.object(basecech, "snap_phase", wraps=basecech.snap_phase) as scalar:
+        assert _stacked_snap(zs[:50], Tolerance(1e-3)) == loop_snap_phases(zs[:50], Tolerance(1e-3))
+    assert scalar.call_count == 50

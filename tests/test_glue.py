@@ -1,8 +1,10 @@
 """Glued categories: data validation, arrow spaces, classification, extraction."""
 
+import json
 import math
 import random
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -142,6 +144,30 @@ def test_datum_json_roundtrip():
     for e in d.complex.edges():
         assert np.allclose(back.transition(*e), d.transition(*e))
     assert back.mod_group_residual() <= 1e-12
+
+
+@pytest.mark.parametrize("base", ["octahedron", "point"])
+def test_from_json_builds_the_cocycle_once(base, monkeypatch):
+    if base == "point":
+        d = GluingDatum(SimplicialComplex(1, [[0]]), quaternion_group(), {})
+    else:
+        d = su2_octa_datum(2, phases={0: Fraction(1, 3)})
+    doc = d.to_json()
+    init, built = CechCocycle.__init__, []
+
+    def counted(self, *args, **kw):
+        built.append(self)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(CechCocycle, "__init__", counted)
+    back = GluingDatum.from_json(doc)
+    assert built == [back.cocycle]
+    monkeypatch.undo()
+    # the same datum as a second construction from the values read
+    c = CechCocycle.from_json(doc["cocycle"], d.complex)
+    twice = GluingDatum(d.complex, d.group, zip(d.complex.edges(), c.values), windings=c.windings)
+    assert back.cocycle.values.shape == twice.cocycle.values.shape == d.cocycle.values.shape
+    assert json.dumps(back.to_json()) == json.dumps(twice.to_json())
 
 
 # ---------------------------------------------------------------------------
@@ -889,6 +915,29 @@ def test_stacked_extraction_matches_the_vertex_loop(case):
     assert out.checks == checks
     assert out.phase_cocycle.to_json() == cocycle.to_json()
     assert (out.extracted_class, out.pushforward_class) == (extracted, pushforward)
+
+
+@dataclass(frozen=True)
+class _StrictChecks(Tolerance):
+    """A tolerance whose ``close`` accepts residuals up to ``limit`` only."""
+
+    limit: float = 0.0
+
+    def close(self, residual, scale=1.0):
+        return residual <= self.limit
+
+
+@pytest.mark.parametrize("case", ["octahedron-q8", "v26-q8", "v146-su2"])
+def test_stacked_extraction_names_the_first_failing_identity_check(case):
+    d = EXTRACTION_CASES[case][0]()
+    resids = [r for _, r in vertex_extraction(d, d.tol)[1]]
+    tol = _StrictChecks(d.tol.tau, max(resids[:3]))
+    # some later check fails, so the first failure is not the first check
+    assert max(resids) > tol.limit
+    with pytest.raises(ConsistencyError) as want:
+        vertex_extraction(d, tol)
+    with pytest.raises(ConsistencyError, match="^%s$" % re.escape(str(want.value))):
+        extract_twisted_special(d, tol)
 
 
 def test_extraction_cases_cover_a_patch_rank_failure():

@@ -9,6 +9,7 @@ import importlib
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -65,14 +66,20 @@ def test_tracer_runs_glue_dims(tmp_path):
     assert {"glue.glued_space", "linalg.power_action"} <= names
 
 
+def _perfbench(name):
+    """A module of ``perfbench/``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, os.path.join(ROOT, "perfbench", name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_tracer_methods_resolve_on_the_package():
     # install() reads each listed method from its class __dict__, so a
     # deleted method would only surface in a traced benchmark pass
-    spec = importlib.util.spec_from_file_location(
-        "tracechild", os.path.join(ROOT, "perfbench", "tracechild.py")
-    )
-    tracechild = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracechild)
+    tracechild = _perfbench("tracechild")
     assert tracechild.METHODS
     for layer, cls_name, attr in tracechild.METHODS:
         cls = getattr(importlib.import_module("catbundle." + layer), cls_name)
@@ -87,6 +94,25 @@ def test_tracer_runs_chern_without_touching_the_report(tmp_path):
     assert json.loads(traced)["command"] == "chern"
     names = {name for name, _, _, _, _ in spans}
     assert {"basecech.smith_normal_form", "glue.extract_twisted_special"} <= names
+
+
+def test_traced_chern_snaps_phases_once_per_stage(tmp_path):
+    # the 146-vertex su(2) datum of the benchmark's generator: 432 edges
+    inputs = _perfbench("inputs")
+    base = inputs.subdivided_octahedron(2)
+    doc, _, _ = inputs.su2_datum(random.Random(3), base, 2, base.triangles[0])
+    path = tmp_path / "v146.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    report, spans = _traced(tmp_path, "chern", "--input", str(path))
+    assert report["data"]["agree"]
+    names = [name for name, _, _, _, _ in spans]
+    snaps = [span for span in spans if span[0] in ("basecech.snap_phase", "basecech.snap_phases")]
+    # one stacked snap for the extracted phases, one for the determinants
+    assert sorted(names[parent] for _, parent, _, _, _ in snaps) == [
+        "basecech.det_pushforward",
+        "glue.extract_twisted_special",
+    ]
+    assert {"basecech.circle_class", "basecech.det_pushforward"} <= set(names)
 
 
 def _gauged_q8(gauge):

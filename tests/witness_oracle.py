@@ -9,7 +9,9 @@ verdict.  Two searches make no use of the holonomies:
   vertex of its component and then checks each edge of the component on
   the carried values, one edge at a time, for every coefficient kind; it
   spends the same budget, so both raise SearchCapExceeded at the same
-  caps and return bit-identical witnesses.
+  caps and return bit-identical witnesses.  Phase classes are compared
+  with ``cochain_oracle.loop_circle_class``, so on phase data it reads
+  nothing but ``value`` and ``winding``.
 * ``backtracking_equivalent`` (matrix cocycles) also tries each twist h
   in turn at every tree edge (u_cv = c_(cv,pv) u_pv h c2_(cv,pv)*),
   checks the edges back to vertices already placed, and backtracks on
@@ -27,10 +29,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from catbundle import GroupSpec, SearchCapExceeded, Tolerance, as_matrix, circle_class, normalized_lift
+from catbundle import GroupSpec, SearchCapExceeded, Tolerance, as_matrix, normalized_lift
 from catbundle.basecech import SEARCH_CAP
 from catbundle.errors import CapExceeded, WrongKind
 from catbundle.groups import _require_normalizing
+from cochain_oracle import loop_circle_class
 
 
 def union_find_components(complex_):
@@ -223,7 +226,7 @@ def propagation_equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None):
             return None
 
     if c.coeff == "phase":
-        if circle_class(c, tol) != circle_class(c2, tol):
+        if loop_circle_class(c) != loop_circle_class(c2):
             return None
         return {v: normalized_lift(q) for v, q in witness.items()}
     if c.coeff == "int":
