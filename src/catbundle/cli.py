@@ -160,7 +160,7 @@ def run_glue_dims(config):
         for s in range(config.rmax + 1):
             sp = glued_space(datum, r, s)
             dims["%d,%d" % (r, s)] = sp.dim
-            worst = max(worst, float(datum._overlap_residuals(r, s, sp.sections).max(initial=0.0)))
+            worst = max(worst, float(sp._residuals().max(initial=0.0)))
     checks = [verify_mod._c("overlap matching of all basis arrows", worst, config.tolerance)]
     data = {"glued_dims": dims, "rmax": config.rmax}
     return {"command": "glue-dims", "checks": [c.to_json() for c in checks], "data": data}

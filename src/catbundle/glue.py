@@ -16,7 +16,8 @@ into a holonomy h_e = u_i* c_ij u_j in the normalizer (1 on the tree
 edges), so a glued arrow is a fibre intertwiner x fixed by every
 holonomy, carried to patch v by its frame.  A holonomy in the fibre
 group fixes every intertwiner, so only the holonomies outside it cut
-the space down; glued spaces are solved that way, per component.
+the space down; glued spaces are solved that way, per component, kept
+as those x and checked on x alone, as the frames act unitarily.
 
 Circle-valued winding numbers on triangles travel with the datum and
 carry the part of the bundle class that constant transitions cannot
@@ -69,8 +70,14 @@ from .linalg import (
 from .repcat import antisym_projector, intertwiners, symmetry_unitary
 
 GLUED_COEFF_CAP = 2_000_000
-# transitions act on runs of edges whose stacked images hold at most this
-# many entries (and never more than GLUED_COEFF_CAP): batched, yet small
+"""Entries a glued space may form.  With m = |(r, s) fibre basis|,
+D = d^(r+s), k holonomies outside the fibre group and K components,
+``glued_space`` refuses when k m (D + m) + K m D exceeds its ``cap``
+(this value by default): the k m basis images, their k m x m system
+(H_e - 1) and the coefficients, at most m per component.  Sections are
+refused past dim V D entries, an overlap check when one edge's images
+(families x D) exceed it, ``hat_matrix`` when all E m D images do."""
+# the entries of one run of edges in an overlap check: batched, yet small
 EDGE_RUN_ENTRIES = 1 << 13
 
 
@@ -90,9 +97,7 @@ class GluingDatum:
 
     ``_holonomies`` filters the cocycle's one frame and holonomy table;
     it and the glued spaces are kept on the datum.  Unitaries act on
-    fibre basis stacks through ``_basis_action``, and the transitions on
-    section stacks through ``power_action``, one batched call per run of
-    edges (``_edge_runs``).
+    fibre basis stacks through ``_basis_action``.
     """
 
     def __init__(self, complex_, group, transitions, windings=None, tol=None):
@@ -137,47 +142,6 @@ class GluingDatum:
     def fibre_basis(self, r, s):
         return intertwiners(self.group, r, s, tol=self.tol)
 
-    def _edge_runs(self, per_edge):
-        """``complex.edges()`` cut into runs, each with its (len, d, d)
-        transitions, so that ``per_edge`` entries per edge stay within
-        EDGE_RUN_ENTRIES and GLUED_COEFF_CAP.  Each run's transitions are
-        a read-only slice of the cocycle's ``values`` stack."""
-        if per_edge > GLUED_COEFF_CAP:
-            raise SizeCapExceeded(
-                "one edge needs %d entries, cap is %d" % (per_edge, GLUED_COEFF_CAP)
-            )
-        edges = self.complex.edges()
-        step = max(1, min(EDGE_RUN_ENTRIES, GLUED_COEFF_CAP) // max(1, per_edge))
-        for lo in range(0, len(edges), step):
-            yield edges[lo : lo + step], self.cocycle.values[lo : lo + step]
-
-    def _overlap_residuals(self, r, s, stack, witness=None):
-        """The worst |t_i - u_ij . t_j| over the edges for each family of a
-        (..., vertices, d^s, d^r) stack, one ``power_action`` per run moving
-        all the families one edge fits under GLUED_COEFF_CAP (SizeCapExceeded
-        only if a single family does not fit).  With a (vertices, d, d)
-        ``witness`` w the families are first pushed patchwise, t_v -> w_v . t_v,
-        in groups whose pushed copy fits one run's entry budget (at least
-        one family), so the whole stack is never pushed at once."""
-        d = self.degree
-        fams = stack.reshape((-1,) + stack.shape[-3:])
-        # per edge: both ends and the image of each family, and the powers
-        one, powers = 3 * d ** (r + s), d ** (2 * r) + d ** (2 * s)
-        group = max(1, (GLUED_COEFF_CAP - powers) // one)
-        if witness is not None:
-            budget = min(EDGE_RUN_ENTRIES, GLUED_COEFF_CAP)
-            group = min(group, max(1, budget // max(1, math.prod(fams.shape[1:]))))
-        worst = np.zeros(len(fams))
-        for lo in range(0, len(fams), group):
-            part, w = fams[lo : lo + group], worst[lo : lo + group]
-            if witness is not None:
-                part = power_action(witness, part, r, s)
-            for run, u in self._edge_runs(len(part) * one + powers):
-                i, j = np.array(run, dtype=int).reshape(-1, 2).T
-                diff = part[:, i] - power_action(u, part[:, j], r, s)
-                np.maximum(w, np.linalg.norm(diff, axis=(-2, -1)).max(axis=1), out=w)
-        return worst.reshape(stack.shape[:-3])
-
     def _basis_action(self, u, r, s, edges):
         """The (k, m, m) action of a (k, d, d) stack on the (r, s) fibre basis,
         laid out as in ``hat_matrix``.  Each image must stay in the fibre
@@ -204,17 +168,15 @@ class GluingDatum:
 
         Returns an (E, m, m) array over ``complex.edges()`` in the stored
         orientation i < j, entry [e, a, b] the coordinate on basis a of
-        the image of basis b; the reverse orientation is the adjoint.  The
-        edges are moved in runs (see ``_edge_runs``; SizeCapExceeded if
-        one edge's images and tensor powers exceed GLUED_COEFF_CAP), each
-        by one ``_basis_action``.
+        the image of basis b; the reverse orientation is the adjoint: one
+        ``_basis_action`` under one cap check (see GLUED_COEFF_CAP), kept
+        for the tests' transport oracle and the benchmark tracer.
         """
         m, ds, dr = self.fibre_basis(r, s).stack.shape
-        # per edge: the m images, and power_action's powers (at most
-        # d^(2s) entries on the rows and d^(2r) on the columns)
-        runs = self._edge_runs(m * ds * dr + ds * ds + dr * dr)
-        out = [self._basis_action(u, r, s, run) for run, u in runs]
-        out = np.concatenate(out) if out else np.zeros((0, m, m), dtype=complex)
+        need = len(self.cocycle.values) * m * ds * dr
+        if need > GLUED_COEFF_CAP:
+            raise SizeCapExceeded("the transition images need %d entries, cap is %d" % (need, GLUED_COEFF_CAP))
+        out = self._basis_action(self.cocycle.values, r, s, self.complex.edges())
         out.setflags(write=False)
         return out
 
@@ -328,8 +290,26 @@ class GluedArrow:
         return float(np.linalg.svd(self.components, compute_uv=False)[:, 0].max())
 
     def compatibility_residual(self):
-        """The one-family case of the datum's ``_overlap_residuals``."""
-        return float(self.datum._overlap_residuals(self.r, self.s, self.components))
+        """The worst |t_i - c_ij . t_j| over the edges (i, j), by ``_mismatch``."""
+        i, j = np.array(self.datum.complex.edges(), dtype=int).reshape(-1, 2).T
+        return float(_mismatch(self.components[None], self.datum.cocycle.values, i, j, self.r, self.s)[0])
+
+
+def _mismatch(y, g, a, b, r, s):
+    """Per family of a (families, nodes, d^s, d^r) stack y, the worst
+    |y[a_e] - g_e . y[b_e]| over the edges e of an (E, d, d) stack g, one
+    ``power_action`` per run of edges whose images (as large as the ends
+    and difference, at least half the powers) fit EDGE_RUN_ENTRIES."""
+    one = math.prod(y.shape[:1] + y.shape[2:])
+    if one > GLUED_COEFF_CAP:
+        raise SizeCapExceeded("one edge's images need %d entries, cap is %d" % (one, GLUED_COEFF_CAP))
+    step = max(1, min(EDGE_RUN_ENTRIES, GLUED_COEFF_CAP) // max(1, one))
+    worst = np.zeros(len(y))
+    for lo in range(0, len(g), step):
+        run = slice(lo, lo + step)
+        diff = y[:, a[run]] - power_action(g[run], y[:, b[run]], r, s)
+        np.maximum(worst, np.linalg.norm(diff, axis=(-2, -1)).max(axis=1), out=worst)
+    return worst
 
 
 def glued_identity(datum, r):
@@ -346,24 +326,58 @@ def glued_symmetry(r, s, datum):
 
 @dataclass
 class GluedSpace:
-    """All glued arrows between two tensor powers as one read-only
-    (dim, vertices, d^s, d^r) stack ``sections`` of orthonormal sections,
-    checked against the overlaps or pushed by a witness in one call;
-    ``arrows`` forms the basis arrows from it on each access."""
+    """All glued arrows between two tensor powers by their fibre
+    coefficients: family k, the intertwiner x = ``coefficients[k]`` (a
+    read-only block), is fixed by the holonomies of component ``owner[k]``;
+    its unit section, formed on access, is u_v . x / sqrt(n) on the n
+    patches there and 0 elsewhere."""
 
     datum: GluingDatum
     r: int
     s: int
-    sections: np.ndarray
-    fibre_dim: int
+    coefficients: np.ndarray
+    owner: np.ndarray
 
     @property
     def dim(self):
-        return len(self.sections)
+        return len(self.coefficients)
+
+    def _form(self, families=slice(None)):
+        """The read-only (families, vertices, d^s, d^r) sections, within GLUED_COEFF_CAP."""
+        x, owner = self.coefficients[families], self.owner[families]
+        need = x.size * self.datum.complex.vertices
+        if need > GLUED_COEFF_CAP:
+            raise SizeCapExceeded("the sections need %d entries, cap is %d" % (need, GLUED_COEFF_CAP))
+        frames, comp = self.datum._holonomies()[:2]
+        weight = (comp == owner[:, None]) / np.sqrt(np.bincount(comp)[owner])[:, None]
+        out = power_action(frames, x[:, None], self.r, self.s) * weight[:, :, None, None]
+        out.setflags(write=False)
+        return out
+
+    sections = property(_form)
 
     @property
     def arrows(self):
         return [GluedArrow(self.datum, self.r, self.s, t) for t in self.sections]
+
+    def _scaled(self):
+        """x / sqrt(n) for each family: its section at each patch up to the frame."""
+        comp = self.datum._holonomies()[1]
+        return self.coefficients / np.sqrt(np.bincount(comp)[self.owner])[:, None, None]
+
+    def _residuals(self, g=None):
+        """Each family's worst |x - g_e . x| / sqrt(n) over its component's edges,
+        one ``_mismatch`` per component: for the holonomies g (the default),
+        the worst overlap mismatch |t_i - c_ij . t_j| of its unit section."""
+        g = self.datum.cocycle.holonomies()[1] if g is None else g
+        comp = self.datum._holonomies()[1]
+        on_comp = comp[np.array(self.datum.complex.edges(), dtype=int).reshape(-1, 2)[:, 0]]
+        y, worst = self._scaled(), np.zeros(self.dim)
+        for k in set(self.owner.tolist()):
+            own, on = self.owner == k, on_comp == k
+            node = np.zeros(np.count_nonzero(on), dtype=int)
+            worst[own] = _mismatch(y[own, None], g[on], node, node, self.r, self.s)
+        return worst
 
 
 def glued_space(datum, r, s, cap=GLUED_COEFF_CAP):
@@ -378,49 +392,30 @@ def glued_space(datum, r, s, cap=GLUED_COEFF_CAP):
     H_e - 1 of their fibre-basis actions, decided by ``nullspace`` on its
     unit scale, since a trivial action makes the system numerically zero.
     With no holonomy left the operator is empty and the kernel is the
-    whole fibre basis, with no SVD.  A kernel vector x gives the unit
-    section u_v . x / sqrt(|component|) on its component and zero
-    elsewhere, all from one ``power_action`` of the frames.
-
-    ``cap`` bounds the holonomy system by (cycles + vertices) * m * m
-    entries, an upper bound since at most one holonomy per cycle lies
-    outside the group, and is checked on every call; the space is solved
-    once per (datum, r, s) and kept on the datum as one read-only section
-    stack (GluedSpace), checked against the overlaps and pushed by a
-    witness in one call.
+    whole fibre basis, with no SVD.  The kernel vectors are the space's
+    coefficients (GluedSpace), solved once per (datum, r, s) and kept on
+    the datum; ``cap`` (see GLUED_COEFF_CAP) is checked on every call.
     """
-    m = len(datum.fibre_basis(r, s))
-    n = datum.complex.vertices
-    cycles = len(datum.complex.edges()) - n + len(datum.complex.spanning_forest())
-    if (cycles + n) * m * m > cap:
-        raise SizeCapExceeded(
-            "glued holonomy system (%d + %d) x %d blocks of %d x %d exceeds the cap"
-            % (cycles, n, m, m, m)
-        )
-    if (r, s) not in datum._spaces:
-        sections = _holonomy_sections(datum, r, s)
-        sections.setflags(write=False)
-        datum._spaces[(r, s)] = GluedSpace(datum, r, s, sections, m)
-    return datum._spaces[(r, s)]
-
-
-def _holonomy_sections(datum, r, s):
-    """The (dim, vertices, d^s, d^r) orthonormal sections, by component (see glued_space)."""
     stack = datum.fibre_basis(r, s).stack
     m, ds, dr = stack.shape
-    frames, comp, ends, hol = datum._holonomies()
-    blocks = datum._basis_action(hol, r, s, ends) - np.eye(m)
-    owner, coeffs = [], []
-    for k in range(len(datum.complex.spanning_forest())):
-        op = blocks[comp[ends[:, 0]] == k]
-        kernel = nullspace(op.reshape(len(op) * m, m), tol=datum.tol)
-        owner += [k] * len(kernel)
-        coeffs += [x.ravel() for x in kernel]
-    owner = np.array(owner, dtype=int)
-    x = np.reshape(coeffs, (len(coeffs), 1, m)) @ stack.reshape(m, ds * dr)
-    # the unit section u_v . x / sqrt(|component|) on x's component, 0 elsewhere
-    weight = (comp == owner[:, None]) / np.sqrt(np.bincount(comp)[owner])[:, None]
-    return power_action(frames, x.reshape(-1, 1, ds, dr), r, s) * weight[:, :, None, None]
+    _, comp, ends, hol = datum._holonomies()
+    need = len(hol) * m * (ds * dr + m) + len(datum.complex.spanning_forest()) * m * ds * dr
+    if need > cap:
+        raise SizeCapExceeded("glued (%d, %d) space forms %d entries, cap is %d" % (r, s, need, cap))
+    if (r, s) not in datum._spaces:
+        blocks = datum._basis_action(hol, r, s, ends) - np.eye(m)
+        owner, coeffs = [], []
+        for k in range(len(datum.complex.spanning_forest())):
+            op = blocks[comp[ends[:, 0]] == k]
+            kernel = nullspace(op.reshape(len(op) * m, m), tol=datum.tol)
+            owner += [k] * len(kernel)
+            coeffs += [x.ravel() for x in kernel]
+        x = (np.reshape(coeffs, (len(coeffs), 1, m)) @ stack.reshape(m, ds * dr)).reshape(-1, ds, dr)
+        owner = np.array(owner, dtype=int)
+        for a in (x, owner):
+            a.setflags(write=False)
+        datum._spaces[(r, s)] = GluedSpace(datum, r, s, x, owner)
+    return datum._spaces[(r, s)]
 
 
 class GluedCategory:
@@ -503,23 +498,26 @@ def _functor_checks(d1, d2, witness, rmax, tol):
     def push(arrow):
         return GluedArrow(d1, arrow.r, arrow.s, power_action(u, arrow.components, arrow.r, arrow.s))
 
+    # a pushed family (w_v u_v) . x (u_v d2's frames) matches d1 where these fix x
+    wu = u @ d2.cocycle.holonomies()[0]
+    i, j = np.array(d1.complex.edges(), dtype=int).reshape(-1, 2).T
+    moved = wu[i].conj().transpose(0, 2, 1) @ d1.cocycle.values @ wu[j]
     for r, s in np.ndindex(rmax + 1, rmax + 1):
         s1 = glued_space(d1, r, s)
         s2 = glued_space(d2, r, s)
         checks.append(("dim (%d,%d)" % (r, s), float(abs(s1.dim - s2.dim))))
         if s1.dim != s2.dim:
             return checks, False
-        # one overlap check per space, pushing the families by the witness
-        # a group at a time, and one SVD per space, reported by arrow
-        resids = d1._overlap_residuals(r, s, s2.sections, witness=u)
-        norms = np.linalg.svd(s2.sections, compute_uv=False)[..., 0].max(axis=1)
+        # one overlap check and one SVD per space, reported by arrow
+        resids = s2._residuals(moved)
+        norms = np.linalg.svd(s2._scaled(), compute_uv=False)[..., 0]
         for resid, norm in zip(resids.tolist(), norms):
             checks.append(("transport (%d,%d)" % (r, s), resid))
             if not tol.close(resid, scale=max(1.0, norm)):
                 return checks, False
     sample = glued_space(d2, 1, 1)
     if sample.dim:
-        a = sample.arrows[0]
+        a = GluedArrow(d2, 1, 1, sample._form([0])[0])
         resid = (push(a.compose(a)) - push(a).compose(push(a))).norm()
         checks.append(("composition", resid))
         resid = (push(a.adjoint()) - push(a).adjoint()).norm()
@@ -634,9 +632,9 @@ def extract_twisted_special(cat, tol=None):
     phases (windings included) is the class of the datum.  Computed
     without ever looking at the transition determinants, then compared
     against the determinant pushforward route.  Accepts a glued category
-    or a bare datum.  The space's section stack is read whole: one stacked
-    SVD gives every patch rank, and each identity is checked on all patches
-    in one expression."""
+    or a bare datum.  The space's section stack is formed once and read
+    whole: one stacked SVD gives every patch rank, and each identity is
+    checked on all patches in one expression."""
     datum = cat.datum if isinstance(cat, GluedCategory) else cat
     tol = tol or datum.tol
     d = datum.degree
@@ -645,14 +643,15 @@ def extract_twisted_special(cat, tol=None):
         raise RankDeficientVModule("no glued antisymmetric sections at all")
     proj = antisym_projector(d, d)
     n = datum.complex.vertices
-    op = ((np.eye(d ** d) - proj) @ space.sections).reshape(space.dim, -1).T
+    sections = space.sections
+    op = ((np.eye(d ** d) - proj) @ sections).reshape(space.dim, -1).T
     # arrows are unit sections, so the reference scale for "this column
     # combination is antisymmetric" is nullspace's unit one: the op is
     # numerically zero exactly when every section is already antisymmetric
     coeffs = nullspace(op, tol=tol)
     if not coeffs:
         raise RankDeficientVModule("no antisymmetric sections among the glued ones")
-    stacks = np.tensordot(np.array([x.reshape(-1) for x in coeffs]), space.sections, axes=1)
+    stacks = np.tensordot(np.array([x.reshape(-1) for x in coeffs]), sections, axes=1)
     # the rank of every patch's (d^d, families) block from one stacked SVD
     blocks = stacks.reshape(len(stacks), n, -1).transpose(1, 2, 0)
     above = ~_below_cutoff(np.linalg.svd(blocks, compute_uv=False), tol)

@@ -1,12 +1,16 @@
-"""Oracles for the section-stack routes of ``catbundle.glue``: the loops.
+"""Oracles for the routes of ``catbundle.glue``: the loops and the stacks.
 
-A glued space is one (dim, vertices, d^s, d^r) stack, checked against
-the overlaps, pushed by a witness and read by the extraction in one call
-per space.  The helpers here do the same work one arrow, or one vertex,
-at a time: each arrow's overlap residual over the edge runs, each
-arrow pushed and checked on its own, and each patch rank of the
-extraction from its own ``nullspace``.  On every input both routes must
-give the same numbers, check names and errors.
+A glued space is its fibre coefficients, checked against the overlaps
+and pushed by a witness on those alone, and read by the extraction
+through its (dim, vertices, d^s, d^r) section stack.  The helpers here
+do the same work on the sections: ``overlap_residuals`` checks a whole
+section stack against the transitions, pushing it by a witness a group
+of families at a time (the route the coefficient checks replaced), and
+the loops work one arrow, or one vertex, at a time: each arrow's overlap
+residual on the transitions of all edges, each arrow pushed and checked
+on its own, and each patch rank of the extraction from its own
+``nullspace``.  On every input the routes must give the same check
+names and errors, and the same numbers up to roundoff.
 
 ``forest_holonomies`` forms a datum's frames, components and holonomies
 outside the fibre group by the walk ``GluingDatum._holonomies`` made
@@ -39,6 +43,7 @@ from catbundle import (
     power_action,
     snap_phase,
 )
+from catbundle import glue
 from catbundle.linalg import _as_stack
 from witness_oracle import bfs_forest
 
@@ -93,16 +98,39 @@ def transport_sections(datum, r, s):
 
 
 def arrow_residual(arrow):
-    """One arrow's worst overlap mismatch, its own power_action per run."""
-    d = arrow.datum.degree
-    worst = 0.0
-    # per edge: both ends and the image, and power_action's powers
-    per_edge = 3 * d ** (arrow.r + arrow.s) + d ** (2 * arrow.r) + d ** (2 * arrow.s)
-    for run, u in arrow.datum._edge_runs(per_edge):
-        i, j = np.array(run, dtype=int).reshape(-1, 2).T
-        img = power_action(u, arrow.components[j], arrow.r, arrow.s)
-        worst = max(worst, float(np.linalg.norm(arrow.components[i] - img, axis=(1, 2)).max()))
-    return worst
+    """One arrow's worst overlap mismatch |t_i - c_ij . t_j|, every edge
+    moved by its transition in one power_action."""
+    i, j = np.array(arrow.datum.complex.edges(), dtype=int).reshape(-1, 2).T
+    img = power_action(arrow.datum.cocycle.values, arrow.components[j], arrow.r, arrow.s)
+    return float(np.linalg.norm(arrow.components[i] - img, axis=(1, 2)).max(initial=0.0))
+
+
+def overlap_residuals(datum, r, s, stack, witness=None):
+    """The worst |t_i - c_ij . t_j| over the edges for each family of a
+    (..., vertices, d^s, d^r) section stack, one power_action per run of
+    edges moving a group of families.  With a (vertices, d, d) ``witness``
+    w the families are first pushed patchwise, t_v -> w_v . t_v, in groups
+    whose pushed copy fits one run's entry budget (at least one family)."""
+    d = datum.degree
+    fams = stack.reshape((-1,) + stack.shape[-3:])
+    # per edge: both ends and the image of each family, and the powers
+    one, powers = 3 * d ** (r + s), d ** (2 * r) + d ** (2 * s)
+    budget = min(glue.EDGE_RUN_ENTRIES, glue.GLUED_COEFF_CAP)
+    group = max(1, (glue.GLUED_COEFF_CAP - powers) // one)
+    if witness is not None:
+        group = min(group, max(1, budget // max(1, math.prod(fams.shape[1:]))))
+    ends = np.array(datum.complex.edges(), dtype=int).reshape(-1, 2)
+    worst = np.zeros(len(fams))
+    for lo in range(0, len(fams), group):
+        part, w = fams[lo : lo + group], worst[lo : lo + group]
+        if witness is not None:
+            part = power_action(witness, part, r, s)
+        step = max(1, budget // (len(part) * one + powers))
+        for e in range(0, len(ends), step):
+            i, j = ends[e : e + step].T
+            diff = part[:, i] - power_action(datum.cocycle.values[e : e + step], part[:, j], r, s)
+            np.maximum(w, np.linalg.norm(diff, axis=(-2, -1)).max(axis=1), out=w)
+    return worst.reshape(stack.shape[:-3])
 
 
 def pushed(datum, witness, arrow):

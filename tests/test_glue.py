@@ -1,9 +1,14 @@
 """Glued categories: data validation, arrow spaces, classification, extraction."""
 
+import contextlib
+import importlib.util
+import io
 import json
 import math
+import os
 import random
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,6 +53,7 @@ from catbundle import (
     nullspace,
     octahedron,
     opnorm,
+    power_action,
     quaternion_group,
     scalar_datum,
     snap_phase,
@@ -56,12 +62,13 @@ from catbundle import (
     tensor_glued,
     trivial_group,
 )
-from catbundle import glue, groups
+from catbundle import cli, glue, groups
 from catbundle.verify import su2_octa_datum
 from glue_oracle import (
     arrow_functor_checks,
     arrow_residual,
     forest_holonomies,
+    overlap_residuals,
     pushed,
     transport_sections,
     vertex_extraction,
@@ -457,6 +464,16 @@ def _projector(rows):
     return rows.T @ rows.conj()
 
 
+def _octahedron_and_twisted_circle():
+    """An octahedron and a disjoint quarter-twisted circle: the antisymmetric
+    line is glued on the first component and cut to zero on the second."""
+    faces = octahedron().triangles()
+    c = SimplicialComplex.from_maximal(9, list(faces) + [(6, 7), (7, 8), (6, 8)])
+    trans = {e: np.eye(2) for e in c.edges()}
+    trans[(6, 8)] = np.diag([1.0, 1j])
+    return GluingDatum(c, special_unitary(2), trans)
+
+
 ALL_2 = [(r, s) for r in range(3) for s in range(3)]
 ALL_3 = [(r, s) for r in range(4) for s in range(4)]
 ORACLE_CASES = {
@@ -468,6 +485,8 @@ ORACLE_CASES = {
     "q8-holonomy": (_q8_holonomy, ALL_3),
     "cut-to-zero": (_quarter_twist_circle, ALL_3),
     "two-components": (lambda: _two_octahedra()[0], ALL_3),
+    # a family of one component is not fixed by the other's holonomy
+    "twisted-circle": (_octahedron_and_twisted_circle, ALL_3),
 }
 
 
@@ -569,49 +588,76 @@ def test_hat_matrix_rejects_transition_leaving_the_fibre_space():
         d.hat_matrix(1, 1)
 
 
-def test_chunked_hat_matrix_equals_unchunked(monkeypatch):
+def test_hat_matrix_is_one_action_under_one_cap_check(monkeypatch):
     d = _q8_gauged(subdivided_octahedron(1), 6)
     whole = {rs: d.hat_matrix(*rs) for rs in ALL_3}
-    # room for 3 edges of the (3, 3) images (16 x 8 x 8 entries each)
-    monkeypatch.setattr(glue, "GLUED_COEFF_CAP", 3 * 16 * 8 * 8)
+    edges = len(d.complex.edges())
+    m = whole[(3, 3)].shape[1]
+    # the images of every edge: m fibre basis elements of 8 x 8 entries each
+    monkeypatch.setattr(glue, "GLUED_COEFF_CAP", edges * m * 8 * 8)
     for rs, want in whole.items():
         got = d.hat_matrix(*rs)
-        assert got.shape == want.shape == (len(d.complex.edges()),) + want.shape[1:]
-        assert np.abs(got - want).max(initial=0.0) <= 1e-14, rs
-    # one edge's (3, 3) images alone would exceed the cap
-    monkeypatch.setattr(glue, "GLUED_COEFF_CAP", 16 * 8 * 8 - 1)
+        assert got.shape == want.shape == (edges,) + want.shape[1:]
+        assert np.array_equal(got, want) and not got.flags.writeable, rs
+    monkeypatch.setattr(glue, "GLUED_COEFF_CAP", edges * m * 8 * 8 - 1)
     with pytest.raises(SizeCapExceeded):
         d.hat_matrix(3, 3)
 
 
-def test_edge_run_budget_counts_the_powers(monkeypatch):
+def _runs_of(monkeypatch):
+    """Record the (unitaries, images) of every power_action that
+    ``glue._mismatch`` makes."""
+    runs, inside = [], []
+    real_mismatch, real_action = glue._mismatch, glue.power_action
+
+    def mismatch(*args):
+        inside.append(True)
+        try:
+            return real_mismatch(*args)
+        finally:
+            inside.pop()
+
+    def action(u, t, r, s, **kw):
+        out = real_action(u, t, r, s, **kw)
+        if inside:
+            runs.append((u, out))
+        return out
+
+    monkeypatch.setattr(glue, "_mismatch", mismatch)
+    monkeypatch.setattr(glue, "power_action", action)
+    return runs
+
+
+def test_edge_runs_hold_their_images_within_the_budget(monkeypatch):
     d = _q8_gauged(subdivided_octahedron(1), 6)
-    want = d.hat_matrix(3, 3)
-    m = want.shape[1]
-    # one edge's (3, 3) images, plus the 8 x 8 powers on its rows and columns
-    need = m * 8 * 8 + 2 * 8 * 8
-    monkeypatch.setattr(glue, "GLUED_COEFF_CAP", need)
-    assert np.abs(d.hat_matrix(3, 3) - want).max(initial=0.0) <= 1e-14
-    monkeypatch.setattr(glue, "GLUED_COEFF_CAP", need - 1)
-    with pytest.raises(SizeCapExceeded):
-        d.hat_matrix(3, 3)
     arrow = glued_space(d, 1, 1).arrows[0]
-    # both ends, the image and the two 2 x 2 powers of one (1, 1) edge
-    monkeypatch.setattr(glue, "GLUED_COEFF_CAP", 3 * 4 + 2 * 4 - 1)
+    want = arrow.compatibility_residual()
+    runs = _runs_of(monkeypatch)
+    # one edge of a (1, 1) arrow moves 2 x 2 entries: room for 3 edges
+    monkeypatch.setattr(glue, "EDGE_RUN_ENTRIES", 3 * 4 + 3)
+    assert arrow.compatibility_residual() == want
+    assert [len(u) for u, _ in runs] == [3] * (len(d.complex.edges()) // 3)
+    assert all(img.size <= 15 for _, img in runs)
+    # the cap refuses only an edge whose own images exceed it
+    monkeypatch.setattr(glue, "GLUED_COEFF_CAP", 4)
+    assert arrow.compatibility_residual() == want
+    assert all(len(u) == 1 for u, _ in runs[-len(d.complex.edges()):])
+    monkeypatch.setattr(glue, "GLUED_COEFF_CAP", 3)
     with pytest.raises(SizeCapExceeded):
         arrow.compatibility_residual()
 
 
-def test_edge_runs_are_views_of_the_cocycle_stack():
+def test_edge_runs_are_views_of_the_cocycle_stack(monkeypatch):
     d = _q8_gauged(octahedron(), 2)
     stack = d.cocycle.values
-    runs = list(d._edge_runs(glue.EDGE_RUN_ENTRIES // 4))
-    assert [len(run) for run, _ in runs] == [4, 4, 4]
-    assert [e for run, _ in runs for e in run] == list(d.complex.edges())
-    for run, u in runs:
+    arrow = glued_space(d, 1, 1).arrows[0]
+    runs = _runs_of(monkeypatch)
+    monkeypatch.setattr(glue, "EDGE_RUN_ENTRIES", 4 * 4)
+    arrow.compatibility_residual()
+    assert [len(u) for u, _ in runs] == [4, 4, 4]
+    for u, _ in runs:
         assert np.shares_memory(u, stack) and not u.flags.writeable
-        for (i, j), t in zip(run, u):
-            assert np.array_equal(t, d.transition(i, j))
+    assert np.array_equal(np.concatenate([u for u, _ in runs]), stack)
 
 
 def test_glued_and_pushed_components_are_read_only():
@@ -727,11 +773,20 @@ def test_memoized_glued_arrows_are_read_only():
     assert np.array_equal(again.arrows[0].components, before)
 
 
-def test_glued_cap_bounds_the_holonomy_system():
+def _glued_need(d, r, s):
+    """The entries ``glued_space`` forms (see GLUED_COEFF_CAP): k m (D + m)
+    for the k holonomies outside the group, and K m D for the coefficients."""
+    m, size = len(d.fibre_basis(r, s)), d.degree ** (r + s)
+    k, comps = len(d._holonomies()[3]), len(d.complex.components())
+    return k * m * (size + m) + comps * m * size
+
+
+def test_glued_cap_bounds_the_holonomy_system(monkeypatch):
     d = su2_octa_datum(1)
-    # octahedron: 6 vertices, 12 edges, so 7 independent cycles; m = 2 at
-    # (2, 2): holonomy rows and transports hold (7 + 6) * 2 * 2 entries
-    need = (7 + 6) * 2 * 2
+    # every transition is 1, so no holonomy leaves the group, and the
+    # octahedron is one component: m = 2 at (2, 2), one 2 x 4 x 4 block
+    need = 2 * 16
+    assert _glued_need(d, 2, 2) == need
     with pytest.raises(SizeCapExceeded):
         glued_space(d, 2, 2, cap=need - 1)
     assert glued_space(d, 2, 2, cap=need).dim == 2
@@ -740,6 +795,26 @@ def test_glued_cap_bounds_the_holonomy_system():
         glued_space(d, 2, 2, cap=need - 1)
     with pytest.raises(SizeCapExceeded):
         build_glued(d, 2, cap=need - 1)
+    # the annulus: k Hadamard holonomies, m = 4 at (2, 2), so k blocks of
+    # 4 images of 4 x 4 entries and a 4 x 4 block (H_e - 1) each
+    hol = _q8_holonomy()
+    k = len(hol._holonomies()[3])
+    assert k and len(hol.fibre_basis(2, 2)) == 4
+    need = k * 4 * (16 + 4) + 4 * 16
+    assert _glued_need(hol, 2, 2) == need
+    with pytest.raises(SizeCapExceeded):
+        glued_space(hol, 2, 2, cap=need - 1)
+    sp = glued_space(hol, 2, 2, cap=need)
+    assert 0 < sp.dim < 4
+    # reading the sections forms dim x vertices x 4 x 4 entries
+    stack = sp.dim * hol.complex.vertices * 16
+    monkeypatch.setattr(glue, "GLUED_COEFF_CAP", stack)
+    assert sp.sections.shape == (sp.dim, hol.complex.vertices, 4, 4)
+    monkeypatch.setattr(glue, "GLUED_COEFF_CAP", stack - 1)
+    with pytest.raises(SizeCapExceeded):
+        sp.sections
+    with pytest.raises(SizeCapExceeded):
+        sp.arrows
 
 
 def test_extraction_on_two_components():
@@ -786,28 +861,39 @@ def _gauged(d, seed):
     return GluingDatum(d.complex, d.group, trans, windings=dict(d.windings)), dict(enumerate(g))
 
 
-def _octahedron_and_twisted_circle():
-    """An octahedron and a disjoint quarter-twisted circle: the antisymmetric
-    line is glued on the first component and cut to zero on the second."""
-    faces = octahedron().triangles()
-    c = SimplicialComplex.from_maximal(9, list(faces) + [(6, 7), (7, 8), (6, 8)])
-    trans = {e: np.eye(2) for e in c.edges()}
-    trans[(6, 8)] = np.diag([1.0, 1j])
-    return GluingDatum(c, special_unitary(2), trans)
-
-
 def test_glued_space_is_one_read_only_section_stack():
-    d = _q8_holonomy()
-    for r, s in ALL_3:
-        sp = glued_space(d, r, s)
-        assert sp.sections.shape == (sp.dim, d.complex.vertices, 2 ** s, 2 ** r)
-        assert not sp.sections.flags.writeable
-        # the arrows are formed from the stack on access, not kept beside it
-        assert set(vars(sp)) == {"datum", "r", "s", "sections", "fibre_dim"}
-        arrows = sp.arrows
-        assert len(arrows) == sp.dim
-        for arrow, t in zip(arrows, sp.sections):
-            assert (arrow.r, arrow.s) == (r, s) and np.array_equal(arrow.components, t)
+    # a cut space, and spaces with a family on each of two components
+    for d in (_q8_holonomy(), _two_octahedra()[0]):
+        frames, comp = d._holonomies()[:2]
+        for r, s in ALL_3:
+            sp = glued_space(d, r, s)
+            # the space keeps its coefficients and their components, nothing else
+            assert set(vars(sp)) == {"datum", "r", "s", "coefficients", "owner"}
+            assert sp.coefficients.shape == (sp.dim, 2 ** s, 2 ** r)
+            assert sp.owner.shape == (sp.dim,) and list(sp.owner) == sorted(sp.owner)
+            assert not sp.coefficients.flags.writeable and not sp.owner.flags.writeable
+            # the sections are formed on each access, unit and frame-carried
+            sections = sp.sections
+            assert sections.shape == (sp.dim, d.complex.vertices, 2 ** s, 2 ** r)
+            assert not sections.flags.writeable and sp.sections is not sections
+            assert np.array_equal(sp.sections, sections)
+            for k, x in enumerate(sp.coefficients):
+                v = np.flatnonzero(comp == sp.owner[k])
+                want = np.zeros_like(sections[k])
+                want[v] = power_action(frames[v], x, r, s) / math.sqrt(len(v))
+                assert np.abs(sections[k] - want).max() <= 1e-14
+                assert np.array_equal(sp._form([k])[0], sections[k])
+            arrows = sp.arrows
+            assert len(arrows) == sp.dim
+            for arrow, t in zip(arrows, sections):
+                assert (arrow.r, arrow.s) == (r, s) and np.array_equal(arrow.components, t)
+
+
+def _roundoff(got, want, norms):
+    """Residual lists that agree within 1e-13 max(1, norm), entry by entry."""
+    return len(got) == len(want) == len(norms) and all(
+        abs(a - b) <= 1e-13 * max(1.0, n) for a, b, n in zip(got, want, norms)
+    )
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
@@ -815,10 +901,13 @@ def test_stacked_overlap_residuals_match_the_arrow_loop(case):
     d = ORACLE_CASES[case][0]()
     for r, s in ALL_3:
         sp = glued_space(d, r, s)
-        got = d._overlap_residuals(r, s, sp.sections)
+        got = sp._residuals()
         assert got.shape == (sp.dim,)
-        assert got.tolist() == [arrow_residual(a) for a in sp.arrows], (r, s)
-        assert [a.compatibility_residual() for a in sp.arrows] == got.tolist(), (r, s)
+        norms = [a.norm() for a in sp.arrows]
+        assert _roundoff(got, [arrow_residual(a) for a in sp.arrows], norms), (r, s)
+        assert _roundoff(got, overlap_residuals(d, r, s, sp.sections), norms), (r, s)
+        arrows = [a.compatibility_residual() for a in sp.arrows]
+        assert _roundoff(arrows, [arrow_residual(a) for a in sp.arrows], norms), (r, s)
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
@@ -826,28 +915,49 @@ def test_stacked_functor_checks_match_the_arrow_loop(case):
     d2 = ORACLE_CASES[case][0]()
     d1, witness = _gauged(d2, 17)
     got = glue._functor_checks(d1, d2, witness, 3, Tolerance())
-    assert got == arrow_functor_checks(d1, d2, witness, 3, Tolerance())
+    want = arrow_functor_checks(d1, d2, witness, 3, Tolerance())
+    assert _same_checks(got, want)
     # a gauge is a witness, so every arrow of every space was checked
     assert got[1]
-    transports = [name for name, _ in got[0] if name.startswith("transport")]
+    transports = [x for name, x in got[0] if name.startswith("transport")]
     assert len(transports) == sum(glued_space(d2, r, s).dim for r, s in ALL_3)
+    # the section-stack route, pushing the families a group at a time
+    u = np.array([witness[v] for v in range(d2.complex.vertices)])
+    spaces = [glued_space(d2, r, s) for r, s in ALL_3]
+    stacked = [x for sp in spaces for x in overlap_residuals(d1, sp.r, sp.s, sp.sections, witness=u)]
+    assert _roundoff(transports, stacked, [a.norm() for sp in spaces for a in sp.arrows])
+
+
+def _same_checks(got, want):
+    """Functor check reports with the same verdict and names, and values
+    within 1e-13 of each other (residuals of unit arrows)."""
+    (a, ok_a), (b, ok_b) = got, want
+    names = [n for n, _ in a] == [n for n, _ in b]
+    return ok_a == ok_b and names and _roundoff([x for _, x in a], [x for _, x in b], [1.0] * len(a))
 
 
 def test_functor_checks_stop_at_a_failing_arrow_mid_space():
-    d1, d2 = _q8_gauged(octahedron(), 2), _q8_gauged(octahedron(), 2)
-    witness = {v: as_matrix(np.eye(2)) for v in range(6)}
-    sp = glued_space(d2, 2, 2)
+    d1, d2 = _q8_holonomy(), _q8_holonomy()
+    witness = {v: as_matrix(np.eye(2)) for v in range(d1.complex.vertices)}
+    r, s = 2, 2
+    sp = glued_space(d2, r, s)
     k = sp.dim // 2
     assert 0 < k < sp.dim - 1
-    broken = np.array(sp.sections)
-    broken[k, 0] = -broken[k, 0]
-    d2._spaces[(2, 2)] = glue.GluedSpace(d2, 2, 2, glue._as_stack(broken), sp.fibre_dim)
+    # a unit fibre intertwiner orthogonal to the glued ones: the Hadamard
+    # holonomy does not fix it
+    basis = d2.fibre_basis(r, s).stack
+    glued = np.tensordot(sp.coefficients, basis.conj(), axes=([1, 2], [1, 2]))
+    cut = nullspace(glued.conj(), tol=d2.tol)[0].ravel()
+    planted = np.array(sp.coefficients)
+    planted[k] = np.tensordot(cut, basis, axes=1)
+    d2._spaces[(r, s)] = glue.GluedSpace(d2, r, s, planted, sp.owner)
     got = glue._functor_checks(d1, d2, witness, 3, Tolerance())
-    assert got == arrow_functor_checks(d1, d2, witness, 3, Tolerance())
-    checks, ok = got
-    assert not ok
-    assert checks[-1][0] == "transport (2,2)" and checks[-1][1] >= 0.1
-    assert [name for name, _ in checks].count("transport (2,2)") == k + 1
+    want = arrow_functor_checks(d1, d2, witness, 3, Tolerance())
+    assert _same_checks(got, want)
+    for checks, ok in (got, want):
+        assert not ok
+        assert checks[-1][0] == "transport (2,2)" and checks[-1][1] >= 0.1
+        assert [name for name, _ in checks].count("transport (2,2)") == k + 1
 
 
 @pytest.mark.parametrize("case", ["q8-holonomy", "v26-q8", "two-components"])
@@ -857,52 +967,74 @@ def test_witness_push_stays_within_the_run_budget(monkeypatch, case):
     want = arrow_functor_checks(d1, d2, witness, 3, Tolerance())
     budget = 1 << 9
     monkeypatch.setattr(glue, "EDGE_RUN_ENTRIES", budget)
-    frames = np.array([witness[v] for v in range(d2.complex.vertices)])
-    pushes = []
-    real = glue.power_action
-
-    def spy(u, t, r, s, **kw):
-        if np.shape(u) == frames.shape and np.array_equal(u, frames):
-            pushes.append((np.shape(t), glued_space(d2, r, s).dim))
-        return real(u, t, r, s, **kw)
-
-    monkeypatch.setattr(glue, "power_action", spy)
-    assert glue._functor_checks(d1, d2, witness, 3, Tolerance()) == want
-    assert want[1] and pushes
-    for shape, dim in pushes:
-        family = math.prod(shape[1:])
-        # a group of families fits the budget, or is one family
-        assert shape[0] * family <= budget or shape[0] == 1
-        assert shape[0] < dim or dim * family <= budget
-    # and some space was too large to push whole
-    assert any(shape[0] < dim for shape, dim in pushes)
+    runs = _runs_of(monkeypatch)
+    got = glue._functor_checks(d1, d2, witness, 3, Tolerance())
+    assert _same_checks(got, want) and got[1] and runs
+    # each run's images fit the budget, or the run is one edge
+    assert all(img.size <= budget or len(u) == 1 for u, img in runs)
+    # and some space was checked in more than one run
+    assert len(runs) > len(ALL_3)
 
 
-@pytest.mark.parametrize("rs", [(2, 2), (1, 3), (3, 3)])
+@pytest.mark.parametrize("rs", [(2, 2), (1, 3), (3, 3), (1, 1)])
 def test_space_built_under_a_cap_is_checked_under_it(monkeypatch, rs):
     r, s = rs
-    d = _q8_gauged(subdivided_octahedron(1), 6)
-    m = len(d.fibre_basis(r, s))
-    # hat_matrix's need for one edge: its m images and the two powers
-    need = m * 2 ** (r + s) + 4 ** r + 4 ** s
-    monkeypatch.setattr(glue, "GLUED_COEFF_CAP", need)
-    sp = glued_space(d, r, s)
-    # the whole stack needs more than the cap, so it is checked in groups
-    assert 3 * sp.dim * 2 ** (r + s) + 4 ** r + 4 ** s > need
-    got = d._overlap_residuals(r, s, sp.sections)
-    assert got.max() <= 1e-9
-    assert got.tolist() == [arrow_residual(a) for a in sp.arrows]
-    monkeypatch.setattr(glue, "GLUED_COEFF_CAP", need - 1)
-    with pytest.raises(SizeCapExceeded):
-        d.hat_matrix(r, s)
+    # (1, 1) has m = 1 for Q8 and su(2) alike; su(2) at (1, 1) was once
+    # built under a cap of 12 that its overlap check then exceeded
+    data = {"v26-q8": _q8_gauged(subdivided_octahedron(1), 6), "q8-holonomy": _q8_holonomy(), "su2": su2_octa_datum(1)}
+    for name, d in data.items():
+        need = _glued_need(d, r, s)
+        with monkeypatch.context() as patched:
+            patched.setattr(glue, "GLUED_COEFF_CAP", need)
+            sp = glued_space(d, r, s, cap=need)
+            got = sp._residuals()
+        if (name, rs) == ("su2", (1, 1)):
+            assert need <= 12
+        assert got.max(initial=0.0) <= 1e-9
+        assert _roundoff(got, [arrow_residual(a) for a in sp.arrows], [1.0] * sp.dim)
+        with pytest.raises(SizeCapExceeded):
+            glued_space(d, r, s, cap=need - 1)
 
 
-EXTRACTION_CASES = dict(ORACLE_CASES, **{"twisted-circle": (_octahedron_and_twisted_circle, [])})
+def _perfbench_inputs():
+    """``perfbench/inputs.py``, loaded from its file."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
-@pytest.mark.parametrize("case", sorted(EXTRACTION_CASES))
+def test_glue_dims_and_functor_checks_never_form_the_sections(monkeypatch, tmp_path):
+    reads = []
+    sections = glue.GluedSpace.sections
+    monkeypatch.setattr(glue.GluedSpace, "sections", property(lambda sp: reads.append(sp) or sections.fget(sp)))
+    for case in sorted(ORACLE_CASES):
+        d2 = ORACLE_CASES[case][0]()
+        d1, witness = _gauged(d2, 17)
+        assert glue._functor_checks(d1, d2, witness, 3, Tolerance())[1], case
+    # the benchmark's generated glue inputs: a 146-vertex su(2) datum and
+    # a gauge-equivalent Q8 pair on 26 vertices
+    files, _ = _perfbench_inputs().generate("glue-classify", 1)
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    q8 = [str(tmp_path / ("q8-equal-%d.json" % k)) for k in (0, 1)]
+    calls = [["glue-dims", "--input", str(tmp_path / "su2-v146.json")], ["glue-dims", "--input", q8[0]]]
+    calls.append(["classify", "--input", q8[0], "--input", q8[1]])
+    for argv in calls:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv) == 0, argv
+        assert json.loads(out.getvalue())["command"] == argv[0]
+    assert reads == []
+    # the spy sees a read
+    assert glued_space(ORACLE_CASES["octahedron-q8"][0](), 1, 1).sections.shape == (1, 6, 2, 2)
+    assert len(reads) == 1
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_stacked_extraction_matches_the_vertex_loop(case):
-    d = EXTRACTION_CASES[case][0]()
+    d = ORACLE_CASES[case][0]()
     try:
         want = vertex_extraction(d, d.tol)
     except ToolkitError as exc:
@@ -929,7 +1061,7 @@ class _StrictChecks(Tolerance):
 
 @pytest.mark.parametrize("case", ["octahedron-q8", "v26-q8", "v146-su2"])
 def test_stacked_extraction_names_the_first_failing_identity_check(case):
-    d = EXTRACTION_CASES[case][0]()
+    d = ORACLE_CASES[case][0]()
     resids = [r for _, r in vertex_extraction(d, d.tol)[1]]
     tol = _StrictChecks(d.tol.tau, max(resids[:3]))
     # some later check fails, so the first failure is not the first check
