@@ -25,8 +25,9 @@ phase cocycles with distinct integral classes is never equivalent even
 when the flat parts match up.
 
 Integral second cohomology comes from an exact sparse unit-pivot Smith
-normal form with unimodular transforms, so classes come with
-coordinates: free coordinates in Z and torsion coordinates modulo the
+normal form whose unimodular transforms are kept as logs of its
+operations, so classes come with coordinates, read by replaying the logs
+on the cochain: free coordinates in Z and torsion coordinates modulo the
 stored orders.
 """
 
@@ -108,7 +109,7 @@ class SimplicialComplex:
 
     @property
     def dim(self):
-        return max(len(s) for s in self.simplices) - 1
+        return max((len(s) for s in self.simplices), default=0) - 1
 
     def simplices_of_dim(self, k):
         """The k-simplices as sorted vertex tuples, in increasing order.
@@ -541,7 +542,7 @@ def is_cocycle(c, tol=None):
 
 
 # ---------------------------------------------------------------------------
-# integer Smith normal form with unimodular transforms
+# integer Smith normal form with logged unimodular transforms
 
 
 def _axpy(dst, src, c):
@@ -554,20 +555,18 @@ def _axpy(dst, src, c):
             dst.pop(k, None)
 
 
-def _dot(row, v):
-    """Sparse integer row {col: value} times a dense vector."""
-    return sum(x * v[k] for k, x in row.items())
-
-
 def smith_normal_form(a, cols):
     """Exact Smith normal form over the integers, on sparse rows.
 
     ``a`` is a list of m rows, each a dict {column: int} of its nonzero
-    entries, with columns in 0..cols-1.  Returns (diag, u, vinv): diag
-    lists the min(m, cols) diagonal entries of the normal form D, and u
-    (m x m) and vinv (cols x cols) are unimodular, given as sparse rows,
-    with u a = D vinv.  vinv is the inverse of the right transform, which
-    is what coordinate computations need.  Arbitrary precision throughout.
+    entries, with columns in 0..cols-1.  Returns (diag, left, right): diag
+    lists the min(m, cols) diagonal entries of the normal form D, and
+    u a = D vinv for unimodular u (m x m) and vinv (cols x cols), the
+    inverse of the right transform, which is what coordinate computations
+    need.  left and right log the operations forming u and vinv, for
+    ``replay``: an entry (i, j, c) adds c times entry j to entry i, swaps
+    the two when c is None and negates entry i when i == j.  Arbitrary
+    precision throughout.
 
     The pivot is the first entry of least absolute value in row-major
     order of the remaining block, so the scan stops at the first row
@@ -577,15 +576,14 @@ def smith_normal_form(a, cols):
     """
     m, n = len(a), cols
     d = [{k: int(x) for k, x in row.items() if x} for row in a]
-    u = [{i: 1} for i in range(m)]
-    vinv = [{j: 1} for j in range(n)]
+    left, right = [], []
     at = [set() for _ in range(n)]  # column -> rows with a nonzero there
     for i, row in enumerate(d):
         for k in row:
             at[k].add(i)
 
     def row_add(i, j, c):
-        # row_i += c * row_j, on d and u
+        # row_i += c * row_j
         ri = d[i]
         for k, x in d[j].items():
             y = ri.get(k, 0) + c * x
@@ -596,10 +594,10 @@ def smith_normal_form(a, cols):
             elif k in ri:
                 del ri[k]
                 at[k].discard(i)
-        _axpy(u[i], u[j], c)
+        left.append((i, j, c))
 
     def col_add(i, j, c):
-        # col_j += c * col_i on d; vinv tracks the inverse: row_i -= c * row_j
+        # col_j += c * col_i; vinv takes the inverse, row_i -= c * row_j
         for r in list(at[i]):
             row = d[r]
             y = row.get(j, 0) + c * row[i]
@@ -609,7 +607,7 @@ def smith_normal_form(a, cols):
             elif j in row:
                 del row[j]
                 at[j].discard(r)
-        _axpy(vinv[i], vinv[j], -c)
+        right.append((i, j, -c))
 
     def row_swap(i, j):
         if i == j:
@@ -619,11 +617,11 @@ def smith_normal_form(a, cols):
         for k in d[j]:
             at[k].discard(j)
         d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
         for k in d[i]:
             at[k].add(i)
         for k in d[j]:
             at[k].add(j)
+        left.append((i, j, None))
 
     def col_swap(i, j):
         if i == j:
@@ -636,7 +634,7 @@ def smith_normal_form(a, cols):
             if x:
                 row[j] = x
         at[i], at[j] = at[j], at[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
+        right.append((i, j, None))
 
     # rows t.. hold nonzeros only in columns t.., rows above t only their
     # diagonal entry
@@ -679,10 +677,30 @@ def smith_normal_form(a, cols):
                 continue
         if p < 0:
             d[t][t] = -p
-            u[t] = {k: -x for k, x in u[t].items()}
+            left.append((t, t, -1))
         t += 1
     diag = [d[i].get(i, 0) for i in range(min(m, n))]
-    return diag, u, vinv
+    return diag, left, right
+
+
+def replay(log, z):
+    """The sequence z with the operations of a ``smith_normal_form`` log
+    applied in order, as a new list: replay(left, z) is u z and
+    replay(right, z) is vinv z.  The entries of z may instead be sparse
+    rows {col: int}, combined as the rows of a matrix (on copies), which
+    gives u or vinv times that matrix."""
+    rows = any(isinstance(x, dict) for x in z)
+    z = [dict(x) for x in z] if rows else list(z)
+    for i, j, c in log:
+        if c is None:
+            z[i], z[j] = z[j], z[i]
+        elif i == j:
+            z[i] = {k: -x for k, x in z[i].items()} if rows else -z[i]
+        elif rows:
+            _axpy(z[i], z[j], c)
+        else:
+            z[i] += c * z[j]
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +745,9 @@ class IntegralCohomClass:
 
 
 class CohomologySummary:
-    """H^2 of a complex with an exact reduction map for integral 2-cocycles."""
+    """H^2 of a complex with an exact reduction map for integral 2-cocycles:
+    ``reduce`` replays the vinv log of delta2 and the u log of the image of
+    delta1 in ker delta2 on the cochain, and reads the class from u z."""
 
     def __init__(self, complex_):
         if complex_.dim > 3:
@@ -739,46 +759,25 @@ class CohomologySummary:
         self._tris = complex_.triangles()
         # delta1 as one sparse row per triangle, over the edges
         d1 = [{jk: 1, ik: -1, ij: 1} for ij, jk, ik in complex_.triangle_edges().tolist()]
+        self._right_b, self._rank_b = [], 0
         if tets:
             d2 = [
                 {tidx[(j, k, l)]: 1, tidx[(i, k, l)]: -1, tidx[(i, j, l)]: 1, tidx[(i, j, k)]: -1}
                 for (i, j, k, l) in tets
             ]
-            diag_b, _, vinv_b = smith_normal_form(d2, n2)
-            self._vinv_b = vinv_b
+            diag_b, _, self._right_b = smith_normal_form(d2, n2)
             self._rank_b = sum(1 for x in diag_b if x)
             # coordinates of the image of delta1 inside the kernel of delta2
-            c = []
-            for a, row in enumerate(vinv_b):
-                image = {}
-                for k, x in row.items():
-                    _axpy(image, d1[k], x)
-                if a < self._rank_b and image:
-                    raise NotACocycle("2-cochain is not closed")
-                c.append(image)
-            c = c[self._rank_b:]
-        else:
-            self._vinv_b = None
-            self._rank_b = 0
-            c = d1
-        kernel_dim = n2 - self._rank_b
-        diag_c, u_c, _ = smith_normal_form(c, n1)
+            d1 = replay(self._right_b, d1)
+            if any(d1[: self._rank_b]):
+                raise NotACocycle("2-cochain is not closed")
+            d1 = d1[self._rank_b :]
+        diag_c, self._left_c, _ = smith_normal_form(d1, n1)
         rank_c = sum(1 for x in diag_c if x)
-        factors = diag_c[:rank_c]
-        # only the rows of u_c that reduce() reads: torsion, then free
-        self._torsion_rows = [(u_c[i], f) for i, f in enumerate(factors) if f > 1]
-        self._free_rows = u_c[rank_c:]
-        self.kernel_dim = kernel_dim
-        self.free_rank = kernel_dim - rank_c
-        self.torsion_orders = tuple(f for f in factors if f > 1)
-
-    def _kernel_coords(self, z):
-        if self._vinv_b is None:
-            return z
-        x = [_dot(row, z) for row in self._vinv_b]
-        if any(x[i] != 0 for i in range(self._rank_b)):
-            raise NotACocycle("2-cochain is not closed")
-        return x[self._rank_b:]
+        self._factors = diag_c[:rank_c]
+        self.kernel_dim = n2 - self._rank_b
+        self.free_rank = self.kernel_dim - rank_c
+        self.torsion_orders = tuple(f for f in self._factors if f > 1)
 
     def reduce(self, zdict):
         """Class coordinates of an integral 2-cocycle given per triangle."""
@@ -786,10 +785,12 @@ class CohomologySummary:
 
     def _reduce(self, z):
         """Class coordinates of the integers z in ``triangles()`` order."""
-        x = self._kernel_coords(z)
-        torsion = tuple(_dot(row, x) % f for row, f in self._torsion_rows)
-        free = tuple(_dot(row, x) for row in self._free_rows)
-        return IntegralCohomClass(free=free, torsion=torsion, torsion_orders=self.torsion_orders)
+        x = replay(self._right_b, z)
+        if any(x[: self._rank_b]):
+            raise NotACocycle("2-cochain is not closed")
+        y = replay(self._left_c, x[self._rank_b :])
+        free, torsion = y[len(self._factors) :], [y[i] % f for i, f in enumerate(self._factors) if f > 1]
+        return IntegralCohomClass(free=tuple(free), torsion=tuple(torsion), torsion_orders=self.torsion_orders)
 
 
 _H2 = {}  # H^2 summaries by the complex's value

@@ -287,7 +287,7 @@ class GluedArrow:
 
     def norm(self):
         """The largest operator norm of a component, from one stacked SVD."""
-        return float(np.linalg.svd(self.components, compute_uv=False)[:, 0].max())
+        return float(np.linalg.svd(self.components, compute_uv=False)[:, 0].max(initial=0.0))
 
     def compatibility_residual(self):
         """The worst |t_i - c_ij . t_j| over the edges (i, j), by ``_mismatch``."""
@@ -493,7 +493,7 @@ def _functor_checks(d1, d2, witness, rmax, tol):
     arrows of the second datum to glued arrows of the first and respects
     composition, adjoints, tensor products and the braiding."""
     checks = []
-    u = np.array([witness[v] for v in range(d1.complex.vertices)])
+    u = np.array([witness[v] for v in range(d1.complex.vertices)]).reshape(-1, d1.degree, d1.degree)
 
     def push(arrow):
         return GluedArrow(d1, arrow.r, arrow.s, power_action(u, arrow.components, arrow.r, arrow.s))
@@ -595,7 +595,7 @@ def isomorphic(d1, d2, rmax=2, tol=None):
             rs, a, b = differ
             dist = {"invariant": "glued dimension at %r" % (rs,), "first": a, "second": b}
         return IsomorphismReport(False, None, dist)
-    _require_normalizing(np.array(list(w.values())), d1.group, tol=tol)
+    _require_normalizing(np.array(list(w.values())).reshape(-1, d1.degree, d1.degree), d1.group, tol=tol)
     checks, ok = _functor_checks(d1, d2, w, rmax, tol)
     if not ok:
         raise ConsistencyError("cocycle witness failed the functor checks")

@@ -80,6 +80,22 @@ def test_criterion_7_norm_sup_formula():
     assert checks[0].name == "norm sup formula on 100 random glued arrows"
 
 
+def test_norm_sup_check_forms_each_space_once(monkeypatch):
+    from catbundle.glue import GluedSpace
+
+    formed = []
+    form = GluedSpace._form
+
+    def spy(self, *args):
+        formed.append(id(self))
+        return form(self, *args)
+
+    monkeypatch.setattr(GluedSpace, "_form", spy)
+    monkeypatch.setattr(GluedSpace, "sections", property(spy))
+    verify.norm_sup_checks(count=100, tol=1e-9, seed=11)
+    assert formed and max(formed.count(k) for k in formed) == 1
+
+
 def test_criterion_8_dr_identities():
     checks = verify.dr_identity_checks(tol=1e-9, level=3)
     _assert_all(checks)

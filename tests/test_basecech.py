@@ -1,9 +1,11 @@
 """Cech layer: Smith normal form, H^2, circle classes, witnesses."""
 
 import cmath
+import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -32,6 +34,7 @@ from catbundle import (
     normalized_lift,
     octahedron,
     quaternion_group,
+    replay,
     smith_normal_form,
     snap_phase,
     snap_phases,
@@ -141,16 +144,24 @@ def _dense(rows, cols):
     return [[row.get(j, 0) for j in range(cols)] for row in rows]
 
 
+def _transform(log, size):
+    """The dense transform a ``smith_normal_form`` log stands for: column k
+    is the log replayed on the unit vector e_k."""
+    cols = [replay(log, [int(i == k) for i in range(size)]) for k in range(size)]
+    return [list(row) for row in zip(*cols)]
+
+
 def _snf(a):
     """Dense <-> sparse adapter: the library primitive on a dense matrix,
-    answered in the dense oracle's format (full normal form, dense transforms)."""
+    answered in the dense oracle's format (full normal form, dense transforms
+    formed from the logs)."""
     m = len(a)
     n = len(a[0]) if m else 0
-    diag, u, vinv = smith_normal_form(*_sparse(a, n))
+    diag, left, right = smith_normal_form(*_sparse(a, n))
     full = [[0] * n for _ in range(m)]
     for i, x in enumerate(diag):
         full[i][i] = x
-    return full, _dense(u, m), _dense(vinv, n)
+    return full, _transform(left, m), _transform(right, n)
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (4, 6), (6, 4), (5, 5), (1, 1), (3, 5)])
@@ -266,15 +277,15 @@ def test_smith_normal_form_matches_dense_oracle_on_rp2():
     ([{}, {}, {}], 4),                        # zero matrix
 ])
 def test_smith_normal_form_edge_cases(rows, cols):
-    diag, u, vinv = smith_normal_form(rows, cols)
+    diag, left, right = smith_normal_form(rows, cols)
     m = len(rows)
-    assert len(diag) == min(m, cols) and len(u) == m and len(vinv) == cols
+    assert len(diag) == min(m, cols)
     full = Matrix.zeros(m, cols)
     for i, x in enumerate(diag):
         full[i, i] = x
     a = Matrix(m, cols, [x for row in _dense(rows, cols) for x in row])
-    mu = Matrix(m, m, [x for row in _dense(u, m) for x in row])
-    mv = Matrix(cols, cols, [x for row in _dense(vinv, cols) for x in row])
+    mu = Matrix(m, m, [x for row in _transform(left, m) for x in row])
+    mv = Matrix(cols, cols, [x for row in _transform(right, cols) for x in row])
     assert mu * a == full * mv
     assert abs(mu.det()) == 1
     assert abs(mv.det()) == 1
@@ -408,8 +419,10 @@ def test_h2_two_spheres():
 
 
 def test_h2_contractible_cases():
+    # and the empty complex, of dimension -1
     for c in (SimplicialComplex.from_maximal(3, [(0, 1, 2)]),
-              SimplicialComplex.from_maximal(4, [(0, 1, 2, 3)])):
+              SimplicialComplex.from_maximal(4, [(0, 1, 2, 3)]),
+              SimplicialComplex(0, [])):
         s = h2_integral(c)
         assert s.free_rank == 0
         assert s.torsion_orders == ()
@@ -495,6 +508,93 @@ def test_h2_sphere_with_attached_tetrahedron_counts_winding():
     cls = s.reduce({(3, 4, 5): -3})
     assert cls.torsion == ()
     assert tuple(abs(x) for x in cls.free) == (3,)
+
+
+def _dot(row, v):
+    return sum(a * b for a, b in zip(row, v))
+
+
+def _dense_reduction(c):
+    """The reduction map of H^2 read from the dense oracle's u and vinv:
+    z -> (free, torsion, orders), or NotACocycle when z is not closed."""
+    d1, n2 = _d1(c), len(c.triangles())
+    vinv_b, rank_b = [[int(i == k) for k in range(n2)] for i in range(n2)], 0
+    if c.tetrahedra():
+        db, _, vinv_b = _dense_snf(_d2(c))
+        rank_b = sum(1 for i, row in enumerate(db) if i < len(row) and row[i])
+        # the image of delta1 in the coordinates vinv_b
+        d1 = [[_dot(row, col) for col in zip(*d1)] for row in vinv_b]
+    dc, u_c, _ = _dense_snf(d1[rank_b:])
+    factors = [row[i] for i, row in enumerate(dc) if i < len(row) and row[i]]
+
+    def reduce(z):
+        x = [_dot(row, z) for row in vinv_b]
+        if any(x[:rank_b]):
+            raise NotACocycle("not closed")
+        y = [_dot(row, x[rank_b:]) for row in u_c]
+        torsion = tuple(y[i] % f for i, f in enumerate(factors) if f > 1)
+        return tuple(y[len(factors):]), torsion, tuple(f for f in factors if f > 1)
+
+    return reduce
+
+
+def _h2_bases():
+    faces = octahedron().triangles()
+    return {
+        "sphere6": octahedron(),
+        "sphere26": subdivided_octahedron(1),
+        "sphere146": subdivided_octahedron(2),
+        "rp2": _rp2(),
+        "cone48": _cone(subdivided_octahedron(1)),
+        "solid": SimplicialComplex.from_maximal(4, [(0, 1, 2, 3)]),
+        "two_spheres": SimplicialComplex.from_maximal(12, list(faces) + [tuple(v + 6 for v in f) for f in faces]),
+        "sphere_beside_solid": SimplicialComplex.from_maximal(10, list(faces) + [(6, 7, 8, 9)]),
+        "sphere_with_tetrahedron": SimplicialComplex.from_maximal(7, list(faces) + [(0, 1, 2, 6)]),
+        "empty": SimplicialComplex(0, []),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_h2_bases()))
+def test_h2_replay_matches_dense_oracle(name):
+    c = _h2_bases()[name]
+    oracle, s = _dense_reduction(c), basecech.CohomologySummary(c)
+    rng = random.Random(name)
+    d1 = _d1(c)
+    # closed: a coboundary plus a cochain on the triangles no tetrahedron
+    # touches, which is closed; not closed: a random cochain
+    free_tris = {t for t in c.triangles()} - {
+        t for tet in c.tetrahedra() for t in itertools.combinations(tet, 3)
+    }
+    raised = 0
+    for trial in range(24):
+        if trial % 3 == 2:
+            z = [rng.randint(-4, 4) for _ in c.triangles()]
+        else:
+            y = [rng.randint(-3, 3) for _ in c.edges()]
+            z = [_dot(row, y) + (rng.randint(-4, 4) if t in free_tris else 0) for row, t in zip(d1, c.triangles())]
+        try:
+            want = oracle(z)
+        except NotACocycle:
+            with pytest.raises(NotACocycle):
+                s._reduce(z)
+            raised += 1
+            continue
+        got = s._reduce(z)
+        assert (got.free, got.torsion, got.torsion_orders) == want
+    # every base with tetrahedra meets non-closed cochains, the others none
+    assert bool(raised) == bool(c.tetrahedra())
+
+
+def test_h2_summary_traced_peak_stays_small():
+    # the summary keeps two operation logs, not the transforms they form
+    c = subdivided_octahedron(3)
+    tracemalloc.start()
+    try:
+        basecech.CohomologySummary(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from catbundle import full_unitary, octahedron, scalar_datum
+from catbundle import full_unitary, octahedron, quaternion_group, scalar_datum, special_unitary
 from catbundle.cli import main
 from catbundle.verify import su2_octa_datum
 
@@ -100,6 +100,18 @@ def test_classify_distinguishes_classes(tmp_path, capsys):
     # the glued dimension table cannot see the twist
     dims = report["data"]["glued_dims"]
     assert all(a == b for a, b in dims.values())
+
+
+@pytest.mark.parametrize("group", [special_unitary(2), quaternion_group()], ids=["su2", "q8"])
+def test_classify_over_a_base_without_vertices(tmp_path, capsys, group):
+    empty = {"vertices": 0, "simplices": []}
+    doc = {"complex": empty, "group": group.to_json(), "cocycle": {"coeff": "finite", "values": []}}
+    d = _write(tmp_path, "empty.json", doc)
+    code, report = _report(capsys, ["classify", "--input", d, "--input", d, "--rmax", "1"])
+    assert code == 0
+    assert report["data"]["verdict"] == "equivalent"
+    assert report["data"]["witness"] == {}
+    assert all(c["pass"] for c in report["checks"])
 
 
 def test_classify_permutation_fibre(tmp_path, capsys):
