@@ -251,22 +251,6 @@ def _lift(n, den):
     return n + den * ((den - 2 * n) // (2 * den))
 
 
-# int64 arithmetic wraps silently, so integer numerators are int64 only
-# while every value formed from them is known to stay below this bound
-_INT64_SAFE = 2 ** 62
-
-
-def _ints(a, bound):
-    """The integers a as int64 while ``bound``, a bound on every value the
-    caller forms from them, stays below 2^62; else as Python ints in an
-    object array, on which the same array expressions run exactly."""
-    return np.array(a, dtype=np.int64 if bound < _INT64_SAFE else object)
-
-
-def _absmax(a):
-    return int(np.abs(a).max(initial=0))
-
-
 class CechCocycle:
     """Transition data on the closed-star cover of a complex.
 
@@ -278,14 +262,11 @@ class CechCocycle:
     values on (j, i), the inverses, are kept as a second read-only array,
     so ``value`` only ever reads a stored entry.
 
-    Phase and integer data are stored as one read-only array
-    ``numerators`` over one ``denominator`` L, the lcm of the values'
-    denominators (1 for integers), and every computation here runs on
-    them; ``values`` and the reversed values are formed on first access.
-    The numerators are int64 while 3 (L + V max|n|) < 2^62 (V vertices),
-    which bounds every triangle sum, lift and holonomy frame formed from
-    them, and Python ints in an object array, under the same expressions,
-    past that.  A sum of two cocycles checks its own bound.
+    Phase and integer data are stored as one read-only object array of
+    Python ints, ``numerators``, over one ``denominator`` L, the lcm of
+    the values' denominators (1 for integers), and every computation here
+    runs on them exactly, whatever their size; ``values`` and the
+    reversed values are formed on first access.
 
     Phase and finite kinds may carry integer windings on triangles.
     An optional structure group may be attached to a finite-kind cocycle;
@@ -350,8 +331,7 @@ class CechCocycle:
         return c
 
     def _store(self, num, den):
-        """Keep the integers num over den in lowest common terms, as int64
-        while the class bound allows."""
+        """Keep the integers num over den in lowest common terms."""
         den = int(den)
         if den < 1:
             raise ValueError("a denominator must be positive, got %r" % (den,))
@@ -359,8 +339,7 @@ class CechCocycle:
         g = math.gcd(den, *n)
         n = [x // g for x in n]
         self.denominator = den // g
-        bound = 3 * (self.denominator + self.complex.vertices * max(map(abs, n), default=0))
-        self.numerators = _ints(n, bound)
+        self.numerators = np.array(n, dtype=object)
         self.numerators.setflags(write=False)
         self._values = self._reversed = None
 
@@ -413,13 +392,12 @@ class CechCocycle:
                         frames[cv] = self.value(cv, pv) @ frames[pv]
                 hol = frames[i].conj().transpose(0, 2, 1) @ self.values @ frames[j]
             else:
-                # every frame is a path sum, |f| <= V max|n|, within the bound
                 n, pos = self.numerators.tolist(), self.complex.positions(1)
                 f = [0] * self.complex.vertices
                 for _, tree in self.complex.spanning_forest():
                     for pv, cv in tree:
                         f[cv] = f[pv] + (n[pos[(cv, pv)]] if cv < pv else -n[pos[(pv, cv)]])
-                frames = np.array(f, dtype=self.numerators.dtype)
+                frames = np.array(f, dtype=object)
                 hol = self.numerators - frames[i] + frames[j]
             self._holonomies = (frames, hol)
             for a in self._holonomies:
@@ -457,8 +435,7 @@ class CechCocycle:
         denominators."""
         den = math.lcm(self.denominator, other.denominator)
         a, b = den // self.denominator, den // other.denominator
-        bound = a * _absmax(self.numerators) + b * _absmax(other.numerators)
-        num = _ints(self.numerators, bound) * a + sign * (_ints(other.numerators, bound) * b)
+        num = self.numerators * a + sign * (other.numerators * b)
         return CechCocycle.from_numerators(self.complex, self.coeff, num, den, windings)
 
     def to_json(self):
@@ -987,8 +964,9 @@ def snap_phase(z, tol=None):
 
 def snap_phases(z, tol=None):
     """``snap_phase`` on every entry of the 1-d stack z at once, by its
-    window rule: the phases as integer numerators over one common
-    denominator, as ``CechCocycle.from_numerators`` takes them.
+    window rule: the phases as numerators (Python ints in an object array)
+    over one common denominator, as ``CechCocycle.from_numerators`` takes
+    them.
     IrrationalPhase names the first failing entry, with ``snap_phase``'s
     message."""
     tol = tol or Tolerance()
@@ -1012,7 +990,7 @@ def snap_phases(z, tol=None):
         q = snap_phase(complex(z[k]), tol)
         num[k], den[k] = q.numerator, q.denominator
     lcm = math.lcm(*set(den.tolist()))
-    return _ints(num, lcm) * (lcm // _ints(den, lcm)), lcm
+    return num.astype(object) * (lcm // den.astype(object)), lcm
 
 
 def det_pushforward(c, tol=None):

@@ -221,8 +221,11 @@ def parse_config(argv):
 def _emit(report, out):
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputParse("cannot write %s: %s" % (out, exc))
     else:
         sys.stdout.write(text)
 
@@ -242,10 +245,10 @@ def main(argv=None):
     try:
         config = parse_config(argv)
         report = _RUNNERS[config.command](config)
+        _emit(report, config.out)
     except ToolkitError as exc:
         sys.stderr.write(json.dumps({"error": _error_doc(exc)}, indent=2, sort_keys=True) + "\n")
         return 2
-    _emit(report, config.out)
     return 0 if all(c["pass"] for c in report["checks"]) else 1
 
 

@@ -49,6 +49,7 @@ from .errors import (
     NotACocycleModG,
     RankDeficientVModule,
     SizeCapExceeded,
+    WrongKind,
 )
 from .groups import (
     GroupSpec,
@@ -543,9 +544,9 @@ def isomorphic(d1, d2, rmax=2, tol=None):
     """
     tol = tol or Tolerance()
     if d1.complex != d2.complex:
-        raise ValueError("data live over different bases")
+        raise WrongKind("data live over different bases")
     if d1.group.kind != d2.group.kind or d1.degree != d2.degree:
-        raise ValueError("fibre groups do not match")
+        raise WrongKind("fibre groups do not match")
 
     if d1.group.kind == KIND_U:
         # every transition acts trivially on the fibre spaces, which are

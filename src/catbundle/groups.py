@@ -75,15 +75,13 @@ class GroupSpec:
         self.generators = gens
         self.enumeration_cap = int(enumeration_cap)
         self.tol = tol
-        self._elements = self._element_stack = self._element_index = None
+        self._elements = None
 
     def elements(self):
         if self.kind != KIND_FINITE:
             raise WrongKind("only finite groups enumerate; kind is %r" % (self.kind,))
         if self._elements is None:
             self._elements = enumerate_finite(self)
-            self._element_stack = np.array(self._elements)
-            self._element_index = {key: i for i, key in enumerate(_bucket_key(self._element_stack))}
         return self._elements
 
     def order(self):
@@ -92,9 +90,9 @@ class GroupSpec:
     def contains(self, u, tol=None):
         """Membership within tolerance of a matrix (a bool) or of each matrix
         of a (..., d, d) stack (an array); a wrong trailing shape is no
-        member.  Lie kinds test their defining property; the finite kind
-        looks all bucket keys up at once and scans the elements only for
-        the unitary matrices whose bucket missed."""
+        member.  Lie kinds test their defining property; a unitary matrix
+        belongs to a finite group when its ``group_distance`` is within
+        tau."""
         tol = tol or self.tol
         a = np.asarray(u, dtype=complex)
         d = self.degree
@@ -105,17 +103,7 @@ class GroupSpec:
         if self.kind == KIND_SU:
             ok &= tol.close(np.abs(np.linalg.det(flat) - 1.0), math.sqrt(d))
         elif self.kind == KIND_FINITE and ok.any():
-            self.elements()
-            idx = np.array([self._element_index.get(key, -1) for key in _bucket_key(flat)])
-            near = np.linalg.norm(flat - self._element_stack[idx], axis=(1, 2)) <= tol.tau
-            hit = ok & (idx >= 0) & near
-            # fallback scan guards against quantization boundaries
-            miss = np.flatnonzero(ok & ~hit)
-            ok = hit
-            if miss.size:
-                rest = flat[miss]
-                for e in self._elements:
-                    ok[miss] |= np.linalg.norm(rest - e, axis=(1, 2)) <= tol.tau
+            ok &= group_distance(self, flat) <= tol.tau
         return bool(ok[0]) if a.ndim == 2 else ok.reshape(a.shape[:-2])
 
     def to_json(self):
@@ -127,12 +115,7 @@ class GroupSpec:
 
     @classmethod
     def from_json(cls, doc):
-        return cls(
-            doc["kind"],
-            int(doc["degree"]),
-            [matrix_from_json(g) for g in doc.get("generators", [])],
-            enumeration_cap=int(doc.get("enumeration_cap", DEFAULT_ENUMERATION_CAP)),
-        )
+        return cls(doc["kind"], int(doc["degree"]), [matrix_from_json(g) for g in doc.get("generators", [])])
 
     def __repr__(self):
         return "GroupSpec(kind=%r, degree=%d, generators=%d)" % (

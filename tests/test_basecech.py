@@ -897,7 +897,8 @@ def test_holonomy_table_is_one_read_only_memo_along_the_forest(kind):
     finite = c.coeff == "finite"
     if not finite:
         # integer numerators over the cocycle's one denominator
-        assert frames.dtype == hol.dtype == np.int64
+        assert frames.dtype == hol.dtype == object
+        assert all(type(x) is int for a in table for x in a)
         frames, hol = ([Fraction(int(x), c.denominator) for x in a] for a in table)
     tree = set()
     for root, order in c.complex.spanning_forest():
@@ -1146,7 +1147,8 @@ def test_integer_routes_match_the_fraction_oracle(data):
     c, c2 = CechCocycle(cov, kind, vals, windings=w), CechCocycle(cov, kind, vals2, windings=w2)
     f, f2 = FractionCochain(cov, kind, vals, windings=w), FractionCochain(cov, kind, vals2, windings=w2)
     for ours, oracle in ((c, f), (c2, f2), (c.product(c2), f.product(f2))):
-        assert ours.numerators.dtype == np.int64
+        assert ours.numerators.dtype == object
+        assert all(type(n) is int for n in ours.numerators)
         assert list(ours.values) == list(oracle.values)
         assert all(type(v) is (Fraction if kind == "phase" else int) for v in ours.values)
         assert json.dumps(ours.to_json()) == json.dumps(oracle.to_json())

@@ -3,9 +3,18 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from catbundle import full_unitary, octahedron, quaternion_group, scalar_datum, special_unitary
+from catbundle import (
+    GluingDatum,
+    SimplicialComplex,
+    full_unitary,
+    octahedron,
+    quaternion_group,
+    scalar_datum,
+    special_unitary,
+)
 from catbundle.cli import main
 from catbundle.verify import su2_octa_datum
 
@@ -210,6 +219,33 @@ def test_config_errors_exit_two(capsys, argv):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"]["type"] == "InputParse"
+
+
+def _q8_identity_file(tmp_path, name, base):
+    datum = GluingDatum(base, quaternion_group(), {e: np.eye(2) for e in base.edges()})
+    return _write(tmp_path, name, datum.to_json())
+
+
+@pytest.mark.parametrize("mismatch", ["bases", "groups"])
+def test_classify_mismatched_data_exits_two(tmp_path, capsys, mismatch):
+    su2 = _datum_file(tmp_path, "su2.json", 1)
+    base = octahedron() if mismatch == "groups" else SimplicialComplex.from_maximal(3, [(0, 1, 2)])
+    q8 = _q8_identity_file(tmp_path, "q8.json", base)
+    code, out, err = _run(capsys, ["classify", "--input", su2, "--input", q8])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "WrongKind"
+
+
+def test_unwritable_out_is_a_parse_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = _run(capsys, ["dr-check", "--level", "2", "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    doc = json.loads(err)["error"]
+    assert doc["type"] == "InputParse"
+    assert doc["message"].startswith("cannot write %s" % target)
+    assert not target.parent.exists()
 
 
 def test_command_flag_alone_works(capsys):

@@ -30,6 +30,7 @@ from catbundle import (
     SizeCapExceeded,
     Tolerance,
     ToolkitError,
+    WrongKind,
     as_matrix,
     build_glued,
     canonical_endo,
@@ -291,7 +292,7 @@ def test_isomorphic_finite_distinguished_by_winding():
 def test_isomorphic_rejects_mismatched_bases():
     tri = SimplicialComplex.from_maximal(3, [(0, 1, 2)])
     d1 = GluingDatum(tri, quaternion_group(), {e: np.eye(2) for e in tri.edges()})
-    with pytest.raises(ValueError):
+    with pytest.raises(WrongKind):
         isomorphic(d1, _q8_trivial())
 
 

@@ -14,6 +14,7 @@ from catbundle.errors import (
 )
 from catbundle.glue import GluingDatum
 from catbundle.groups import (
+    DEFAULT_ENUMERATION_CAP,
     KIND_FINITE,
     KIND_SU,
     KIND_U,
@@ -482,6 +483,39 @@ def test_contains_falls_back_when_the_bucket_misses():
     assert want == [True, True, False]
     assert g.contains(probes).tolist() == want
     assert [g.contains(m) for m in probes] == want
+
+
+def test_contains_on_the_gauged_q8_closure_matches_one_matrix_oracle():
+    # the 192-element closure of the witness search on a 26-vertex base,
+    # far larger than any group in GROUPS
+    c = subdivided_octahedron(1)
+    d1, d2 = _q8_gauged(c, 6), _q8_gauged(c, 7)
+    g = GroupSpec(KIND_FINITE, 2, [*d1.cocycle.values, *d2.cocycle.values, *d1.group.generators])
+    assert g.order() == 192
+    tau = g.tol.tau
+    rng = np.random.default_rng(11)
+    direction = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    direction /= np.linalg.norm(direction)
+    probes = []
+    for m in g.elements()[::4]:
+        probes += [m, np.exp(1j * math.pi / 5) * m, m + 0.5 * tau * direction, m + 3.0 * tau * direction]
+    probes = np.array(probes)
+    want = [_contains_oracle(g, m) for m in probes]
+    assert want == [True, False, True, False] * 48
+    assert g.contains(probes).tolist() == want
+    singles = [g.contains(m) for m in probes]
+    assert singles == want and all(type(x) is bool for x in singles)
+
+
+def test_documents_cannot_raise_the_enumeration_cap():
+    # a rotation by 0.3 rad has infinite order, so its closure runs to the cap
+    rot = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
+    doc = GroupSpec(KIND_FINITE, 2, [rot]).to_json()
+    doc["enumeration_cap"] = 5000
+    g = GroupSpec.from_json(doc)
+    assert g.enumeration_cap == DEFAULT_ENUMERATION_CAP == 4096
+    with pytest.raises(CapExceeded, match="exceeds cap 4096 elements"):
+        g.elements()
 
 
 def _normalizer_probes(group):
