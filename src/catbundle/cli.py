@@ -12,6 +12,11 @@ Reports follow {"command": ..., "checks": [{"name", "residual", "pass"}],
 "data": {...}} with sorted keys, so identical inputs and configuration
 produce byte-identical output.  Exit codes: 0 all checks pass, 1 at
 least one check failed, 2 the input or configuration was unusable.
+
+Each command imports the layers it runs when it runs: ``verify`` and
+``dr-check`` the built-in suites (and through them every layer),
+``classify``, ``chern`` and ``glue-dims`` only ``glue`` and the layers
+it imports.  Parsing the arguments loads no numerical layer.
 """
 
 from __future__ import annotations
@@ -22,12 +27,8 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
+from .checks import _c, _exact
 from .errors import InputParse, ToolkitError
-from .glue import GluingDatum, extract_twisted_special, glued_space, isomorphic
-from .linalg import Tolerance, matrix_to_json
-from . import verify as verify_mod
 
 COMMANDS = ("verify", "classify", "chern", "glue-dims", "dr-check")
 
@@ -77,6 +78,8 @@ def load_json(path):
 
 
 def load_datum(path, tol):
+    from .glue import GluingDatum
+
     doc = load_json(path)
     try:
         return GluingDatum.from_json(doc, tol=tol)
@@ -92,6 +95,10 @@ def _fraction_str(q):
 
 
 def _witness_json(witness):
+    import numpy as np
+
+    from .linalg import matrix_to_json
+
     if witness is None:
         return None
     out = {}
@@ -101,7 +108,9 @@ def _witness_json(witness):
 
 
 def run_verify(config):
-    checks = verify_mod.builtin_checks(
+    from .verify import builtin_checks
+
+    checks = builtin_checks(
         tol=config.tolerance, rmax=config.rmax, level=config.level
     )
     data = {"tolerance": config.tolerance, "rmax": config.rmax, "level": config.level}
@@ -109,16 +118,19 @@ def run_verify(config):
 
 
 def run_classify(config):
+    from .glue import glued_space, isomorphic
+    from .linalg import Tolerance
+
     tol = Tolerance(config.tolerance)
     d1 = load_datum(config.inputs[0], tol)
     d2 = load_datum(config.inputs[1], tol)
     checks = [
-        verify_mod._c("input %d cocycle identity (mod G)" % k, d.mod_group_residual(), config.tolerance)
+        _c("input %d cocycle identity (mod G)" % k, d.mod_group_residual(), config.tolerance)
         for k, d in enumerate((d1, d2))
     ]
     report = isomorphic(d1, d2, rmax=config.rmax, tol=tol)
     for name, resid in report.checks:
-        checks.append(verify_mod._c("witness " + name, resid, config.tolerance))
+        checks.append(_c("witness " + name, resid, config.tolerance))
     if report.isomorphic:
         verdict = "equivalent to trivial" if d1.group.kind == "u" else "equivalent"
     else:
@@ -137,11 +149,14 @@ def run_classify(config):
 
 
 def run_chern(config):
+    from .glue import extract_twisted_special
+    from .linalg import Tolerance
+
     tol = Tolerance(config.tolerance)
     datum = load_datum(config.inputs[0], tol)
     ext = extract_twisted_special(datum, tol=tol)
-    checks = [verify_mod._c("extraction " + name, resid, config.tolerance) for name, resid in ext.checks]
-    checks.append(verify_mod._exact("extraction class equals pushforward class", ext.classes_agree))
+    checks = [_c("extraction " + name, resid, config.tolerance) for name, resid in ext.checks]
+    checks.append(_exact("extraction class equals pushforward class", ext.classes_agree))
     data = {
         "extracted": ext.extracted_class.to_json(),
         "pushforward": ext.pushforward_class.to_json(),
@@ -152,6 +167,9 @@ def run_chern(config):
 
 
 def run_glue_dims(config):
+    from .glue import glued_space
+    from .linalg import Tolerance
+
     tol = Tolerance(config.tolerance)
     datum = load_datum(config.inputs[0], tol)
     dims = {}
@@ -161,14 +179,16 @@ def run_glue_dims(config):
             sp = glued_space(datum, r, s)
             dims["%d,%d" % (r, s)] = sp.dim
             worst = max(worst, float(sp._residuals().max(initial=0.0)))
-    checks = [verify_mod._c("overlap matching of all basis arrows", worst, config.tolerance)]
+    checks = [_c("overlap matching of all basis arrows", worst, config.tolerance)]
     data = {"glued_dims": dims, "rmax": config.rmax}
     return {"command": "glue-dims", "checks": [c.to_json() for c in checks], "data": data}
 
 
 def run_dr_check(config):
-    checks = verify_mod.dr_identity_checks(tol=config.tolerance, level=config.level)
-    checks += verify_mod.stabilizer_checks(level=min(config.level, 3))
+    from .verify import dr_identity_checks, stabilizer_checks
+
+    checks = dr_identity_checks(tol=config.tolerance, level=config.level)
+    checks += stabilizer_checks(level=min(config.level, 3))
     data = {"level": config.level, "tolerance": config.tolerance}
     return {"command": "dr-check", "checks": [c.to_json() for c in checks], "data": data}
 

@@ -14,7 +14,6 @@ Everything is seeded and deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +27,7 @@ from .basecech import (
     is_cocycle,
     octahedron,
 )
+from .checks import _c, _exact
 from .dralg import (
     DRTruncation,
     circle_action,
@@ -62,25 +62,6 @@ from .repcat import (
 
 DEFAULT_CHECK_TOL = 1e-9
 CLASSIFICATION_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class Check:
-    name: str
-    residual: float
-    passed: bool
-
-    def to_json(self):
-        return {"name": self.name, "residual": self.residual, "pass": self.passed}
-
-
-def _c(name, residual, tol):
-    r = float(residual)
-    return Check(name, r, r <= tol)
-
-
-def _exact(name, ok):
-    return Check(name, 0.0 if ok else 1.0, bool(ok))
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +359,10 @@ def dr_identity_checks(tol=DEFAULT_CHECK_TOL, level=3):
 
 
 def stabilizer_checks(pairs=20, level=3, seed=13):
+    # at level 1 the gauge actions of some of these pairs agree although
+    # their quotient leaves Q8, which the stabilizer test reports as a
+    # contradiction; level 2 tells all of them apart
+    level = max(level, 2)
     q8 = quaternion_group()
     pool = q8.elements()
     extra = [

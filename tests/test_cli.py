@@ -123,6 +123,18 @@ def test_classify_over_a_base_without_vertices(tmp_path, capsys, group):
     assert all(c["pass"] for c in report["checks"])
 
 
+@pytest.mark.parametrize("group", [special_unitary(2), quaternion_group()], ids=["su2", "q8"])
+def test_chern_over_a_base_without_vertices_is_refused(tmp_path, capsys, group):
+    # no patch carries a section to extract a class from: a typed refusal
+    empty = {"vertices": 0, "simplices": []}
+    doc = {"complex": empty, "group": group.to_json(), "cocycle": {"coeff": "finite", "values": []}}
+    d = _write(tmp_path, "empty.json", doc)
+    code, out, err = _run(capsys, ["chern", "--input", d])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "RankDeficientVModule"
+
+
 def test_classify_permutation_fibre(tmp_path, capsys):
     octa = octahedron()
     third = {e: Fraction(1, 3) for e in octa.edges()}
@@ -165,6 +177,14 @@ def test_dr_check(capsys):
     code, report = _report(capsys, ["dr-check", "--level", "3"])
     assert code == 0
     assert report["command"] == "dr-check"
+    assert all(c["pass"] for c in report["checks"])
+
+
+@pytest.mark.parametrize("command", ["verify", "dr-check"])
+def test_suites_pass_at_level_one(capsys, command):
+    code, report = _report(capsys, [command, "--level", "1"])
+    assert code == 0
+    assert report["data"]["level"] == 1
     assert all(c["pass"] for c in report["checks"])
 
 
