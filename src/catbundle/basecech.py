@@ -34,6 +34,7 @@ stored orders.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,20 +92,17 @@ class SimplicialComplex:
         self._by_dim = {}
         self._positions = {}
         self._triangle_edges = None
-        self._forest = None
+        self._edge_ends = None
+        self._forest = self._component = None
 
     @classmethod
     def from_maximal(cls, vertices, maximal):
         """Build the face closure of the given simplices, plus all vertices."""
         simps = set(frozenset([v]) for v in range(vertices))
-        stack = [frozenset(int(v) for v in s) for s in maximal]
-        while stack:
-            s = stack.pop()
-            if s in simps or not s:
-                continue
-            simps.add(s)
-            for v in s:
-                stack.append(s - {v})
+        for s in maximal:
+            s = frozenset(int(v) for v in s)
+            for k in range(1, len(s) + 1):
+                simps.update(map(frozenset, itertools.combinations(s, k)))
         return cls(vertices, simps)
 
     @property
@@ -142,6 +140,13 @@ class SimplicialComplex:
             self._triangle_edges.setflags(write=False)
         return self._triangle_edges
 
+    def edge_ends(self):
+        """The read-only (E, 2) table of the edges (i, j), i < j, in ``edges()`` order."""
+        if self._edge_ends is None:
+            self._edge_ends = np.array(self.edges(), dtype=int).reshape(-1, 2)
+            self._edge_ends.setflags(write=False)
+        return self._edge_ends
+
     def edges(self):
         return self.simplices_of_dim(1)
 
@@ -158,7 +163,7 @@ class SimplicialComplex:
         order of their least vertex and each rooted there; the tree edges
         are (parent, child) pairs in visiting order, neighbours visited in
         increasing order.  Tuples throughout, so the shared value cannot
-        be changed by a caller.
+        be changed by a caller.  The same pass fills ``component_index``.
         """
         if self._forest is None:
             adj = [[] for _ in range(self.vertices)]
@@ -166,20 +171,29 @@ class SimplicialComplex:
             for i, j in self.edges():
                 adj[i].append(j)
                 adj[j].append(i)
-            seen, forest = [False] * self.vertices, []
+            comp, forest = [-1] * self.vertices, []
             for root in range(self.vertices):
-                if not seen[root]:
-                    seen[root], order, reached = True, [], [root]
+                if comp[root] < 0:
+                    k = comp[root] = len(forest)
+                    order, reached = [], [root]
                     # reached grows while it is walked: breadth-first order
                     for v in reached:
                         for w in adj[v]:
-                            if not seen[w]:
-                                seen[w] = True
+                            if comp[w] < 0:
+                                comp[w] = k
                                 order.append((v, w))
                                 reached.append(w)
                     forest.append((root, tuple(order)))
             self._forest = tuple(forest)
+            self._component = np.array(comp, dtype=int)
+            self._component.setflags(write=False)
         return self._forest
+
+    def component_index(self):
+        """The read-only (V,) array of each vertex's component, numbered in
+        ``spanning_forest`` order."""
+        self.spanning_forest()
+        return self._component
 
     def components(self):
         """Vertex lists of the connected components of the 1-skeleton, in
@@ -187,17 +201,8 @@ class SimplicialComplex:
         return [sorted([root] + [cv for _, cv in tree]) for root, tree in self.spanning_forest()]
 
     def star(self, v):
-        """Simplices of the closed star of vertex v."""
-        closed = set()
-        stack = [s for s in self.simplices if v in s]
-        while stack:
-            s = stack.pop()
-            if s in closed:
-                continue
-            closed.add(s)
-            if len(s) > 1:
-                stack.extend(s - {w} for w in s)
-        return frozenset(closed)
+        """Simplices of the closed star of vertex v: those s with s + {v} in the complex."""
+        return frozenset(s for s in self.simplices if s | {v} in self.simplices)
 
     def __eq__(self, other):
         return (
@@ -382,7 +387,7 @@ class CechCocycle:
         on the numerators over ``denominator``: f_root = 0, f_cv = c_(cv,pv) +
         f_pv and c_ij - f_i + f_j (0 on tree edges)."""
         if self._holonomies is None:
-            i, j = np.array(self.complex.edges(), dtype=int).reshape(-1, 2).T
+            i, j = self.complex.edge_ends().T
             if self.coeff == COEFF_FINITE:
                 frames = np.empty((self.complex.vertices,) + self.values.shape[1:], dtype=complex)
                 one = np.eye(self.degree())
@@ -886,11 +891,11 @@ def equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None):
         def passes(w, on):
             return not bad[on].any()
 
-    tails = np.array(c.complex.edges(), dtype=int).reshape(-1, 2)[:, 0]
+    on_comp = c.complex.component_index()[c.complex.edge_ends()[:, 0]]
     budget = search_cap
     witness = {}
-    for root, tree in c.complex.spanning_forest():
-        on = np.isin(tails, [root, *(cv for _, cv in tree)])
+    for k, (root, tree) in enumerate(c.complex.spanning_forest()):
+        on = on_comp == k
         for w in candidates:
             budget -= 1 + len(tree)
             if budget < 0:

@@ -188,7 +188,7 @@ def run_dr_check(config):
     from .verify import dr_identity_checks, stabilizer_checks
 
     checks = dr_identity_checks(tol=config.tolerance, level=config.level)
-    checks += stabilizer_checks(level=min(config.level, 3))
+    checks += stabilizer_checks()
     data = {"level": config.level, "tolerance": config.tolerance}
     return {"command": "dr-check", "checks": [c.to_json() for c in checks], "data": data}
 

@@ -79,7 +79,7 @@ class DRTruncation:
         return r <= self.level and s <= self.level + self.degree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DRElement:
     """Reduced representative (r, s, t) of a truncated algebra element."""
 

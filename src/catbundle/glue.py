@@ -188,12 +188,8 @@ class GluingDatum:
         ``contains``; k is at most the number of cycles."""
         if self._holonomy is None:
             frames, hol = self.cocycle.holonomies()
-            comp = np.empty(self.complex.vertices, dtype=int)
-            for k, verts in enumerate(self.complex.components()):
-                comp[verts] = k
-            ends = np.array(self.complex.edges(), dtype=int).reshape(-1, 2)
             off = ~self.group.contains(hol, tol=self.tol)
-            self._holonomy = (frames, comp, ends[off], hol[off])
+            self._holonomy = (frames, self.complex.component_index(), self.complex.edge_ends()[off], hol[off])
         return self._holonomy
 
     def to_json(self):
@@ -292,7 +288,7 @@ class GluedArrow:
 
     def compatibility_residual(self):
         """The worst |t_i - c_ij . t_j| over the edges (i, j), by ``_mismatch``."""
-        i, j = np.array(self.datum.complex.edges(), dtype=int).reshape(-1, 2).T
+        i, j = self.datum.complex.edge_ends().T
         return float(_mismatch(self.components[None], self.datum.cocycle.values, i, j, self.r, self.s)[0])
 
 
@@ -372,7 +368,7 @@ class GluedSpace:
         the worst overlap mismatch |t_i - c_ij . t_j| of its unit section."""
         g = self.datum.cocycle.holonomies()[1] if g is None else g
         comp = self.datum._holonomies()[1]
-        on_comp = comp[np.array(self.datum.complex.edges(), dtype=int).reshape(-1, 2)[:, 0]]
+        on_comp = comp[self.datum.complex.edge_ends()[:, 0]]
         y, worst = self._scaled(), np.zeros(self.dim)
         for k in set(self.owner.tolist()):
             own, on = self.owner == k, on_comp == k
@@ -400,14 +396,15 @@ def glued_space(datum, r, s, cap=GLUED_COEFF_CAP):
     stack = datum.fibre_basis(r, s).stack
     m, ds, dr = stack.shape
     _, comp, ends, hol = datum._holonomies()
-    need = len(hol) * m * (ds * dr + m) + len(datum.complex.spanning_forest()) * m * ds * dr
+    count = len(datum.complex.spanning_forest())
+    need = len(hol) * m * (ds * dr + m) + count * m * ds * dr
     if need > cap:
         raise SizeCapExceeded("glued (%d, %d) space forms %d entries, cap is %d" % (r, s, need, cap))
     if (r, s) not in datum._spaces:
         blocks = datum._basis_action(hol, r, s, ends) - np.eye(m)
-        owner, coeffs = [], []
-        for k in range(len(datum.complex.spanning_forest())):
-            op = blocks[comp[ends[:, 0]] == k]
+        on_comp, owner, coeffs = comp[ends[:, 0]], [], []
+        for k in range(count):
+            op = blocks[on_comp == k]
             kernel = nullspace(op.reshape(len(op) * m, m), tol=datum.tol)
             owner += [k] * len(kernel)
             coeffs += [x.ravel() for x in kernel]
@@ -501,7 +498,7 @@ def _functor_checks(d1, d2, witness, rmax, tol):
 
     # a pushed family (w_v u_v) . x (u_v d2's frames) matches d1 where these fix x
     wu = u @ d2.cocycle.holonomies()[0]
-    i, j = np.array(d1.complex.edges(), dtype=int).reshape(-1, 2).T
+    i, j = d1.complex.edge_ends().T
     moved = wu[i].conj().transpose(0, 2, 1) @ d1.cocycle.values @ wu[j]
     for r, s in np.ndindex(rmax + 1, rmax + 1):
         s1 = glued_space(d1, r, s)
@@ -613,7 +610,6 @@ class TwistedSpecialExtraction:
     unit antisymmetric section, patch v at slice v."""
 
     isometries: np.ndarray
-    module_basis: list
     phase_cocycle: CechCocycle
     extracted_class: object
     pushforward_class: object
@@ -665,14 +661,15 @@ def extract_twisted_special(cat, tol=None):
     # nowhere-vanishing one is picked component by component
     alive = np.linalg.norm(stacks, axis=(2, 3)) > tol.tau
     vee = np.zeros(stacks.shape[1:], dtype=complex)
-    for comp in datum.complex.components():
-        live = np.flatnonzero(alive[:, comp].all(axis=1))
+    comp = datum.complex.component_index()
+    for k, (root, _) in enumerate(datum.complex.spanning_forest()):
+        on = comp == k
+        live = np.flatnonzero(alive[:, on].all(axis=1))
         if not live.size:
             raise RankDeficientVModule(
-                "every antisymmetric section vanishes on some patch of the component of vertex %d"
-                % comp[0]
+                "every antisymmetric section vanishes on some patch of the component of vertex %d" % root
             )
-        vee[comp] = stacks[live[0], comp]
+        vee[on] = stacks[live[0], on]
     # patchwise norms of a section are constant on components, so this
     # normalization keeps the overlap matching exact
     scale = np.array([1.0 / float(np.linalg.norm(V)) for V in vee])
@@ -691,7 +688,7 @@ def extract_twisted_special(cat, tol=None):
         raise ConsistencyError("twisted special identity failed: %s (%g)" % (name, resid))
     # <sref, comps[v]> for every vertex in one product, sref = comps[0]
     inner = comps.reshape(n, -1) @ comps[0].conj().ravel()
-    i, j = np.array(datum.complex.edges(), dtype=int).reshape(-1, 2).T
+    i, j = datum.complex.edge_ends().T
     z = inner[i] * inner[j].conj()
     num, den = snap_phases(z / np.abs(z), tol)
     cocycle = CechCocycle.from_numerators(datum.complex, COEFF_PHASE, num, den, windings=datum.windings)
@@ -699,5 +696,4 @@ def extract_twisted_special(cat, tol=None):
         raise ConsistencyError("extracted phases fail the cocycle identity")
     extracted = circle_class(cocycle, tol)
     pushed = circle_class(det_pushforward(datum.cocycle, tol), tol)
-    families = [GluedArrow(datum, 0, d, f) for f in stacks]
-    return TwistedSpecialExtraction(comps, families, cocycle, extracted, pushed, checks)
+    return TwistedSpecialExtraction(comps, cocycle, extracted, pushed, checks)

@@ -125,7 +125,7 @@ class GroupSpec:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieBasis:
     """Anti-Hermitian basis of the Lie algebra of an su/u group."""
 
@@ -134,7 +134,7 @@ class LieBasis:
     matrices: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalizerElement:
     """A verified normalizer element together with its determinant phase."""
 

@@ -43,19 +43,20 @@ ANTISYM_POWER_CAP = 6
 _SPACES = {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntertwinerSpace:
     """Orthonormal basis (Hilbert-Schmidt) of (H^r, H^s) for one group.
 
     Behaves as a sequence of its basis matrices, the slices of ``stack``,
-    the read-only (m, d^s, d^r) array (not compared) they are views into.
+    the read-only (m, d^s, d^r) array they are views into.  Compared by
+    identity: the solve cache hands out one space per value.
     """
 
     group: GroupSpec
     r: int
     s: int
     basis: tuple
-    stack: np.ndarray = field(compare=False, repr=False)
+    stack: np.ndarray = field(repr=False)
 
     @property
     def dim(self):
@@ -79,7 +80,7 @@ class IntertwinerSpace:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpecialObjectData:
     """Top antisymmetric isometry S in (1, H^d) with S*S = 1."""
 
@@ -97,13 +98,12 @@ class SpecialObjectData:
         return (-1.0) ** (d - 1) / d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConjugatePair:
     """Standard solution of the conjugate equations for the defining power."""
 
     degree: int
     r: np.ndarray
-    rbar: np.ndarray
     dim_value: float
 
 
@@ -205,17 +205,11 @@ def permutation_unitary(perm, d):
     if sorted(perm) != list(range(r)):
         raise ValueError("not a permutation of 0..%d: %r" % (r - 1, perm))
     n = d ** r
+    # the identity with its row slots transposed: row slot perm[k] reads
+    # column slot k, so row a has its one entry in column src[a]
+    src = np.arange(n).reshape((d,) * r).transpose(np.argsort(perm)).ravel()
     u = np.zeros((n, n), dtype=complex)
-    for src in itertools.product(range(d), repeat=r):
-        dst = [0] * r
-        for k in range(r):
-            dst[perm[k]] = src[k]
-        row = 0
-        col = 0
-        for k in range(r):
-            row = row * d + dst[k]
-            col = col * d + src[k]
-        u[row, col] = 1.0
+    u[np.arange(n), src] = 1.0
     return as_matrix(u)
 
 
@@ -250,27 +244,17 @@ def special_isometry(d):
 
     Phase convention: positive coefficient on e_1 x ... x e_d.
     """
-    n = d ** d
-    vec = np.zeros((n, 1), dtype=complex)
+    perms = list(itertools.permutations(range(d)))
     coeff = 1.0 / math.sqrt(math.factorial(d))
-    for p in itertools.permutations(range(d)):
-        row = 0
-        for k in range(d):
-            row = row * d + p[k]
-        vec[row, 0] = _sign(p) * coeff
+    vec = np.zeros((d ** d, 1), dtype=complex)
+    vec[np.ravel_multi_index(np.array(perms).T, (d,) * d), 0] = [_sign(p) * coeff for p in perms]
     return SpecialObjectData(degree=d, isometry=as_matrix(vec))
 
 
 def conjugate_pair(d):
-    """Unnormalized standard conjugate solution R = sum_k e_k x e_k.
-
-    Both members coincide numerically; the dimension value R* R equals d.
-    """
-    vec = np.zeros((d * d, 1), dtype=complex)
-    for k in range(d):
-        vec[k * d + k, 0] = 1.0
-    r = as_matrix(vec)
-    return ConjugatePair(degree=d, r=r, rbar=r, dim_value=float(d))
+    """Unnormalized standard conjugate solution R = sum_k e_k x e_k, the
+    vectorized identity; the dimension value R* R equals d."""
+    return ConjugatePair(degree=d, r=as_matrix(np.eye(d).reshape(d * d, 1)), dim_value=float(d))
 
 
 def averaged_fixed_space(group, r, s, tol=None):

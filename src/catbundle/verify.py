@@ -358,11 +358,11 @@ def dr_identity_checks(tol=DEFAULT_CHECK_TOL, level=3):
     return out
 
 
-def stabilizer_checks(pairs=20, level=3, seed=13):
+def stabilizer_checks(pairs=20, seed=13):
     # at level 1 the gauge actions of some of these pairs agree although
     # their quotient leaves Q8, which the stabilizer test reports as a
-    # contradiction; level 2 tells all of them apart
-    level = max(level, 2)
+    # contradiction; level 2 tells all of them apart, and higher levels
+    # give the same verdicts
     q8 = quaternion_group()
     pool = q8.elements()
     extra = [
@@ -377,7 +377,7 @@ def stabilizer_checks(pairs=20, level=3, seed=13):
         vs.append(pool[int(rng.integers(len(pool)))])
         if k % 2:
             us[-1] = us[-1] @ extra[k % len(extra)]
-    agree = np.array([stabilizer_test(u, v, q8, level=level).agree for u, v in zip(us, vs)])
+    agree = np.array([stabilizer_test(u, v, q8, level=2).agree for u, v in zip(us, vs)])
     member = q8.contains(np.array(us) @ np.array(vs).conj().transpose(0, 2, 1))
     return [
         _exact("stabilizer verdicts match membership on %d pairs" % pairs, (agree == member).all()),
@@ -396,5 +396,5 @@ def builtin_checks(tol=DEFAULT_CHECK_TOL, rmax=3, level=3):
     out += chern_consistency_checks()
     out += norm_sup_checks(tol=tol)
     out += dr_identity_checks(tol, level)
-    out += stabilizer_checks(level=level)
+    out += stabilizer_checks()
     return out

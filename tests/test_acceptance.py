@@ -109,7 +109,7 @@ def test_criterion_8_dr_identities():
 
 
 def test_criterion_9_stabilizer_faithfulness():
-    checks = verify.stabilizer_checks(pairs=20, level=3, seed=13)
+    checks = verify.stabilizer_checks(pairs=20, seed=13)
     _assert_all(checks)
     by_name = {c.name: c for c in checks}
     assert by_name["stabilizer verdicts match membership on 20 pairs"].passed

@@ -389,6 +389,67 @@ def test_spanning_forest_is_one_frozen_memo():
     assert comps == [[0, 2, 4, 6], [1, 3, 5]] and c.components() is not comps
 
 
+def stack_closure(vertices, maximal):
+    """The face closure by a stack of one-vertex removals, plus all vertices."""
+    simps = set(frozenset([v]) for v in range(vertices))
+    stack = [frozenset(int(v) for v in s) for s in maximal]
+    while stack:
+        s = stack.pop()
+        if s in simps or not s:
+            continue
+        simps.add(s)
+        stack.extend(s - {v} for v in s)
+    return simps
+
+
+def star_walk(c, v):
+    """The closed star of v by a walk down from the simplices through v."""
+    closed = set()
+    stack = [s for s in c.simplices if v in s]
+    while stack:
+        s = stack.pop()
+        if s not in closed:
+            closed.add(s)
+            stack.extend(s - {w} for w in s if len(s) > 1)
+    return closed
+
+
+def _table_cases():
+    """The forest cases (two components among them), a base with no
+    vertices, a cone of tetrahedra, the 3-simplex and the projective plane."""
+    simplex = SimplicialComplex.from_maximal(4, [(0, 1, 2, 3)])
+    return _forest_cases() + [SimplicialComplex(0, []), _cone(subdivided_octahedron(1)), simplex, _rp2()]
+
+
+@pytest.mark.parametrize("k", range(12))
+def test_faces_and_stars_match_the_walks(k):
+    c = _table_cases()[k]
+    maximal = [s for s in c.simplices if not any(s < t for t in c.simplices)]
+    assert SimplicialComplex.from_maximal(c.vertices, maximal).simplices == stack_closure(c.vertices, maximal)
+    assert all(c.star(v) == star_walk(c, v) for v in range(c.vertices))
+    # repeated vertices, an empty simplex and repeated faces close the same way
+    messy = [(), (0, 1, 0), (1, 0), (2,), (1, 2, 2)]
+    assert SimplicialComplex.from_maximal(4, messy).simplices == stack_closure(4, messy)
+    with pytest.raises(ValueError, match="outside"):
+        SimplicialComplex.from_maximal(4, messy + [(7,)])
+
+
+@pytest.mark.parametrize("k", range(12))
+def test_edge_and_component_tables_are_read_only_memos(k):
+    c = _table_cases()[k]
+    # the first call may come before or after the forest is formed
+    comp = c.component_index() if k % 2 else (c.spanning_forest(), c.component_index())[1]
+    ends = c.edge_ends()
+    assert c.edge_ends() is ends and c.component_index() is comp
+    assert not ends.flags.writeable and not comp.flags.writeable
+    assert ends.dtype.kind == comp.dtype.kind == "i"
+    assert ends.shape == (len(c.edges()), 2) and comp.shape == (c.vertices,)
+    assert np.array_equal(ends, np.array(c.edges(), dtype=int).reshape(-1, 2))
+    comps = c.components()
+    assert [np.flatnonzero(comp == j).tolist() for j in range(len(comps))] == comps
+    assert comp.size == sum(map(len, comps))
+
+
 def test_h2_sphere_is_free_rank_one():
     s = h2_integral(octahedron())
     assert s.free_rank == 1

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from catbundle.dralg import fixed_points
+from catbundle import repcat
+from catbundle.dralg import DRTruncation, dr_element, fixed_points
 from catbundle.errors import SizeCapExceeded
 from catbundle.groups import (
     KIND_FINITE,
@@ -15,6 +16,7 @@ from catbundle.groups import (
     lie_basis,
     quaternion_group,
     special_unitary,
+    verify_normalizer,
 )
 from catbundle.linalg import as_matrix, hs_inner, power_action, projection_residual
 from catbundle.repcat import (
@@ -150,6 +152,39 @@ def test_permutation_unitary_moves_slots():
     assert np.linalg.norm(cyc @ vec - want) <= 1e-10
 
 
+def _sign_by_inversions(p):
+    return (-1) ** sum(p[a] > p[b] for a, b in itertools.combinations(range(len(p)), 2))
+
+
+def loop_permutation_unitary(perm, d):
+    """The unitary by its entries: column src, row dst with dst[perm[k]] = src[k]."""
+    r = len(perm)
+    u = np.zeros((d ** r, d ** r), dtype=complex)
+    for src in itertools.product(range(d), repeat=r):
+        dst = [0] * r
+        for k in range(r):
+            dst[perm[k]] = src[k]
+        u[np.ravel_multi_index(dst, (d,) * r), np.ravel_multi_index(src, (d,) * r)] = 1.0
+    return u
+
+
+def test_slot_permutations_match_the_entry_loops():
+    for d in range(1, 5):
+        for r in range(5):
+            for p in itertools.permutations(range(r)) if d ** r <= 256 else ():
+                u = permutation_unitary(p, d)
+                assert np.array_equal(u, loop_permutation_unitary(p, d)) and not u.flags.writeable, (d, p)
+        vec = np.zeros((d ** d, 1), dtype=complex)
+        coeff = 1.0 / math.sqrt(math.factorial(d))
+        for p in itertools.permutations(range(d)):
+            vec[np.ravel_multi_index(p, (d,) * d), 0] = _sign_by_inversions(p) * coeff
+        assert np.array_equal(special_isometry(d).isometry, vec)
+        r = np.zeros((d * d, 1), dtype=complex)
+        for k in range(d):
+            r[k * d + k, 0] = 1.0
+        assert np.array_equal(conjugate_pair(d).r, r)
+
+
 def test_symmetry_unitary_flips_blocks():
     d = 2
     rng = np.random.default_rng(8)
@@ -238,10 +273,30 @@ def test_intertwiner_stack_is_the_one_copy_of_the_basis():
     assert sp.stack.shape == (len(sp), 4, 4) and not sp.stack.flags.writeable
     for k, b in enumerate(sp.basis):
         assert np.shares_memory(b, sp.stack) and np.array_equal(b, sp.stack[k])
-    # the stack takes no part in equality or the repr
-    assert dataclasses.replace(sp, stack=sp.stack.copy()) == sp
+    # equality is identity, so it never reads the arrays; the stack is not in the repr
+    other = dataclasses.replace(sp, stack=sp.stack.copy())
+    assert other != sp and sp == sp and hash(other) != hash(sp)
     assert "stack" not in repr(sp)
     assert intertwiners(special_unitary(2), 0, 1).stack.shape == (0, 2, 1)
+
+
+def test_array_holding_records_compare_and_hash_by_identity(monkeypatch):
+    q8, su2 = quaternion_group(), special_unitary(2)
+    space = intertwiners(q8, 2, 2)
+    monkeypatch.setattr(repcat, "_SPACES", {})
+    trunc = DRTruncation(level=2, group=q8)
+    u = np.diag([1.0, 1j])
+    pairs = [
+        (space, intertwiners(q8, 2, 2)),
+        (special_isometry(2), special_isometry(2)),
+        (conjugate_pair(2), conjugate_pair(2)),
+        (verify_normalizer(u, q8), verify_normalizer(u, q8)),
+        (lie_basis(su2), lie_basis(su2)),
+        (dr_element(trunc, 0, 1, np.ones((2, 1))), dr_element(trunc, 0, 1, np.ones((2, 1)))),
+    ]
+    for a, b in pairs:
+        # separately made equal values are distinct objects, never compared entrywise
+        assert a == a and a != b and len({a, b}) == 2 and hash(a) == hash(a)
 
 
 def test_cached_intertwiner_basis_is_read_only():
