@@ -256,16 +256,23 @@ def _lift(n, den):
     return n + den * ((den - 2 * n) // (2 * den))
 
 
+def _items(entries):
+    """The (key, value) pairs of a mapping or of an iterable of pairs,
+    repeated keys kept so that the caller can refuse them."""
+    return entries.items() if hasattr(entries, "items") else entries
+
+
 class CechCocycle:
     """Transition data on the closed-star cover of a complex.
 
     ``values`` is one read-only array in ``complex.edges()`` order, the
     value on (i, j) with i < j: an (E, d, d) stack for the finite kind,
     and a 1-d object array of exact ``Fraction``s (phase) or Python ints
-    (integer) otherwise.  The construction takes a value on every edge,
-    keyed by either orientation (ValueError if one is missing); the
-    values on (j, i), the inverses, are kept as a second read-only array,
-    so ``value`` only ever reads a stored entry.
+    (integer) otherwise.  The construction takes one value on every
+    edge, keyed by either orientation, as a mapping or as (edge, value)
+    pairs (ValueError if one is missing or given twice); the values on
+    (j, i), the inverses, are kept as a second read-only array, so
+    ``value`` only ever reads a stored entry.
 
     Phase and integer data are stored as one read-only object array of
     Python ints, ``numerators``, over one ``denominator`` L, the lcm of
@@ -290,14 +297,14 @@ class CechCocycle:
         edges = complex_.edges()
         pos = complex_.positions(1)
         slots = [None] * len(edges)
-        for (i, j), v in dict(values).items():
+        for (i, j), v in _items(values):
             i, j = int(i), int(j)
             key = (min(i, j), max(i, j))
             a = pos.get(key)
             if a is None:
                 raise ValueError("pair %r is not an overlap of the cover" % (key,))
             if slots[a] is not None:
-                raise ValueError("duplicate value for %r" % (key,))
+                raise ValueError("duplicate value for edge %r" % (key,))
             slots[a] = (i > j, v)
         if None in slots:
             raise ValueError("no value on overlap %r" % (edges[slots.index(None)],))
@@ -349,18 +356,21 @@ class CechCocycle:
         self._values = self._reversed = None
 
     def _checked_windings(self, windings):
+        """The nonzero windings by sorted triangle; a triangle given twice,
+        in any vertex order, is a ValueError."""
         wind = {}
         if windings:
             if self.coeff == COEFF_INT:
                 raise ValueError("integer cocycles carry no windings")
             tris = self.complex.positions(2)
-            for t, n in dict(windings).items():
+            for t, n in _items(windings):
                 key = tuple(sorted(int(v) for v in t))
                 if key not in tris:
                     raise ValueError("winding on %r which is not a triangle" % (key,))
-                if int(n):
-                    wind[key] = int(n)
-        return wind
+                if key in wind:
+                    raise ValueError("duplicate winding on triangle %r" % (key,))
+                wind[key] = int(n)
+        return {key: n for key, n in wind.items() if n}
 
     @property
     def values(self):
@@ -465,16 +475,14 @@ class CechCocycle:
     @classmethod
     def from_json(cls, doc, complex_, group=None, degree=None):
         coeff = doc["coeff"]
-        values = {}
+        values = []
         for item in doc.get("values", []):
             i, j = item["edge"]
             v = item["value"]
             if coeff == COEFF_FINITE:
                 v = matrix_from_json(v)
-            values[(int(i), int(j))] = v
-        windings = {}
-        for item in doc.get("windings", []):
-            windings[tuple(item["triangle"])] = int(item["value"])
+            values.append(((int(i), int(j)), v))
+        windings = [(item["triangle"], int(item["value"])) for item in doc.get("windings", [])]
         return cls(complex_, coeff, values, windings=windings, group=group, degree=degree)
 
 

@@ -85,7 +85,7 @@ def load_datum(path, tol):
         return GluingDatum.from_json(doc, tol=tol)
     except ToolkitError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputParse("gluing datum %s is malformed: %s" % (path, exc))
 
 

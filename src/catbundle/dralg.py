@@ -13,13 +13,6 @@ points, and unitaries normalizing the group act on that subalgebra.
 The circle acts by the power grade s - r.  The inner endomorphism along
 the antisymmetric isometry family commutes with both, which is the
 algebraic shadow of the determinant twist.
-
-The carrier is either a plain group fibre or a glued family over a
-base.  A plain element's value is a d^s x d^r matrix; a glued one's is
-the read-only (vertices, d^s, d^r) stack of its patches, the matrix
-being the stack's 2-d case, so every operation is one numpy expression
-that broadcasts over the patch axis.  The overlap matching survives
-because paddings and products are patchwise.
 """
 
 from __future__ import annotations
@@ -37,7 +30,7 @@ from .groups import (
     lie_basis,
     verify_normalizer,
 )
-from .linalg import Tolerance, _as_stack, as_matrix, nullspace, power_action
+from .linalg import Tolerance, as_matrix, hs_norm, nullspace, opnorm, power_action
 from .repcat import (
     averaged_fixed_space,
     intertwiners,
@@ -50,30 +43,23 @@ DEFAULT_LEVEL = 4
 
 @dataclass(frozen=True)
 class DRTruncation:
-    """Finite window onto the graded algebra: source powers capped at level.
+    """Finite window onto the graded algebra of a fibre group: source
+    powers capped at level.
 
-    Exactly one of ``group`` (plain fibre) and ``datum`` (glued family)
-    is set; target powers may overhang the level by the fibre degree so
-    that the antisymmetric isometry and its inner endomorphism fit.
+    Target powers may overhang the level by the fibre degree so that the
+    antisymmetric isometry and its inner endomorphism fit.
     """
 
     level: int
-    group: object = None
-    datum: object = None
+    group: object
 
     def __post_init__(self):
         if self.level < 1:
             raise ValueError("truncation level must be at least 1")
-        if (self.group is None) == (self.datum is None):
-            raise ValueError("exactly one carrier: a fibre group or a gluing datum")
 
     @property
     def degree(self):
-        return (self.group or self.datum.group).degree
-
-    @property
-    def glued(self):
-        return self.datum is not None
+        return self.group.degree
 
     def admits(self, r, s):
         return r <= self.level and s <= self.level + self.degree
@@ -92,24 +78,14 @@ class DRElement:
     def grade(self):
         return self.s - self.r
 
-    @property
-    def glued(self):
-        return self.trunc.glued
-
 
 def _strip_once(t, r, s, d, tol):
-    """If t = t0 (x) 1 on the last leg, return t0, else None.
-
-    A stack strips only when every patch does, each one measured on its
-    own scale."""
+    """If t = t0 (x) 1 on the last leg, return t0, else None."""
     if r < 1 or s < 1:
         return None
-    lead = t.shape[:-2]
     rows, cols = d ** (s - 1), d ** (r - 1)
-    t0 = np.trace(t.reshape(lead + (rows, d, cols, d)), axis1=-3, axis2=-1) / d
-    resid = np.linalg.norm(t - _pad(t0, 1, d), axis=(-2, -1))
-    scale = np.linalg.norm(t, axis=(-2, -1))
-    if all(map(tol.close, resid.ravel(), scale.ravel())):
+    t0 = np.trace(t.reshape(rows, d, cols, d), axis1=1, axis2=3) / d
+    if tol.close(hs_norm(t - _pad(t0, 1, d)), scale=hs_norm(t)):
         return t0
     return None
 
@@ -122,38 +98,28 @@ def _reduced(trunc, r, s, value, tol=None):
     while True:
         t0 = _strip_once(value, r, s, d, tol)
         if t0 is None:
-            return DRElement(trunc, r, s, _as_stack(value))
+            return DRElement(trunc, r, s, as_matrix(value))
         value, r, s = t0, r - 1, s - 1
 
 
 def _pad(value, q, d):
-    """Identity legs on the right; np.kron takes a stack patch by patch,
-    the 2-d identity being promoted to a (1, d^q, d^q) stack."""
+    """Identity legs on the right."""
     return value if q == 0 else np.kron(value, np.eye(d ** q))
 
 
 def dr_element(trunc, r, s, value, tol=None):
-    """Wrap a matrix as a reduced algebra element.
-
-    Over a glued carrier the value is a (vertices, d^s, d^r) stack, or a
-    matrix standing for the constant family; any other shape, a stack
-    that misses a patch or has one too many included, is a ValueError.
-    """
+    """Wrap a d^s x d^r matrix as a reduced algebra element; a value of
+    any other shape is a ValueError."""
     d = trunc.degree
     if not trunc.admits(r, s):
         raise TruncationOverflow(
             "powers (%d, %d) exceed the truncation window at level %d" % (r, s, trunc.level)
         )
     value = np.asarray(value)
-    want = (d ** s, d ** r)
-    if trunc.glued:
-        want = (trunc.datum.complex.vertices,) + want
-        if value.ndim == 2:
-            value = np.broadcast_to(value, want[:1] + value.shape)
-    if value.shape != want:
+    if value.shape != (d ** s, d ** r):
         raise ValueError("value shape %r does not match powers (%d, %d)" % (value.shape, r, s))
     # frozen before reducing, so that non-finite entries fail here
-    return _reduced(trunc, r, s, _as_stack(value), tol)
+    return _reduced(trunc, r, s, as_matrix(value), tol)
 
 
 def dr_one(trunc):
@@ -189,7 +155,7 @@ def dr_mul(a, b, tol=None):
 
 
 def dr_adjoint(a):
-    return DRElement(a.trunc, a.s, a.r, _as_stack(np.swapaxes(a.value, -1, -2).conj()))
+    return DRElement(a.trunc, a.s, a.r, as_matrix(a.value.conj().T))
 
 
 def dr_add(a, b, scalar=1.0, tol=None):
@@ -210,8 +176,7 @@ def dr_add(a, b, scalar=1.0, tol=None):
 
 
 def dr_norm(a):
-    """The operator norm, over a glued carrier the largest patch's."""
-    return float(np.linalg.svd(a.value, compute_uv=False).max())
+    return opnorm(a.value)
 
 
 def dr_close(a, b, tol=None):
@@ -236,7 +201,7 @@ def circle_action(z, a, tol=None):
     if abs(abs(z) - 1.0) > tol.tau:
         raise ValueError("circle parameter must have modulus one")
     scal = z ** a.grade
-    return DRElement(a.trunc, a.r, a.s, _as_stack(a.value * complex(scal)))
+    return DRElement(a.trunc, a.r, a.s, as_matrix(a.value * complex(scal)))
 
 
 def gauge_action(g, a, tol=None):
@@ -248,7 +213,7 @@ def gauge_action(g, a, tol=None):
         raise WrongKind("gauge unitary has shape %r, fibre degree is %d" % (g.shape, d))
     if not tol.close(_unitarity_residual(g), scale=math.sqrt(d)):
         raise NotUnitary("gauge parameter is not unitary")
-    return DRElement(a.trunc, a.r, a.s, _as_stack(power_action(g, a.value, a.r, a.s)))
+    return DRElement(a.trunc, a.r, a.s, as_matrix(power_action(g, a.value, a.r, a.s)))
 
 
 def eq_rhoeps(a):
@@ -264,17 +229,12 @@ def eq_rhoeps(a):
     thr = symmetry_unitary(1, a.r, d)
     lhs = np.kron(np.eye(d), a.value)
     rhs = ths @ _pad(a.value, 1, d) @ thr
-    return float(np.linalg.norm(lhs - rhs, axis=(-2, -1)).max())
+    return hs_norm(lhs - rhs)
 
 
 def special_element(trunc, tol=None):
     """The antisymmetric isometry as an algebra element of pure grade d."""
     d = trunc.degree
-    if trunc.glued:
-        from .glue import extract_twisted_special
-
-        isometries = extract_twisted_special(trunc.datum, tol=tol).isometries
-        return dr_element(trunc, 0, d, isometries, tol=tol)
     return dr_element(trunc, 0, d, special_isometry(d).isometry, tol=tol)
 
 

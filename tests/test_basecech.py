@@ -1140,6 +1140,44 @@ def test_cocycle_values_taken_in_either_orientation():
         assert all(np.array_equal(a, b) for a, b in zip(flipped.values, c.values))
 
 
+def test_json_entries_given_twice_are_refused():
+    # a repeated edge is refused whatever it repeats, the same value included
+    cov, cocycles = _one_cocycle_per_kind()
+    for c in cocycles:
+        doc = c.to_json()
+        assert CechCocycle.from_json(doc, cov, degree=2).to_json() == doc
+        for extra in (doc["values"][3], dict(doc["values"][0], value=doc["values"][1]["value"])):
+            with pytest.raises(ValueError, match=r"duplicate value for edge \(%d, %d\)" % tuple(extra["edge"])):
+                CechCocycle.from_json(dict(doc, values=doc["values"] + [extra]), cov, degree=2)
+    # a triangle listed twice, in one vertex order or in two
+    phase = cocycles[1].to_json()
+    for first, second in (([0, 1, 2], [0, 1, 2]), ([0, 1, 2], [2, 0, 1])):
+        for n in (0, 1, 2):
+            doc = dict(phase, windings=[{"triangle": first, "value": 1}, {"triangle": second, "value": n}])
+            with pytest.raises(ValueError, match=r"duplicate winding on triangle \(0, 1, 2\)"):
+                CechCocycle.from_json(doc, cov)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_windings_on_one_triangle_given_twice_are_refused(n):
+    cov, (_, phase, _) = _one_cocycle_per_kind()
+    vals = dict(zip(cov.edges(), phase.values))
+    for windings in ({(0, 1, 2): 1, (1, 0, 2): n}, [((0, 1, 2), 1), ((0, 1, 2), n)]):
+        with pytest.raises(ValueError, match=r"duplicate winding on triangle \(0, 1, 2\)"):
+            CechCocycle(cov, "phase", vals, windings=windings)
+    # one order alone stays accepted, a zero winding dropped
+    assert CechCocycle(cov, "phase", vals, windings={(1, 0, 2): n}).windings == ({(0, 1, 2): n} if n else {})
+
+
+def test_values_given_as_pairs_refuse_a_repeated_edge():
+    cov, cocycles = _one_cocycle_per_kind()
+    for c in cocycles:
+        pairs = list(zip(cov.edges(), c.values))
+        assert CechCocycle(cov, c.coeff, pairs).to_json() == c.to_json()
+        with pytest.raises(ValueError, match=r"duplicate value for edge \(0, 1\)"):
+            CechCocycle(cov, c.coeff, pairs + [(pairs[0][0], pairs[1][1])])
+
+
 def test_phase_values_stay_fractions_under_product_and_pushforward():
     cov, (fin, phase, _) = _one_cocycle_per_kind()
     for c in (phase.product(phase), det_pushforward(fin)):

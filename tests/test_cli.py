@@ -287,3 +287,46 @@ def test_chern_rejects_bad_matrix_documents(tmp_path, capsys, part):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"]["type"] == "InputParse"
+
+
+@pytest.mark.parametrize(
+    "repeat",
+    [("edge", None), ("triangle", [0, 1, 4]), ("triangle", [4, 0, 1])],
+    ids=["edge", "triangle", "triangle-reordered"],
+)
+@pytest.mark.parametrize("value", [0, 2])
+def test_chern_refuses_repeated_entries(tmp_path, capsys, repeat, value):
+    doc = su2_octa_datum(1).to_json()
+    cocycle = doc["cocycle"]
+    assert cocycle["windings"] == [{"triangle": [0, 1, 4], "value": 1}]
+    kind, triangle = repeat
+    if kind == "edge":
+        # 13 entries for the 12 edges of the octahedron: edge (0, 1) once
+        # more, with its own value (0) or with another edge's (2)
+        cocycle["values"].append(dict(cocycle["values"][value], edge=cocycle["values"][0]["edge"]))
+    else:
+        cocycle["windings"].append({"triangle": triangle, "value": value})
+    path = _write(tmp_path, "repeated.json", doc)
+    code, out, err = _run(capsys, ["chern", "--input", path])
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "InputParse"
+    want = "value for edge (0, 1)" if kind == "edge" else "winding on triangle (0, 1, 4)"
+    assert "duplicate " + want in error["message"]
+
+
+@pytest.mark.parametrize("field", ["vertices", "rows"])
+def test_glue_dims_refuses_an_integer_too_large_for_a_float(tmp_path, capsys, field):
+    doc = su2_octa_datum(1).to_json()
+    if field == "vertices":
+        doc["complex"]["vertices"] = "HUGE"
+    else:
+        doc["cocycle"]["values"][0]["value"]["rows"] = "HUGE"
+    # json reads 1e400 as inf, which has no integer
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc).replace('"HUGE"', "1e400"), encoding="utf-8")
+    code, out, err = _run(capsys, ["glue-dims", "--input", str(path), "--rmax", "1"])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "InputParse"

@@ -1,11 +1,11 @@
-"""Truncated arrow algebras: reduction, products, actions, stabilizers."""
+"""Truncated arrow algebras of a fibre group: reduction, products,
+actions, stabilizers."""
 
 import numpy as np
 import pytest
 
 from catbundle import (
     DRTruncation,
-    GluingDatum,
     NotUnitary,
     TruncationOverflow,
     WrongKind,
@@ -24,7 +24,6 @@ from catbundle import (
     gauge_action,
     inner_endo_nu,
     intertwiners,
-    octahedron,
     quaternion_group,
     special_element,
     special_isometry,
@@ -148,11 +147,32 @@ def test_endomorphism_at_the_top_overflows():
         canonical_endo(el)
 
 
-def test_truncation_needs_one_carrier():
-    with pytest.raises(ValueError):
+def test_truncation_needs_a_group_and_a_level_of_at_least_one():
+    with pytest.raises(TypeError):
         DRTruncation(level=2)
     with pytest.raises(ValueError):
         DRTruncation(level=0, group=Q8)
+    assert DRTruncation(level=1, group=Q8).degree == 2
+
+
+def test_element_value_must_be_one_matrix_of_the_powers():
+    rng = np.random.default_rng(17)
+    tr = _trunc(2)
+    t = _rand(rng, 1, 1)
+    for bad in (t.T[:1], _rand(rng, 2, 1), np.array([t] * 6), dict(enumerate([t] * 6))):
+        with pytest.raises(ValueError):
+            dr_element(tr, 1, 1, bad)
+
+
+def test_elements_of_different_truncations_do_not_mix():
+    rng = np.random.default_rng(16)
+    t = _rand(rng, 1, 1)
+    a = dr_element(_trunc(2), 1, 1, t)
+    for other in (_trunc(3), DRTruncation(level=2, group=special_unitary(2))):
+        with pytest.raises(WrongKind):
+            dr_mul(a, dr_element(other, 1, 1, t))
+        with pytest.raises(WrongKind):
+            dr_add(a, dr_element(other, 1, 1, t))
 
 
 # ---------------------------------------------------------------------------
@@ -306,89 +326,6 @@ def test_stabilizer_confirms_group_elements():
 def test_stabilizer_needs_finite_fibre():
     with pytest.raises(WrongKind):
         stabilizer_test(np.eye(2), np.eye(2), special_unitary(2), level=1)
-
-
-# ---------------------------------------------------------------------------
-# glued carrier
-
-
-def _glued_trunc(level=2):
-    octa = octahedron()
-    datum = GluingDatum(octa, Q8, {e: np.eye(2) for e in octa.edges()})
-    return DRTruncation(level=level, datum=datum)
-
-
-def test_glued_elements_broadcast_and_multiply_patchwise():
-    rng = np.random.default_rng(15)
-    tr = _glued_trunc()
-    t = _rand(rng, 1, 1)
-    u = _rand(rng, 1, 1)
-    a = dr_element(tr, 1, 1, t)
-    b = dr_element(tr, 1, 1, u)
-    assert a.glued and a.value.shape == (6, 2, 2)
-    ab = dr_mul(a, b)
-    for v in range(6):
-        assert np.allclose(ab.value[v], t @ u)
-    assert dr_close(dr_mul(ab, dr_one(tr)), ab)
-    assert eq_rhoeps(ab) <= 1e-9
-
-
-@pytest.mark.parametrize("patches", [1, 5, 7, 9])
-def test_glued_element_needs_exactly_the_patches_of_the_base(patches):
-    rng = np.random.default_rng(17)
-    tr = _glued_trunc()
-    stack = np.array([_rand(rng, 1, 1) for _ in range(patches)])
-    with pytest.raises(ValueError):
-        dr_element(tr, 1, 1, stack)
-    with pytest.raises(ValueError):
-        dr_element(tr, 1, 1, dict(enumerate(stack)))
-
-
-def test_glued_strip_rule():
-    rng = np.random.default_rng(18)
-    tr = _glued_trunc()
-    t0 = _rand(rng, 1, 1)
-    padded = np.kron(t0, np.eye(2))
-    # one patch that does not split keeps the identity leg on all of them
-    stack = np.array([padded] * 6)
-    stack[3] = _rand(rng, 2, 2)
-    el = dr_element(tr, 2, 2, stack)
-    assert (el.r, el.s) == (2, 2)
-    # each patch is measured on its own scale: a perturbation that is
-    # roundoff next to a large patch still counts on a unit one
-    noise = 1e-5 * _rand(rng, 2, 2)
-    stack = np.array([padded] * 6)
-    stack[0] = 1e6 * padded + noise
-    assert dr_element(tr, 2, 2, stack).r == 1
-    stack[1] = padded + noise
-    assert dr_element(tr, 2, 2, stack).r == 2
-    # a constant family reduces exactly as the plain element does
-    t = np.kron(_rand(rng, 1, 0), np.eye(4))
-    plain = dr_element(_trunc(2), 2, 3, t)
-    glued = dr_element(tr, 2, 3, np.array([t] * 6))
-    assert (glued.r, glued.s) == (plain.r, plain.s) == (0, 1)
-    assert all(np.array_equal(glued.value[v], plain.value) for v in range(6))
-
-
-def test_glued_special_element():
-    tr = _glued_trunc()
-    psi = special_element(tr)
-    assert psi.glued and (psi.r, psi.s) == (0, 2)
-    p = antisym_projector(2, 2)
-    for v in range(6):
-        V = psi.value[v]
-        assert abs(np.linalg.norm(V) - 1.0) <= 1e-12
-        assert np.linalg.norm(V @ V.conj().T - p) <= 1e-9
-    assert dr_close(dr_mul(dr_adjoint(psi), psi), dr_one(tr))
-
-
-def test_plain_and_glued_elements_do_not_mix():
-    rng = np.random.default_rng(16)
-    t = _rand(rng, 1, 1)
-    a = dr_element(_trunc(2), 1, 1, t)
-    b = dr_element(_glued_trunc(), 1, 1, t)
-    with pytest.raises(WrongKind):
-        dr_mul(a, b)
 
 
 def test_stabilizer_agreement_matches_membership():

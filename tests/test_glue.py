@@ -19,7 +19,6 @@ from catbundle import (
     CapExceeded,
     CechCocycle,
     ConsistencyError,
-    DRTruncation,
     GluingDatum,
     GroupSpec,
     NotACocycleModG,
@@ -33,17 +32,11 @@ from catbundle import (
     WrongKind,
     as_matrix,
     build_glued,
-    canonical_endo,
     cyclic_diagonal_group,
-    dr_element,
-    dr_mul,
-    dr_norm,
-    eq_rhoeps,
     equivalent,
     extract_twisted_special,
     fibre_eval,
     full_unitary,
-    gauge_action,
     glued_identity,
     glued_space,
     glued_symmetry,
@@ -725,30 +718,6 @@ def test_stack_operations_match_a_per_patch_kronecker_loop():
     assert (out.r, out.s) == (2, 3)
     for v in range(n):
         assert np.abs(out.components[v] - np.kron(x[v], y[v])).max() <= 1e-12
-
-    glued = DRTruncation(level=3, datum=d)
-    plain = DRTruncation(level=3, group=quaternion_group())
-    g = HAD @ PHASE_GATE
-    a, b, c = stack(1, 1), stack(2, 1), stack(1, 2)
-    ga, gb, gc = dr_element(glued, 1, 1, a), dr_element(glued, 1, 2, b), dr_element(glued, 2, 1, c)
-    ops = [
-        lambda x, y, z: dr_mul(x, y),  # pads the left factor
-        lambda x, y, z: dr_mul(z, x),  # pads the right factor
-        lambda x, y, z: canonical_endo(x),
-        lambda x, y, z: gauge_action(g, y),
-    ]
-    for op in ops:
-        got = op(ga, gb, gc)
-        for v in range(n):
-            ref = op(*(dr_element(plain, e.r, e.s, e.value[v]) for e in (ga, gb, gc)))
-            assert (got.r, got.s) == (ref.r, ref.s)
-            assert np.abs(got.value[v] - ref.value).max() <= 1e-12 * max(1.0, dr_norm(ref))
-    assert np.abs(dr_mul(ga, gb).value[0] - np.kron(a[0], np.eye(2)) @ b[0]).max() <= 1e-12
-    assert np.abs(dr_mul(gc, ga).value[0] - c[0] @ np.kron(a[0], np.eye(2))).max() <= 1e-12
-    # the exchange identity holds for every matrix, so both sides are roundoff
-    for e in (ga, gb, gc):
-        want = max(eq_rhoeps(dr_element(plain, e.r, e.s, e.value[v])) for v in range(n))
-        assert max(eq_rhoeps(e), want) <= 1e-12 * max(1.0, dr_norm(e))
 
 
 def test_glued_space_is_memoized_on_the_datum():

@@ -5,6 +5,7 @@ see a missing or a surplus import; these run each case in a child
 interpreter with the package on its path.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -48,6 +49,7 @@ PUBLIC = [
 ]
 
 LAYERS = ("basecech", "dralg", "errors", "glue", "groups", "linalg", "repcat", "verify")
+NUMERICAL = ("basecech", "dralg", "glue", "groups", "linalg", "repcat")
 
 
 def _child(*argv):
@@ -113,6 +115,39 @@ def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from catbundle import *", namespace)
     assert sorted(k for k in namespace if k != "__builtins__") == PUBLIC
+
+
+# ---------------------------------------------------------------------------
+# the layering of the source files
+
+
+def _package_imports(path):
+    """The catbundle modules a source file imports, at any depth of it."""
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), path)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["catbundle" if node.level else "", node.module]))
+            names.add(module)
+            names.update(module + "." + a.name for a in node.names)
+    return {n.split(".")[1] for n in names if n.startswith("catbundle.")}
+
+
+def test_layers_import_only_downwards():
+    src = os.path.join(ROOT, "src", "catbundle")
+    imports = {
+        name[:-3]: _package_imports(os.path.join(src, name))
+        for name in os.listdir(src)
+        if name.endswith(".py")
+    }
+    # function-level imports count: cli makes all of these inside functions
+    assert {"glue", "linalg", "verify"} <= imports["cli"]
+    assert not imports["dralg"] & {"glue", "basecech", "verify", "cli"}
+    for layer in NUMERICAL:
+        assert not imports[layer] & {"verify", "cli"}, layer
 
 
 # ---------------------------------------------------------------------------
