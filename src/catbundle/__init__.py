@@ -97,14 +97,11 @@ _EXPORTS = {
     ),
     "glue": (
         "GluedArrow",
-        "GluedCategory",
         "GluedSpace",
         "GluingDatum",
         "IsomorphismReport",
         "TwistedSpecialExtraction",
-        "build_glued",
         "extract_twisted_special",
-        "fibre_eval",
         "glued_identity",
         "glued_space",
         "glued_symmetry",

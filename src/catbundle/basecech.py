@@ -823,7 +823,7 @@ def circle_class(c, tol=None):
 # equivalence witnesses
 
 
-def equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None):
+def equivalent(c, c2, modulo=None, tol=None):
     """Search for a coboundary witness u with u_i c2_ij = c_ij u_j.
 
     One search serves every kind, on the frames f1, f2 and holonomies h1,
@@ -850,7 +850,7 @@ def equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None):
     That is checked up front on both cocycles' values (NotInNormalizer),
     so a value of infinite order never reaches the closure enumeration.
 
-    Every kind spends one unit of ``search_cap`` per root candidate tried
+    Every kind spends one unit of SEARCH_CAP per root candidate tried
     and one per other vertex of its component; SearchCapExceeded is
     raised when the units run out or the candidate closure overflows the
     cap.  Returns the witness family as a dict or None.
@@ -874,7 +874,7 @@ def equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None):
             gens = [*c.values, *c2.values]
             if modulo is not None:
                 gens += modulo.generators
-            closure_spec = GroupSpec(KIND_FINITE, d, gens, enumeration_cap=search_cap)
+            closure_spec = GroupSpec(KIND_FINITE, d, gens, enumeration_cap=SEARCH_CAP)
             try:
                 candidates = closure_spec.elements()
             except CapExceeded as exc:
@@ -900,14 +900,14 @@ def equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None):
             return not bad[on].any()
 
     on_comp = c.complex.component_index()[c.complex.edge_ends()[:, 0]]
-    budget = search_cap
+    budget = SEARCH_CAP
     witness = {}
     for k, (root, tree) in enumerate(c.complex.spanning_forest()):
         on = on_comp == k
         for w in candidates:
             budget -= 1 + len(tree)
             if budget < 0:
-                raise SearchCapExceeded("witness search passed %d assignments" % search_cap)
+                raise SearchCapExceeded("witness search passed %d assignments" % SEARCH_CAP)
             if passes(w, on):
                 break
         else:

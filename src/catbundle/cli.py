@@ -25,7 +25,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .checks import _c, _exact
 from .errors import InputParse, ToolkitError
@@ -67,7 +66,7 @@ def load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputParse("cannot read %s: %s" % (path, exc))
     try:
         return json.loads(text)
@@ -75,6 +74,8 @@ def load_json(path):
         raise InputParse(
             "malformed JSON in %s: %s" % (path, exc.msg), line=exc.lineno, column=exc.colno
         )
+    except RecursionError:
+        raise InputParse("JSON in %s is nested too deeply" % path)
 
 
 def load_datum(path, tol):
@@ -89,22 +90,12 @@ def load_datum(path, tol):
         raise InputParse("gluing datum %s is malformed: %s" % (path, exc))
 
 
-def _fraction_str(q):
-    q = Fraction(q)
-    return "%d/%d" % (q.numerator, q.denominator)
-
-
 def _witness_json(witness):
-    import numpy as np
-
     from .linalg import matrix_to_json
 
     if witness is None:
         return None
-    out = {}
-    for v, u in sorted(witness.items()):
-        out[str(v)] = matrix_to_json(u) if isinstance(u, np.ndarray) else _fraction_str(u)
-    return out
+    return {str(v): matrix_to_json(u) for v, u in sorted(witness.items())}
 
 
 def run_verify(config):

@@ -253,7 +253,7 @@ def inner_endo_nu(vbasis, a, tol=None):
     return out
 
 
-def fixed_points(group, r, s, level=DEFAULT_LEVEL, tol=None):
+def fixed_points(group, r, s, tol=None):
     """Basis of the arrows fixed by the whole fibre gauge group.
 
     Finite fibres go through the averaging projector; Lie fibres through
@@ -263,7 +263,7 @@ def fixed_points(group, r, s, level=DEFAULT_LEVEL, tol=None):
     bases, so agreement between the two is a real consistency check.
     """
     tol = tol or Tolerance()
-    if max(r, s) > level:
+    if max(r, s) > DEFAULT_LEVEL:
         raise TruncationOverflow("powers exceed the truncation level")
     if group.kind == KIND_FINITE:
         return averaged_fixed_space(group, r, s, tol=tol)

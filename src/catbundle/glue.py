@@ -73,11 +73,11 @@ from .repcat import antisym_projector, intertwiners, symmetry_unitary
 GLUED_COEFF_CAP = 2_000_000
 """Entries a glued space may form.  With m = |(r, s) fibre basis|,
 D = d^(r+s), k holonomies outside the fibre group and K components,
-``glued_space`` refuses when k m (D + m) + K m D exceeds its ``cap``
-(this value by default): the k m basis images, their k m x m system
-(H_e - 1) and the coefficients, at most m per component.  Sections are
-refused past dim V D entries, an overlap check when one edge's images
-(families x D) exceed it, ``hat_matrix`` when all E m D images do."""
+``glued_space`` refuses when k m (D + m) + K m D exceeds it: the k m
+basis images, their k m x m system (H_e - 1) and the coefficients, at
+most m per component.  Sections are refused past dim V D entries, an
+overlap check when one edge's images (families x D) exceed it,
+``hat_matrix`` when all E m D images do.  Read at each call."""
 # the entries of one run of edges in an overlap check: batched, yet small
 EDGE_RUN_ENTRIES = 1 << 13
 
@@ -377,7 +377,7 @@ class GluedSpace:
         return worst
 
 
-def glued_space(datum, r, s, cap=GLUED_COEFF_CAP):
+def glued_space(datum, r, s):
     """Solve the overlap matching constraints from the holonomies.
 
     With the datum's frames u_v (``GluingDatum._holonomies``), a family
@@ -391,15 +391,15 @@ def glued_space(datum, r, s, cap=GLUED_COEFF_CAP):
     With no holonomy left the operator is empty and the kernel is the
     whole fibre basis, with no SVD.  The kernel vectors are the space's
     coefficients (GluedSpace), solved once per (datum, r, s) and kept on
-    the datum; ``cap`` (see GLUED_COEFF_CAP) is checked on every call.
+    the datum; GLUED_COEFF_CAP is checked on every call.
     """
     stack = datum.fibre_basis(r, s).stack
     m, ds, dr = stack.shape
     _, comp, ends, hol = datum._holonomies()
     count = len(datum.complex.spanning_forest())
     need = len(hol) * m * (ds * dr + m) + count * m * ds * dr
-    if need > cap:
-        raise SizeCapExceeded("glued (%d, %d) space forms %d entries, cap is %d" % (r, s, need, cap))
+    if need > GLUED_COEFF_CAP:
+        raise SizeCapExceeded("glued (%d, %d) space forms %d entries, cap is %d" % (r, s, need, GLUED_COEFF_CAP))
     if (r, s) not in datum._spaces:
         blocks = datum._basis_action(hol, r, s, ends) - np.eye(m)
         on_comp, owner, coeffs = comp[ends[:, 0]], [], []
@@ -414,36 +414,6 @@ def glued_space(datum, r, s, cap=GLUED_COEFF_CAP):
             a.setflags(write=False)
         datum._spaces[(r, s)] = GluedSpace(datum, r, s, x, owner)
     return datum._spaces[(r, s)]
-
-
-class GluedCategory:
-    """Arrow spaces of the glued category up to a tensor power cap."""
-
-    def __init__(self, datum, r_max, cap=GLUED_COEFF_CAP):
-        if r_max < 0:
-            raise ValueError("the power cap must be nonnegative")
-        self.datum = datum
-        self.r_max = r_max
-        self.cap = cap
-        self.spaces = {
-            (r, s): self.space(r, s) for r in range(r_max + 1) for s in range(r_max + 1)
-        }
-
-    def space(self, r, s):
-        return glued_space(self.datum, r, s, cap=self.cap)
-
-    def dims(self):
-        return {rs: sp.dim for rs, sp in sorted(self.spaces.items())}
-
-
-def build_glued(datum, r_max, cap=GLUED_COEFF_CAP):
-    """All glued arrow spaces with powers up to the cap."""
-    return GluedCategory(datum, r_max, cap=cap)
-
-
-def fibre_eval(arrow, v):
-    """Evaluate a glued arrow in the fibre over patch v."""
-    return arrow.components[v]
 
 
 def norm_function(arrow):
@@ -542,7 +512,12 @@ def isomorphic(d1, d2, rmax=2, tol=None):
     tol = tol or Tolerance()
     if d1.complex != d2.complex:
         raise WrongKind("data live over different bases")
-    if d1.group.kind != d2.group.kind or d1.degree != d2.degree:
+    # groups of one kind and degree match when each one's generators lie
+    # in the other (Lie kinds have none)
+    pairs = ((d1.group, d2.group), (d2.group, d1.group))
+    if d1.group.kind != d2.group.kind or d1.degree != d2.degree or not all(
+        h.contains(np.reshape(g.generators, (-1, d1.degree, d1.degree)), tol=tol).all() for g, h in pairs
+    ):
         raise WrongKind("fibre groups do not match")
 
     if d1.group.kind == KIND_U:
@@ -620,7 +595,7 @@ class TwistedSpecialExtraction:
         return self.extracted_class == self.pushforward_class
 
 
-def extract_twisted_special(cat, tol=None):
+def extract_twisted_special(datum, tol=None):
     """Recover the determinant twist from the glued antisymmetric line.
 
     The antisymmetric isometries in the fibres form a glued family of
@@ -628,14 +603,13 @@ def extract_twisted_special(cat, tol=None):
     determinants of the transitions, and the integral class of those
     phases (windings included) is the class of the datum.  Computed
     without ever looking at the transition determinants, then compared
-    against the determinant pushforward route.  Accepts a glued category
-    or a bare datum.  The space's section stack is formed once and read
-    whole: one stacked SVD gives every patch rank, and each identity is
-    checked on all patches in one expression."""
-    datum = cat.datum if isinstance(cat, GluedCategory) else cat
+    against the determinant pushforward route.  The space's section
+    stack is formed once and read whole: one stacked SVD gives every
+    patch rank, and each identity is checked on all patches in one
+    expression."""
     tol = tol or datum.tol
     d = datum.degree
-    space = cat.space(0, d) if isinstance(cat, GluedCategory) else glued_space(datum, 0, d)
+    space = glued_space(datum, 0, d)
     if space.dim == 0:
         raise RankDeficientVModule("no glued antisymmetric sections at all")
     proj = antisym_projector(d, d)

@@ -53,18 +53,17 @@ class GroupSpec:
     carry no generators; they are presented through ``lie_basis``.
     """
 
-    def __init__(self, kind, degree, generators=(), enumeration_cap=DEFAULT_ENUMERATION_CAP, tol=None):
+    def __init__(self, kind, degree, generators=(), enumeration_cap=DEFAULT_ENUMERATION_CAP):
         if kind not in _KINDS:
             raise ValueError("unknown group kind %r" % (kind,))
         if degree < 1:
             raise ValueError("degree must be at least 1")
-        tol = tol or Tolerance()
         gens = tuple(as_matrix(g) for g in generators)
         if kind != KIND_FINITE and gens:
             raise ValueError("%s groups are Lie presented and take no generators" % kind)
         n = next((k for k, g in enumerate(gens) if g.shape != (degree, degree)), len(gens))
         res = _unitarity_residual(np.reshape(gens[:n], (n, degree, degree)))
-        ok = tol.close(res, math.sqrt(degree))
+        ok = Tolerance().close(res, math.sqrt(degree))
         if not ok.all():
             k = int(np.argmin(ok))  # the first False
             raise NotUnitary("generator %d fails unitarity, residual %g" % (k, res[k]))
@@ -74,7 +73,6 @@ class GroupSpec:
         self.degree = degree
         self.generators = gens
         self.enumeration_cap = int(enumeration_cap)
-        self.tol = tol
         self._elements = None
 
     def elements(self):
@@ -93,7 +91,7 @@ class GroupSpec:
         member.  Lie kinds test their defining property; a unitary matrix
         belongs to a finite group when its ``group_distance`` is within
         tau."""
-        tol = tol or self.tol
+        tol = tol or Tolerance()
         a = np.asarray(u, dtype=complex)
         d = self.degree
         if a.shape[-2:] != (d, d):
@@ -143,7 +141,7 @@ class NormalizerElement:
     group: GroupSpec
 
 
-def enumerate_finite(group, tol=None):
+def enumerate_finite(group):
     """All elements of a finite matrix group, by closure from the generators.
 
     Depth-first from the identity, which is always included.  Only the
@@ -159,9 +157,8 @@ def enumerate_finite(group, tol=None):
     """
     if group.kind != KIND_FINITE:
         raise WrongKind("enumerate_finite needs a finite group, got %r" % (group.kind,))
-    tol = tol or group.tol
     d = group.degree
-    drift_cap = tol.tau / 10.0
+    drift_cap = Tolerance().tau / 10.0
     eye = np.eye(d, dtype=complex)
     distinct = {}
     for g in group.generators:
@@ -238,7 +235,7 @@ def _require_normalizing(us, group, tol=None):
     the first failure in a table of n rows (unitarity, then the conjugate
     of each generator, formed in one product and tested by one
     ``contains`` call), read row by row."""
-    tol = tol or group.tol
+    tol = tol or Tolerance()
     d = group.degree
     if us.shape[1:] != (d, d):
         raise WrongKind("normalizer candidate has shape %r, group degree is %d" % (us.shape[1:], d))

@@ -120,7 +120,7 @@ def _power_diagonal(lam, power, lie):
     return out
 
 
-def intertwiners(group, r, s, tol=None, cap=INTERTWINER_UNKNOWN_CAP):
+def intertwiners(group, r, s, tol=None):
     """Orthonormal basis of the intertwiner space (H^r, H^s).
 
     The unknowns are restricted to matching weights, then the remaining
@@ -131,16 +131,16 @@ def intertwiners(group, r, s, tol=None, cap=INTERTWINER_UNKNOWN_CAP):
     scattered back into d^s x d^r matrices in canonical order.
 
     Raises SizeCapExceeded when the vectorized problem has more than
-    ``cap`` unknowns, before any cached result is consulted.  Results are
-    cached by the group's value (kind, degree, generators), so separately
-    built equal groups share one solve.
+    INTERTWINER_UNKNOWN_CAP unknowns, before any cached result is
+    consulted.  Results are cached by the group's value (kind, degree,
+    generators), so separately built equal groups share one solve.
     """
     tol = tol or Tolerance()
     d = group.degree
     n = d ** r * d ** s
-    if n > cap:
+    if n > INTERTWINER_UNKNOWN_CAP:
         raise SizeCapExceeded(
-            "intertwiner problem has %d unknowns, cap is %d" % (n, cap)
+            "intertwiner problem has %d unknowns, cap is %d" % (n, INTERTWINER_UNKNOWN_CAP)
         )
     key = (group.kind, d, b"".join(g.tobytes() for g in group.generators), r, s, tol.tau)
     hit = _SPACES.get(key)

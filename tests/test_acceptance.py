@@ -47,7 +47,7 @@ def test_criterion_3_conjugate_equations():
 
 
 def test_criterion_4_cech_engine():
-    checks = verify.cech_engine_checks(pairs=10, seed=7)
+    checks = verify.cech_engine_checks()
     _assert_all(checks)
     names = {c.name for c in checks}
     assert "octahedron free rank 1" in names
@@ -75,7 +75,7 @@ def test_criterion_6_chern_consistency():
 
 
 def test_criterion_7_norm_sup_formula():
-    checks = verify.norm_sup_checks(count=100, tol=1e-9, seed=11)
+    checks = verify.norm_sup_checks(tol=1e-9)
     _assert_all(checks, tol=1e-9)
     assert checks[0].name == "norm sup formula on 100 random glued arrows"
 
@@ -92,7 +92,7 @@ def test_norm_sup_check_forms_each_space_once(monkeypatch):
 
     monkeypatch.setattr(GluedSpace, "_form", spy)
     monkeypatch.setattr(GluedSpace, "sections", property(spy))
-    verify.norm_sup_checks(count=100, tol=1e-9, seed=11)
+    verify.norm_sup_checks(tol=1e-9)
     assert formed and max(formed.count(k) for k in formed) == 1
 
 
@@ -109,7 +109,7 @@ def test_criterion_8_dr_identities():
 
 
 def test_criterion_9_stabilizer_faithfulness():
-    checks = verify.stabilizer_checks(pairs=20, seed=13)
+    checks = verify.stabilizer_checks()
     _assert_all(checks)
     by_name = {c.name: c for c in checks}
     assert by_name["stabilizer verdicts match membership on 20 pairs"].passed

@@ -791,15 +791,16 @@ def test_equivalent_none_for_nontrivial_holonomy():
     assert equivalent(c, trivial_cocycle(cov, "finite", degree=2)) is None
 
 
-def test_equivalent_search_cap():
+def test_equivalent_search_cap(monkeypatch):
     q8 = quaternion_group()
     cov = octahedron()
     els = q8.elements()
     u = {v: els[v % len(els)] for v in range(6)}
     vals = {(i, j): u[i] @ u[j].conj().T for (i, j) in cov.edges()}
     c = CechCocycle(cov, "finite", vals, group=q8)
+    monkeypatch.setattr(basecech, "SEARCH_CAP", 3)
     with pytest.raises(SearchCapExceeded):
-        equivalent(c, trivial_cocycle(cov, "finite", group=q8), search_cap=3)
+        equivalent(c, trivial_cocycle(cov, "finite", group=q8))
 
 
 def _q8_coboundary_without_group():
@@ -810,19 +811,21 @@ def _q8_coboundary_without_group():
     return CechCocycle(cov, "finite", vals), trivial_cocycle(cov, "finite", degree=2)
 
 
-def test_equivalent_closure_overflow_is_search_cap():
+def test_equivalent_closure_overflow_is_search_cap(monkeypatch):
     # no attached group: candidates come from the closure of the values,
     # which is Q8 (order 8) and leaves a cap of 4
     c, c2 = _q8_coboundary_without_group()
-    with pytest.raises(SearchCapExceeded):
-        equivalent(c, c2, search_cap=4)
+    with monkeypatch.context() as patched:
+        patched.setattr(basecech, "SEARCH_CAP", 4)
+        with pytest.raises(SearchCapExceeded):
+            equivalent(c, c2)
     assert equivalent(c, c2) is not None
 
 
 def test_equivalent_closure_propagates_unrelated_errors(monkeypatch):
     import catbundle.groups as groups_module
 
-    def broken(group, tol=None):
+    def broken(group):
         raise RuntimeError("enumeration broke")
 
     c, c2 = _q8_coboundary_without_group()
@@ -832,13 +835,15 @@ def test_equivalent_closure_propagates_unrelated_errors(monkeypatch):
 
 
 @pytest.mark.parametrize("coeff", ["phase", "int"])
-def test_equivalent_budget_is_one_root_plus_the_propagated_vertices(coeff):
+def test_equivalent_budget_is_one_root_plus_the_propagated_vertices(coeff, monkeypatch):
     # one root candidate, 0, on the single component: 1 + 5 units
     cov = annulus(3)
     c = trivial_cocycle(cov, coeff)
-    assert equivalent(c, c, search_cap=6) == {v: 0 for v in range(6)}
+    monkeypatch.setattr(basecech, "SEARCH_CAP", 6)
+    assert equivalent(c, c) == {v: 0 for v in range(6)}
+    monkeypatch.setattr(basecech, "SEARCH_CAP", 5)
     with pytest.raises(SearchCapExceeded):
-        equivalent(c, c, search_cap=5)
+        equivalent(c, c)
 
 
 def test_equivalent_modulo_needs_c2_in_the_normalizer():
@@ -914,7 +919,7 @@ def _outcome(f, *args, **kw):
 
 
 @pytest.mark.parametrize("k", range(14))
-def test_abelian_witnesses_match_the_propagation_oracle(k):
+def test_abelian_witnesses_match_the_propagation_oracle(k, monkeypatch):
     c, c2 = _abelian_pairs()[k]
     want = propagation_equivalent(c, c2)
     got = equivalent(c, c2)
@@ -923,7 +928,10 @@ def test_abelian_witnesses_match_the_propagation_oracle(k):
         assert [type(x) for x in got.values()] == [type(x) for x in want.values()]
     # one root candidate: the budget runs out at the same caps
     for cap in range(1, c.complex.vertices + 2):
-        assert _outcome(equivalent, c, c2, search_cap=cap) == _outcome(propagation_equivalent, c, c2, search_cap=cap)
+        with monkeypatch.context() as patched:
+            patched.setattr(basecech, "SEARCH_CAP", cap)
+            got = _outcome(equivalent, c, c2)
+        assert got == _outcome(propagation_equivalent, c, c2, search_cap=cap)
 
 
 def test_abelian_oracle_pairs_cover_both_verdicts():

@@ -8,8 +8,11 @@ import pytest
 
 from catbundle import (
     GluingDatum,
+    GroupSpec,
     SimplicialComplex,
+    cyclic_diagonal_group,
     full_unitary,
+    matrix_to_json,
     octahedron,
     quaternion_group,
     scalar_datum,
@@ -147,6 +150,67 @@ def test_classify_permutation_fibre(tmp_path, capsys):
     assert report["data"]["verdict"] == "equivalent to trivial"
 
 
+def _flat_file(tmp_path, name, group):
+    octa = octahedron()
+    return _write(tmp_path, name, scalar_datum(octa, group, {e: Fraction(0) for e in octa.edges()}).to_json())
+
+
+@pytest.mark.parametrize("kind", ["su2", "u2", "q8"])
+def test_classify_witness_is_one_matrix_per_patch(tmp_path, capsys, kind):
+    octa = octahedron()
+    if kind == "su2":
+        # scalar witnesses exp(2 pi i q / 2), one per patch
+        da = _datum_file(tmp_path, "a.json", 0)
+        db = _datum_file(tmp_path, "b.json", 0, phases={v: Fraction(v, 8) for v in range(6)})
+    elif kind == "u2":
+        # every transition acts trivially on a permutation fibre
+        third = {e: Fraction(1, 3) for e in octa.edges()}
+        da = _write(tmp_path, "a.json", scalar_datum(octa, full_unitary(2), third).to_json())
+        db = _flat_file(tmp_path, "b.json", full_unitary(2))
+    else:
+        # a coboundary of Q8 elements against the flat datum
+        els = quaternion_group().elements()
+        trans = {(i, j): els[i] @ els[j].conj().T for (i, j) in octa.edges()}
+        da = _write(tmp_path, "a.json", GluingDatum(octa, quaternion_group(), trans).to_json())
+        db = _flat_file(tmp_path, "b.json", quaternion_group())
+    code, report = _report(capsys, ["classify", "--input", da, "--input", db, "--rmax", "1"])
+    assert code == 0
+    witness = report["data"]["witness"]
+    assert set(witness) == {str(v) for v in range(6)}
+    for doc in witness.values():
+        assert set(doc) == {"rows", "cols", "re", "im"} and (doc["rows"], doc["cols"]) == (2, 2)
+    if kind == "u2":
+        assert report["data"]["verdict"] == "equivalent to trivial"
+        assert all(doc == matrix_to_json(np.eye(2)) for doc in witness.values())
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["q8-c4", "c4-q8"])
+def test_classify_different_finite_fibres_exits_two(tmp_path, capsys, order):
+    # one kind and one degree, but C4 is a proper subgroup of Q8
+    files = [
+        _flat_file(tmp_path, "q8.json", quaternion_group()),
+        _flat_file(tmp_path, "c4.json", cyclic_diagonal_group()),
+    ]
+    code, out, err = _run(capsys, ["classify", "--input", files[order[0]], "--input", files[order[1]]])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == {"type": "WrongKind", "message": "fibre groups do not match"}
+
+
+def test_classify_accepts_q8_under_another_presentation(tmp_path, capsys):
+    # j and k generate Q8 too: each presentation's generators lie in the other
+    gj = np.array([[0, 1], [-1, 0]], dtype=complex)
+    gk = np.array([[0, 1j], [1j, 0]])
+    q8 = _flat_file(tmp_path, "q8.json", quaternion_group())
+    jk = _flat_file(tmp_path, "jk.json", GroupSpec("finite", 2, [gj, gk]))
+    for first, second in ((q8, jk), (jk, q8)):
+        code, report = _report(capsys, ["classify", "--input", first, "--input", second, "--rmax", "2"])
+        assert code == 0
+        assert report["data"]["verdict"] == "equivalent"
+        assert all(c["pass"] for c in report["checks"])
+        assert all(doc == matrix_to_json(np.eye(2)) for doc in report["data"]["witness"].values())
+
+
 # ---------------------------------------------------------------------------
 # chern and glue-dims
 
@@ -219,6 +283,23 @@ def test_missing_file_is_a_parse_error(capsys):
     code, _, err = _run(capsys, ["chern", "--input", "/no/such/file.json"])
     assert code == 2
     assert json.loads(err)["error"]["type"] == "InputParse"
+
+
+@pytest.mark.parametrize("problem", ["not-utf8", "nested-too-deeply"])
+def test_unreadable_json_is_a_parse_error(tmp_path, capsys, problem):
+    path = tmp_path / "bad.json"
+    if problem == "not-utf8":
+        path.write_bytes(b"\xff\xfe{}")
+        want = "cannot read %s: 'utf-8' codec can't decode" % path
+    else:
+        path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        want = "JSON in %s is nested too deeply" % path
+    code, out, err = _run(capsys, ["chern", "--input", str(path)])
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "InputParse"
+    assert error["message"].startswith(want)
 
 
 @pytest.mark.parametrize(

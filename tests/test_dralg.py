@@ -31,6 +31,7 @@ from catbundle import (
     stabilizer_test,
     verify_normalizer,
 )
+from catbundle import dralg
 from catbundle.dralg import _first_disagreement
 from catbundle.linalg import Tolerance, power_action
 
@@ -254,12 +255,13 @@ def test_gauge_action_fixes_intertwiner_elements():
                 assert dr_close(gauge_action(g, el), el)
 
 
-def test_fixed_points_match_intertwiner_dimensions():
-    assert len(fixed_points(Q8, 2, 2, level=3)) == len(intertwiners(Q8, 2, 2))
+def test_fixed_points_match_intertwiner_dimensions(monkeypatch):
+    assert len(fixed_points(Q8, 2, 2)) == len(intertwiners(Q8, 2, 2))
     su2 = special_unitary(2)
-    assert len(fixed_points(su2, 2, 2, level=3)) == len(intertwiners(su2, 2, 2))
+    assert len(fixed_points(su2, 2, 2)) == len(intertwiners(su2, 2, 2))
+    monkeypatch.setattr(dralg, "DEFAULT_LEVEL", 3)
     with pytest.raises(TruncationOverflow):
-        fixed_points(Q8, 4, 1, level=3)
+        fixed_points(Q8, 4, 1)
 
 
 # ---------------------------------------------------------------------------

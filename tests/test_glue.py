@@ -31,11 +31,9 @@ from catbundle import (
     ToolkitError,
     WrongKind,
     as_matrix,
-    build_glued,
     cyclic_diagonal_group,
     equivalent,
     extract_twisted_special,
-    fibre_eval,
     full_unitary,
     glued_identity,
     glued_space,
@@ -56,7 +54,7 @@ from catbundle import (
     tensor_glued,
     trivial_group,
 )
-from catbundle import cli, glue, groups
+from catbundle import basecech, cli, glue, groups
 from catbundle.verify import su2_octa_datum
 from glue_oracle import (
     arrow_functor_checks,
@@ -181,7 +179,7 @@ def test_glued_dims_insensitive_to_twist(twist):
         d = su2_octa_datum(1, phases={v: Fraction(v, 8) for v in range(6)})
     else:
         d = su2_octa_datum(twist)
-    assert build_glued(d, 2).dims() == SU2_GLUED
+    assert {rs: glued_space(d, *rs).dim for rs in SU2_GLUED} == SU2_GLUED
 
 
 def _quarter_twist_circle():
@@ -203,9 +201,8 @@ def test_glued_space_can_be_cut_to_zero():
 
 def test_glued_arrows_satisfy_overlap_matching():
     d = su2_octa_datum(1, phases={v: Fraction(v, 8) for v in range(6)})
-    cat = build_glued(d, 2)
-    for sp in cat.spaces.values():
-        for arrow in sp.arrows:
+    for rs in SU2_GLUED:
+        for arrow in glued_space(d, *rs).arrows:
             assert arrow.compatibility_residual() <= 1e-9
 
 
@@ -240,13 +237,6 @@ def test_identity_and_symmetry_are_glued():
     assert th.compatibility_residual() <= 1e-12
     # braiding squares to the identity on matched powers
     assert (th.compose(th) - glued_identity(d, 2)).norm() <= 1e-12
-
-
-def test_fibre_eval_returns_components():
-    d = su2_octa_datum(0)
-    a = glued_space(d, 1, 1).arrows[0]
-    for v in range(6):
-        assert np.array_equal(fibre_eval(a, v), a.components[v])
 
 
 def test_norm_function_sup_formula():
@@ -329,13 +319,6 @@ def test_extraction_carries_windings():
     assert out.extracted_class == h2_integral(d.complex).reduce(
         {t: n for t, n in d.windings.items()}
     )
-
-
-def test_extraction_accepts_category():
-    d = su2_octa_datum(1)
-    cat = build_glued(d, 2)
-    out = extract_twisted_special(cat)
-    assert out.classes_agree
 
 
 def test_scalar_datum_transitions():
@@ -724,9 +707,7 @@ def test_glued_space_is_memoized_on_the_datum():
     d = su2_octa_datum(1)
     sp = glued_space(d, 2, 2)
     assert glued_space(d, 2, 2) is sp
-    cat = build_glued(d, 2)
-    assert cat.space(2, 2) is sp and cat.spaces[(2, 2)] is sp
-    assert cat.space(0, 2) is glued_space(d, 0, 2)
+    assert glued_space(d, 0, 2) is glued_space(d, 0, 2)
     assert glued_space(su2_octa_datum(1), 2, 2) is not sp
 
 
@@ -757,14 +738,16 @@ def test_glued_cap_bounds_the_holonomy_system(monkeypatch):
     # octahedron is one component: m = 2 at (2, 2), one 2 x 4 x 4 block
     need = 2 * 16
     assert _glued_need(d, 2, 2) == need
-    with pytest.raises(SizeCapExceeded):
-        glued_space(d, 2, 2, cap=need - 1)
-    assert glued_space(d, 2, 2, cap=need).dim == 2
-    # the memoized space is still guarded
-    with pytest.raises(SizeCapExceeded):
-        glued_space(d, 2, 2, cap=need - 1)
-    with pytest.raises(SizeCapExceeded):
-        build_glued(d, 2, cap=need - 1)
+    with monkeypatch.context() as patched:
+        patched.setattr(glue, "GLUED_COEFF_CAP", need - 1)
+        with pytest.raises(SizeCapExceeded):
+            glued_space(d, 2, 2)
+        patched.setattr(glue, "GLUED_COEFF_CAP", need)
+        assert glued_space(d, 2, 2).dim == 2
+        # the memoized space is still guarded
+        patched.setattr(glue, "GLUED_COEFF_CAP", need - 1)
+        with pytest.raises(SizeCapExceeded):
+            glued_space(d, 2, 2)
     # the annulus: k Hadamard holonomies, m = 4 at (2, 2), so k blocks of
     # 4 images of 4 x 4 entries and a 4 x 4 block (H_e - 1) each
     hol = _q8_holonomy()
@@ -772,9 +755,12 @@ def test_glued_cap_bounds_the_holonomy_system(monkeypatch):
     assert k and len(hol.fibre_basis(2, 2)) == 4
     need = k * 4 * (16 + 4) + 4 * 16
     assert _glued_need(hol, 2, 2) == need
-    with pytest.raises(SizeCapExceeded):
-        glued_space(hol, 2, 2, cap=need - 1)
-    sp = glued_space(hol, 2, 2, cap=need)
+    with monkeypatch.context() as patched:
+        patched.setattr(glue, "GLUED_COEFF_CAP", need - 1)
+        with pytest.raises(SizeCapExceeded):
+            glued_space(hol, 2, 2)
+        patched.setattr(glue, "GLUED_COEFF_CAP", need)
+        sp = glued_space(hol, 2, 2)
     assert 0 < sp.dim < 4
     # reading the sections forms dim x vertices x 4 x 4 entries
     stack = sp.dim * hol.complex.vertices * 16
@@ -956,14 +942,16 @@ def test_space_built_under_a_cap_is_checked_under_it(monkeypatch, rs):
         need = _glued_need(d, r, s)
         with monkeypatch.context() as patched:
             patched.setattr(glue, "GLUED_COEFF_CAP", need)
-            sp = glued_space(d, r, s, cap=need)
+            sp = glued_space(d, r, s)
             got = sp._residuals()
         if (name, rs) == ("su2", (1, 1)):
             assert need <= 12
         assert got.max(initial=0.0) <= 1e-9
         assert _roundoff(got, [arrow_residual(a) for a in sp.arrows], [1.0] * sp.dim)
-        with pytest.raises(SizeCapExceeded):
-            glued_space(d, r, s, cap=need - 1)
+        with monkeypatch.context() as patched:
+            patched.setattr(glue, "GLUED_COEFF_CAP", need - 1)
+            with pytest.raises(SizeCapExceeded):
+                glued_space(d, r, s)
 
 
 def _perfbench_inputs():
@@ -1093,8 +1081,13 @@ def test_witness_search_matches_backtracking_oracle(case, modulo):
 
 
 def _search_outcome(search, d1, d2, modulo, cap):
+    """One search spending at most ``cap`` units: SEARCH_CAP lowered for
+    ``equivalent``, the oracles' own ``search_cap`` argument."""
+    kw = {} if search is equivalent else {"search_cap": cap}
     try:
-        w = search(d1.cocycle, d2.cocycle, modulo=modulo, search_cap=cap)
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(basecech, "SEARCH_CAP", cap)
+            w = search(d1.cocycle, d2.cocycle, modulo=modulo, **kw)
     except SearchCapExceeded:
         return "cap"
     return w if w is None else [w[v].tobytes() for v in range(d1.complex.vertices)]
@@ -1105,7 +1098,7 @@ def _memo_closure(monkeypatch):
     than the cap raises CapExceeded, as ``enumerate_finite`` does."""
     real, memo = groups.enumerate_finite, {}
 
-    def enumerate_once(group, tol=None):
+    def enumerate_once(group):
         key = np.array(group.generators).tobytes()
         if key not in memo:
             memo[key] = real(GroupSpec(group.kind, group.degree, group.generators, enumeration_cap=10 ** 6))
@@ -1152,12 +1145,13 @@ def test_oracle_cases_cover_both_verdicts():
     assert verdicts == {True, False}
 
 
-def test_six_sector_hadamard_pair_has_a_witness_within_the_cap():
+def test_six_sector_hadamard_pair_has_a_witness_within_the_cap(monkeypatch):
     # backtracking over the twists spends the 2000 units on failing root
     # candidates; the twist-free propagation finds the witness
     d1, d2 = _hadamard_pair(6)
     q8 = quaternion_group()
-    w = equivalent(d1.cocycle, d2.cocycle, modulo=q8, search_cap=2000)
+    monkeypatch.setattr(basecech, "SEARCH_CAP", 2000)
+    w = equivalent(d1.cocycle, d2.cocycle, modulo=q8)
     assert w is not None
     assert set(w) == set(range(12))
     for (i, j) in d1.complex.edges():

@@ -33,7 +33,7 @@ from catbundle.groups import (
     _require_normalizing,
     _unitarity_residual,
 )
-from catbundle.linalg import as_matrix
+from catbundle.linalg import Tolerance, as_matrix
 
 from octahedra import subdivided_octahedron
 from test_glue import _q8_gauged
@@ -205,7 +205,7 @@ def _loop_closure(group):
     """The closure one generator product at a time: the oracle for
     ``enumerate_finite``, which batches the products of each element."""
     d = group.degree
-    drift_cap = group.tol.tau / 10.0
+    drift_cap = Tolerance().tau / 10.0
     eye = np.eye(d, dtype=complex)
     elems = [eye]
     index = {_bucket_key(eye): 0}
@@ -277,7 +277,7 @@ def test_batched_closure_matches_loop_on_gauged_q8_values():
 def test_batched_closure_polar_correction():
     # a generator off the unitary group by more than tau/10 but within the
     # acceptance bound: every product is re-unitarized, on both routes
-    tau = GroupSpec(KIND_FINITE, 2).tol.tau
+    tau = Tolerance().tau
     g = np.diag([1j, -1j]) * (1.0 + tau / 8.0)
     assert tau / 10.0 < _unitarity_residual(g) <= tau * math.sqrt(2.0)
     elems = _assert_same_closure(GroupSpec(KIND_FINITE, 2, [g]))
@@ -317,7 +317,7 @@ def _key_oracle(a):
 
 def _contains_oracle(group, u, tol=None):
     """``GroupSpec.contains`` on one matrix, element by element."""
-    tol = tol or group.tol
+    tol = tol or Tolerance()
     a = np.asarray(u, dtype=complex)
     if a.shape != (group.degree, group.degree):
         return False
@@ -348,7 +348,7 @@ def _distance_oracle(group, a):
 
 def _normalizer_oracle(u, group, tol=None):
     """``verify_normalizer`` with one ``contains`` call per generator."""
-    tol = tol or group.tol
+    tol = tol or Tolerance()
     um = as_matrix(u)
     if um.shape != (group.degree, group.degree):
         raise WrongKind(
@@ -390,7 +390,7 @@ def _random_unitary(rng, d):
 def _probes(group, seed=5):
     """Members; members moved by tau/2 and by 3 tau; non-unitary matrices;
     members times a phase (det != 1, and outside every finite group here)."""
-    d, tau = group.degree, group.tol.tau
+    d, tau = group.degree, Tolerance().tau
     rng = np.random.default_rng(seed)
     if group.kind == KIND_FINITE:
         members = list(group.elements())
@@ -477,8 +477,8 @@ def test_contains_falls_back_when_the_bucket_misses():
     keys = {_bucket_key(x) for x in g.elements()}
     # one nudge leaves e's bucket for a bucket of no element
     off = [m for m in nudges if _bucket_key(m) not in keys]
-    assert len(off) == 1 and np.linalg.norm(off[0] - e) <= g.tol.tau
-    probes = np.array(nudges + [off[0] + 3 * g.tol.tau * np.eye(2)])
+    assert len(off) == 1 and np.linalg.norm(off[0] - e) <= Tolerance().tau
+    probes = np.array(nudges + [off[0] + 3 * Tolerance().tau * np.eye(2)])
     want = [_contains_oracle(g, m) for m in probes]
     assert want == [True, True, False]
     assert g.contains(probes).tolist() == want
@@ -492,7 +492,7 @@ def test_contains_on_the_gauged_q8_closure_matches_one_matrix_oracle():
     d1, d2 = _q8_gauged(c, 6), _q8_gauged(c, 7)
     g = GroupSpec(KIND_FINITE, 2, [*d1.cocycle.values, *d2.cocycle.values, *d1.group.generators])
     assert g.order() == 192
-    tau = g.tol.tau
+    tau = Tolerance().tau
     rng = np.random.default_rng(11)
     direction = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     direction /= np.linalg.norm(direction)

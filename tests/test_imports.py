@@ -26,18 +26,18 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PUBLIC = [
     'COEFF_FINITE', 'COEFF_INT', 'COEFF_PHASE', 'CapExceeded', 'CechCocycle', 'Check',
     'CocycleCheck', 'CohomologySummary', 'ConjugatePair', 'ConsistencyError', 'DRElement',
-    'DRTruncation', 'GluedArrow', 'GluedCategory', 'GluedSpace', 'GluingDatum', 'GroupSpec',
+    'DRTruncation', 'GluedArrow', 'GluedSpace', 'GluingDatum', 'GroupSpec',
     'InputParse', 'IntegralCohomClass', 'IntertwinerSpace', 'IrrationalPhase',
     'IsomorphismReport', 'KIND_FINITE', 'KIND_SU', 'KIND_U', 'LieBasis', 'MissingValue',
     'NormalizerElement', 'NotACocycle', 'NotACocycleModG', 'NotInNormalizer', 'NotUnitary',
     'RankDeficientVModule', 'SearchCapExceeded', 'SimplicialComplex', 'SizeCapExceeded',
     'SpecialObjectData', 'StabilizerVerdict', 'Tolerance', 'ToolkitError', 'TruncationOverflow',
     'TwistedSpecialExtraction', 'WrongKind', 'antisym_projector', 'as_matrix',
-    'averaged_fixed_space', 'basecech', 'build_glued', 'builtin_checks', 'canonical_basis',
+    'averaged_fixed_space', 'basecech', 'builtin_checks', 'canonical_basis',
     'canonical_endo', 'circle_action', 'circle_class', 'conjugate_pair', 'cyclic_diagonal_group',
     'det_pushforward', 'dr_add', 'dr_adjoint', 'dr_close', 'dr_element', 'dr_mul', 'dr_norm',
     'dr_one', 'dralg', 'enumerate_finite', 'eq_rhoeps', 'equivalent', 'errors',
-    'extract_twisted_special', 'fibre_eval', 'fixed_points', 'full_unitary', 'gauge_action',
+    'extract_twisted_special', 'fixed_points', 'full_unitary', 'gauge_action',
     'glue', 'glued_identity', 'glued_space', 'glued_symmetry', 'group_average', 'groups',
     'h2_integral', 'hs_inner', 'hs_norm', 'inner_endo_nu', 'intertwiners', 'is_cocycle',
     'isomorphic', 'lie_basis', 'linalg', 'matrix_from_json', 'matrix_to_json', 'norm_function',

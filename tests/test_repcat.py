@@ -398,14 +398,17 @@ def test_group_without_diagonal_generator_matches_averaging():
             assert np.linalg.norm(basis_projector(sp, n) - basis_projector(avg, n)) <= 1e-9
 
 
-def test_size_cap_counts_all_unknowns():
+def test_size_cap_counts_all_unknowns(monkeypatch):
     # (3, 3) keeps 93 units of equal weight out of 729; (2, 3) keeps none
     # out of 243.  The cap applies before the restriction in both cases.
+    monkeypatch.setattr(repcat, "INTERTWINER_UNKNOWN_CAP", 728)
     with pytest.raises(SizeCapExceeded):
-        intertwiners(full_unitary(3), 3, 3, cap=728)
+        intertwiners(full_unitary(3), 3, 3)
+    monkeypatch.setattr(repcat, "INTERTWINER_UNKNOWN_CAP", 242)
     with pytest.raises(SizeCapExceeded):
-        intertwiners(full_unitary(3), 2, 3, cap=242)
-    assert intertwiners(full_unitary(3), 2, 3, cap=243).dim == 0
+        intertwiners(full_unitary(3), 2, 3)
+    monkeypatch.setattr(repcat, "INTERTWINER_UNKNOWN_CAP", 243)
+    assert intertwiners(full_unitary(3), 2, 3).dim == 0
 
 
 def test_equal_groups_share_one_cached_solve():
@@ -417,7 +420,8 @@ def test_equal_groups_share_one_cached_solve():
     assert intertwiners(quaternion_group(), 1, 1) is not intertwiners(cyclic_diagonal_group(), 1, 1)
 
 
-def test_size_cap_is_checked_before_the_cache():
+def test_size_cap_is_checked_before_the_cache(monkeypatch):
     assert intertwiners(full_unitary(3), 3, 3).dim == 6
+    monkeypatch.setattr(repcat, "INTERTWINER_UNKNOWN_CAP", 728)
     with pytest.raises(SizeCapExceeded):
-        intertwiners(full_unitary(3), 3, 3, cap=728)
+        intertwiners(full_unitary(3), 3, 3)
