@@ -13,10 +13,11 @@ Reports follow {"command": ..., "checks": [{"name", "residual", "pass"}],
 produce byte-identical output.  Exit codes: 0 all checks pass, 1 at
 least one check failed, 2 the input or configuration was unusable.
 
-Each command imports the layers it runs when it runs: ``verify`` and
-``dr-check`` the built-in suites (and through them every layer),
-``classify``, ``chern`` and ``glue-dims`` only ``glue`` and the layers
-it imports.  Parsing the arguments loads no numerical layer.
+Each command imports the layers it runs when it runs: ``verify`` the
+built-in suites (and through them every layer), ``dr-check`` the suites
+module with only the fibre layers (``dralg``, ``repcat``, ``groups``,
+``linalg``), ``classify``, ``chern`` and ``glue-dims`` only ``glue`` and
+the layers it imports.  Parsing the arguments loads no numerical layer.
 """
 
 from __future__ import annotations

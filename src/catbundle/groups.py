@@ -223,11 +223,21 @@ def verify_normalizer(u, group, tol=None):
     membership; it is enough to test generators because conjugation is an
     automorphism.  Every unitary of matching degree normalizes su(d) and
     u(d).  Raises NotInNormalizer with the offending generator index.
-    This is the one-matrix case of ``_require_normalizing``.
+    This is the one-matrix case of ``normalizer_elements``.
     """
-    um = as_matrix(u)
-    _require_normalizing(um[None], group, tol)
-    return NormalizerElement(u=um, phase_det=complex(np.linalg.det(um)), group=group)
+    return normalizer_elements(as_matrix(u)[None], group, tol)[0]
+
+
+def normalizer_elements(us, group, tol=None):
+    """``verify_normalizer`` for each matrix of an (n, d, d) stack, checked
+    by one ``_require_normalizing`` call and one batched determinant."""
+    us = np.asarray(us, dtype=complex)
+    _require_normalizing(us, group, tol)
+    dets = np.linalg.det(us)
+    return [
+        NormalizerElement(u=as_matrix(u), phase_det=complex(det), group=group)
+        for u, det in zip(us, dets)
+    ]
 
 
 def _require_normalizing(us, group, tol=None):

@@ -4,11 +4,21 @@ Objects are tensor powers H^r of C^d carrying g -> g^(x r); arrows from
 H^r to H^s are the d^s x d^r matrices t with g^(x s) t = t g^(x r) for
 every group element.  For finite groups the constraint is imposed for
 each generator; for the su/u kinds the equivalent derivative condition
-is imposed for each element of a Lie algebra basis, so continuous groups
-are never sampled.  Both are the one ``power_action`` of ``linalg``
-(blocks of at most half the slots, each a product by a formed power no
-bigger than one image), applied to a stack of matrix units, whose
-images are the columns of the constraint operator.
+L_s(A) t = t L_r(A) is imposed for the Cartan elements of the Lie
+algebra basis and for the one root generator
+X = sum_j (E_(j,j+1) - E_(j+1,j)), so continuous groups are never
+sampled.  Both are the one ``power_action`` of ``linalg`` (blocks of at
+most half the slots, each a product by a formed power no bigger than
+one image), applied to a stack of matrix units, whose images are the
+columns of the constraint operator.
+
+The Cartan elements and X are enough: the A with L_s(A) t = t L_r(A)
+form a complex Lie subalgebra of gl(d), ad of the Cartan elements
+splits X into its root vectors E_(j,j+1) and E_(j+1,j) (the simple
+roots and their negatives, all distinct), and those generate sl(d).
+So the subalgebra holds the whole of su(d) (and of u(d), with i*I)
+whenever it holds the Cartan elements and X, and the kernel is that of
+the full Lie basis.
 
 The solve is restricted to matching weights, then the remaining
 constraints.  A diagonal constraint (a Cartan element, i*I, a diagonal
@@ -120,15 +130,28 @@ def _power_diagonal(lam, power, lie):
     return out
 
 
+def _root_generator(d):
+    """X = sum_j (E_(j,j+1) - E_(j+1,j)), real and antisymmetric, so in su(d)."""
+    x = np.zeros((d, d), dtype=complex)
+    j = np.arange(d - 1)
+    x[j, j + 1] = 1.0
+    x[j + 1, j] = -1.0
+    return x
+
+
 def intertwiners(group, r, s, tol=None):
     """Orthonormal basis of the intertwiner space (H^r, H^s).
 
-    The unknowns are restricted to matching weights, then the remaining
-    constraints are solved.  Diagonal constraints keep the matrix units
-    e_i e_j* whose weight difference vanishes under the rule nullspace
-    applies to their stacked diagonal; the other constraints are built on
-    the kept units only, all-zero rows dropped, and their kernel is
-    scattered back into d^s x d^r matrices in canonical order.
+    The constraints are those of the finite generators, or for a Lie
+    kind those of the Cartan elements of ``lie_basis`` and of the root
+    generator X = sum_j (E_(j,j+1) - E_(j+1,j)) (``_root_generator``; the
+    module docstring says why they cut out the same kernel as the whole
+    basis).  The unknowns are restricted to matching weights, then the
+    remaining constraints are solved.  Diagonal constraints keep the
+    matrix units e_i e_j* whose weight difference vanishes under the rule
+    nullspace applies to their stacked diagonal; the other constraints
+    are built on the kept units only, all-zero rows dropped, and their
+    kernel is scattered back into d^s x d^r matrices in canonical order.
 
     Raises SizeCapExceeded when the vectorized problem has more than
     INTERTWINER_UNKNOWN_CAP unknowns, before any cached result is
@@ -152,6 +175,9 @@ def intertwiners(group, r, s, tol=None):
     diagonal, others = [], []
     for a in gens:
         (diagonal if np.array_equal(a, np.diag(np.diagonal(a))) else others).append(a)
+    if lie:
+        # one root generator stands in for the off-diagonal basis elements
+        others = [_root_generator(d)] if d > 1 else []
     # singular values of the stacked diagonal constraints, one per unknown
     sq = np.zeros(n)
     for a in diagonal:

@@ -114,3 +114,22 @@ def test_criterion_9_stabilizer_faithfulness():
     by_name = {c.name: c for c in checks}
     assert by_name["stabilizer verdicts match membership on 20 pairs"].passed
     assert by_name["both membership outcomes exercised"].passed
+
+
+def test_stabilizer_check_verifies_its_candidates_in_one_call(monkeypatch):
+    from catbundle import dralg, groups
+
+    calls = []
+    require = groups._require_normalizing
+
+    def spy(us, group, tol=None):
+        calls.append(us.shape)
+        return require(us, group, tol)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a candidate was verified on its own")
+
+    monkeypatch.setattr(groups, "_require_normalizing", spy)
+    monkeypatch.setattr(dralg, "verify_normalizer", refuse)
+    _assert_all(verify.stabilizer_checks())
+    assert calls == [(40, 2, 2)]

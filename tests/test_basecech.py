@@ -881,14 +881,14 @@ def _cech_engine_pairs(pairs=10, seed=7):
     coboundary with random windings, and its product with a second
     coboundary."""
     cov = octahedron()
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
 
     def cochain():
-        return {v: Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 9))) for v in range(6)}
+        return {v: Fraction(rng.randint(-6, 6), rng.randint(1, 8)) for v in range(6)}
 
     for _ in range(pairs):
         theta = cochain()
-        w = {t: int(rng.integers(-2, 3)) for t in cov.triangles() if rng.integers(0, 2)}
+        w = {t: rng.randint(-2, 2) for t in cov.triangles() if rng.randint(0, 1)}
         c = _coboundary(cov, theta, windings=w)
         yield c, c.product(_coboundary(cov, cochain()))
 

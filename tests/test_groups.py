@@ -25,6 +25,7 @@ from catbundle.groups import (
     full_unitary,
     group_distance,
     lie_basis,
+    normalizer_elements,
     quaternion_group,
     special_unitary,
     trivial_group,
@@ -542,10 +543,16 @@ def test_verify_normalizer_matches_one_matrix_oracle(name):
         if want[0] == "ok":
             n, o = verify_normalizer(m, g), _normalizer_oracle(m, g)
             assert np.array_equal(n.u, o.u) and n.phase_det == o.phase_det and n.group is g
+    # the stacked route hands out the same elements for the members
+    members = probes[[o[0] == "ok" for o in outcomes]]
+    for n, m in zip(normalizer_elements(members, g), members, strict=True):
+        o = _normalizer_oracle(m, g)
+        assert np.array_equal(n.u, o.u) and n.phase_det == o.phase_det and n.group is g
     # a stack raises what the one-matrix loop raises first, from any start
     for k in range(len(probes)):
         first = next((o for o in outcomes[k:] if o[0] != "ok"), ("ok", None))
         assert _outcome(_require_normalizing, probes[k:], g) == first
+        assert _outcome(normalizer_elements, probes[k:], g) == first
     assert _outcome(verify_normalizer, np.eye(g.degree + 1), g) == _outcome(
         _normalizer_oracle, np.eye(g.degree + 1), g
     )

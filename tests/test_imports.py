@@ -185,6 +185,22 @@ def test_glue_commands_load_no_algebra_or_suites(commands, command):
     assert not loaded & {"catbundle.dralg", "catbundle.verify"}
 
 
+def test_dr_check_loads_only_the_fibre_layers(commands):
+    proc = _child("-X", "importtime", "-m", "catbundle.cli", *commands["dr-check"])
+    assert proc.returncode == 0, proc.stderr
+    loaded = _loaded(proc)
+    assert {"catbundle.dralg", "catbundle.repcat", "catbundle.verify"} <= loaded
+    assert not loaded & {"catbundle.basecech", "catbundle.glue", "numpy.random"}
+
+
+def test_verify_draws_its_data_without_numpy_random(commands):
+    proc = _child("-X", "importtime", "-m", "catbundle.cli", *commands["verify"])
+    assert proc.returncode == 0, proc.stderr
+    loaded = _loaded(proc)
+    assert {"catbundle.basecech", "catbundle.glue", "random"} <= loaded
+    assert "numpy.random" not in loaded
+
+
 @pytest.mark.parametrize("command", ["verify", "classify", "chern", "glue-dims", "dr-check"])
 def test_fresh_process_matches_in_process(commands, command, capsys):
     proc = _child("-m", "catbundle.cli", *commands[command])

@@ -18,8 +18,9 @@ from catbundle.groups import (
     special_unitary,
     verify_normalizer,
 )
-from catbundle.linalg import as_matrix, hs_inner, power_action, projection_residual
+from catbundle.linalg import as_matrix, hs_inner, nullspace, power_action, projection_residual
 from catbundle.repcat import (
+    _root_generator,
     antisym_projector,
     averaged_fixed_space,
     conjugate_pair,
@@ -29,6 +30,7 @@ from catbundle.repcat import (
     special_isometry,
     symmetry_unitary,
 )
+from catbundle.verify import _schur_weyl_dim
 from kronecker import derived_power, tensor_power
 
 # multiplicity tables computed by character arithmetic (finite groups)
@@ -65,6 +67,15 @@ def test_full_unitary_dims_match_permutation_span(d):
         for s in range(4):
             if r != s:
                 assert intertwiners(g, r, s).dim == 0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_schur_weyl_count_matches_permutation_span(d):
+    for r in range(5):
+        assert _schur_weyl_dim(d, r) == perm_span_dim(d, r), r
+    # with at least r rows every partition counts: the sum of (f^lambda)^2 is r!
+    for r in range(d + 1):
+        assert _schur_weyl_dim(d, r) == math.factorial(r)
 
 
 def test_full_unitary_two_leg_space_is_span_of_identity_and_swap():
@@ -375,6 +386,88 @@ def test_weight_space_solve_matches_dense_route(name):
             want = dense_intertwiner_projector(g, r, s)
             assert sp.dim == int(round(np.trace(want).real)), (r, s)
             assert np.linalg.norm(basis_projector(sp, n) - want) <= 1e-9, (r, s)
+
+
+def _is_diagonal(x):
+    return not np.any(x - np.diag(np.diagonal(x)))
+
+
+def full_basis_intertwiner_projector(group, r, s, tau=1e-9):
+    """Kernel projector of the Lie route before the root generator.
+
+    The weight cut of the Cartan elements keeps the matrix units of equal
+    weight; then every off-diagonal Lie basis element contributes its
+    full d^(r+s) x d^(r+s) derivation block on those units.
+    """
+    d = group.degree
+    ds, dr = d ** s, d ** r
+    n = ds * dr
+    basis = lie_basis(group).matrices
+    keep = np.ones(n, dtype=bool)
+    for h in filter(_is_diagonal, basis):
+        w = np.diagonal(derived_power(h, s, d))[:, None] - np.diagonal(derived_power(h, r, d))[None, :]
+        keep &= np.abs(w.ravel()) < 0.5  # the weights are integers times i
+    blocks = [
+        (np.kron(derived_power(x, s, d), np.eye(dr)) - np.kron(np.eye(ds), derived_power(x, r, d).T))[:, keep]
+        for x in basis
+        if not _is_diagonal(x)
+    ]
+    m = int(keep.sum())
+    if blocks and m:
+        op = np.vstack(blocks)
+        _, sv, vh = np.linalg.svd(op, full_matrices=op.shape[0] < m)
+        sigma = np.concatenate([sv, np.zeros(m - sv.size)])
+        ker = vh[sigma <= tau * max(1.0, sv[0])].conj()
+    else:
+        ker = np.eye(m, dtype=complex)
+    vecs = np.zeros((len(ker), n), dtype=complex)
+    vecs[:, keep] = ker
+    return vecs.T @ vecs.conj()
+
+
+ROOT_GENERATOR_GROUPS = {
+    "u1": lambda: full_unitary(1),
+    "su1": lambda: special_unitary(1),
+    "u2": lambda: full_unitary(2),
+    "su2": lambda: special_unitary(2),
+    "u3": lambda: full_unitary(3),
+    "su3": lambda: special_unitary(3),
+    "su4": lambda: special_unitary(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROOT_GENERATOR_GROUPS))
+def test_root_generator_solve_matches_the_full_basis_route(name):
+    g = ROOT_GENERATOR_GROUPS[name]()
+    d = g.degree
+    for r in range(10):
+        for s in range(10):
+            n = d ** (r + s)
+            if n > 729 or (d == 1 and max(r, s) > 3):
+                continue
+            sp = intertwiners(g, r, s)
+            want = full_basis_intertwiner_projector(g, r, s)
+            assert sp.dim == int(round(np.trace(want).real)), (r, s)
+            assert np.linalg.norm(basis_projector(sp, n) - want) <= 1e-9, (r, s)
+
+
+def test_root_generator_is_one_block_in_the_lie_algebra(monkeypatch):
+    for d in (2, 3, 4):
+        x = _root_generator(d)
+        assert np.array_equal(x, -x.conj().T) and np.trace(x) == 0
+        assert np.count_nonzero(x) == 2 * (d - 1)
+    shapes = []
+
+    def spy(op, tol=None):
+        shapes.append(op.shape)
+        return nullspace(op, tol)
+
+    # (3, 3) of u(3): 93 units of equal weight and one derivation block,
+    # 240 of whose 729 rows are not zero
+    monkeypatch.setattr(repcat, "_SPACES", {})
+    monkeypatch.setattr(repcat, "nullspace", spy)
+    assert intertwiners(full_unitary(3), 3, 3).dim == 6
+    assert shapes == [(240, 93)]
 
 
 @pytest.mark.parametrize("maker", [full_unitary, special_unitary])
