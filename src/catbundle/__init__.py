@@ -13,6 +13,7 @@ from importlib import import_module as _import_module
 from .errors import (
     CapExceeded,
     ConsistencyError,
+    IncompleteSearch,
     InputParse,
     IrrationalPhase,
     MissingValue,
@@ -55,6 +56,7 @@ _EXPORTS = {
         "enumerate_finite",
         "full_unitary",
         "lie_basis",
+        "normalizer_classes",
         "quaternion_group",
         "special_unitary",
         "trivial_group",

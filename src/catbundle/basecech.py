@@ -50,8 +50,9 @@ from .errors import (
     SearchCapExceeded,
     WrongKind,
 )
-from .groups import GroupSpec, KIND_FINITE, _require_normalizing
+from .groups import GroupSpec, KIND_FINITE, _require_normalizing, normalizer_classes
 from .linalg import Tolerance, _as_stack, as_matrix, matrix_from_json, matrix_to_json
+from .repcat import intertwiners
 
 COEFF_FINITE = "finite"
 COEFF_PHASE = "phase"
@@ -839,28 +840,52 @@ def equivalent(c, c2, modulo=None, tol=None):
     the one cocycle c2 - c, whose negated frames are the witness f1 - f2;
     the phase witness is rational.
 
-    Matrix data take their root candidates from the attached structure
-    group, or, with ``modulo`` set or no group attached, from the closure
-    generated by the values of both cocycles and ``modulo``, in
-    enumeration order.  An edge passes when |w h2_e - h1_e w| is within
-    tolerance or, with ``modulo`` set, when u_i c2_ij = c_ij u_j h for some
-    h in that group, i.e. w* h1_e* w h2_e (that conjugated by f2_j) is in
-    it.  No twist h is tried: right-multiplying any u_v by an element of
-    the group changes no verdict when every value of c2 normalizes it.
-    That is checked up front on both cocycles' values (NotInNormalizer),
-    so a value of infinite order never reaches the closure enumeration.
+    Matrix data pass an edge when |w h2_e - h1_e w| is within tolerance
+    or, with ``modulo`` set, when u_i c2_ij = c_ij u_j h for some h in
+    that group, i.e. w* h1_e* w h2_e (that conjugated by f2_j) is in it.
+    No twist h is tried: right-multiplying any u_v by an element of the
+    group, or by a scalar, changes no verdict when every value of c2
+    normalizes it.  That is checked up front on both cocycles' values
+    (NotInNormalizer), so a value of infinite order never reaches a
+    closure enumeration.  The root candidates, in order:
+
+    * ``modulo`` an irreducible group G (``intertwiners(G, 1, 1).dim ==
+      1``): ``groups.normalizer_classes(G)``, one unitary per class of
+      N(G)/(U(1).G).  Every element of N(G) is a class representative
+      times an element of G times a scalar, so by the invariance above
+      some class passes exactly when some root value in N(G) does: the
+      search is complete for witnesses that normalize G, the only ones
+      ``glue.isomorphic`` accepts.  By Schur's lemma the centralizer of G
+      is the scalars, so the classes are finitely many (N(G)/(U(1).G)
+      embeds in Out(G)).
+    * no ``modulo`` and a structure group attached to ``c``: its elements.
+    * otherwise (no group, or a reducible ``modulo`` such as the trivial
+      group, whose quotient is infinite): the closure generated by the
+      values of both cocycles and ``modulo``, in enumeration order.  This
+      set need not hold a witness when one exists.
 
     Every kind spends one unit of SEARCH_CAP per root candidate tried
     and one per other vertex of its component; SearchCapExceeded is
-    raised when the units run out or the candidate closure overflows the
-    cap.  Returns the witness family as a dict or None.
+    raised when the units run out, when the candidate closure overflows
+    the cap, or when the generator image tuples of the normalizer classes
+    outnumber it.  Returns the witness family as a dict or None.
     """
+    return _witness_search(c, c2, modulo, tol)[0]
+
+
+def _witness_search(c, c2, modulo, tol):
+    """``equivalent`` and its proof of failure: (witness, None) or (None,
+    proof), where proof is (k, edges) when the candidates were the
+    normalizer classes, k the first component on which every class fails
+    and edges the first edge there that each class fails, in class order;
+    otherwise None, since the candidates were not known to be complete."""
     tol = tol or Tolerance()
     if c.complex != c2.complex:
         raise ValueError("cocycles live on different covers")
     if c.coeff != c2.coeff:
         raise ValueError("coefficient kinds differ")
 
+    complete = False
     if c.coeff == COEFF_FINITE:
         d = c.degree()
         if modulo is not None:
@@ -868,7 +893,13 @@ def equivalent(c, c2, modulo=None, tol=None):
                 raise WrongKind("matrix witness search modulo a group needs a finite group")
             for values in (c.values, c2.values):
                 _require_normalizing(values, modulo, tol=tol)
-        if c.group is not None and modulo is None:
+            complete = intertwiners(modulo, 1, 1, tol).dim == 1
+        if complete:
+            try:
+                candidates = normalizer_classes(modulo, SEARCH_CAP, tol)
+            except CapExceeded as exc:
+                raise SearchCapExceeded("normalizer classes did not fit: %s" % exc)
+        elif c.group is not None and modulo is None:
             candidates = c.group.elements()
         else:
             gens = [*c.values, *c2.values]
@@ -887,8 +918,8 @@ def equivalent(c, c2, modulo=None, tol=None):
         def passes(w, on):
             h1w, wh2 = h1[on] @ w, w @ h2[on]
             if modulo is None:
-                return (np.linalg.norm(wh2 - h1w, axis=(1, 2)) <= tol.tau * max(1.0, math.sqrt(d))).all()
-            return modulo.contains(h1w.conj().transpose(0, 2, 1) @ wh2, tol=tol).all()
+                return np.linalg.norm(wh2 - h1w, axis=(1, 2)) <= tol.tau * max(1.0, math.sqrt(d))
+            return modulo.contains(h1w.conj().transpose(0, 2, 1) @ wh2, tol=tol)
     else:
         # carried along the forest, u = f1 - f2: the frames of c2 - c, negated
         diff = c2._plus(c, -1, None)
@@ -897,21 +928,24 @@ def equivalent(c, c2, modulo=None, tol=None):
         candidates = [0]
 
         def passes(w, on):
-            return not bad[on].any()
+            return ~bad[on]
 
     on_comp = c.complex.component_index()[c.complex.edge_ends()[:, 0]]
     budget = SEARCH_CAP
     witness = {}
     for k, (root, tree) in enumerate(c.complex.spanning_forest()):
-        on = on_comp == k
+        on = np.flatnonzero(on_comp == k)
+        failing = []
         for w in candidates:
             budget -= 1 + len(tree)
             if budget < 0:
                 raise SearchCapExceeded("witness search passed %d assignments" % SEARCH_CAP)
-            if passes(w, on):
+            ok = passes(w, on)
+            if ok.all():
                 break
+            failing.append(c.complex.edges()[on[np.argmin(ok)]])
         else:
-            return None
+            return None, ((k, failing) if complete else None)
         if c.coeff == COEFF_FINITE:
             witness[root] = w
             for (pv, cv) in tree:
@@ -919,12 +953,12 @@ def equivalent(c, c2, modulo=None, tol=None):
 
     if c.coeff == COEFF_PHASE:
         if circle_class(c, tol) != circle_class(c2, tol):
-            return None
+            return None, None
         den = diff.denominator
-        return {v: Fraction(n, den) for v, n in enumerate(_lift(-frames, den).tolist())}
+        return {v: Fraction(n, den) for v, n in enumerate(_lift(-frames, den).tolist())}, None
     if c.coeff == COEFF_INT:
-        return dict(enumerate((-frames).tolist()))
-    return {v: as_matrix(m) for v, m in witness.items()}
+        return dict(enumerate((-frames).tolist())), None
+    return {v: as_matrix(m) for v, m in witness.items()}, None
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,11 @@ class SearchCapExceeded(ToolkitError):
     """A finite witness search passed the configured assignment cap."""
 
 
+class IncompleteSearch(ToolkitError):
+    """A witness search over candidates not known to be complete found
+    none, and no invariant tells the data apart."""
+
+
 class IrrationalPhase(ToolkitError):
     """A determinant phase is not close to a bounded-denominator rational."""
 

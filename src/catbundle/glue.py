@@ -38,6 +38,7 @@ from .basecech import (
     COEFF_PHASE,
     CechCocycle,
     SimplicialComplex,
+    _witness_search,
     circle_class,
     det_pushforward,
     equivalent,
@@ -46,6 +47,7 @@ from .basecech import (
 )
 from .errors import (
     ConsistencyError,
+    IncompleteSearch,
     NotACocycleModG,
     RankDeficientVModule,
     SizeCapExceeded,
@@ -507,7 +509,14 @@ def isomorphic(d1, d2, rmax=2, tol=None):
     integral classes); the witness is scalar per patch.  Finite fibre:
     search for patchwise normalizer witnesses modulo the fibre group and
     require equal determinant classes.  When no witness exists the report
-    carries a distinguishing invariant.
+    carries a distinguishing invariant: a glued dimension that differs
+    (first in (r, s) order up to ``rmax``) or, for an irreducible fibre
+    group, whose normalizer classes make the search complete, the first
+    component on which every class fails and each class's first failing
+    edge there.  A reducible fibre group is searched over the closure of
+    the transitions only, which can miss a witness: with no witness
+    there and no glued dimension apart, IncompleteSearch is raised
+    rather than an unproven verdict.
     """
     tol = tol or Tolerance()
     if d1.complex != d2.complex:
@@ -557,7 +566,6 @@ def isomorphic(d1, d2, rmax=2, tol=None):
         return IsomorphismReport(False, None, by_class)
     w = equivalent(d1.cocycle, d2.cocycle, modulo=d1.group, tol=tol)
     if w is None:
-        dist = {"invariant": "no witness in the transition closure"}
         dims = [
             ((r, s), glued_space(d1, r, s).dim, glued_space(d2, r, s).dim)
             for r in range(rmax + 1)
@@ -567,6 +575,20 @@ def isomorphic(d1, d2, rmax=2, tol=None):
         if differ is not None:
             rs, a, b = differ
             dist = {"invariant": "glued dimension at %r" % (rs,), "first": a, "second": b}
+        else:
+            # the failing search once more, for its proof
+            proof = _witness_search(d1.cocycle, d2.cocycle, d1.group, tol)[1]
+            if proof is None:
+                raise IncompleteSearch(
+                    "no witness in the transition closure of a reducible fibre group, and the"
+                    " determinant classes and the glued dims up to rmax = %d agree" % rmax
+                )
+            k, edges = proof
+            dist = {
+                "invariant": "no normalizer class passes",
+                "component": k,
+                "first_failing_edges": [list(e) for e in edges],
+            }
         return IsomorphismReport(False, None, dist)
     _require_normalizing(np.array(list(w.values())).reshape(-1, d1.degree, d1.degree), d1.group, tol=tol)
     checks, ok = _functor_checks(d1, d2, w, rmax, tol)

@@ -7,17 +7,33 @@ downstream intertwiner computations reach them exclusively through the
 Lie algebra bases produced here.  Membership runs on stacks: ``contains``,
 ``group_distance`` and normalizer verification take a (..., d, d) stack,
 one matrix being its 2-d case.
+
+The normalizer N(G) of an irreducible finite group G in U(d) is known by
+its classes modulo U(1).G (``normalizer_classes``): by Schur's lemma the
+centralizer of G is the scalars, so a class is fixed by the automorphism
+u g u* it induces, and the classes are as many as the automorphisms of
+G that a unitary realizes (six for the quaternion group).  Each is found
+by solving u g_i = e_i u for a tuple of generator images, the tuples in
+batched SVDs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, NotInNormalizer, NotUnitary, WrongKind
-from .linalg import Tolerance, as_matrix, matrix_from_json, matrix_to_json
+from .errors import CapExceeded, ConsistencyError, NotInNormalizer, NotUnitary, WrongKind
+from .linalg import (
+    Tolerance,
+    _below_cutoff,
+    _canonical_phase,
+    as_matrix,
+    matrix_from_json,
+    matrix_to_json,
+)
 
 KIND_FINITE = "finite"
 KIND_SU = "su"
@@ -260,6 +276,83 @@ def _require_normalizing(us, group, tol=None):
         if g == 0:
             raise NotUnitary("normalizer candidate fails unitarity, residual %g" % res[k])
         raise NotInNormalizer("conjugate of generator %d leaves the group" % (g - 1))
+
+
+# classes of N(G)/(U(1).G), solved once per (kind, degree, generators, tau):
+# (the number of generator image tuples, the class representatives)
+_CLASSES = {}
+# operator entries per batched SVD of the image tuples: 16 MB, so the
+# operators of SEARCH_CAP tuples are never formed at once
+_SVD_ENTRIES = 2 ** 20
+
+
+def normalizer_classes(group, cap, tol=None):
+    """One unitary per class of N(G)/(U(1).G) for an irreducible finite G
+    (``intertwiners(G, 1, 1).dim == 1``), the identity first.
+
+    A normalizing u maps each generator g_i to an element e_i = u g_i u*
+    of G with tr e_i = tr g_i.  Every such tuple of images is solved, no
+    tuple alone: the operators u -> (u g_i - e_i u)_i are stacked over
+    the tuples and their kernels read from batched SVDs by the
+    ``linalg._below_cutoff`` rule, each SVD taking as many tuples as fit
+    in ``_SVD_ENTRIES`` operator entries (all 36 of Q8 in one).  By
+    Schur's lemma a nonzero kernel is the line of a normalizing unitary
+    (u* u commutes with G, so it is a scalar); a larger kernel raises
+    ConsistencyError, as a reducible G does.  Each solution, scaled to a
+    unitary and phase-fixed at its largest entry, is kept when no class
+    kept before it lies in its U(1).G coset (|tr(g* r* u)| = d for some g
+    in G); the solution of the identity tuple is the identity itself.
+
+    Raises CapExceeded when the tuples number more than ``cap``, before
+    the operator is formed, and before any memoized result is returned.
+    Results are memoized by the group's value (kind, degree, generators)
+    and the tolerance.
+    """
+    tol = tol or Tolerance()
+    if group.kind != KIND_FINITE:
+        raise WrongKind("normalizer classes need a finite group, got %r" % (group.kind,))
+    d = group.degree
+    key = (group.kind, d, b"".join(g.tobytes() for g in group.generators), tol.tau)
+    hit = _CLASSES.get(key)
+    if hit is None:
+        elems = np.array(group.elements())
+        # a group without generators is generated by the identity
+        gens = np.array(group.generators or [np.eye(d)], dtype=complex)
+        traces = np.trace(elems, axis1=1, axis2=2)
+        images = [np.flatnonzero(tol.close(np.abs(traces - np.trace(g)), d)) for g in gens]
+        count = math.prod(len(e) for e in images)
+    else:
+        count = hit[0]
+    if count > cap:
+        raise CapExceeded("%d generator image tuples exceed cap %d" % (count, cap))
+    if hit is not None:
+        return hit[1]
+    # row-major vec: u g -> (1 (x) g^T) vec u, e u -> (e (x) 1) vec u
+    eye = np.eye(d)
+    right = np.array([np.kron(eye, g.T) for g in gens])
+    tuples = itertools.product(*images)
+    per_svd = max(1, _SVD_ENTRIES // right.size)
+    classes = [np.eye(d, dtype=complex)]
+    for start in range(0, count, per_svd):
+        idx = np.array(list(itertools.islice(tuples, per_svd))).reshape(-1, len(gens))
+        left = np.einsum("tiac,bd->tiabcd", elems[idx], eye).reshape((len(idx),) + right.shape)
+        _, sigma, vh = np.linalg.svd((right - left).reshape(len(idx), -1, d * d), full_matrices=False)
+        dims = _below_cutoff(sigma, tol).sum(axis=1)
+        if (dims > 1).any():
+            t = int(np.argmax(dims > 1))
+            raise ConsistencyError(
+                "generator image tuple %d has a %d-dimensional kernel: the group is not irreducible"
+                % (start + t, dims[t])
+            )
+        for t in np.flatnonzero(dims == 1):
+            # the kernel vector is the last right singular vector
+            u = math.sqrt(d) * _canonical_phase(vh[t, -1].conj()).reshape(d, d)
+            quotients = np.array(classes).conj().transpose(0, 2, 1) @ u
+            overlaps = np.abs(np.einsum("gij,kij->gk", elems.conj(), quotients))
+            if not tol.close(d - overlaps.max(), d):
+                classes.append(u)
+    hit = _CLASSES[key] = (count, tuple(as_matrix(u) for u in classes))
+    return hit[1]
 
 
 def group_distance(group, a, tol=None):

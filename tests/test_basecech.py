@@ -29,6 +29,7 @@ from catbundle import (
     det_pushforward,
     equivalent,
     h2_integral,
+    intertwiners,
     is_cocycle,
     lie_basis,
     normalized_lift,
@@ -41,7 +42,7 @@ from catbundle import (
     special_unitary,
     trivial_cocycle,
 )
-from catbundle import basecech
+from catbundle import basecech, groups
 from catbundle.basecech import PHASE_DENOMINATOR_BOUND
 from cochain_oracle import (
     FractionCochain,
@@ -832,6 +833,23 @@ def test_equivalent_closure_propagates_unrelated_errors(monkeypatch):
     monkeypatch.setattr(groups_module, "enumerate_finite", broken)
     with pytest.raises(RuntimeError, match="enumeration broke"):
         equivalent(c, c2)
+
+
+def test_class_search_cap_is_checked_before_any_svd(monkeypatch):
+    # Q8's (1, 1) fibre space is solved, its classes are not: a lowered
+    # cap is refused before the batched SVD over the image tuples
+    c, c2 = _q8_coboundary_without_group()
+    assert intertwiners(quaternion_group(), 1, 1).dim == 1
+    monkeypatch.setattr(groups, "_CLASSES", {})
+    monkeypatch.setattr(basecech, "SEARCH_CAP", 35)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("an SVD ran")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    with pytest.raises(SearchCapExceeded, match="36 generator image tuples exceed cap 35"):
+        equivalent(c, c2, modulo=quaternion_group())
+    assert groups._CLASSES == {}
 
 
 @pytest.mark.parametrize("coeff", ["phase", "int"])

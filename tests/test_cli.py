@@ -1,6 +1,7 @@
 """Command line front end: schemas, determinism, exit codes, error docs."""
 
 import json
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -17,9 +18,11 @@ from catbundle import (
     quaternion_group,
     scalar_datum,
     special_unitary,
+    trivial_group,
 )
 from catbundle.cli import main
 from catbundle.verify import su2_octa_datum
+from witness_oracle import propagation_equivalent
 
 
 def _write(tmp_path, name, doc):
@@ -112,6 +115,47 @@ def test_classify_distinguishes_classes(tmp_path, capsys):
     # the glued dimension table cannot see the twist
     dims = report["data"]["glued_dims"]
     assert all(a == b for a, b in dims.values())
+
+
+# two finite-fibre probes on a 3-vertex circle (three edges, no
+# triangle), each pair related by a constant gauge
+
+PROBES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "probes")
+
+
+def test_q8_probe_classifies_as_equivalent(capsys):
+    # the holonomy A = (1 + i + j + k)/2 against w* A w, w = (1 + i)/sqrt(2):
+    # A lies in the binary tetrahedral group 2T, the closure of the values,
+    # whose conjugation acts trivially on 2T/Q8; w lies in 2O but not in 2T
+    qi, qj = quaternion_group().generators
+    a = (np.eye(2) + qi + qj + qi @ qj) / 2
+    w = (np.eye(2) + qi) / np.sqrt(2)
+    paths = [os.path.join(PROBES, "q8-circle-%d.json" % k) for k in (0, 1)]
+    d1, d2 = (GluingDatum.from_json(json.loads(open(p, encoding="utf-8").read())) for p in paths)
+    assert np.array_equal(d1.transition(0, 2), a)
+    assert np.abs(d2.transition(0, 2) - w.conj().T @ a @ w).max() <= 1e-15
+    assert propagation_equivalent(d1.cocycle, d2.cocycle, modulo=d1.group, closure=True) is None
+    code, report = _report(capsys, ["classify", "--input", paths[0], "--input", paths[1], "--rmax", "2"])
+    assert code == 0
+    assert report["data"]["verdict"] == "equivalent"
+    assert report["data"]["distinguishing"] is None
+    assert all(c["pass"] for c in report["checks"])
+
+
+def test_trivial_group_probe_is_refused(tmp_path, capsys):
+    # the holonomies Z and X, which the Hadamard relates; their closure,
+    # dihedral of order 8, conjugates X only to +-X, and no invariant
+    # tells the data apart
+    circle = SimplicialComplex.from_maximal(3, [(0, 1), (1, 2), (0, 2)])
+    paths = []
+    for k, h in enumerate((np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))):
+        d = GluingDatum(circle, trivial_group(2), {(0, 1): np.eye(2), (1, 2): np.eye(2), (0, 2): h})
+        paths += ["--input", _write(tmp_path, "t%d.json" % k, d.to_json())]
+    code, out, err = _run(capsys, ["classify", *paths])
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "IncompleteSearch"
+    assert "rmax = 3 agree" in error["message"]
 
 
 @pytest.mark.parametrize("group", [special_unitary(2), quaternion_group()], ids=["su2", "q8"])

@@ -42,6 +42,7 @@ from catbundle import (
     hs_inner,
     isomorphic,
     norm_function,
+    normalizer_classes,
     nullspace,
     octahedron,
     opnorm,
@@ -1109,26 +1110,40 @@ def _memo_closure(monkeypatch):
     monkeypatch.setattr(groups, "enumerate_finite", enumerate_once)
 
 
+def _image_tuples(group):
+    """The generator image tuples ``normalizer_classes`` solves: the
+    elements of equal trace, per generator, multiplied."""
+    traces = np.trace(np.array(group.elements()), axis1=1, axis2=2)
+    return math.prod(int(np.sum(np.abs(traces - np.trace(g)) < 1e-9)) for g in group.generators)
+
+
 @pytest.mark.parametrize("modulo", [None, "q8"])
 @pytest.mark.parametrize("case", ["q8-coboundary", "q8-gauged", "q8-gauged-trivial"])
 def test_witness_search_caps_match_the_propagation_oracle(monkeypatch, case, modulo):
     d1, d2 = WITNESS_CASES[case]()
     group = quaternion_group() if modulo else None
-    gens = [*d1.cocycle.values, *d2.cocycle.values, *(group.generators if group else ())]
-    order = len(GroupSpec("finite", 2, gens).elements())
-    # the real closure overflows below its order and fits at it
-    for cap in (order - 1, order):
+    if group is None:
+        # the closure of the values: it overflows below its order
+        size = count = len(GroupSpec("finite", 2, [*d1.cocycle.values, *d2.cocycle.values]).elements())
+    else:
+        # the normalizer classes of Q8: their 36 image tuples overflow
+        # below 36, and there are 6 classes to try
+        size = _image_tuples(group)
+        count = len(normalizer_classes(group, size))
+        assert (size, count) == (36, 6)
+    # the candidate set overflows below its size and fits at it
+    for cap in (size - 1, size):
         got = _search_outcome(equivalent, d1, d2, group, cap)
         assert got == _search_outcome(propagation_equivalent, d1, d2, group, cap)
     _memo_closure(monkeypatch)
     # the least cap that lets the search finish, by bisection (more units
-    # never make it fail)
-    lo, hi = 0, 6 * order
+    # never make it fail); each candidate costs one unit per vertex
+    lo, hi = 0, max(size, 6 * count)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if _search_outcome(equivalent, d1, d2, group, mid) == "cap" else (lo, mid)
     first = hi
-    # every cap from 1 up to it; with no witness (6 * order units) the caps
+    # every cap from 1 up to it; with no witness (6 * count units) the caps
     # between 240 and the last dozen are skipped to bound the quadratic cost
     caps = sorted(set(range(1, min(first, 240) + 1)) | set(range(first - 12, first + 1)))
     for cap in caps:
@@ -1164,3 +1179,78 @@ def test_forty_sector_hadamard_pair_is_isomorphic():
     rep = isomorphic(*_hadamard_pair(40), rmax=1)
     assert rep.isomorphic
     assert max(r for _, r in rep.checks) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the search over the normalizer classes of Q8
+
+
+def _closure_pairs():
+    """Every witness-case pair, and the two classify pairs of the
+    benchmark's glue-classify inputs for seeds 1-8."""
+    pairs = [make() for make in WITNESS_CASES.values()]
+    inputs = _perfbench_inputs()
+    for seed in range(1, 9):
+        files, _ = inputs.generate("glue-classify", seed)
+        for a, b in (("q8-equal-0", "q8-equal-1"), ("q8-class-a", "q8-class-b")):
+            pairs.append(tuple(GluingDatum.from_json(json.loads(files[n + ".json"])) for n in (a, b)))
+    return pairs
+
+
+def test_class_search_finds_every_witness_the_closure_search_finds():
+    found = 0
+    for d1, d2 in _closure_pairs():
+        closure = propagation_equivalent(d1.cocycle, d2.cocycle, modulo=d1.group, closure=True)
+        if closure is not None:
+            assert equivalent(d1.cocycle, d2.cocycle, modulo=d1.group) is not None
+            found += 1
+    # the closure finds one on all 16 benchmark pairs and on every case but
+    # q8-holonomy-trivial, whose Hadamard holonomy no gauge removes
+    assert found == 21
+
+
+@pytest.mark.parametrize("a", range(6))
+def test_data_gauged_by_each_normalizer_class_classify_as_equivalent(a, tmp_path, capsys):
+    # seeded Q8 data, and the same data gauged at each vertex by the class
+    # representative r_a times a Q8 element times a rational phase
+    d1 = _q8_gauged(octahedron(), 23)
+    q8 = quaternion_group()
+    r = normalizer_classes(q8, basecech.SEARCH_CAP)[a]
+    rng = random.Random(a)
+    els = q8.elements()
+    u = [r @ rng.choice(els) * np.exp(2j * math.pi * rng.randrange(24) / 24) for _ in range(6)]
+    trans = {(i, j): u[i].conj().T @ d1.transition(i, j) @ u[j] for (i, j) in d1.complex.edges()}
+    d2 = GluingDatum(d1.complex, q8, trans)
+    paths = []
+    for k, d in enumerate((d1, d2)):
+        paths += ["--input", str(tmp_path / ("d%d.json" % k))]
+        (tmp_path / ("d%d.json" % k)).write_text(json.dumps(d.to_json()), encoding="utf-8")
+    assert cli.main(["classify", *paths, "--rmax", "1"]) == 0
+    data = json.loads(capsys.readouterr().out)["data"]
+    assert data["verdict"] == "equivalent" and data["distinguishing"] is None
+
+
+def _two_circles(second):
+    """Q8 data on two disjoint 3-vertex circles, trivial on the first and
+    with the holonomy ``second`` on the edge (3, 5) of the second."""
+    c = SimplicialComplex.from_maximal(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    return GluingDatum(c, quaternion_group(), {e: second if e == (3, 5) else np.eye(2) for e in c.edges()})
+
+
+def test_no_class_passes_names_the_component_and_each_class_edge():
+    # i.1 normalizes Q8 but lies outside it, and w* 1 w (i.1) = i.1 for
+    # every w: no class passes on the second circle.  The determinant
+    # classes agree (no triangles) and so do the glued dims up to rmax 1,
+    # since a scalar acts on the (r, s) arrows by i^(s - r)
+    d1, d2 = _two_circles(np.eye(2)), _two_circles(1j * np.eye(2))
+    rep = isomorphic(d1, d2, rmax=1)
+    assert not rep.isomorphic and rep.witness is None
+    # the second circle's spanning tree is (3, 4), (3, 5): (4, 5) closes it
+    assert rep.distinguishing == {
+        "invariant": "no normalizer class passes",
+        "component": 1,
+        "first_failing_edges": [[4, 5]] * 6,
+    }
+    # a glued dimension that differs takes precedence: (0, 2) sees i^2
+    rep = isomorphic(d1, d2, rmax=2)
+    assert rep.distinguishing == {"invariant": "glued dimension at (0, 2)", "first": 2, "second": 1}

@@ -1,17 +1,20 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from catbundle.basecech import COEFF_FINITE, CechCocycle, octahedron
+from catbundle.basecech import COEFF_FINITE, SEARCH_CAP, CechCocycle, octahedron
 from catbundle.errors import (
     CapExceeded,
+    ConsistencyError,
     NotACocycleModG,
     NotInNormalizer,
     NotUnitary,
     ToolkitError,
     WrongKind,
 )
+from catbundle import groups as groups_module
 from catbundle.glue import GluingDatum
 from catbundle.groups import (
     DEFAULT_ENUMERATION_CAP,
@@ -25,6 +28,7 @@ from catbundle.groups import (
     full_unitary,
     group_distance,
     lie_basis,
+    normalizer_classes,
     normalizer_elements,
     quaternion_group,
     special_unitary,
@@ -629,3 +633,66 @@ def test_mod_group_residual_matches_the_loop():
     defects = c[ij] @ c[jk] @ c[ik].conj().transpose(0, 2, 1)
     want = max([0.0] + [_distance_oracle(d.group, w) for w in defects])
     assert abs(d.mod_group_residual() - want) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# normalizer classes
+
+
+def _coset_overlap(els, q):
+    """max over g of |tr(g* q)| for each matrix of a stack q: the degree
+    exactly when q lies in U(1).G."""
+    return np.abs(np.einsum("gij,...ij->...g", np.array(els).conj(), q)).max(axis=-1)
+
+
+def test_quaternion_normalizer_classes():
+    q8 = quaternion_group()
+    classes = normalizer_classes(q8, SEARCH_CAP)
+    # N(Q8)/(U(1).Q8) is Out(Q8), of order 24 / 4
+    assert len(classes) == 6
+    assert np.array_equal(classes[0], np.eye(2))
+    assert all(not r.flags.writeable for r in classes)
+    normalizer_elements(np.array(classes), q8)
+    for a, b in itertools.permutations(range(6), 2):
+        assert _coset_overlap(q8.elements(), classes[a].conj().T @ classes[b]) < 2 - 1e-6
+    # memoized by the group's value
+    assert normalizer_classes(quaternion_group(), SEARCH_CAP) is classes
+
+
+def test_every_clifford_element_lies_in_exactly_one_class():
+    # the Clifford group <H, P> normalizes Q8 and meets every class
+    q8 = quaternion_group()
+    classes = np.array(normalizer_classes(q8, SEARCH_CAP))
+    clifford = np.array(GroupSpec(KIND_FINITE, 2, [HADAMARD, np.diag([1, 1j])]).elements())
+    hits = _coset_overlap(q8.elements(), classes.conj().transpose(0, 2, 1)[None] @ clifford[:, None]) > 2 - 1e-9
+    assert (hits.sum(axis=1) == 1).all()
+    assert set(np.argmax(hits, axis=1)) == set(range(6))
+
+
+def test_normalizer_classes_need_an_irreducible_finite_group():
+    # diag(i, -i) commutes with every diagonal matrix: its identity tuple
+    # has a two-dimensional kernel
+    with pytest.raises(ConsistencyError, match="2-dimensional kernel"):
+        normalizer_classes(cyclic_diagonal_group(), SEARCH_CAP)
+    with pytest.raises(WrongKind):
+        normalizer_classes(special_unitary(2), SEARCH_CAP)
+    # degree one: every unitary is a scalar
+    assert [r.tolist() for r in normalizer_classes(trivial_group(1), 1)] == [[[1.0]]]
+
+
+def test_normalizer_classes_cap_the_image_tuples():
+    # tr i = tr j = 0, met by the six elements +-i, +-j, +-k each
+    with pytest.raises(CapExceeded, match="36 generator image tuples exceed cap 35"):
+        normalizer_classes(quaternion_group(), 35)
+    assert len(normalizer_classes(quaternion_group(), 36)) == 6
+
+
+@pytest.mark.parametrize("entries", [1, 5 * 32])
+def test_normalizer_classes_do_not_depend_on_the_svd_batches(monkeypatch, entries):
+    # one Q8 operator holds 2 x 4 x 4 entries: one or five tuples per SVD
+    # against all 36 in one
+    want = normalizer_classes(quaternion_group(), SEARCH_CAP)
+    monkeypatch.setattr(groups_module, "_CLASSES", {})
+    monkeypatch.setattr(groups_module, "_SVD_ENTRIES", entries)
+    got = normalizer_classes(quaternion_group(), SEARCH_CAP)
+    assert [r.tobytes() for r in got] == [r.tobytes() for r in want]

@@ -27,7 +27,7 @@ PUBLIC = [
     'COEFF_FINITE', 'COEFF_INT', 'COEFF_PHASE', 'CapExceeded', 'CechCocycle', 'Check',
     'CocycleCheck', 'CohomologySummary', 'ConjugatePair', 'ConsistencyError', 'DRElement',
     'DRTruncation', 'GluedArrow', 'GluedSpace', 'GluingDatum', 'GroupSpec',
-    'InputParse', 'IntegralCohomClass', 'IntertwinerSpace', 'IrrationalPhase',
+    'IncompleteSearch', 'InputParse', 'IntegralCohomClass', 'IntertwinerSpace', 'IrrationalPhase',
     'IsomorphismReport', 'KIND_FINITE', 'KIND_SU', 'KIND_U', 'LieBasis', 'MissingValue',
     'NormalizerElement', 'NotACocycle', 'NotACocycleModG', 'NotInNormalizer', 'NotUnitary',
     'RankDeficientVModule', 'SearchCapExceeded', 'SimplicialComplex', 'SizeCapExceeded',
@@ -41,7 +41,7 @@ PUBLIC = [
     'glue', 'glued_identity', 'glued_space', 'glued_symmetry', 'group_average', 'groups',
     'h2_integral', 'hs_inner', 'hs_norm', 'inner_endo_nu', 'intertwiners', 'is_cocycle',
     'isomorphic', 'lie_basis', 'linalg', 'matrix_from_json', 'matrix_to_json', 'norm_function',
-    'normalized_lift', 'nullspace', 'octahedron', 'opnorm', 'permutation_unitary',
+    'normalized_lift', 'normalizer_classes', 'nullspace', 'octahedron', 'opnorm', 'permutation_unitary',
     'power_action', 'projection_residual', 'quaternion_group', 'repcat', 'replay',
     'scalar_datum', 'smith_normal_form', 'snap_phase', 'snap_phases', 'special_element',
     'special_isometry', 'special_unitary', 'stabilizer_test', 'symmetry_unitary',

@@ -53,6 +53,12 @@ def _case(case):
         c = trivial_cocycle(octahedron(), "phase")
         call = partial(equivalent, c, c)
         return basecech, "SEARCH_CAP", 5, call, SearchCapExceeded, "passed 5 assignments"
+    if case == "SEARCH_CAP-classes":
+        # modulo Q8 the candidates are its normalizer classes, solved over
+        # 36 generator image tuples
+        c, c2 = _q8_coboundary_without_group()
+        call = partial(equivalent, c, c2, modulo=quaternion_group())
+        return basecech, "SEARCH_CAP", 35, call, SearchCapExceeded, "36 generator image tuples exceed cap 35"
     if case == "SEARCH_CAP-closure":
         # the candidates are the closure of the values, Q8 of order 8
         call = partial(equivalent, *_q8_coboundary_without_group())
@@ -69,6 +75,7 @@ CASES = [
     "GLUED_COEFF_CAP-hat-matrix",
     "INTERTWINER_UNKNOWN_CAP",
     "SEARCH_CAP-budget",
+    "SEARCH_CAP-classes",
     "SEARCH_CAP-closure",
     "DEFAULT_LEVEL",
 ]

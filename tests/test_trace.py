@@ -128,8 +128,8 @@ def _gauged_q8(gauge):
 
 
 def test_tracer_runs_classify(tmp_path):
-    # the cocycles carry no group, so the witness search enumerates the
-    # closure of their values
+    # the cocycles carry no group, and the search modulo Q8 takes its root
+    # candidates from Q8's normalizer classes
     args = []
     for k, gauge in enumerate(([0, 1, 2, 3, 4, 5], [3, 1, 4, 1, 5, 2])):
         d = _gauged_q8(gauge)
@@ -140,7 +140,8 @@ def test_tracer_runs_classify(tmp_path):
     report, spans = _traced(tmp_path, "classify", *args, "--rmax", "1")
     assert report["data"]["verdict"] == "equivalent"
     names = {name for name, _, _, _, _ in spans}
-    assert "basecech.equivalent" in names
-    # beside Q8 itself, the closure of the values, which holds the gauges
+    assert {"basecech.equivalent", "groups.normalizer_classes"} <= names
+    # Q8 itself (once per datum) is the only group enumerated: no closure
+    # of the values is
     sizes = [info for name, _, _, _, info in spans if name == "groups.enumerate_finite"]
-    assert 8 in sizes and max(sizes) > 8, sizes
+    assert sizes and set(sizes) == {8}, sizes

@@ -18,6 +18,10 @@ verdict.  Two searches make no use of the holonomies:
   failure, so a failing root candidate can cost up to |G|^depth.  On
   inputs where it finishes, it must return the same None-or-witness.
 
+Both take their root candidates as ``equivalent`` does (the normalizer
+classes of an irreducible quotient group, or a closure of the values),
+so their witnesses are bit-identical to its.
+
 ``SimplicialComplex.spanning_forest`` and ``components`` are checked
 against the routes they replaced: a union-find over the edges for the
 components, and a breadth-first walk of each of those components.
@@ -29,7 +33,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from catbundle import GroupSpec, SearchCapExceeded, Tolerance, as_matrix, normalized_lift
+from catbundle import (
+    GroupSpec,
+    SearchCapExceeded,
+    Tolerance,
+    as_matrix,
+    intertwiners,
+    normalized_lift,
+    normalizer_classes,
+)
 from catbundle.basecech import SEARCH_CAP
 from catbundle.errors import CapExceeded, WrongKind
 from catbundle.groups import _require_normalizing
@@ -80,6 +92,27 @@ def bfs_forest(complex_):
     return forest
 
 
+def _root_candidates(c, c2, modulo, search_cap, tol, closure=False):
+    """The root candidates of a matrix search, in ``equivalent``'s order:
+    the normalizer classes of an irreducible ``modulo``, the attached
+    group's elements, or the closure of the values and ``modulo``."""
+    if not closure and modulo is not None and intertwiners(modulo, 1, 1, tol).dim == 1:
+        try:
+            return normalizer_classes(modulo, search_cap, tol)
+        except CapExceeded as exc:
+            raise SearchCapExceeded("normalizer classes did not fit: %s" % exc)
+    if c.group is not None and modulo is None:
+        return c.group.elements()
+    gens = [*c.values, *c2.values]
+    if modulo is not None:
+        gens += modulo.generators
+    closure_spec = GroupSpec("finite", c.degree(), gens, enumeration_cap=search_cap)
+    try:
+        return closure_spec.elements()
+    except CapExceeded as exc:
+        raise SearchCapExceeded("candidate closure did not stay finite: %s" % exc)
+
+
 def backtracking_equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None):
     """Witness u with u_i c2_ij = c_ij u_j h (h in ``modulo``), or None.
 
@@ -89,17 +122,7 @@ def backtracking_equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None)
     """
     tol = tol or Tolerance()
     d = c.degree()
-    if c.group is not None and modulo is None:
-        candidates = c.group.elements()
-    else:
-        gens = [*c.values, *c2.values]
-        if modulo is not None:
-            gens += modulo.generators
-        closure_spec = GroupSpec("finite", d, gens, enumeration_cap=search_cap)
-        try:
-            candidates = closure_spec.elements()
-        except CapExceeded as exc:
-            raise SearchCapExceeded("candidate closure did not stay finite: %s" % exc)
+    candidates = _root_candidates(c, c2, modulo, search_cap, tol)
     twists = [np.eye(d)] if modulo is None else modulo.elements()
 
     def edge_ok(u_i, u_j, i, j):
@@ -156,12 +179,15 @@ def backtracking_equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None)
     return {v: as_matrix(m) for v, m in witness.items()}
 
 
-def propagation_equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None):
+def propagation_equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None, closure=False):
     """Witness u with u_i c2_ij = c_ij u_j (h in ``modulo`` on the right),
     or None, for every coefficient kind: each root candidate in turn is
     carried over its whole component and then checked edge by edge.
     Root candidates, their order, the budget and the errors are those of
-    ``equivalent``."""
+    ``equivalent``; with ``closure`` set, matrix data take theirs from the
+    closure of the values and ``modulo`` whatever the group: the closure
+    search, which may miss a witness but must never find one where the
+    search over the normalizer classes finds none."""
     tol = tol or Tolerance()
     if c.complex != c2.complex:
         raise ValueError("cocycles live on different covers")
@@ -175,17 +201,7 @@ def propagation_equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None):
                 raise WrongKind("matrix witness search modulo a group needs a finite group")
             for values in (c.values, c2.values):
                 _require_normalizing(values, modulo, tol=tol)
-        if c.group is not None and modulo is None:
-            candidates = c.group.elements()
-        else:
-            gens = [*c.values, *c2.values]
-            if modulo is not None:
-                gens += modulo.generators
-            closure_spec = GroupSpec("finite", d, gens, enumeration_cap=search_cap)
-            try:
-                candidates = closure_spec.elements()
-            except CapExceeded as exc:
-                raise SearchCapExceeded("candidate closure did not stay finite: %s" % exc)
+        candidates = _root_candidates(c, c2, modulo, search_cap, tol, closure)
 
         def step(u_pv, pv, cv):
             return c.value(cv, pv) @ u_pv @ c2.value(pv, cv)
