@@ -69,7 +69,6 @@ _EXPORTS = {
         "antisym_projector",
         "averaged_fixed_space",
         "conjugate_pair",
-        "group_average",
         "intertwiners",
         "permutation_unitary",
         "special_isometry",
@@ -77,7 +76,6 @@ _EXPORTS = {
     ),
     "basecech": (
         "COEFF_FINITE",
-        "COEFF_INT",
         "COEFF_PHASE",
         "CechCocycle",
         "CocycleCheck",
@@ -95,7 +93,6 @@ _EXPORTS = {
         "smith_normal_form",
         "snap_phase",
         "snap_phases",
-        "trivial_cocycle",
     ),
     "glue": (
         "GluedArrow",
@@ -104,23 +101,19 @@ _EXPORTS = {
         "IsomorphismReport",
         "TwistedSpecialExtraction",
         "extract_twisted_special",
-        "glued_identity",
         "glued_space",
         "glued_symmetry",
         "isomorphic",
         "norm_function",
         "scalar_datum",
-        "tensor_glued",
     ),
     "dralg": (
         "DRElement",
         "DRTruncation",
         "StabilizerVerdict",
-        "canonical_endo",
         "circle_action",
         "dr_add",
         "dr_adjoint",
-        "dr_close",
         "dr_element",
         "dr_mul",
         "dr_norm",

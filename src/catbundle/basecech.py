@@ -10,8 +10,10 @@ connected, which is what makes the constant model meaningful.
 Coefficient kinds:
 
 * ``finite``: matrix values (group elements or normalizer representatives);
-* ``phase``: rational circle phases, value q meaning exp(2*pi*i*q);
-* ``int``: integers.
+* ``phase``: rational circle phases, value q meaning exp(2*pi*i*q).
+
+Integral classes are read from integer cochains (``h2_integral``), never
+from Cech data of an integer kind.
 
 Circle-valued data carries an extra integer winding number per triangle
 (default zero).  The windings record how the underlying circle-valued
@@ -50,15 +52,14 @@ from .errors import (
     SearchCapExceeded,
     WrongKind,
 )
-from .groups import GroupSpec, KIND_FINITE, _require_normalizing, normalizer_classes
+from .groups import GroupSpec, KIND_FINITE, _require_normalizing, normalizer_classes, trivial_group
 from .linalg import Tolerance, _as_stack, as_matrix, matrix_from_json, matrix_to_json
 from .repcat import intertwiners
 
 COEFF_FINITE = "finite"
 COEFF_PHASE = "phase"
-COEFF_INT = "int"
 
-_COEFFS = (COEFF_FINITE, COEFF_PHASE, COEFF_INT)
+_COEFFS = (COEFF_FINITE, COEFF_PHASE)
 
 SEARCH_CAP = 10 ** 6
 PHASE_DENOMINATOR_BOUND = 360
@@ -268,33 +269,28 @@ class CechCocycle:
 
     ``values`` is one read-only array in ``complex.edges()`` order, the
     value on (i, j) with i < j: an (E, d, d) stack for the finite kind,
-    and a 1-d object array of exact ``Fraction``s (phase) or Python ints
-    (integer) otherwise.  The construction takes one value on every
-    edge, keyed by either orientation, as a mapping or as (edge, value)
-    pairs (ValueError if one is missing or given twice); the values on
-    (j, i), the inverses, are kept as a second read-only array, so
-    ``value`` only ever reads a stored entry.
+    and a 1-d object array of exact ``Fraction``s for the phase kind.
+    The construction takes one value on every edge, keyed by either
+    orientation, as a mapping or as (edge, value) pairs (ValueError if one
+    is missing or given twice); the values on (j, i), the inverses, are
+    kept as a second read-only array, so ``value`` only ever reads a
+    stored entry.
 
-    Phase and integer data are stored as one read-only object array of
-    Python ints, ``numerators``, over one ``denominator`` L, the lcm of
-    the values' denominators (1 for integers), and every computation here
-    runs on them exactly, whatever their size; ``values`` and the
-    reversed values are formed on first access.
+    Phase data are stored as one read-only object array of Python ints,
+    ``numerators``, over one ``denominator`` L, the lcm of the values'
+    denominators, and every computation here runs on them exactly,
+    whatever their size; ``values`` and the reversed values are formed on
+    first access.
 
-    Phase and finite kinds may carry integer windings on triangles.
-    An optional structure group may be attached to a finite-kind cocycle;
-    ``equivalent`` then searches witnesses in that group.  ``degree``
-    (else the group's) sizes the (0, d, d) stack of a base without edges.
+    Both kinds may carry integer windings on triangles.  ``degree`` sizes
+    the (0, d, d) stack of a base without edges.
     """
 
-    def __init__(self, complex_, coeff, values, windings=None, group=None, degree=None):
+    def __init__(self, complex_, coeff, values, windings=None, degree=None):
         if coeff not in _COEFFS:
             raise ValueError("unknown coefficient kind %r" % (coeff,))
         self.complex = complex_
         self.coeff = coeff
-        self.group = group
-        if group is not None and coeff != COEFF_FINITE:
-            raise ValueError("a structure group only makes sense for matrix values")
         edges = complex_.edges()
         pos = complex_.positions(1)
         slots = [None] * len(edges)
@@ -311,7 +307,7 @@ class CechCocycle:
             raise ValueError("no value on overlap %r" % (edges[slots.index(None)],))
         flip = np.array([f for f, _ in slots], dtype=bool)
         if coeff == COEFF_FINITE:
-            d = degree if degree is not None else getattr(group, "degree", 0)
+            d = degree or 0
             vals = np.array([v for _, v in slots] or np.zeros((0, d, d)), dtype=complex)
             if vals.ndim != 3 or vals.shape[1] != vals.shape[2]:
                 raise ValueError("matrix values must be square and of one size")
@@ -319,7 +315,7 @@ class CechCocycle:
             self._values, self._reversed = _as_stack(vals), _as_stack(vals.conj().transpose(0, 2, 1))
             self.numerators = self.denominator = None
         else:
-            exact = [(_as_fraction if coeff == COEFF_PHASE else int)(v) for _, v in slots]
+            exact = [_as_fraction(v) for _, v in slots]
             den = math.lcm(*(q.denominator for q in exact))
             num = np.array([q.numerator * (den // q.denominator) for q in exact], dtype=object)
             num[flip] = -num[flip]
@@ -329,15 +325,15 @@ class CechCocycle:
 
     @classmethod
     def from_numerators(cls, complex_, coeff, numerators, denominator=1, windings=None):
-        """The phase (or integer, over 1) cocycle of the integers
-        ``numerators`` over ``denominator``, in ``complex_.edges()`` order."""
+        """The phase cocycle of the integers ``numerators`` over
+        ``denominator``, in ``complex_.edges()`` order."""
         num = np.asarray(numerators)
-        if coeff not in (COEFF_PHASE, COEFF_INT) or (coeff == COEFF_INT and denominator != 1):
-            raise ValueError("numerators make phase cocycles, or integer ones over 1")
+        if coeff != COEFF_PHASE:
+            raise ValueError("numerators make phase cocycles")
         if num.shape != (len(complex_.edges()),) or not (num.dtype == object or num.dtype.kind in "iu"):
             raise ValueError("expected one integer numerator per edge")
         c = cls.__new__(cls)
-        c.complex, c.coeff, c.group = complex_, coeff, None
+        c.complex, c.coeff = complex_, coeff
         c._store(num, denominator)
         c.windings = c._checked_windings(windings)
         c._holonomies = None
@@ -361,8 +357,6 @@ class CechCocycle:
         in any vertex order, is a ValueError."""
         wind = {}
         if windings:
-            if self.coeff == COEFF_INT:
-                raise ValueError("integer cocycles carry no windings")
             tris = self.complex.positions(2)
             for t, n in _items(windings):
                 key = tuple(sorted(int(v) for v in t))
@@ -378,7 +372,7 @@ class CechCocycle:
         """The values in ``complex.edges()`` order (see the class docstring)."""
         if self._values is None:
             n, den = self.numerators.tolist(), self.denominator
-            vals = np.array([Fraction(x, den) for x in n] if self.coeff == COEFF_PHASE else n, dtype=object)
+            vals = np.array([Fraction(x, den) for x in n], dtype=object)
             self._values, self._reversed = vals, -vals
             for a in (self._values, self._reversed):
                 a.setflags(write=False)
@@ -394,8 +388,8 @@ class CechCocycle:
     def holonomies(self):
         """The read-only (frames, holonomies) along ``complex.spanning_forest()``,
         formed once: f_root = 1, f_cv = c_(cv,pv) f_pv by vertex and f_i* c_ij f_j
-        in ``edges()`` order (1 on tree edges).  Phase and integer data add,
-        on the numerators over ``denominator``: f_root = 0, f_cv = c_(cv,pv) +
+        in ``edges()`` order (1 on tree edges).  Phase data add, on the
+        numerators over ``denominator``: f_root = 0, f_cv = c_(cv,pv) +
         f_pv and c_ij - f_i + f_j (0 on tree edges)."""
         if self._holonomies is None:
             i, j = self.complex.edge_ends().T
@@ -436,9 +430,9 @@ class CechCocycle:
         return self.windings.get(tuple(sorted((i, j, k))), 0)
 
     def product(self, other):
-        """Pointwise product; abelian kinds only, windings add."""
-        if self.coeff == COEFF_FINITE or other.coeff != self.coeff:
-            raise WrongKind("cocycle products are defined for phase and integer kinds")
+        """Pointwise product of phase cocycles; windings add."""
+        if self.coeff != COEFF_PHASE or other.coeff != COEFF_PHASE:
+            raise WrongKind("cocycle products are defined for the phase kind")
         if self.complex != other.complex:
             raise ValueError("cocycles live on different covers")
         wind = dict(self.windings)
@@ -447,7 +441,7 @@ class CechCocycle:
         return self._plus(other, 1, wind)
 
     def _plus(self, other, sign, windings):
-        """The abelian cocycle self + sign * other, over the lcm of both
+        """The phase cocycle self + sign * other, over the lcm of both
         denominators."""
         den = math.lcm(self.denominator, other.denominator)
         a, b = den // self.denominator, den // other.denominator
@@ -459,8 +453,6 @@ class CechCocycle:
             g = np.gcd(self.numerators, self.denominator)
             p, q = (self.numerators // g).tolist(), (self.denominator // g).tolist()
             vals = ["%d/%d" % pq for pq in zip(p, q)]
-        elif self.coeff == COEFF_INT:
-            vals = self.numerators.tolist()
         else:
             vals = [matrix_to_json(v) for v in self.values]
         doc = {
@@ -474,7 +466,7 @@ class CechCocycle:
         return doc
 
     @classmethod
-    def from_json(cls, doc, complex_, group=None, degree=None):
+    def from_json(cls, doc, complex_, degree=None):
         coeff = doc["coeff"]
         values = []
         for item in doc.get("values", []):
@@ -484,15 +476,7 @@ class CechCocycle:
                 v = matrix_from_json(v)
             values.append(((int(i), int(j)), v))
         windings = [(item["triangle"], int(item["value"])) for item in doc.get("windings", [])]
-        return cls(complex_, coeff, values, windings=windings, group=group, degree=degree)
-
-
-def trivial_cocycle(complex_, coeff, degree=None, group=None):
-    if coeff == COEFF_FINITE:
-        one = np.eye(degree if degree is not None else group.degree)
-    else:
-        one = Fraction(0) if coeff == COEFF_PHASE else 0
-    return CechCocycle(complex_, coeff, dict.fromkeys(complex_.edges(), one), group=group, degree=degree)
+        return cls(complex_, coeff, values, windings=windings, degree=degree)
 
 
 @dataclass(frozen=True)
@@ -508,8 +492,8 @@ class CocycleCheck:
 def is_cocycle(c, tol=None):
     """Check the cocycle identity on every triangle of the base.
 
-    Matrix values are checked within tolerance, phases and integers
-    exactly (a phase triple must sum to an integer).  The first failing
+    Matrix values are checked within tolerance, phases exactly (a phase
+    triple must sum to an integer).  The first failing
     triangle is reported with its residual: the Frobenius norm of
     g_ij g_jk - g_ik, or the distance of the sum to the nearest integer.
     """
@@ -522,13 +506,13 @@ def is_cocycle(c, tol=None):
     else:
         n, den = c.numerators, c.denominator
         res = n[ij] + n[jk] - n[ik]
-        bad = np.flatnonzero((res % den if c.coeff == COEFF_PHASE else res) != 0)
+        bad = np.flatnonzero(res % den != 0)
     if not bad.size:
         return CocycleCheck(True)
     x = res[bad[0]]
     if c.coeff != COEFF_FINITE:
-        # the distance of the sum to the nearest integer (phase)
-        x = min(int(x) % den, -int(x) % den) / den if c.coeff == COEFF_PHASE else abs(int(x))
+        # the distance of the sum to the nearest integer
+        x = min(int(x) % den, -int(x) % den) / den
     return CocycleCheck(False, c.complex.triangles()[bad[0]], float(x))
 
 
@@ -827,27 +811,28 @@ def circle_class(c, tol=None):
 def equivalent(c, c2, modulo=None, tol=None):
     """Search for a coboundary witness u with u_i c2_ij = c_ij u_j.
 
-    One search serves every kind, on the frames f1, f2 and holonomies h1,
+    One search serves both kinds, on the frames f1, f2 and holonomies h1,
     h2 of both cocycles (``CechCocycle.holonomies``): a root candidate w
     carried along the spanning forest gives u_v = f1_v w f2_v*, so an edge
     passes by a test on w and its two holonomies.  On each component the
     root candidates are tested in turn, each on all its edges at once, and
     the first to pass is carried to every vertex by u_cv = u_pv + c_(cv,pv)
-    - c2_(cv,pv) (phase, integer) or c_(cv,pv) u_pv c2_(pv,cv) (matrix).
-    Phase and integer data have the one candidate 0 and pass when h2_e -
-    h1_e is an integer (phase) or zero (integer) and, for phases, the
-    integral classes agree.  Both are read on the integer numerators of
-    the one cocycle c2 - c, whose negated frames are the witness f1 - f2;
-    the phase witness is rational.
+    - c2_(cv,pv) (phase) or c_(cv,pv) u_pv c2_(pv,cv) (matrix).
 
-    Matrix data pass an edge when |w h2_e - h1_e w| is within tolerance
-    or, with ``modulo`` set, when u_i c2_ij = c_ij u_j h for some h in
-    that group, i.e. w* h1_e* w h2_e (that conjugated by f2_j) is in it.
-    No twist h is tried: right-multiplying any u_v by an element of the
+    Phase data have the one candidate 0 and pass when every h2_e - h1_e
+    is an integer and the integral classes agree.  Both are read on the
+    integer numerators of the one cocycle c2 - c, whose negated frames
+    are the witness f1 - f2; the witness is rational.  Phase data take no
+    ``modulo`` (WrongKind).
+
+    Matrix data pass an edge when u_i c2_ij = c_ij u_j h for some h in
+    ``modulo``, i.e. when w* h1_e* w h2_e (that conjugated by f2_j) is in
+    it; no ``modulo`` means the trivial group of the data's degree.  No
+    twist h is tried: right-multiplying any u_v by an element of the
     group, or by a scalar, changes no verdict when every value of c2
     normalizes it.  That is checked up front on both cocycles' values
-    (NotInNormalizer), so a value of infinite order never reaches a
-    closure enumeration.  The root candidates, in order:
+    (NotUnitary, NotInNormalizer), so a value of infinite order never
+    reaches a closure enumeration.  The root candidates, in order:
 
     * ``modulo`` an irreducible group G (``intertwiners(G, 1, 1).dim ==
       1``): ``groups.normalizer_classes(G)``, one unitary per class of
@@ -858,13 +843,12 @@ def equivalent(c, c2, modulo=None, tol=None):
       ``glue.isomorphic`` accepts.  By Schur's lemma the centralizer of G
       is the scalars, so the classes are finitely many (N(G)/(U(1).G)
       embeds in Out(G)).
-    * no ``modulo`` and a structure group attached to ``c``: its elements.
-    * otherwise (no group, or a reducible ``modulo`` such as the trivial
-      group, whose quotient is infinite): the closure generated by the
-      values of both cocycles and ``modulo``, in enumeration order.  This
-      set need not hold a witness when one exists.
+    * a reducible ``modulo``, such as the trivial group of a degree above
+      1, whose quotient is infinite: the closure generated by the values
+      of both cocycles and ``modulo``, in enumeration order.  This set
+      need not hold a witness when one exists.
 
-    Every kind spends one unit of SEARCH_CAP per root candidate tried
+    Both kinds spend one unit of SEARCH_CAP per root candidate tried
     and one per other vertex of its component; SearchCapExceeded is
     raised when the units run out, when the candidate closure overflows
     the cap, or when the generator image tuples of the normalizer classes
@@ -888,23 +872,20 @@ def _witness_search(c, c2, modulo, tol):
     complete = False
     if c.coeff == COEFF_FINITE:
         d = c.degree()
-        if modulo is not None:
-            if modulo.kind != KIND_FINITE:
-                raise WrongKind("matrix witness search modulo a group needs a finite group")
-            for values in (c.values, c2.values):
-                _require_normalizing(values, modulo, tol=tol)
-            complete = intertwiners(modulo, 1, 1, tol).dim == 1
+        if modulo is None:
+            modulo = trivial_group(d)
+        if modulo.kind != KIND_FINITE:
+            raise WrongKind("matrix witness search modulo a group needs a finite group")
+        for values in (c.values, c2.values):
+            _require_normalizing(values, modulo, tol=tol)
+        complete = intertwiners(modulo, 1, 1, tol).dim == 1
         if complete:
             try:
                 candidates = normalizer_classes(modulo, SEARCH_CAP, tol)
             except CapExceeded as exc:
                 raise SearchCapExceeded("normalizer classes did not fit: %s" % exc)
-        elif c.group is not None and modulo is None:
-            candidates = c.group.elements()
         else:
-            gens = [*c.values, *c2.values]
-            if modulo is not None:
-                gens += modulo.generators
+            gens = [*c.values, *c2.values, *modulo.generators]
             closure_spec = GroupSpec(KIND_FINITE, d, gens, enumeration_cap=SEARCH_CAP)
             try:
                 candidates = closure_spec.elements()
@@ -917,14 +898,14 @@ def _witness_search(c, c2, modulo, tol):
 
         def passes(w, on):
             h1w, wh2 = h1[on] @ w, w @ h2[on]
-            if modulo is None:
-                return np.linalg.norm(wh2 - h1w, axis=(1, 2)) <= tol.tau * max(1.0, math.sqrt(d))
             return modulo.contains(h1w.conj().transpose(0, 2, 1) @ wh2, tol=tol)
     else:
+        if modulo is not None:
+            raise WrongKind("phase witnesses are searched modulo no group")
         # carried along the forest, u = f1 - f2: the frames of c2 - c, negated
         diff = c2._plus(c, -1, None)
         frames, gap = diff.holonomies()
-        bad = (gap % diff.denominator if c.coeff == COEFF_PHASE else gap) != 0
+        bad = gap % diff.denominator != 0
         candidates = [0]
 
         def passes(w, on):
@@ -956,8 +937,6 @@ def _witness_search(c, c2, modulo, tol):
             return None, None
         den = diff.denominator
         return {v: Fraction(n, den) for v, n in enumerate(_lift(-frames, den).tolist())}, None
-    if c.coeff == COEFF_INT:
-        return dict(enumerate((-frames).tolist())), None
     return {v: as_matrix(m) for v, m in witness.items()}, None
 
 

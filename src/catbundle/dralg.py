@@ -179,23 +179,6 @@ def dr_norm(a):
     return opnorm(a.value)
 
 
-def dr_close(a, b, tol=None):
-    tol = tol or Tolerance()
-    if a.grade != b.grade:
-        return False
-    diff = dr_add(a, b, scalar=-1.0, tol=tol)
-    return tol.close(dr_norm(diff), scale=max(1.0, dr_norm(a)))
-
-
-def canonical_endo(a):
-    """Tensor an identity leg on the left: the generating endomorphism."""
-    trunc = a.trunc
-    d = trunc.degree
-    if a.r + 1 > trunc.level or not trunc.admits(a.r + 1, a.s + 1):
-        raise TruncationOverflow("endomorphism image leaves the truncation window")
-    return _reduced(trunc, a.r + 1, a.s + 1, np.kron(np.eye(d), a.value))
-
-
 def circle_action(z, a, tol=None):
     tol = tol or Tolerance()
     if abs(abs(z) - 1.0) > tol.tau:

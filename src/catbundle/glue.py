@@ -311,11 +311,6 @@ def _mismatch(y, g, a, b, r, s):
     return worst
 
 
-def glued_identity(datum, r):
-    eye = np.eye(datum.degree ** r)
-    return GluedArrow(datum, r, r, np.broadcast_to(eye, (datum.complex.vertices,) + eye.shape))
-
-
 def glued_symmetry(r, s, datum):
     """The braiding family: constant because permutations commute with tensor powers."""
     th = symmetry_unitary(r, s, datum.degree)
@@ -432,15 +427,6 @@ def norm_function(arrow):
     block = np.zeros((n, ds, n, dr), dtype=complex)
     block[np.arange(n), :, np.arange(n), :] = comps
     return {"per_vertex": per, "global": opnorm(block.reshape(n * ds, n * dr))}
-
-
-def tensor_glued(a, b, tol=None):
-    """Tensor of glued arrows, with the overlap matching rechecked."""
-    tol = tol or Tolerance()
-    out = a.tensor(b)
-    if not tol.close(out.compatibility_residual(), scale=max(1.0, out.norm())):
-        raise ConsistencyError("tensor of glued arrows drifted off the overlap matching")
-    return out
 
 
 # ---------------------------------------------------------------------------

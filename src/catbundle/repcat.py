@@ -206,21 +206,6 @@ def intertwiners(group, r, s, tol=None):
     return space
 
 
-def group_average(group, t, r, s):
-    """Average of g^(x s) t (g^(x r))* over a finite group."""
-    if group.kind != KIND_FINITE:
-        raise WrongKind("group averaging needs a finite group")
-    d = group.degree
-    tt = np.asarray(t, dtype=complex)
-    if tt.shape != (d ** s, d ** r):
-        raise ValueError("arrow shape %r does not match (r, s) = (%d, %d)" % (tt.shape, r, s))
-    acc = np.zeros_like(tt)
-    elems = group.elements()
-    for g in elems:
-        acc += power_action(g, tt, r, s)
-    return as_matrix(acc / len(elems))
-
-
 def permutation_unitary(perm, d):
     """Unitary on (C^d)^(x r) moving tensor slot k to slot perm[k].
 

@@ -4,12 +4,11 @@ and the exact ``Fraction`` storage of phase cochains.
 ``is_cocycle`` and ``circle_class`` read each triangle's three edge
 values from one (T, 3) table of edge positions and work on the whole
 value array at once; ``det_pushforward`` and the twisted extraction snap
-all phases in one stacked call.  Phase and integer cocycles keep integer
-numerators over one denominator.  The loops here read every value
-through ``value`` and do the exact arithmetic one triangle (or edge) at a
-time, and ``FractionCochain`` keeps the values as one object array of
-``Fraction``s (phase) or Python ints (integer), as the package did before
-it stored numerators: its values, JSON, holonomy frames and products are
+all phases in one stacked call.  Phase cocycles keep integer numerators
+over one denominator.  The loops here read every value through ``value``
+and do the exact arithmetic one triangle (or edge) at a time, and
+``FractionCochain`` keeps the values as one object array of
+``Fraction``s, as the package did before it stored numerators: its values, JSON, holonomy frames and products are
 sums of ``Fraction``s.  On every input both routes must agree exactly:
 classes, phases, failing triangles, witnesses and JSON bytes.
 """
@@ -34,10 +33,6 @@ def loop_is_cocycle(c, tol=None):
             defect = gij + gjk - gik
             if defect.denominator != 1:
                 return CocycleCheck(False, (i, j, k), float(abs(defect - round(defect))))
-        elif c.coeff == "int":
-            defect = gij + gjk - gik
-            if defect != 0:
-                return CocycleCheck(False, (i, j, k), float(abs(defect)))
         else:
             res = float(np.linalg.norm(gij @ gjk - gik))
             if not tol.close(res, scale=math.sqrt(gij.shape[0])):
@@ -74,16 +69,17 @@ def loop_det_pushforward(c, tol=None):
 
 
 class FractionCochain:
-    """A phase or integer cochain stored as exact values in ``edges()``
-    order, with the routes that read them one value at a time."""
+    """A phase cochain stored as exact ``Fraction``s in ``edges()`` order,
+    with the routes that read them one value at a time."""
 
-    def __init__(self, complex_, coeff, values, windings=None):
-        self.complex, self.coeff = complex_, coeff
+    coeff = "phase"
+
+    def __init__(self, complex_, values, windings=None):
+        self.complex = complex_
         pos = complex_.positions(1)
-        exact = Fraction if coeff == "phase" else int
         vals = [None] * len(pos)
         for (i, j), v in dict(values).items():
-            vals[pos[(min(i, j), max(i, j))]] = -exact(v) if i > j else exact(v)
+            vals[pos[(min(i, j), max(i, j))]] = -Fraction(v) if i > j else Fraction(v)
         self.values = np.array(vals, dtype=object)
         self.windings = {tuple(sorted(t)): int(n) for t, n in dict(windings or {}).items() if n}
 
@@ -99,7 +95,7 @@ class FractionCochain:
         c_ij - f_i + f_j on every edge."""
         frames = [None] * self.complex.vertices
         for root, tree in self.complex.spanning_forest():
-            frames[root] = Fraction(0) if self.coeff == "phase" else 0
+            frames[root] = Fraction(0)
             for pv, cv in tree:
                 frames[cv] = self.value(cv, pv) + frames[pv]
         hol = [v - frames[i] + frames[j] for (i, j), v in zip(self.complex.edges(), self.values)]
@@ -109,18 +105,17 @@ class FractionCochain:
         wind = dict(self.windings)
         for t, n in other.windings.items():
             wind[t] = wind.get(t, 0) + n
-        return FractionCochain(self.complex, self.coeff, zip(self.complex.edges(), self.values + other.values), wind)
+        return FractionCochain(self.complex, zip(self.complex.edges(), self.values + other.values), wind)
 
     def to_json(self):
         doc = {"coeff": self.coeff, "values": []}
         for (i, j), v in zip(self.complex.edges(), self.values):
-            vv = "%d/%d" % (v.numerator, v.denominator) if self.coeff == "phase" else int(v)
-            doc["values"].append({"edge": [i, j], "value": vv})
+            doc["values"].append({"edge": [i, j], "value": "%d/%d" % (v.numerator, v.denominator)})
         if self.windings:
             doc["windings"] = [{"triangle": list(t), "value": n} for t, n in sorted(self.windings.items())]
         return doc
 
 
 def exact_holonomies(c):
-    """A phase or integer cocycle's holonomy table as exact values."""
+    """A phase cocycle's holonomy table as exact values."""
     return tuple([Fraction(int(x), c.denominator) for x in a] for a in c.holonomies())

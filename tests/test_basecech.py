@@ -21,6 +21,7 @@ from catbundle import (
     MissingValue,
     NotACocycle,
     NotInNormalizer,
+    NotUnitary,
     SearchCapExceeded,
     SimplicialComplex,
     Tolerance,
@@ -40,7 +41,7 @@ from catbundle import (
     snap_phase,
     snap_phases,
     special_unitary,
-    trivial_cocycle,
+    trivial_group,
 )
 from catbundle import basecech, groups
 from catbundle.basecech import PHASE_DENOMINATOR_BOUND
@@ -669,9 +670,14 @@ def _coboundary(cover, theta, windings=None):
     return CechCocycle(cover, "phase", vals, windings=windings)
 
 
+def _identity_cocycle(cover, degree=2):
+    """Matrix data with the identity on every edge."""
+    return CechCocycle(cover, "finite", dict.fromkeys(cover.edges(), np.eye(degree)), degree=degree)
+
+
 def test_circle_class_of_trivial_is_zero():
     cov = octahedron()
-    assert circle_class(trivial_cocycle(cov, "phase")).is_zero()
+    assert circle_class(_coboundary(cov, {})).is_zero()
 
 
 def test_circle_class_counts_windings():
@@ -704,7 +710,7 @@ def test_circle_class_requires_cocycle():
 def test_circle_class_wrong_kind():
     cov = octahedron()
     with pytest.raises(WrongKind):
-        circle_class(trivial_cocycle(cov, "int"))
+        circle_class(_identity_cocycle(cov))
 
 
 @given(st.fractions(max_denominator=400))
@@ -736,7 +742,7 @@ def test_equivalent_phase_witness():
     cov = octahedron()
     theta = {0: Fraction(1, 3), 1: Fraction(1, 4), 5: Fraction(-2, 7)}
     c = _coboundary(cov, theta)
-    c2 = trivial_cocycle(cov, "phase")
+    c2 = _coboundary(cov, {})
     w = equivalent(c, c2)
     assert w is not None
     for (i, j) in cov.edges():
@@ -748,23 +754,15 @@ def test_equivalent_phase_none_on_class_mismatch():
     cov = octahedron()
     tri = cov.triangles()[0]
     c = _coboundary(cov, {}, windings={tri: 1})
-    assert equivalent(c, trivial_cocycle(cov, "phase")) is None
+    assert equivalent(c, _coboundary(cov, {})) is None
 
 
-def test_equivalent_int_kind():
+def test_equivalent_refuses_a_modulo_on_phase_data():
+    # phase witnesses are circle-valued: no fibre group enters them
     cov = octahedron()
-    m = {0: 3, 1: -1, 4: 2}
-    vals = {(i, j): m.get(i, 0) - m.get(j, 0) for (i, j) in cov.edges()}
-    c = CechCocycle(cov, "int", vals)
-    c2 = trivial_cocycle(cov, "int")
-    w = equivalent(c, c2)
-    assert w is not None
-    for (i, j) in cov.edges():
-        assert w[i] - w[j] == c.value(i, j)
-    # a 1 on a single edge is not a coboundary
-    bad = {e: 0 for e in cov.edges()}
-    bad[(1, 2)] = 1
-    assert equivalent(CechCocycle(cov, "int", bad), c2) is None
+    c = _coboundary(cov, {0: Fraction(1, 3)})
+    with pytest.raises(WrongKind, match="modulo no group"):
+        equivalent(c, _coboundary(cov, {}), modulo=quaternion_group())
 
 
 def test_equivalent_finite_with_group():
@@ -773,14 +771,14 @@ def test_equivalent_finite_with_group():
     els = q8.elements()
     u = {v: els[(2 * v + 1) % len(els)] for v in range(6)}
     vals = {(i, j): u[i] @ u[j].conj().T for (i, j) in cov.edges()}
-    c = CechCocycle(cov, "finite", vals, group=q8)
-    c2 = trivial_cocycle(cov, "finite", group=q8)
-    w = equivalent(c, c2)
+    c = CechCocycle(cov, "finite", vals)
+    c2 = _identity_cocycle(cov)
+    w = equivalent(c, c2, modulo=q8)
     assert w is not None
     for (i, j) in cov.edges():
         lhs = w[i] @ c2.value(i, j)
         rhs = c.value(i, j) @ w[j]
-        assert np.linalg.norm(lhs - rhs) <= 1e-9
+        assert q8.contains(rhs.conj().T @ lhs)
 
 
 def test_equivalent_none_for_nontrivial_holonomy():
@@ -789,33 +787,59 @@ def test_equivalent_none_for_nontrivial_holonomy():
     cov = circ
     c = CechCocycle(cov, "finite", {
         (0, 1): np.eye(2), (1, 2): np.eye(2), (0, 2): -np.eye(2)})
-    assert equivalent(c, trivial_cocycle(cov, "finite", degree=2)) is None
+    assert equivalent(c, _identity_cocycle(cov)) is None
 
 
-def test_equivalent_search_cap(monkeypatch):
-    q8 = quaternion_group()
-    cov = octahedron()
-    els = q8.elements()
-    u = {v: els[v % len(els)] for v in range(6)}
-    vals = {(i, j): u[i] @ u[j].conj().T for (i, j) in cov.edges()}
-    c = CechCocycle(cov, "finite", vals, group=q8)
-    monkeypatch.setattr(basecech, "SEARCH_CAP", 3)
-    with pytest.raises(SearchCapExceeded):
-        equivalent(c, trivial_cocycle(cov, "finite", group=q8))
-
-
-def _q8_coboundary_without_group():
+def _q8_coboundary():
     els = quaternion_group().elements()
     cov = octahedron()
     u = {v: els[v % len(els)] for v in range(6)}
     vals = {(i, j): u[i] @ u[j].conj().T for (i, j) in cov.edges()}
-    return CechCocycle(cov, "finite", vals), trivial_cocycle(cov, "finite", degree=2)
+    return CechCocycle(cov, "finite", vals), _identity_cocycle(cov)
+
+
+def test_equivalent_search_cap(monkeypatch):
+    c, c2 = _q8_coboundary()
+    monkeypatch.setattr(basecech, "SEARCH_CAP", 3)
+    with pytest.raises(SearchCapExceeded):
+        equivalent(c, c2, modulo=quaternion_group())
+
+
+def _matrix_rule_cases():
+    """Matrix pairs, by name, for the one edge rule."""
+    circ = SimplicialComplex.from_maximal(3, [(0, 1), (1, 2), (0, 2)])
+    minus = CechCocycle(circ, "finite", {(0, 1): np.eye(2), (1, 2): np.eye(2), (0, 2): -np.eye(2)})
+    points = SimplicialComplex(3, [[0], [1], [2]])
+    return {
+        "q8-coboundary": _q8_coboundary(),
+        "holonomy-minus-one": (minus, _identity_cocycle(circ)),
+        "edgeless": (_identity_cocycle(points), _identity_cocycle(points)),
+    }
+
+
+@pytest.mark.parametrize("case", ["q8-coboundary", "holonomy-minus-one", "edgeless"])
+def test_matrix_search_without_modulo_is_modulo_the_trivial_group(case):
+    c, c2 = _matrix_rule_cases()[case]
+    got, want = equivalent(c, c2), equivalent(c, c2, modulo=trivial_group(c.degree()))
+    assert (got is None) == (want is None) == (case == "holonomy-minus-one")
+    if want is not None:
+        assert list(got) == list(want)
+        assert all(np.array_equal(got[v], want[v]) for v in want)
+
+
+def test_matrix_search_refuses_non_unitary_values():
+    # the trivial group's normalizer check runs on every value
+    cov = annulus(3)
+    c = CechCocycle(cov, "finite", dict.fromkeys(cov.edges(), 2.0 * np.eye(2)))
+    with pytest.raises(NotUnitary, match="normalizer candidate fails unitarity"):
+        equivalent(c, c)
 
 
 def test_equivalent_closure_overflow_is_search_cap(monkeypatch):
-    # no attached group: candidates come from the closure of the values,
-    # which is Q8 (order 8) and leaves a cap of 4
-    c, c2 = _q8_coboundary_without_group()
+    # no modulo: the trivial group, reducible at degree 2, so candidates
+    # come from the closure of the values, which is Q8 (order 8) and
+    # leaves a cap of 4
+    c, c2 = _q8_coboundary()
     with monkeypatch.context() as patched:
         patched.setattr(basecech, "SEARCH_CAP", 4)
         with pytest.raises(SearchCapExceeded):
@@ -829,7 +853,7 @@ def test_equivalent_closure_propagates_unrelated_errors(monkeypatch):
     def broken(group):
         raise RuntimeError("enumeration broke")
 
-    c, c2 = _q8_coboundary_without_group()
+    c, c2 = _q8_coboundary()
     monkeypatch.setattr(groups_module, "enumerate_finite", broken)
     with pytest.raises(RuntimeError, match="enumeration broke"):
         equivalent(c, c2)
@@ -838,7 +862,7 @@ def test_equivalent_closure_propagates_unrelated_errors(monkeypatch):
 def test_class_search_cap_is_checked_before_any_svd(monkeypatch):
     # Q8's (1, 1) fibre space is solved, its classes are not: a lowered
     # cap is refused before the batched SVD over the image tuples
-    c, c2 = _q8_coboundary_without_group()
+    c, c2 = _q8_coboundary()
     assert intertwiners(quaternion_group(), 1, 1).dim == 1
     monkeypatch.setattr(groups, "_CLASSES", {})
     monkeypatch.setattr(basecech, "SEARCH_CAP", 35)
@@ -852,13 +876,15 @@ def test_class_search_cap_is_checked_before_any_svd(monkeypatch):
     assert groups._CLASSES == {}
 
 
-@pytest.mark.parametrize("coeff", ["phase", "int"])
+@pytest.mark.parametrize("coeff", ["phase", "finite"])
 def test_equivalent_budget_is_one_root_plus_the_propagated_vertices(coeff, monkeypatch):
-    # one root candidate, 0, on the single component: 1 + 5 units
+    # one root candidate on the single component: 1 + 5 units.  Phases
+    # have only 0; identity matrices close to the one element 1
     cov = annulus(3)
-    c = trivial_cocycle(cov, coeff)
+    c, one = (_coboundary(cov, {}), 0) if coeff == "phase" else (_identity_cocycle(cov), np.eye(2))
     monkeypatch.setattr(basecech, "SEARCH_CAP", 6)
-    assert equivalent(c, c) == {v: 0 for v in range(6)}
+    w = equivalent(c, c)
+    assert sorted(w) == list(range(6)) and all(np.array_equal(u, one) for u in w.values())
     monkeypatch.setattr(basecech, "SEARCH_CAP", 5)
     with pytest.raises(SearchCapExceeded):
         equivalent(c, c)
@@ -868,7 +894,7 @@ def test_equivalent_modulo_needs_c2_in_the_normalizer():
     # the twist-free search is exact only when every value of c2 normalizes
     # the quotient group; a generic rotation does not normalize Q8
     cov = annulus(3)
-    c = trivial_cocycle(cov, "finite", degree=2)
+    c = _identity_cocycle(cov)
     vals = {e: np.eye(2) for e in cov.edges()}
     vals[(0, 1)] = math.cos(0.3) * np.eye(2) + 1j * math.sin(0.3) * np.array([[0, 1], [1, 0]])
     c2 = CechCocycle(cov, "finite", vals)
@@ -883,7 +909,7 @@ def test_equivalent_modulo_needs_c2_in_the_normalizer():
 def test_equivalent_on_isolated_vertices_returns_identity_witnesses():
     # a base without edges keeps the degree it is given: a (0, 2, 2) stack
     points = SimplicialComplex(2, [[0], [1]])
-    c = trivial_cocycle(points, "finite", degree=2)
+    c = _identity_cocycle(points)
     assert c.degree() == 2 and c.values.shape == (0, 2, 2)
     for modulo in (None, quaternion_group()):
         w = equivalent(c, c, modulo=modulo)
@@ -915,17 +941,17 @@ def _abelian_pairs():
     cov = octahedron()
     pairs = list(_cech_engine_pairs())
     # a class mismatch: equal flat parts, one winding apart
-    pairs.append((_coboundary(cov, {}, windings={cov.triangles()[0]: 1}), trivial_cocycle(cov, "phase")))
+    pairs.append((_coboundary(cov, {}, windings={cov.triangles()[0]: 1}), _coboundary(cov, {})))
+    # integer phases: every lift is 0
     m = {0: 3, 1: -1, 4: 2}
-    good = CechCocycle(cov, "int", {(i, j): m.get(i, 0) - m.get(j, 0) for (i, j) in cov.edges()})
-    pairs.append((good, trivial_cocycle(cov, "int")))
-    # a bad integer edge: 1 on (1, 2) is not a coboundary
-    bad = {e: 0 for e in cov.edges()} | {(1, 2): 1}
-    pairs.append((CechCocycle(cov, "int", bad), trivial_cocycle(cov, "int")))
+    pairs.append((_coboundary(cov, m), _coboundary(cov, {})))
+    # a bad edge: 1/2 on (1, 2) is not a coboundary
+    bad = {e: 0 for e in cov.edges()} | {(1, 2): Fraction(1, 2)}
+    pairs.append((CechCocycle(cov, "phase", bad), _coboundary(cov, {})))
     # two components, phases on both
     two = SimplicialComplex.from_maximal(12, list(cov.triangles()) + [tuple(v + 6 for v in t) for t in cov.triangles()])
     theta = {v: Fraction(v, 7) for v in range(12)}
-    pairs.append((_coboundary(two, theta), trivial_cocycle(two, "phase")))
+    pairs.append((_coboundary(two, theta), _coboundary(two, {})))
     return pairs
 
 
@@ -964,13 +990,12 @@ def _holonomy_cases():
     theta = {v: Fraction(v * v, 11) for v in range(9)}
     return {
         "phase": _coboundary(two, theta, windings={cov.triangles()[2]: 1}),
-        "int": CechCocycle(two, "int", {e: (3 * e[0] - e[1]) % 5 for e in two.edges()}),
         "q8": CechCocycle(two, "finite", {e: els[(e[0] + 2 * e[1]) % 8] for e in two.edges()}),
-        "edgeless": trivial_cocycle(SimplicialComplex(3, [[0], [1], [2]]), "finite", degree=2),
+        "edgeless": _identity_cocycle(SimplicialComplex(3, [[0], [1], [2]])),
     }
 
 
-@pytest.mark.parametrize("kind", ["phase", "int", "q8", "edgeless"])
+@pytest.mark.parametrize("kind", ["phase", "q8", "edgeless"])
 def test_holonomy_table_is_one_read_only_memo_along_the_forest(kind):
     c = _holonomy_cases()[kind]
     frames, hol = table = c.holonomies()
@@ -1082,8 +1107,8 @@ def test_cocycle_json_roundtrip_finite():
     cov = octahedron()
     els = q8.elements()
     vals = {e: els[(e[0] + e[1]) % len(els)] for e in cov.edges()}
-    c = CechCocycle(cov, "finite", vals, group=q8)
-    back = CechCocycle.from_json(c.to_json(), cov, group=q8)
+    c = CechCocycle(cov, "finite", vals)
+    back = CechCocycle.from_json(c.to_json(), cov)
     for e in cov.edges():
         assert np.array_equal(back.value(*e), c.value(*e))
 
@@ -1108,10 +1133,10 @@ def test_cocycle_rejects_bad_input():
     cov = octahedron()
     with pytest.raises(ValueError):
         CechCocycle(cov, "phase", {(0, 5): Fraction(1, 2)})  # not an edge
-    with pytest.raises(ValueError):
-        CechCocycle(cov, "int", {(0, 1): 1}, windings={(0, 1, 2): 1})
+    with pytest.raises(ValueError, match="unknown coefficient kind"):
+        CechCocycle(cov, "int", {e: 0 for e in cov.edges()})
     with pytest.raises(WrongKind):
-        trivial_cocycle(cov, "phase").product(trivial_cocycle(cov, "int"))
+        _coboundary(cov, {}).product(_identity_cocycle(cov))
 
 
 # ---------------------------------------------------------------------------
@@ -1137,7 +1162,6 @@ def _one_cocycle_per_kind():
     return cov, [
         CechCocycle(cov, "finite", {e: els[(3 * a) % len(els)] for a, e in enumerate(edges)}),
         _coboundary(cov, {0: Fraction(1, 3), 4: Fraction(-5, 7)}),
-        CechCocycle(cov, "int", {e: a - 5 for a, e in enumerate(edges)}),
     ]
 
 
@@ -1156,7 +1180,7 @@ def test_cocycle_values_are_one_read_only_edge_ordered_array():
                     back[0, 0] = 0.0
             else:
                 assert back == -v and type(back) is type(v)
-                assert isinstance(v, Fraction if c.coeff == "phase" else int)
+                assert isinstance(v, Fraction)
 
 
 def test_cocycle_values_taken_in_either_orientation():
@@ -1186,7 +1210,7 @@ def test_json_entries_given_twice_are_refused():
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_windings_on_one_triangle_given_twice_are_refused(n):
-    cov, (_, phase, _) = _one_cocycle_per_kind()
+    cov, (_, phase) = _one_cocycle_per_kind()
     vals = dict(zip(cov.edges(), phase.values))
     for windings in ({(0, 1, 2): 1, (1, 0, 2): n}, [((0, 1, 2), 1), ((0, 1, 2), n)]):
         with pytest.raises(ValueError, match=r"duplicate winding on triangle \(0, 1, 2\)"):
@@ -1205,7 +1229,7 @@ def test_values_given_as_pairs_refuse_a_repeated_edge():
 
 
 def test_phase_values_stay_fractions_under_product_and_pushforward():
-    cov, (fin, phase, _) = _one_cocycle_per_kind()
+    cov, (fin, phase) = _one_cocycle_per_kind()
     for c in (phase.product(phase), det_pushforward(fin)):
         assert all(isinstance(v, Fraction) for v in c.values)
     assert list(phase.product(phase).values) == [2 * v for v in phase.values]
@@ -1245,12 +1269,12 @@ def test_array_routes_match_the_loops_on_phase_cochains(data):
     assert all(isinstance(v, Fraction) for v in pushed_forward.values)
 
 
-def _abelian_cochain(data, cov, kind):
+def _phase_cochain(data, cov):
     """Values on every edge, keyed in either orientation: a coboundary with
     integer lift shifts and sometimes a few edges pushed off the cocycle
-    identity, plus windings for phases."""
+    identity, plus windings."""
     edges, tris = cov.edges(), cov.triangles()
-    small = st.fractions(min_value=-2, max_value=2, max_denominator=12) if kind == "phase" else st.integers(-3, 3)
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=12)
     theta = data.draw(st.lists(small, min_size=cov.vertices, max_size=cov.vertices))
     shift = data.draw(st.lists(st.integers(-2, 2), min_size=len(edges), max_size=len(edges)))
     flip = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
@@ -1260,22 +1284,21 @@ def _abelian_cochain(data, cov, kind):
         v = theta[i] - theta[j] + n + pushed.get((i, j), 0)
         vals.update({(j, i): -v} if f else {(i, j): v})
     winds = data.draw(st.lists(st.integers(-3, 3), min_size=len(tris), max_size=len(tris)))
-    return vals, dict(zip(tris, winds)) if kind == "phase" else None
+    return vals, dict(zip(tris, winds))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_integer_routes_match_the_fraction_oracle(data):
     cov = _BASES[data.draw(st.sampled_from(sorted(_BASES)))]
-    kind = data.draw(st.sampled_from(["phase", "int"]))
-    (vals, w), (vals2, w2) = _abelian_cochain(data, cov, kind), _abelian_cochain(data, cov, kind)
-    c, c2 = CechCocycle(cov, kind, vals, windings=w), CechCocycle(cov, kind, vals2, windings=w2)
-    f, f2 = FractionCochain(cov, kind, vals, windings=w), FractionCochain(cov, kind, vals2, windings=w2)
+    (vals, w), (vals2, w2) = _phase_cochain(data, cov), _phase_cochain(data, cov)
+    c, c2 = CechCocycle(cov, "phase", vals, windings=w), CechCocycle(cov, "phase", vals2, windings=w2)
+    f, f2 = FractionCochain(cov, vals, windings=w), FractionCochain(cov, vals2, windings=w2)
     for ours, oracle in ((c, f), (c2, f2), (c.product(c2), f.product(f2))):
         assert ours.numerators.dtype == object
         assert all(type(n) is int for n in ours.numerators)
         assert list(ours.values) == list(oracle.values)
-        assert all(type(v) is (Fraction if kind == "phase" else int) for v in ours.values)
+        assert all(type(v) is Fraction for v in ours.values)
         assert json.dumps(ours.to_json()) == json.dumps(oracle.to_json())
         assert exact_holonomies(ours) == oracle.holonomies()
         assert is_cocycle(ours) == loop_is_cocycle(oracle)
@@ -1283,7 +1306,7 @@ def test_integer_routes_match_the_fraction_oracle(data):
         got = equivalent(c, c2)
         assert got == propagation_equivalent(f, f2)
         if got is not None:
-            assert all(type(v) is (Fraction if kind == "phase" else int) for v in got.values())
+            assert all(type(v) is Fraction for v in got.values())
 
 
 _PRIMES = (331, 337, 347, 349, 353, 359, 367, 373)
@@ -1304,8 +1327,8 @@ def test_numerators_past_int64_take_python_ints(count):
     w = {tris[0]: 2, tris[5]: -1}
     c = CechCocycle(cov, "phase", cochain(1), windings=w)
     c2 = c.product(CechCocycle(cov, "phase", cochain(4)))
-    f = FractionCochain(cov, "phase", cochain(1), windings=w)
-    f2 = f.product(FractionCochain(cov, "phase", cochain(4)))
+    f = FractionCochain(cov, cochain(1), windings=w)
+    f2 = f.product(FractionCochain(cov, cochain(4)))
     assert c.denominator == math.prod(primes) and (math.prod(primes) > 2 ** 63) == (count == 8)
     for ours, oracle in ((c, f), (c2, f2)):
         assert list(ours.values) == list(oracle.values)

@@ -142,6 +142,17 @@ def test_q8_probe_classifies_as_equivalent(capsys):
     assert all(c["pass"] for c in report["checks"])
 
 
+def test_su2_octahedron_probe_is_the_class_one_datum(capsys):
+    # the console-script step of CI reads this file: it stays the datum
+    # su2_octa_datum(1) writes, whose extracted class is the generator
+    path = os.path.join(PROBES, "su2-octahedron-class1.json")
+    with open(path, encoding="utf-8") as fh:
+        assert json.load(fh) == json.loads(json.dumps(su2_octa_datum(1).to_json()))
+    code, report = _report(capsys, ["chern", "--input", path])
+    assert code == 0 and report["data"]["agree"] is True
+    assert report["data"]["extracted"]["free"] == [1]
+
+
 def test_trivial_group_probe_is_refused(tmp_path, capsys):
     # the holonomies Z and X, which the Hadamard relates; their closure,
     # dihedral of order 8, conjugates X only to +-X, and no invariant

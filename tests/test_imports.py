@@ -24,7 +24,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # the package's public names, as listed before the namespace became lazy
 PUBLIC = [
-    'COEFF_FINITE', 'COEFF_INT', 'COEFF_PHASE', 'CapExceeded', 'CechCocycle', 'Check',
+    'COEFF_FINITE', 'COEFF_PHASE', 'CapExceeded', 'CechCocycle', 'Check',
     'CocycleCheck', 'CohomologySummary', 'ConjugatePair', 'ConsistencyError', 'DRElement',
     'DRTruncation', 'GluedArrow', 'GluedSpace', 'GluingDatum', 'GroupSpec',
     'IncompleteSearch', 'InputParse', 'IntegralCohomClass', 'IntertwinerSpace', 'IrrationalPhase',
@@ -34,18 +34,18 @@ PUBLIC = [
     'SpecialObjectData', 'StabilizerVerdict', 'Tolerance', 'ToolkitError', 'TruncationOverflow',
     'TwistedSpecialExtraction', 'WrongKind', 'antisym_projector', 'as_matrix',
     'averaged_fixed_space', 'basecech', 'builtin_checks', 'canonical_basis',
-    'canonical_endo', 'circle_action', 'circle_class', 'conjugate_pair', 'cyclic_diagonal_group',
-    'det_pushforward', 'dr_add', 'dr_adjoint', 'dr_close', 'dr_element', 'dr_mul', 'dr_norm',
+    'circle_action', 'circle_class', 'conjugate_pair', 'cyclic_diagonal_group',
+    'det_pushforward', 'dr_add', 'dr_adjoint', 'dr_element', 'dr_mul', 'dr_norm',
     'dr_one', 'dralg', 'enumerate_finite', 'eq_rhoeps', 'equivalent', 'errors',
     'extract_twisted_special', 'fixed_points', 'full_unitary', 'gauge_action',
-    'glue', 'glued_identity', 'glued_space', 'glued_symmetry', 'group_average', 'groups',
+    'glue', 'glued_space', 'glued_symmetry', 'groups',
     'h2_integral', 'hs_inner', 'hs_norm', 'inner_endo_nu', 'intertwiners', 'is_cocycle',
     'isomorphic', 'lie_basis', 'linalg', 'matrix_from_json', 'matrix_to_json', 'norm_function',
     'normalized_lift', 'normalizer_classes', 'nullspace', 'octahedron', 'opnorm', 'permutation_unitary',
     'power_action', 'projection_residual', 'quaternion_group', 'repcat', 'replay',
     'scalar_datum', 'smith_normal_form', 'snap_phase', 'snap_phases', 'special_element',
     'special_isometry', 'special_unitary', 'stabilizer_test', 'symmetry_unitary',
-    'tensor_glued', 'trivial_cocycle', 'trivial_group', 'verify', 'verify_normalizer',
+    'trivial_group', 'verify', 'verify_normalizer',
 ]
 
 LAYERS = ("basecech", "dralg", "errors", "glue", "groups", "linalg", "repcat", "verify")

@@ -21,11 +21,10 @@ from catbundle import (
     octahedron,
     quaternion_group,
     special_unitary,
-    trivial_cocycle,
 )
 from catbundle import basecech, dralg, glue, repcat
 from catbundle.verify import su2_octa_datum
-from test_basecech import _q8_coboundary_without_group
+from test_basecech import _coboundary, _q8_coboundary
 
 
 def _glued(call):
@@ -50,18 +49,18 @@ def _case(case):
         return repcat, case, 15, call, SizeCapExceeded, "16 unknowns, cap is 15"
     if case == "SEARCH_CAP-budget":
         # one root candidate and five more vertices: six units
-        c = trivial_cocycle(octahedron(), "phase")
+        c = _coboundary(octahedron(), {})
         call = partial(equivalent, c, c)
         return basecech, "SEARCH_CAP", 5, call, SearchCapExceeded, "passed 5 assignments"
     if case == "SEARCH_CAP-classes":
         # modulo Q8 the candidates are its normalizer classes, solved over
         # 36 generator image tuples
-        c, c2 = _q8_coboundary_without_group()
+        c, c2 = _q8_coboundary()
         call = partial(equivalent, c, c2, modulo=quaternion_group())
         return basecech, "SEARCH_CAP", 35, call, SearchCapExceeded, "36 generator image tuples exceed cap 35"
     if case == "SEARCH_CAP-closure":
         # the candidates are the closure of the values, Q8 of order 8
-        call = partial(equivalent, *_q8_coboundary_without_group())
+        call = partial(equivalent, *_q8_coboundary())
         return basecech, "SEARCH_CAP", 7, call, SearchCapExceeded, "closure did not stay finite"
     assert case == "DEFAULT_LEVEL"
     call = partial(fixed_points, quaternion_group(), 4, 1)

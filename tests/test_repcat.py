@@ -24,7 +24,6 @@ from catbundle.repcat import (
     antisym_projector,
     averaged_fixed_space,
     conjugate_pair,
-    group_average,
     intertwiners,
     permutation_unitary,
     special_isometry,
@@ -128,17 +127,6 @@ def test_averaging_route_agrees_with_constraint_route():
                     assert projection_residual(v, cv) <= 1e-9
                 for v in cv:
                     assert projection_residual(v, av) <= 1e-9
-
-
-def test_group_average_is_idempotent_projection():
-    g = quaternion_group()
-    rng = np.random.default_rng(5)
-    t = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    p1 = group_average(g, as_matrix(t), 2, 2)
-    p2 = group_average(g, p1, 2, 2)
-    assert np.linalg.norm(p1 - p2) <= 1e-10
-    basis = [m.reshape(-1) for m in intertwiners(g, 2, 2)]
-    assert projection_residual(p1.reshape(-1), basis) <= 1e-9
 
 
 def test_permutation_unitary_composition_convention():

@@ -7,7 +7,7 @@ verdict.  Two searches make no use of the holonomies:
 
 * ``propagation_equivalent`` carries every root candidate tried to every
   vertex of its component and then checks each edge of the component on
-  the carried values, one edge at a time, for every coefficient kind; it
+  the carried values, one edge at a time, for both coefficient kinds; it
   spends the same budget, so both raise SearchCapExceeded at the same
   caps and return bit-identical witnesses.  Phase classes are compared
   with ``cochain_oracle.loop_circle_class``, so on phase data it reads
@@ -20,18 +20,16 @@ verdict.  Two searches make no use of the holonomies:
 
 Both take their root candidates as ``equivalent`` does (the normalizer
 classes of an irreducible quotient group, or a closure of the values),
-so their witnesses are bit-identical to its.
+and read no ``modulo`` on matrix data as the trivial group of their
+degree, so their witnesses are bit-identical to its.
 
 ``SimplicialComplex.spanning_forest`` and ``components`` are checked
 against the routes they replaced: a union-find over the edges for the
 components, and a breadth-first walk of each of those components.
 """
 
-import math
 from collections import deque
 from fractions import Fraction
-
-import numpy as np
 
 from catbundle import (
     GroupSpec,
@@ -41,6 +39,7 @@ from catbundle import (
     intertwiners,
     normalized_lift,
     normalizer_classes,
+    trivial_group,
 )
 from catbundle.basecech import SEARCH_CAP
 from catbundle.errors import CapExceeded, WrongKind
@@ -94,18 +93,14 @@ def bfs_forest(complex_):
 
 def _root_candidates(c, c2, modulo, search_cap, tol, closure=False):
     """The root candidates of a matrix search, in ``equivalent``'s order:
-    the normalizer classes of an irreducible ``modulo``, the attached
-    group's elements, or the closure of the values and ``modulo``."""
-    if not closure and modulo is not None and intertwiners(modulo, 1, 1, tol).dim == 1:
+    the normalizer classes of an irreducible ``modulo``, or the closure of
+    the values and ``modulo``."""
+    if not closure and intertwiners(modulo, 1, 1, tol).dim == 1:
         try:
             return normalizer_classes(modulo, search_cap, tol)
         except CapExceeded as exc:
             raise SearchCapExceeded("normalizer classes did not fit: %s" % exc)
-    if c.group is not None and modulo is None:
-        return c.group.elements()
-    gens = [*c.values, *c2.values]
-    if modulo is not None:
-        gens += modulo.generators
+    gens = [*c.values, *c2.values, *modulo.generators]
     closure_spec = GroupSpec("finite", c.degree(), gens, enumeration_cap=search_cap)
     try:
         return closure_spec.elements()
@@ -114,22 +109,21 @@ def _root_candidates(c, c2, modulo, search_cap, tol, closure=False):
 
 
 def backtracking_equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None):
-    """Witness u with u_i c2_ij = c_ij u_j h (h in ``modulo``), or None.
+    """Witness u with u_i c2_ij = c_ij u_j h (h in ``modulo``, by default
+    the trivial group), or None.
 
     Matrix cocycles only.  Root candidates and their order are those of
     ``equivalent``; every root candidate and every twist tried at a
     vertex costs one unit of ``search_cap``.
     """
     tol = tol or Tolerance()
-    d = c.degree()
+    modulo = modulo or trivial_group(c.degree())
     candidates = _root_candidates(c, c2, modulo, search_cap, tol)
-    twists = [np.eye(d)] if modulo is None else modulo.elements()
+    twists = modulo.elements()
 
     def edge_ok(u_i, u_j, i, j):
         lhs = u_i @ c2.value(i, j)
         rhs = c.value(i, j) @ u_j
-        if modulo is None:
-            return np.linalg.norm(lhs - rhs) <= tol.tau * max(1.0, math.sqrt(d))
         return modulo.contains(rhs.conj().T @ lhs, tol=tol)
 
     budget = [search_cap]
@@ -181,7 +175,7 @@ def backtracking_equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None)
 
 def propagation_equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None, closure=False):
     """Witness u with u_i c2_ij = c_ij u_j (h in ``modulo`` on the right),
-    or None, for every coefficient kind: each root candidate in turn is
+    or None, for both coefficient kinds: each root candidate in turn is
     carried over its whole component and then checked edge by edge.
     Root candidates, their order, the budget and the errors are those of
     ``equivalent``; with ``closure`` set, matrix data take theirs from the
@@ -195,12 +189,11 @@ def propagation_equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None, 
         raise ValueError("coefficient kinds differ")
 
     if c.coeff == "finite":
-        d = c.degree()
-        if modulo is not None:
-            if modulo.kind != "finite":
-                raise WrongKind("matrix witness search modulo a group needs a finite group")
-            for values in (c.values, c2.values):
-                _require_normalizing(values, modulo, tol=tol)
+        modulo = modulo or trivial_group(c.degree())
+        if modulo.kind != "finite":
+            raise WrongKind("matrix witness search modulo a group needs a finite group")
+        for values in (c.values, c2.values):
+            _require_normalizing(values, modulo, tol=tol)
         candidates = _root_candidates(c, c2, modulo, search_cap, tol, closure)
 
         def step(u_pv, pv, cv):
@@ -209,19 +202,17 @@ def propagation_equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None, 
         def edge_ok(u_i, u_j, i, j):
             lhs = u_i @ c2.value(i, j)
             rhs = c.value(i, j) @ u_j
-            if modulo is None:
-                return np.linalg.norm(lhs - rhs) <= tol.tau * max(1.0, math.sqrt(d))
             return modulo.contains(rhs.conj().T @ lhs, tol=tol)
     else:
-        phase = c.coeff == "phase"
-        candidates = [Fraction(0) if phase else 0]
+        if modulo is not None:
+            raise WrongKind("phase witnesses are searched modulo no group")
+        candidates = [Fraction(0)]
 
         def step(u_pv, pv, cv):
             return u_pv + c.value(cv, pv) - c2.value(cv, pv)
 
         def edge_ok(u_i, u_j, i, j):
-            resid = u_i - u_j - (c.value(i, j) - c2.value(i, j))
-            return resid.denominator == 1 if phase else resid == 0
+            return (u_i - u_j - (c.value(i, j) - c2.value(i, j))).denominator == 1
 
     budget = search_cap
     witness = {}
@@ -245,6 +236,4 @@ def propagation_equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None, 
         if loop_circle_class(c) != loop_circle_class(c2):
             return None
         return {v: normalized_lift(q) for v, q in witness.items()}
-    if c.coeff == "int":
-        return witness
     return {v: as_matrix(m) for v, m in witness.items()}
