@@ -24,13 +24,15 @@ cocycle is the reduction of delta(normalized lifts) + windings; it is
 independent of the choice of lifts.  Witnesses found by ``equivalent``
 are constant per patch; equal classes are also required, since a pair of
 phase cocycles with distinct integral classes is never equivalent even
-when the flat parts match up.
+when the flat parts match up.  Matrix data are compared up to a fibre
+group, which this layer does not know: their witness search is
+``glue``'s.
 
 Integral second cohomology comes from an exact sparse unit-pivot Smith
 normal form whose unimodular transforms are kept as logs of its
 operations, so classes come with coordinates, read by replaying the logs
-on the cochain: free coordinates in Z and torsion coordinates modulo the
-stored orders.
+on the cochain: free coordinates in Z and torsion coordinates reduced by
+the stored orders.
 """
 
 from __future__ import annotations
@@ -44,24 +46,14 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import (
-    CapExceeded,
-    IrrationalPhase,
-    MissingValue,
-    NotACocycle,
-    SearchCapExceeded,
-    WrongKind,
-)
-from .groups import GroupSpec, KIND_FINITE, _require_normalizing, normalizer_classes, trivial_group
-from .linalg import Tolerance, _as_stack, as_matrix, matrix_from_json, matrix_to_json
-from .repcat import intertwiners
+from .errors import IrrationalPhase, MissingValue, NotACocycle, WrongKind
+from .linalg import Tolerance, _as_stack, matrix_from_json, matrix_to_json
 
 COEFF_FINITE = "finite"
 COEFF_PHASE = "phase"
 
 _COEFFS = (COEFF_FINITE, COEFF_PHASE)
 
-SEARCH_CAP = 10 ** 6
 PHASE_DENOMINATOR_BOUND = 360
 
 
@@ -283,7 +275,8 @@ class CechCocycle:
     first access.
 
     Both kinds may carry integer windings on triangles.  ``degree`` sizes
-    the (0, d, d) stack of a base without edges.
+    the (0, d, d) stack of a base without edges; matrix values of another
+    size are refused (ValueError).
     """
 
     def __init__(self, complex_, coeff, values, windings=None, degree=None):
@@ -311,6 +304,8 @@ class CechCocycle:
             vals = np.array([v for _, v in slots] or np.zeros((0, d, d)), dtype=complex)
             if vals.ndim != 3 or vals.shape[1] != vals.shape[2]:
                 raise ValueError("matrix values must be square and of one size")
+            if degree is not None and vals.shape[1] != degree:
+                raise ValueError("matrix values are %d x %d, not of degree %d" % (*vals.shape[1:], degree))
             vals[flip] = vals[flip].conj().transpose(0, 2, 1)
             self._values, self._reversed = _as_stack(vals), _as_stack(vals.conj().transpose(0, 2, 1))
             self.numerators = self.denominator = None
@@ -324,16 +319,14 @@ class CechCocycle:
         self._holonomies = None
 
     @classmethod
-    def from_numerators(cls, complex_, coeff, numerators, denominator=1, windings=None):
+    def from_numerators(cls, complex_, numerators, denominator=1, windings=None):
         """The phase cocycle of the integers ``numerators`` over
         ``denominator``, in ``complex_.edges()`` order."""
         num = np.asarray(numerators)
-        if coeff != COEFF_PHASE:
-            raise ValueError("numerators make phase cocycles")
         if num.shape != (len(complex_.edges()),) or not (num.dtype == object or num.dtype.kind in "iu"):
             raise ValueError("expected one integer numerator per edge")
         c = cls.__new__(cls)
-        c.complex, c.coeff = complex_, coeff
+        c.complex, c.coeff = complex_, COEFF_PHASE
         c._store(num, denominator)
         c.windings = c._checked_windings(windings)
         c._holonomies = None
@@ -446,7 +439,7 @@ class CechCocycle:
         den = math.lcm(self.denominator, other.denominator)
         a, b = den // self.denominator, den // other.denominator
         num = self.numerators * a + sign * (other.numerators * b)
-        return CechCocycle.from_numerators(self.complex, self.coeff, num, den, windings)
+        return CechCocycle.from_numerators(self.complex, num, den, windings)
 
     def to_json(self):
         if self.coeff == COEFF_PHASE:
@@ -808,136 +801,28 @@ def circle_class(c, tol=None):
 # equivalence witnesses
 
 
-def equivalent(c, c2, modulo=None, tol=None):
-    """Search for a coboundary witness u with u_i c2_ij = c_ij u_j.
+def equivalent(c, c2, tol=None):
+    """A coboundary witness u with u_i + c2_ij = c_ij + u_j (mod 1) for
+    phase cocycles, or None.
 
-    One search serves both kinds, on the frames f1, f2 and holonomies h1,
-    h2 of both cocycles (``CechCocycle.holonomies``): a root candidate w
-    carried along the spanning forest gives u_v = f1_v w f2_v*, so an edge
-    passes by a test on w and its two holonomies.  On each component the
-    root candidates are tested in turn, each on all its edges at once, and
-    the first to pass is carried to every vertex by u_cv = u_pv + c_(cv,pv)
-    - c2_(cv,pv) (phase) or c_(cv,pv) u_pv c2_(pv,cv) (matrix).
-
-    Phase data have the one candidate 0 and pass when every h2_e - h1_e
-    is an integer and the integral classes agree.  Both are read on the
-    integer numerators of the one cocycle c2 - c, whose negated frames
-    are the witness f1 - f2; the witness is rational.  Phase data take no
-    ``modulo`` (WrongKind).
-
-    Matrix data pass an edge when u_i c2_ij = c_ij u_j h for some h in
-    ``modulo``, i.e. when w* h1_e* w h2_e (that conjugated by f2_j) is in
-    it; no ``modulo`` means the trivial group of the data's degree.  No
-    twist h is tried: right-multiplying any u_v by an element of the
-    group, or by a scalar, changes no verdict when every value of c2
-    normalizes it.  That is checked up front on both cocycles' values
-    (NotUnitary, NotInNormalizer), so a value of infinite order never
-    reaches a closure enumeration.  The root candidates, in order:
-
-    * ``modulo`` an irreducible group G (``intertwiners(G, 1, 1).dim ==
-      1``): ``groups.normalizer_classes(G)``, one unitary per class of
-      N(G)/(U(1).G).  Every element of N(G) is a class representative
-      times an element of G times a scalar, so by the invariance above
-      some class passes exactly when some root value in N(G) does: the
-      search is complete for witnesses that normalize G, the only ones
-      ``glue.isomorphic`` accepts.  By Schur's lemma the centralizer of G
-      is the scalars, so the classes are finitely many (N(G)/(U(1).G)
-      embeds in Out(G)).
-    * a reducible ``modulo``, such as the trivial group of a degree above
-      1, whose quotient is infinite: the closure generated by the values
-      of both cocycles and ``modulo``, in enumeration order.  This set
-      need not hold a witness when one exists.
-
-    Both kinds spend one unit of SEARCH_CAP per root candidate tried
-    and one per other vertex of its component; SearchCapExceeded is
-    raised when the units run out, when the candidate closure overflows
-    the cap, or when the generator image tuples of the normalizer classes
-    outnumber it.  Returns the witness family as a dict or None.
+    The two are equivalent exactly when every holonomy of c2 - c
+    (``CechCocycle.holonomies``, on its integer numerators) is an integer
+    and the integral classes agree.  The witness is then the negated
+    frames of c2 - c, lifted into (-1/2, 1/2]: constant per patch,
+    rational, and 0 at every root of the spanning forest.  Matrix data
+    raise WrongKind: they are compared up to a fibre group, which this
+    layer does not know (``glue.isomorphic``).
     """
-    return _witness_search(c, c2, modulo, tol)[0]
-
-
-def _witness_search(c, c2, modulo, tol):
-    """``equivalent`` and its proof of failure: (witness, None) or (None,
-    proof), where proof is (k, edges) when the candidates were the
-    normalizer classes, k the first component on which every class fails
-    and edges the first edge there that each class fails, in class order;
-    otherwise None, since the candidates were not known to be complete."""
-    tol = tol or Tolerance()
     if c.complex != c2.complex:
         raise ValueError("cocycles live on different covers")
-    if c.coeff != c2.coeff:
-        raise ValueError("coefficient kinds differ")
-
-    complete = False
-    if c.coeff == COEFF_FINITE:
-        d = c.degree()
-        if modulo is None:
-            modulo = trivial_group(d)
-        if modulo.kind != KIND_FINITE:
-            raise WrongKind("matrix witness search modulo a group needs a finite group")
-        for values in (c.values, c2.values):
-            _require_normalizing(values, modulo, tol=tol)
-        complete = intertwiners(modulo, 1, 1, tol).dim == 1
-        if complete:
-            try:
-                candidates = normalizer_classes(modulo, SEARCH_CAP, tol)
-            except CapExceeded as exc:
-                raise SearchCapExceeded("normalizer classes did not fit: %s" % exc)
-        else:
-            gens = [*c.values, *c2.values, *modulo.generators]
-            closure_spec = GroupSpec(KIND_FINITE, d, gens, enumeration_cap=SEARCH_CAP)
-            try:
-                candidates = closure_spec.elements()
-            except CapExceeded as exc:
-                raise SearchCapExceeded("candidate closure did not stay finite: %s" % exc)
-        (_, h1), (_, h2) = c.holonomies(), c2.holonomies()
-
-        def step(u_pv, pv, cv):
-            return c.value(cv, pv) @ u_pv @ c2.value(pv, cv)
-
-        def passes(w, on):
-            h1w, wh2 = h1[on] @ w, w @ h2[on]
-            return modulo.contains(h1w.conj().transpose(0, 2, 1) @ wh2, tol=tol)
-    else:
-        if modulo is not None:
-            raise WrongKind("phase witnesses are searched modulo no group")
-        # carried along the forest, u = f1 - f2: the frames of c2 - c, negated
-        diff = c2._plus(c, -1, None)
-        frames, gap = diff.holonomies()
-        bad = gap % diff.denominator != 0
-        candidates = [0]
-
-        def passes(w, on):
-            return ~bad[on]
-
-    on_comp = c.complex.component_index()[c.complex.edge_ends()[:, 0]]
-    budget = SEARCH_CAP
-    witness = {}
-    for k, (root, tree) in enumerate(c.complex.spanning_forest()):
-        on = np.flatnonzero(on_comp == k)
-        failing = []
-        for w in candidates:
-            budget -= 1 + len(tree)
-            if budget < 0:
-                raise SearchCapExceeded("witness search passed %d assignments" % SEARCH_CAP)
-            ok = passes(w, on)
-            if ok.all():
-                break
-            failing.append(c.complex.edges()[on[np.argmin(ok)]])
-        else:
-            return None, ((k, failing) if complete else None)
-        if c.coeff == COEFF_FINITE:
-            witness[root] = w
-            for (pv, cv) in tree:
-                witness[cv] = step(witness[pv], pv, cv)
-
-    if c.coeff == COEFF_PHASE:
-        if circle_class(c, tol) != circle_class(c2, tol):
-            return None, None
-        den = diff.denominator
-        return {v: Fraction(n, den) for v, n in enumerate(_lift(-frames, den).tolist())}, None
-    return {v: as_matrix(m) for v, m in witness.items()}, None
+    if c.coeff != COEFF_PHASE or c2.coeff != COEFF_PHASE:
+        raise WrongKind("equivalence witnesses are computed for phase cocycles")
+    diff = c2._plus(c, -1, None)
+    frames, gap = diff.holonomies()
+    den = diff.denominator
+    if (gap % den != 0).any() or circle_class(c, tol) != circle_class(c2, tol):
+        return None
+    return {v: Fraction(n, den) for v, n in enumerate(_lift(-frames, den).tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -1029,4 +914,4 @@ def det_pushforward(c, tol=None):
     if c.coeff != COEFF_FINITE:
         raise WrongKind("determinant pushforward needs matrix values")
     num, den = snap_phases(np.linalg.det(c.values), tol)
-    return CechCocycle.from_numerators(c.complex, COEFF_PHASE, num, den, windings=c.windings)
+    return CechCocycle.from_numerators(c.complex, num, den, windings=c.windings)

@@ -35,10 +35,8 @@ import numpy as np
 
 from .basecech import (
     COEFF_FINITE,
-    COEFF_PHASE,
     CechCocycle,
     SimplicialComplex,
-    _witness_search,
     circle_class,
     det_pushforward,
     equivalent,
@@ -46,20 +44,24 @@ from .basecech import (
     snap_phases,
 )
 from .errors import (
+    CapExceeded,
     ConsistencyError,
     IncompleteSearch,
     NotACocycleModG,
     RankDeficientVModule,
+    SearchCapExceeded,
     SizeCapExceeded,
     WrongKind,
 )
 from .groups import (
     GroupSpec,
+    KIND_FINITE,
     KIND_SU,
     KIND_U,
     NormalizerElement,
     _require_normalizing,
     group_distance,
+    normalizer_classes,
 )
 from .linalg import (
     Tolerance,
@@ -82,6 +84,11 @@ overlap check when one edge's images (families x D) exceed it,
 ``hat_matrix`` when all E m D images do.  Read at each call."""
 # the entries of one run of edges in an overlap check: batched, yet small
 EDGE_RUN_ENTRIES = 1 << 13
+SEARCH_CAP = 10 ** 6
+"""Units of a witness search (``_witness_search``): one per root
+candidate tried and one per other vertex of its component; also the most
+normalizer class generator image tuples or closure elements it forms.
+Read at each call."""
 
 
 class GluingDatum:
@@ -486,6 +493,83 @@ def _functor_checks(d1, d2, witness, rmax, tol):
     return checks, all(tol.close(r) for _, r in checks)
 
 
+def _witness_search(c1, c2, group, tol):
+    """A witness u with u_i c2_ij = c1_ij u_j h_ij, each h_ij in the
+    finite ``group``, and the proof of a failure: (witness, None) or
+    (None, proof).  The caller guarantees that every value of both matrix
+    cocycles normalizes ``group``.
+
+    On the frames f1, f2 and holonomies h1, h2 of both cocycles
+    (``CechCocycle.holonomies``), a root candidate w carried along the
+    spanning forest by u_cv = c1_(cv,pv) u_pv c2_(pv,cv) gives u_v = f1_v
+    w f2_v*, so an edge passes when w* h1_e* w h2_e is in the group.  No
+    twist h is tried: right-multiplying any u_v by an element of the
+    group, or by a scalar, changes no verdict when every value of c2
+    normalizes it.  On each component the root candidates are tested in
+    turn, each on all its edges at once, and the first to pass is carried
+    to every vertex.  The root candidates, in order:
+
+    * an irreducible group G (``intertwiners(G, 1, 1).dim == 1``):
+      ``groups.normalizer_classes(G)``, one unitary per class of
+      N(G)/(U(1).G).  Every element of N(G) is a class representative
+      times an element of G times a scalar, so by the invariance above
+      some class passes exactly when some root value in N(G) does: the
+      search is complete for witnesses that normalize G, the only ones
+      ``isomorphic`` accepts.  By Schur's lemma the centralizer of G is
+      the scalars, so the classes are finitely many (N(G)/(U(1).G) embeds
+      in Out(G)).  The proof of a failure is (k, edges): k the first
+      component on which every class fails, edges the first edge there
+      that each class fails, in class order.
+    * a reducible group, such as the trivial group of a degree above 1,
+      whose quotient is infinite: the closure generated by the values of
+      both cocycles and the group, in enumeration order.  This set need
+      not hold a witness when one exists, so a failure has no proof
+      (None).
+
+    One unit of SEARCH_CAP is spent per root candidate tried and one per
+    other vertex of its component; SearchCapExceeded is raised when the
+    units run out, when the candidate closure overflows the cap, or when
+    the generator image tuples of the normalizer classes outnumber it.
+    The witness is a dict of read-only matrices by vertex.
+    """
+    complete = intertwiners(group, 1, 1, tol).dim == 1
+    if complete:
+        try:
+            candidates = normalizer_classes(group, SEARCH_CAP, tol)
+        except CapExceeded as exc:
+            raise SearchCapExceeded("normalizer classes did not fit: %s" % exc)
+    else:
+        gens = [*c1.values, *c2.values, *group.generators]
+        closure = GroupSpec(KIND_FINITE, group.degree, gens, enumeration_cap=SEARCH_CAP)
+        try:
+            candidates = closure.elements()
+        except CapExceeded as exc:
+            raise SearchCapExceeded("candidate closure did not stay finite: %s" % exc)
+    (_, h1), (_, h2) = c1.holonomies(), c2.holonomies()
+    base = c1.complex
+    on_comp = base.component_index()[base.edge_ends()[:, 0]]
+    budget = SEARCH_CAP
+    witness = {}
+    for k, (root, tree) in enumerate(base.spanning_forest()):
+        on = np.flatnonzero(on_comp == k)
+        failing = []
+        for w in candidates:
+            budget -= 1 + len(tree)
+            if budget < 0:
+                raise SearchCapExceeded("witness search passed %d assignments" % SEARCH_CAP)
+            h1w, wh2 = h1[on] @ w, w @ h2[on]
+            ok = group.contains(h1w.conj().transpose(0, 2, 1) @ wh2, tol=tol)
+            if ok.all():
+                break
+            failing.append(base.edges()[on[np.argmin(ok)]])
+        else:
+            return None, ((k, failing) if complete else None)
+        witness[root] = w
+        for pv, cv in tree:
+            witness[cv] = c1.value(cv, pv) @ witness[pv] @ c2.value(pv, cv)
+    return {v: as_matrix(m) for v, m in witness.items()}, None
+
+
 def isomorphic(d1, d2, rmax=2, tol=None):
     """Decide whether two gluing data present the same glued category.
 
@@ -493,13 +577,15 @@ def isomorphic(d1, d2, rmax=2, tol=None):
     determinant, so the data are isomorphic exactly when the determinant
     phase cocycles are equivalent (flat parts cohomologous and equal
     integral classes); the witness is scalar per patch.  Finite fibre:
-    search for patchwise normalizer witnesses modulo the fibre group and
-    require equal determinant classes.  When no witness exists the report
-    carries a distinguishing invariant: a glued dimension that differs
-    (first in (r, s) order up to ``rmax``) or, for an irreducible fibre
-    group, whose normalizer classes make the search complete, the first
-    component on which every class fails and each class's first failing
-    edge there.  A reducible fibre group is searched over the closure of
+    require equal determinant classes, then search once for patchwise
+    normalizer witnesses modulo the fibre group (``_witness_search``, on
+    the two data's verified cocycles), which returns the witness or its
+    proof of failure.  When no witness exists the report carries a
+    distinguishing invariant: a glued dimension that differs (first in
+    (r, s) order up to ``rmax``) or, for an irreducible fibre group,
+    whose normalizer classes make the search complete, the search's
+    proof: the first component on which every class fails and each
+    class's first failing edge there.  A reducible fibre group is searched over the closure of
     the transitions only, which can miss a witness: with no witness
     there and no glued dimension apart, IncompleteSearch is raised
     rather than an unproven verdict.
@@ -550,7 +636,7 @@ def isomorphic(d1, d2, rmax=2, tol=None):
 
     if c1 != c2:
         return IsomorphismReport(False, None, by_class)
-    w = equivalent(d1.cocycle, d2.cocycle, modulo=d1.group, tol=tol)
+    w, proof = _witness_search(d1.cocycle, d2.cocycle, d1.group, tol)
     if w is None:
         dims = [
             ((r, s), glued_space(d1, r, s).dim, glued_space(d2, r, s).dim)
@@ -561,14 +647,12 @@ def isomorphic(d1, d2, rmax=2, tol=None):
         if differ is not None:
             rs, a, b = differ
             dist = {"invariant": "glued dimension at %r" % (rs,), "first": a, "second": b}
+        elif proof is None:
+            raise IncompleteSearch(
+                "no witness in the transition closure of a reducible fibre group, and the"
+                " determinant classes and the glued dims up to rmax = %d agree" % rmax
+            )
         else:
-            # the failing search once more, for its proof
-            proof = _witness_search(d1.cocycle, d2.cocycle, d1.group, tol)[1]
-            if proof is None:
-                raise IncompleteSearch(
-                    "no witness in the transition closure of a reducible fibre group, and the"
-                    " determinant classes and the glued dims up to rmax = %d agree" % rmax
-                )
             k, edges = proof
             dist = {
                 "invariant": "no normalizer class passes",
@@ -673,7 +757,7 @@ def extract_twisted_special(datum, tol=None):
     i, j = datum.complex.edge_ends().T
     z = inner[i] * inner[j].conj()
     num, den = snap_phases(z / np.abs(z), tol)
-    cocycle = CechCocycle.from_numerators(datum.complex, COEFF_PHASE, num, den, windings=datum.windings)
+    cocycle = CechCocycle.from_numerators(datum.complex, num, den, windings=datum.windings)
     if not is_cocycle(cocycle, tol):
         raise ConsistencyError("extracted phases fail the cocycle identity")
     extracted = circle_class(cocycle, tol)

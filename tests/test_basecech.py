@@ -20,8 +20,6 @@ from catbundle import (
     IrrationalPhase,
     MissingValue,
     NotACocycle,
-    NotInNormalizer,
-    NotUnitary,
     SearchCapExceeded,
     SimplicialComplex,
     Tolerance,
@@ -43,7 +41,7 @@ from catbundle import (
     special_unitary,
     trivial_group,
 )
-from catbundle import basecech, groups
+from catbundle import basecech, glue, groups
 from catbundle.basecech import PHASE_DENOMINATOR_BOUND
 from cochain_oracle import (
     FractionCochain,
@@ -757,12 +755,19 @@ def test_equivalent_phase_none_on_class_mismatch():
     assert equivalent(c, _coboundary(cov, {})) is None
 
 
-def test_equivalent_refuses_a_modulo_on_phase_data():
-    # phase witnesses are circle-valued: no fibre group enters them
-    cov = octahedron()
-    c = _coboundary(cov, {0: Fraction(1, 3)})
-    with pytest.raises(WrongKind, match="modulo no group"):
-        equivalent(c, _coboundary(cov, {}), modulo=quaternion_group())
+def test_equivalent_refuses_matrix_data():
+    # matrix data are compared up to a fibre group, which the base layer
+    # does not know
+    c = _identity_cocycle(octahedron())
+    with pytest.raises(WrongKind, match="phase cocycles"):
+        equivalent(c, c)
+    with pytest.raises(WrongKind, match="phase cocycles"):
+        equivalent(_coboundary(octahedron(), {}), c)
+
+
+def _search(c, c2, group):
+    """The matrix witness search's witness, or None."""
+    return glue._witness_search(c, c2, group, None)[0]
 
 
 def test_equivalent_finite_with_group():
@@ -773,7 +778,7 @@ def test_equivalent_finite_with_group():
     vals = {(i, j): u[i] @ u[j].conj().T for (i, j) in cov.edges()}
     c = CechCocycle(cov, "finite", vals)
     c2 = _identity_cocycle(cov)
-    w = equivalent(c, c2, modulo=q8)
+    w = _search(c, c2, q8)
     assert w is not None
     for (i, j) in cov.edges():
         lhs = w[i] @ c2.value(i, j)
@@ -787,7 +792,7 @@ def test_equivalent_none_for_nontrivial_holonomy():
     cov = circ
     c = CechCocycle(cov, "finite", {
         (0, 1): np.eye(2), (1, 2): np.eye(2), (0, 2): -np.eye(2)})
-    assert equivalent(c, _identity_cocycle(cov)) is None
+    assert _search(c, _identity_cocycle(cov), trivial_group(2)) is None
 
 
 def _q8_coboundary():
@@ -800,51 +805,21 @@ def _q8_coboundary():
 
 def test_equivalent_search_cap(monkeypatch):
     c, c2 = _q8_coboundary()
-    monkeypatch.setattr(basecech, "SEARCH_CAP", 3)
+    monkeypatch.setattr(glue, "SEARCH_CAP", 3)
     with pytest.raises(SearchCapExceeded):
-        equivalent(c, c2, modulo=quaternion_group())
-
-
-def _matrix_rule_cases():
-    """Matrix pairs, by name, for the one edge rule."""
-    circ = SimplicialComplex.from_maximal(3, [(0, 1), (1, 2), (0, 2)])
-    minus = CechCocycle(circ, "finite", {(0, 1): np.eye(2), (1, 2): np.eye(2), (0, 2): -np.eye(2)})
-    points = SimplicialComplex(3, [[0], [1], [2]])
-    return {
-        "q8-coboundary": _q8_coboundary(),
-        "holonomy-minus-one": (minus, _identity_cocycle(circ)),
-        "edgeless": (_identity_cocycle(points), _identity_cocycle(points)),
-    }
-
-
-@pytest.mark.parametrize("case", ["q8-coboundary", "holonomy-minus-one", "edgeless"])
-def test_matrix_search_without_modulo_is_modulo_the_trivial_group(case):
-    c, c2 = _matrix_rule_cases()[case]
-    got, want = equivalent(c, c2), equivalent(c, c2, modulo=trivial_group(c.degree()))
-    assert (got is None) == (want is None) == (case == "holonomy-minus-one")
-    if want is not None:
-        assert list(got) == list(want)
-        assert all(np.array_equal(got[v], want[v]) for v in want)
-
-
-def test_matrix_search_refuses_non_unitary_values():
-    # the trivial group's normalizer check runs on every value
-    cov = annulus(3)
-    c = CechCocycle(cov, "finite", dict.fromkeys(cov.edges(), 2.0 * np.eye(2)))
-    with pytest.raises(NotUnitary, match="normalizer candidate fails unitarity"):
-        equivalent(c, c)
+        _search(c, c2, quaternion_group())
 
 
 def test_equivalent_closure_overflow_is_search_cap(monkeypatch):
-    # no modulo: the trivial group, reducible at degree 2, so candidates
-    # come from the closure of the values, which is Q8 (order 8) and
-    # leaves a cap of 4
+    # the trivial group is reducible at degree 2, so candidates come from
+    # the closure of the values, which is Q8 (order 8) and leaves a cap
+    # of 4
     c, c2 = _q8_coboundary()
     with monkeypatch.context() as patched:
-        patched.setattr(basecech, "SEARCH_CAP", 4)
+        patched.setattr(glue, "SEARCH_CAP", 4)
         with pytest.raises(SearchCapExceeded):
-            equivalent(c, c2)
-    assert equivalent(c, c2) is not None
+            _search(c, c2, trivial_group(2))
+    assert _search(c, c2, trivial_group(2)) is not None
 
 
 def test_equivalent_closure_propagates_unrelated_errors(monkeypatch):
@@ -856,7 +831,7 @@ def test_equivalent_closure_propagates_unrelated_errors(monkeypatch):
     c, c2 = _q8_coboundary()
     monkeypatch.setattr(groups_module, "enumerate_finite", broken)
     with pytest.raises(RuntimeError, match="enumeration broke"):
-        equivalent(c, c2)
+        _search(c, c2, trivial_group(2))
 
 
 def test_class_search_cap_is_checked_before_any_svd(monkeypatch):
@@ -865,45 +840,29 @@ def test_class_search_cap_is_checked_before_any_svd(monkeypatch):
     c, c2 = _q8_coboundary()
     assert intertwiners(quaternion_group(), 1, 1).dim == 1
     monkeypatch.setattr(groups, "_CLASSES", {})
-    monkeypatch.setattr(basecech, "SEARCH_CAP", 35)
+    monkeypatch.setattr(glue, "SEARCH_CAP", 35)
 
     def no_svd(*args, **kwargs):
         raise AssertionError("an SVD ran")
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     with pytest.raises(SearchCapExceeded, match="36 generator image tuples exceed cap 35"):
-        equivalent(c, c2, modulo=quaternion_group())
+        _search(c, c2, quaternion_group())
     assert groups._CLASSES == {}
 
 
-@pytest.mark.parametrize("coeff", ["phase", "finite"])
+@pytest.mark.parametrize("coeff", ["finite"])
 def test_equivalent_budget_is_one_root_plus_the_propagated_vertices(coeff, monkeypatch):
-    # one root candidate on the single component: 1 + 5 units.  Phases
-    # have only 0; identity matrices close to the one element 1
-    cov = annulus(3)
-    c, one = (_coboundary(cov, {}), 0) if coeff == "phase" else (_identity_cocycle(cov), np.eye(2))
-    monkeypatch.setattr(basecech, "SEARCH_CAP", 6)
-    w = equivalent(c, c)
-    assert sorted(w) == list(range(6)) and all(np.array_equal(u, one) for u in w.values())
-    monkeypatch.setattr(basecech, "SEARCH_CAP", 5)
-    with pytest.raises(SearchCapExceeded):
-        equivalent(c, c)
-
-
-def test_equivalent_modulo_needs_c2_in_the_normalizer():
-    # the twist-free search is exact only when every value of c2 normalizes
-    # the quotient group; a generic rotation does not normalize Q8
+    # one root candidate on the single component: 1 + 5 units; identity
+    # matrices close to the one element 1
     cov = annulus(3)
     c = _identity_cocycle(cov)
-    vals = {e: np.eye(2) for e in cov.edges()}
-    vals[(0, 1)] = math.cos(0.3) * np.eye(2) + 1j * math.sin(0.3) * np.array([[0, 1], [1, 0]])
-    c2 = CechCocycle(cov, "finite", vals)
-    with pytest.raises(NotInNormalizer):
-        equivalent(c, c2, modulo=quaternion_group())
-    # the same rotation in c: rejected up front, before a closure of
-    # infinite order is enumerated up to the search cap
-    with pytest.raises(NotInNormalizer):
-        equivalent(c2, c, modulo=quaternion_group())
+    monkeypatch.setattr(glue, "SEARCH_CAP", 6)
+    w = _search(c, c, trivial_group(2))
+    assert sorted(w) == list(range(6)) and all(np.array_equal(u, np.eye(2)) for u in w.values())
+    monkeypatch.setattr(glue, "SEARCH_CAP", 5)
+    with pytest.raises(SearchCapExceeded):
+        _search(c, c, trivial_group(2))
 
 
 def test_equivalent_on_isolated_vertices_returns_identity_witnesses():
@@ -911,13 +870,21 @@ def test_equivalent_on_isolated_vertices_returns_identity_witnesses():
     points = SimplicialComplex(2, [[0], [1]])
     c = _identity_cocycle(points)
     assert c.degree() == 2 and c.values.shape == (0, 2, 2)
-    for modulo in (None, quaternion_group()):
-        w = equivalent(c, c, modulo=modulo)
+    for group in (trivial_group(2), quaternion_group()):
+        w = _search(c, c, group)
         assert list(w) == [0, 1]
         assert all(np.array_equal(u, np.eye(2)) for u in w.values())
     # with no degree given there is none to take
     with pytest.raises(MissingValue):
         CechCocycle(points, "finite", {}).degree()
+
+
+def test_matrix_values_of_another_degree_are_refused():
+    cov = octahedron()
+    eyes = dict.fromkeys(cov.edges(), np.eye(2))
+    assert CechCocycle(cov, "finite", eyes, degree=2).degree() == 2
+    with pytest.raises(ValueError, match="matrix values are 2 x 2, not of degree 3"):
+        CechCocycle(cov, "finite", eyes, degree=3)
 
 
 def _cech_engine_pairs(pairs=10, seed=7):
@@ -955,27 +922,22 @@ def _abelian_pairs():
     return pairs
 
 
-def _outcome(f, *args, **kw):
-    try:
-        return f(*args, **kw)
-    except SearchCapExceeded:
-        return SearchCapExceeded
-
-
 @pytest.mark.parametrize("k", range(14))
-def test_abelian_witnesses_match_the_propagation_oracle(k, monkeypatch):
+def test_abelian_witnesses_match_the_propagation_oracle(k):
     c, c2 = _abelian_pairs()[k]
     want = propagation_equivalent(c, c2)
     got = equivalent(c, c2)
     assert got == want
     if want is not None:
         assert [type(x) for x in got.values()] == [type(x) for x in want.values()]
-    # one root candidate: the budget runs out at the same caps
-    for cap in range(1, c.complex.vertices + 2):
-        with monkeypatch.context() as patched:
-            patched.setattr(basecech, "SEARCH_CAP", cap)
-            got = _outcome(equivalent, c, c2)
-        assert got == _outcome(propagation_equivalent, c, c2, search_cap=cap)
+
+
+def test_phase_rule_spends_no_search_units(monkeypatch):
+    # no candidates and no budget: with the matrix search's cap at 0
+    # every abelian pair keeps its verdict and witness
+    monkeypatch.setattr(glue, "SEARCH_CAP", 0)
+    for c, c2 in _abelian_pairs():
+        assert equivalent(c, c2) == propagation_equivalent(c, c2)
 
 
 def test_abelian_oracle_pairs_cover_both_verdicts():

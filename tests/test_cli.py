@@ -425,6 +425,21 @@ def test_chern_rejects_bad_matrix_documents(tmp_path, capsys, part):
     assert json.loads(err)["error"]["type"] == "InputParse"
 
 
+def test_transitions_of_another_degree_are_a_parse_error(tmp_path, capsys):
+    # 3 x 3 transitions over Q8, of degree 2
+    base = octahedron()
+    doc = GluingDatum(base, quaternion_group(), {e: np.eye(2) for e in base.edges()}).to_json()
+    for item in doc["cocycle"]["values"]:
+        item["value"] = matrix_to_json(np.eye(3))
+    path = _write(tmp_path, "degree3.json", doc)
+    code, out, err = _run(capsys, ["glue-dims", "--input", path, "--rmax", "1"])
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "InputParse"
+    assert error["message"] == "gluing datum %s is malformed: matrix values are 3 x 3, not of degree 2" % path
+
+
 @pytest.mark.parametrize(
     "repeat",
     [("edge", None), ("triangle", [0, 1, 4]), ("triangle", [4, 0, 1])],

@@ -23,6 +23,7 @@ from catbundle import (
     GroupSpec,
     NotACocycleModG,
     NotInNormalizer,
+    NotUnitary,
     RankDeficientVModule,
     SearchCapExceeded,
     SimplicialComplex,
@@ -32,7 +33,6 @@ from catbundle import (
     WrongKind,
     as_matrix,
     cyclic_diagonal_group,
-    equivalent,
     extract_twisted_special,
     full_unitary,
     glued_space,
@@ -53,7 +53,7 @@ from catbundle import (
     GluedArrow,
     trivial_group,
 )
-from catbundle import basecech, cli, glue, groups
+from catbundle import cli, glue, groups
 from catbundle.verify import su2_octa_datum
 from glue_oracle import (
     arrow_functor_checks,
@@ -102,6 +102,24 @@ def test_datum_rejects_non_normalizer_transition():
     edge = SimplicialComplex.from_maximal(2, [(0, 1)])
     with pytest.raises(NotInNormalizer):
         GluingDatum(edge, cyclic_diagonal_group(), {(0, 1): HAD})
+
+
+def test_datum_refuses_non_unitary_values():
+    # 2 * 1 preserves every group under conjugation, but is not unitary
+    cov = annulus(3)
+    with pytest.raises(NotUnitary, match="normalizer candidate fails unitarity"):
+        GluingDatum(cov, trivial_group(2), dict.fromkeys(cov.edges(), 2.0 * np.eye(2)))
+
+
+def test_datum_needs_values_in_the_normalizer():
+    # the twist-free witness search is exact only when every value
+    # normalizes the fibre group; a generic rotation does not normalize
+    # Q8, and as a search candidate its closure would be infinite
+    cov = annulus(3)
+    vals = {e: np.eye(2) for e in cov.edges()}
+    vals[(0, 1)] = math.cos(0.3) * np.eye(2) + 1j * math.sin(0.3) * np.array([[0, 1], [1, 0]])
+    with pytest.raises(NotInNormalizer):
+        GluingDatum(cov, quaternion_group(), vals)
 
 
 def test_datum_rejects_missing_transition():
@@ -1055,12 +1073,18 @@ WITNESS_CASES = {
 }
 
 
+def _search(d1, d2, group=None):
+    """The witness of ``glue._witness_search`` or None; no group is the
+    trivial group, as for the oracles."""
+    return glue._witness_search(d1.cocycle, d2.cocycle, group or trivial_group(d1.degree), None)[0]
+
+
 @pytest.mark.parametrize("modulo", [None, "q8"])
 @pytest.mark.parametrize("case", sorted(WITNESS_CASES))
 def test_witness_search_matches_backtracking_oracle(case, modulo):
     d1, d2 = WITNESS_CASES[case]()
     group = quaternion_group() if modulo else None
-    got = equivalent(d1.cocycle, d2.cocycle, modulo=group)
+    got = _search(d1, d2, group)
     want = backtracking_equivalent(d1.cocycle, d2.cocycle, modulo=group)
     assert (got is None) == (want is None)
     if want is not None:
@@ -1078,12 +1102,14 @@ def test_witness_search_matches_backtracking_oracle(case, modulo):
 
 def _search_outcome(search, d1, d2, modulo, cap):
     """One search spending at most ``cap`` units: SEARCH_CAP lowered for
-    ``equivalent``, the oracles' own ``search_cap`` argument."""
-    kw = {} if search is equivalent else {"search_cap": cap}
+    ``_search``, the oracles' own ``search_cap`` argument."""
     try:
         with pytest.MonkeyPatch.context() as patched:
-            patched.setattr(basecech, "SEARCH_CAP", cap)
-            w = search(d1.cocycle, d2.cocycle, modulo=modulo, **kw)
+            patched.setattr(glue, "SEARCH_CAP", cap)
+            if search is _search:
+                w = _search(d1, d2, modulo)
+            else:
+                w = search(d1.cocycle, d2.cocycle, modulo=modulo, search_cap=cap)
     except SearchCapExceeded:
         return "cap"
     return w if w is None else [w[v].tobytes() for v in range(d1.complex.vertices)]
@@ -1120,7 +1146,7 @@ def test_witness_search_caps_match_the_propagation_oracle(monkeypatch, case, mod
         assert len(normalizer_classes(group, size)) == count
     # the candidate set overflows below its size and fits at it
     for cap in (size - 1, size):
-        got = _search_outcome(equivalent, d1, d2, group, cap)
+        got = _search_outcome(_search, d1, d2, group, cap)
         assert got == _search_outcome(propagation_equivalent, d1, d2, group, cap)
     _memo_closure(monkeypatch)
     # the least cap that lets the search finish, by bisection (more units
@@ -1128,20 +1154,20 @@ def test_witness_search_caps_match_the_propagation_oracle(monkeypatch, case, mod
     lo, hi = 0, max(size, 6 * count)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if _search_outcome(equivalent, d1, d2, group, mid) == "cap" else (lo, mid)
+        lo, hi = (mid, hi) if _search_outcome(_search, d1, d2, group, mid) == "cap" else (lo, mid)
     first = hi
     # every cap from 1 up to it; with no witness (6 * count units) the caps
     # between 240 and the last dozen are skipped to bound the quadratic cost
     caps = sorted(set(range(1, min(first, 240) + 1)) | set(range(first - 12, first + 1)))
     for cap in caps:
-        got = _search_outcome(equivalent, d1, d2, group, cap)
+        got = _search_outcome(_search, d1, d2, group, cap)
         assert got == _search_outcome(propagation_equivalent, d1, d2, group, cap), cap
         assert (got == "cap") == (cap < first)
 
 
 def test_oracle_cases_cover_both_verdicts():
     verdicts = {
-        equivalent(d1.cocycle, d2.cocycle, modulo=quaternion_group()) is None
+        _search(d1, d2, quaternion_group()) is None
         for d1, d2 in (make() for make in WITNESS_CASES.values())
     }
     assert verdicts == {True, False}
@@ -1152,8 +1178,8 @@ def test_six_sector_hadamard_pair_has_a_witness_within_the_cap(monkeypatch):
     # candidates; the twist-free propagation finds the witness
     d1, d2 = _hadamard_pair(6)
     q8 = quaternion_group()
-    monkeypatch.setattr(basecech, "SEARCH_CAP", 2000)
-    w = equivalent(d1.cocycle, d2.cocycle, modulo=q8)
+    monkeypatch.setattr(glue, "SEARCH_CAP", 2000)
+    w = _search(d1, d2, q8)
     assert w is not None
     assert set(w) == set(range(12))
     for (i, j) in d1.complex.edges():
@@ -1189,7 +1215,7 @@ def test_class_search_finds_every_witness_the_closure_search_finds():
     for d1, d2 in _closure_pairs():
         closure = propagation_equivalent(d1.cocycle, d2.cocycle, modulo=d1.group, closure=True)
         if closure is not None:
-            assert equivalent(d1.cocycle, d2.cocycle, modulo=d1.group) is not None
+            assert _search(d1, d2, d1.group) is not None
             found += 1
     # the closure finds one on all 16 benchmark pairs and on every case but
     # q8-holonomy-trivial, whose Hadamard holonomy no gauge removes
@@ -1202,7 +1228,7 @@ def test_data_gauged_by_each_normalizer_class_classify_as_equivalent(a, tmp_path
     # representative r_a times a Q8 element times a rational phase
     d1 = _q8_gauged(octahedron(), 23)
     q8 = quaternion_group()
-    r = normalizer_classes(q8, basecech.SEARCH_CAP)[a]
+    r = normalizer_classes(q8, glue.SEARCH_CAP)[a]
     rng = random.Random(a)
     els = q8.elements()
     u = [r @ rng.choice(els) * np.exp(2j * math.pi * rng.randrange(24) / 24) for _ in range(6)]
@@ -1241,3 +1267,20 @@ def test_no_class_passes_names_the_component_and_each_class_edge():
     # a glued dimension that differs takes precedence: (0, 2) sees i^2
     rep = isomorphic(d1, d2, rmax=2)
     assert rep.distinguishing == {"invariant": "glued dimension at (0, 2)", "first": 2, "second": 1}
+
+
+def test_isomorphic_searches_once_for_the_witness_and_its_proof(monkeypatch):
+    # every binding of the search in the package is counted, so a search
+    # reached under any name is seen
+    calls = []
+    for name, mod in list(sys.modules.items()):
+        search = getattr(mod, "_witness_search", None) if name.startswith("catbundle") else None
+        if search is not None:
+            def counted(*args, search=search):
+                calls.append(args)
+                return search(*args)
+
+            monkeypatch.setattr(mod, "_witness_search", counted)
+    rep = isomorphic(_two_circles(np.eye(2)), _two_circles(1j * np.eye(2)), rmax=1)
+    assert rep.distinguishing["invariant"] == "no normalizer class passes"
+    assert len(calls) == 1

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from catbundle.basecech import COEFF_FINITE, SEARCH_CAP, CechCocycle, octahedron
+from catbundle.basecech import COEFF_FINITE, CechCocycle, octahedron
 from catbundle.errors import (
     CapExceeded,
     ConsistencyError,
@@ -15,7 +15,7 @@ from catbundle.errors import (
     WrongKind,
 )
 from catbundle import groups as groups_module
-from catbundle.glue import GluingDatum
+from catbundle.glue import SEARCH_CAP, GluingDatum
 from catbundle.groups import (
     DEFAULT_ENUMERATION_CAP,
     KIND_FINITE,
@@ -618,12 +618,14 @@ def test_datum_raises_what_the_loop_raised(early, late, kind):
     assert _outcome(GluingDatum, base, quaternion_group(), trans) == want
 
 
-def test_datum_of_the_wrong_degree_raises_what_the_loop_raised():
+def test_datum_of_the_wrong_degree_is_refused_by_its_cocycle():
+    # the loop would reach the first value and raise WrongKind for its
+    # shape; the datum's cocycle refuses the stack before any check
     base = octahedron()
     trans = {e: np.eye(3) for e in base.edges()}
-    want = _loop_outcome(base, quaternion_group(), trans)
-    assert want[0] is WrongKind
-    assert _outcome(GluingDatum, base, quaternion_group(), trans) == want
+    assert _loop_outcome(base, quaternion_group(), trans)[0] is WrongKind
+    with pytest.raises(ValueError, match="matrix values are 3 x 3, not of degree 2"):
+        GluingDatum(base, quaternion_group(), trans)
 
 
 def test_mod_group_residual_matches_the_loop():

@@ -146,6 +146,7 @@ def test_layers_import_only_downwards():
     # function-level imports count: cli makes all of these inside functions
     assert {"glue", "linalg", "verify"} <= imports["cli"]
     assert not imports["dralg"] & {"glue", "basecech", "verify", "cli"}
+    assert not imports["basecech"] & {"groups", "repcat", "glue", "dralg"}
     for layer in NUMERICAL:
         assert not imports[layer] & {"verify", "cli"}, layer
 

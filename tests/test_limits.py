@@ -14,17 +14,16 @@ from catbundle import (
     SearchCapExceeded,
     SizeCapExceeded,
     TruncationOverflow,
-    equivalent,
     fixed_points,
     glued_space,
     intertwiners,
-    octahedron,
     quaternion_group,
     special_unitary,
+    trivial_group,
 )
-from catbundle import basecech, dralg, glue, repcat
+from catbundle import dralg, glue, repcat
 from catbundle.verify import su2_octa_datum
-from test_basecech import _coboundary, _q8_coboundary
+from test_basecech import _q8_coboundary
 
 
 def _glued(call):
@@ -47,21 +46,17 @@ def _case(case):
         # su(2) at (2, 2) has 16 unknowns
         call = partial(intertwiners, special_unitary(2), 2, 2)
         return repcat, case, 15, call, SizeCapExceeded, "16 unknowns, cap is 15"
-    if case == "SEARCH_CAP-budget":
-        # one root candidate and five more vertices: six units
-        c = _coboundary(octahedron(), {})
-        call = partial(equivalent, c, c)
-        return basecech, "SEARCH_CAP", 5, call, SearchCapExceeded, "passed 5 assignments"
     if case == "SEARCH_CAP-classes":
         # modulo Q8 the candidates are its normalizer classes, solved over
         # 36 generator image tuples
         c, c2 = _q8_coboundary()
-        call = partial(equivalent, c, c2, modulo=quaternion_group())
-        return basecech, "SEARCH_CAP", 35, call, SearchCapExceeded, "36 generator image tuples exceed cap 35"
+        call = partial(glue._witness_search, c, c2, quaternion_group(), None)
+        return glue, "SEARCH_CAP", 35, call, SearchCapExceeded, "36 generator image tuples exceed cap 35"
     if case == "SEARCH_CAP-closure":
-        # the candidates are the closure of the values, Q8 of order 8
-        call = partial(equivalent, *_q8_coboundary())
-        return basecech, "SEARCH_CAP", 7, call, SearchCapExceeded, "closure did not stay finite"
+        # modulo the trivial group the candidates are the closure of the
+        # values, Q8 of order 8
+        call = partial(glue._witness_search, *_q8_coboundary(), trivial_group(2), None)
+        return glue, "SEARCH_CAP", 7, call, SearchCapExceeded, "closure did not stay finite"
     assert case == "DEFAULT_LEVEL"
     call = partial(fixed_points, quaternion_group(), 4, 1)
     return dralg, case, 3, call, TruncationOverflow, "truncation level"
@@ -73,7 +68,6 @@ CASES = [
     "GLUED_COEFF_CAP-residual",
     "GLUED_COEFF_CAP-hat-matrix",
     "INTERTWINER_UNKNOWN_CAP",
-    "SEARCH_CAP-budget",
     "SEARCH_CAP-classes",
     "SEARCH_CAP-closure",
     "DEFAULT_LEVEL",

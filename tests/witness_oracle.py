@@ -1,27 +1,29 @@
-"""Oracles for the witness search and the forest it walks.
+"""Oracles for the witness searches and the forest they walk.
 
-``equivalent`` tests each root candidate on the two cocycles' edge
-holonomies and carries only the accepted one along the spanning forest,
-with no twist, because a twist h in the fibre group can change no edge
-verdict.  Two searches make no use of the holonomies:
+``glue._witness_search`` tests each root candidate on the two matrix
+cocycles' edge holonomies and carries only the accepted one along the
+spanning forest, with no twist, because a twist h in the fibre group can
+change no edge verdict; ``basecech.equivalent`` reads phase data off the
+holonomies of their difference.  Two searches make no use of the
+holonomies:
 
 * ``propagation_equivalent`` carries every root candidate tried to every
   vertex of its component and then checks each edge of the component on
   the carried values, one edge at a time, for both coefficient kinds; it
-  spends the same budget, so both raise SearchCapExceeded at the same
-  caps and return bit-identical witnesses.  Phase classes are compared
-  with ``cochain_oracle.loop_circle_class``, so on phase data it reads
-  nothing but ``value`` and ``winding``.
+  spends the matrix search's budget, so both raise SearchCapExceeded at
+  the same caps, and returns bit-identical witnesses.  Phase classes are
+  compared with ``cochain_oracle.loop_circle_class``, so on phase data it
+  reads nothing but ``value`` and ``winding``.
 * ``backtracking_equivalent`` (matrix cocycles) also tries each twist h
   in turn at every tree edge (u_cv = c_(cv,pv) u_pv h c2_(cv,pv)*),
   checks the edges back to vertices already placed, and backtracks on
   failure, so a failing root candidate can cost up to |G|^depth.  On
   inputs where it finishes, it must return the same None-or-witness.
 
-Both take their root candidates as ``equivalent`` does (the normalizer
-classes of an irreducible quotient group, or a closure of the values),
-and read no ``modulo`` on matrix data as the trivial group of their
-degree, so their witnesses are bit-identical to its.
+Both take their root candidates as the matrix search does (the
+normalizer classes of an irreducible quotient group, or a closure of the
+values), and read no ``modulo`` on matrix data as the trivial group of
+their degree, so their witnesses are bit-identical to its.
 
 ``SimplicialComplex.spanning_forest`` and ``components`` are checked
 against the routes they replaced: a union-find over the edges for the
@@ -41,7 +43,7 @@ from catbundle import (
     normalizer_classes,
     trivial_group,
 )
-from catbundle.basecech import SEARCH_CAP
+from catbundle.glue import SEARCH_CAP
 from catbundle.errors import CapExceeded, WrongKind
 from catbundle.groups import _require_normalizing
 from cochain_oracle import loop_circle_class
@@ -92,7 +94,7 @@ def bfs_forest(complex_):
 
 
 def _root_candidates(c, c2, modulo, search_cap, tol, closure=False):
-    """The root candidates of a matrix search, in ``equivalent``'s order:
+    """The root candidates of a matrix search, in ``glue._witness_search``'s order:
     the normalizer classes of an irreducible ``modulo``, or the closure of
     the values and ``modulo``."""
     if not closure and intertwiners(modulo, 1, 1, tol).dim == 1:
@@ -113,7 +115,7 @@ def backtracking_equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None)
     the trivial group), or None.
 
     Matrix cocycles only.  Root candidates and their order are those of
-    ``equivalent``; every root candidate and every twist tried at a
+    ``glue._witness_search``; every root candidate and every twist tried at a
     vertex costs one unit of ``search_cap``.
     """
     tol = tol or Tolerance()
@@ -178,7 +180,8 @@ def propagation_equivalent(c, c2, modulo=None, search_cap=SEARCH_CAP, tol=None, 
     or None, for both coefficient kinds: each root candidate in turn is
     carried over its whole component and then checked edge by edge.
     Root candidates, their order, the budget and the errors are those of
-    ``equivalent``; with ``closure`` set, matrix data take theirs from the
+    ``glue._witness_search`` (matrix) and ``basecech.equivalent`` (phase,
+    one candidate); with ``closure`` set, matrix data take theirs from the
     closure of the values and ``modulo`` whatever the group: the closure
     search, which may miss a witness but must never find one where the
     search over the normalizer classes finds none."""
