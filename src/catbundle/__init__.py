@@ -67,8 +67,8 @@ _EXPORTS = {
         "IntertwinerSpace",
         "SpecialObjectData",
         "antisym_projector",
-        "averaged_fixed_space",
         "conjugate_pair",
+        "intertwiner_dim",
         "intertwiners",
         "permutation_unitary",
         "special_isometry",
@@ -118,8 +118,6 @@ _EXPORTS = {
         "dr_mul",
         "dr_norm",
         "dr_one",
-        "eq_rhoeps",
-        "fixed_points",
         "gauge_action",
         "inner_endo_nu",
         "special_element",

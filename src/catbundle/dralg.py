@@ -7,12 +7,12 @@ right until the powers meet, and (r, s, t) is identified with
 identity legs off whenever the matrix splits that way, so equality of
 elements is equality of reduced representatives.
 
-The ambient algebra is built from full matrix spaces; the gauge action
-of a fibre group carves out the intertwiner subalgebra as its fixed
-points, and unitaries normalizing the group act on that subalgebra.
-The circle acts by the power grade s - r.  The inner endomorphism along
-the antisymmetric isometry family commutes with both, which is the
-algebraic shadow of the determinant twist.
+The ambient algebra is built from full matrix spaces; the intertwiner
+subalgebra of a fibre group (``repcat.intertwiners``) is what its gauge
+action fixes, and unitaries normalizing the group act on that
+subalgebra.  The circle acts by the power grade s - r.  The inner
+endomorphism along the antisymmetric isometry family commutes with
+both, which is the algebraic shadow of the determinant twist.
 """
 
 from __future__ import annotations
@@ -27,18 +27,10 @@ from .groups import (
     KIND_FINITE,
     NormalizerElement,
     _unitarity_residual,
-    lie_basis,
     verify_normalizer,
 )
-from .linalg import Tolerance, as_matrix, hs_norm, nullspace, opnorm, power_action
-from .repcat import (
-    averaged_fixed_space,
-    intertwiners,
-    special_isometry,
-    symmetry_unitary,
-)
-
-DEFAULT_LEVEL = 4
+from .linalg import Tolerance, as_matrix, hs_norm, opnorm, power_action
+from .repcat import intertwiners, special_isometry
 
 
 @dataclass(frozen=True)
@@ -199,22 +191,6 @@ def gauge_action(g, a, tol=None):
     return DRElement(a.trunc, a.r, a.s, as_matrix(power_action(g, a.value, a.r, a.s)))
 
 
-def eq_rhoeps(a):
-    """Residual of the exchange identity 1 (x) t = th(s,1) (t (x) 1) th(1,r).
-
-    The identity holds for every d^s x d^r matrix t, intertwiner or not,
-    so the residual says nothing about ``a``: it only checks that
-    ``symmetry_unitary`` is the tensor flip that moves an identity leg
-    from the right of t to its left.
-    """
-    d = a.trunc.degree
-    ths = symmetry_unitary(a.s, 1, d)
-    thr = symmetry_unitary(1, a.r, d)
-    lhs = np.kron(np.eye(d), a.value)
-    rhs = ths @ _pad(a.value, 1, d) @ thr
-    return hs_norm(lhs - rhs)
-
-
 def special_element(trunc, tol=None):
     """The antisymmetric isometry as an algebra element of pure grade d."""
     d = trunc.degree
@@ -234,31 +210,6 @@ def inner_endo_nu(vbasis, a, tol=None):
         term = dr_mul(dr_mul(psi, a, tol), dr_adjoint(psi), tol)
         out = term if out is None else dr_add(out, term, tol=tol)
     return out
-
-
-def fixed_points(group, r, s, tol=None):
-    """Basis of the arrows fixed by the whole fibre gauge group.
-
-    Finite fibres go through the averaging projector; Lie fibres through
-    the kernel of the stacked derivations, one block per Lie algebra basis
-    element, on the whole d^s x d^r matrix space.  Both routes are
-    independent of the generator-constraint route behind the fibre
-    bases, so agreement between the two is a real consistency check.
-    """
-    tol = tol or Tolerance()
-    if max(r, s) > DEFAULT_LEVEL:
-        raise TruncationOverflow("powers exceed the truncation level")
-    if group.kind == KIND_FINITE:
-        return averaged_fixed_space(group, r, s, tol=tol)
-    d = group.degree
-    ds, dr = d ** s, d ** r
-    units = np.eye(ds * dr, dtype=complex).reshape(-1, ds, dr)
-    # column k of each block is the derivation applied to the k-th unit
-    ks = [
-        power_action(x, units, r, s, lie=True).reshape(ds * dr, ds * dr).T
-        for x in lie_basis(group).matrices
-    ]
-    return [as_matrix(x.reshape(ds, dr)) for x in nullspace(np.vstack(ks), tol)]
 
 
 @dataclass(frozen=True)

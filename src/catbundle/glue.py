@@ -72,7 +72,7 @@ from .linalg import (
     opnorm,
     power_action,
 )
-from .repcat import antisym_projector, intertwiners, symmetry_unitary
+from .repcat import antisym_projector, intertwiner_dim, intertwiners, symmetry_unitary
 
 GLUED_COEFF_CAP = 2_000_000
 """Entries a glued space may form.  With m = |(r, s) fibre basis|,
@@ -509,7 +509,8 @@ def _witness_search(c1, c2, group, tol):
     turn, each on all its edges at once, and the first to pass is carried
     to every vertex.  The root candidates, in order:
 
-    * an irreducible group G (``intertwiners(G, 1, 1).dim == 1``):
+    * an irreducible group G (``intertwiner_dim(G, 1, 1) == 1``, the
+      exact test <chi, chi> = 1):
       ``groups.normalizer_classes(G)``, one unitary per class of
       N(G)/(U(1).G).  Every element of N(G) is a class representative
       times an element of G times a scalar, so by the invariance above
@@ -532,7 +533,7 @@ def _witness_search(c1, c2, group, tol):
     the generator image tuples of the normalizer classes outnumber it.
     The witness is a dict of read-only matrices by vertex.
     """
-    complete = intertwiners(group, 1, 1, tol).dim == 1
+    complete = intertwiner_dim(group, 1, 1) == 1
     if complete:
         try:
             candidates = normalizer_classes(group, SEARCH_CAP, tol)

@@ -8,13 +8,14 @@ Lie algebra bases produced here.  Membership runs on stacks: ``contains``,
 ``group_distance`` and normalizer verification take a (..., d, d) stack,
 one matrix being its 2-d case.
 
-The normalizer N(G) of an irreducible finite group G in U(d) is known by
-its classes modulo U(1).G (``normalizer_classes``): by Schur's lemma the
-centralizer of G is the scalars, so a class is fixed by the automorphism
-u g u* it induces, and the classes are as many as the automorphisms of
-G that a unitary realizes (six for the quaternion group).  Each is found
-by solving u g_i = e_i u for a tuple of generator images, the tuples in
-batched SVDs.
+The normalizer N(G) of an irreducible finite group G in U(d) (one whose
+character has <chi, chi> = 1, ``repcat.intertwiner_dim(G, 1, 1) == 1``)
+is known by its classes modulo U(1).G (``normalizer_classes``): by
+Schur's lemma the centralizer of G is the scalars, so a class is fixed
+by the automorphism u g u* it induces, and the classes are as many as
+the automorphisms of G that a unitary realizes (six for the quaternion
+group).  Each is found by solving u g_i = e_i u for a tuple of generator
+images, the tuples in batched SVDs.
 """
 
 from __future__ import annotations
@@ -288,7 +289,7 @@ _SVD_ENTRIES = 2 ** 20
 
 def normalizer_classes(group, cap, tol=None):
     """One unitary per class of N(G)/(U(1).G) for an irreducible finite G
-    (``intertwiners(G, 1, 1).dim == 1``), the identity first.
+    (``repcat.intertwiner_dim(G, 1, 1) == 1``), the identity first.
 
     A normalizing u maps each generator g_i to an element e_i = u g_i u*
     of G with tr e_i = tr g_i.  Every such tuple of images is solved, no

@@ -26,7 +26,8 @@ finite generator) acts on the matrix unit e_i e_j* by the scalar
 weight(i) - weight(j), so its kernel is spanned by the matrix units of
 equal weight; only the other constraints are solved, on those units.
 
-The module also builds the permutation unitaries and symmetries of the
+``intertwiner_dim`` counts the same spaces exactly, never solving.  The
+module also builds the permutation unitaries and symmetries of the
 tensor powers, antisymmetric projectors, the top antisymmetric isometry
 with its sign identity, and the standard conjugate solutions.
 """
@@ -39,8 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SizeCapExceeded, WrongKind
-from .groups import KIND_FINITE, GroupSpec, lie_basis
+from .errors import SizeCapExceeded
+from .groups import KIND_FINITE, KIND_U, GroupSpec, lie_basis
 from .linalg import (
     Tolerance, _as_stack, _below_cutoff, as_matrix, canonical_basis, matrix_to_json, nullspace,
     power_action,
@@ -206,6 +207,54 @@ def intertwiners(group, r, s, tol=None):
     return space
 
 
+def _partitions(r, parts, largest=None):
+    """The partitions of r into at most ``parts`` parts, largest part first."""
+    if r == 0:
+        yield ()
+    elif parts:
+        for first in range(min(r, largest or r), 0, -1):
+            for rest in _partitions(r - first, parts - 1, first):
+                yield (first,) + rest
+
+
+def _hook_count(shape):
+    """f^shape, the number of standard Young tableaux, by the hook length formula."""
+    hooks = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            below = sum(1 for other in shape[i + 1:] if other > j)
+            hooks *= row - j + below
+    return math.factorial(sum(shape)) // hooks
+
+
+def intertwiner_dim(group, r, s):
+    """dim (H^r, H^s), an exact count: nothing is solved.
+
+    By Schur-Weyl duality H^r is the sum, over the partitions lambda of r
+    with at most d rows, of the irreducible V_lambda of U(d) with
+    multiplicity f^lambda (``_hook_count``).  Over u(d) the scalars i*I
+    act by i r, so the count is the sum of (f^lambda)^2 when r = s and 0
+    otherwise.  Over su(d) V_lambda and V_mu agree exactly when lambda
+    and mu differ by k columns of height d, so the count is 0 unless d
+    divides r - s, and otherwise the sum over lambda of min(r, s) of
+    f^lambda f^(lambda + (k^d)), with k = |r - s| / d.  A finite group
+    gives the character average (1/|G|) sum_g conj(tr g)^r (tr g)^s,
+    rounded to its integer.
+    """
+    d = group.degree
+    if group.kind == KIND_FINITE:
+        tr = np.trace(np.array(group.elements()), axis1=1, axis2=2)
+        return int(round(float(np.mean(tr.conj() ** r * tr ** s).real)))
+    if (r - s) % d or (group.kind == KIND_U and r != s):
+        return 0
+    k = abs(r - s) // d
+    total = 0
+    for shape in _partitions(min(r, s), d):
+        padded = shape + (0,) * (d - len(shape))
+        total += _hook_count(shape) * _hook_count(tuple(row + k for row in padded))
+    return total
+
+
 def permutation_unitary(perm, d):
     """Unitary on (C^d)^(x r) moving tensor slot k to slot perm[k].
 
@@ -266,29 +315,3 @@ def conjugate_pair(d):
     """Unnormalized standard conjugate solution R = sum_k e_k x e_k, the
     vectorized identity; the dimension value R* R equals d."""
     return ConjugatePair(degree=d, r=as_matrix(np.eye(d).reshape(d * d, 1)), dim_value=float(d))
-
-
-def averaged_fixed_space(group, r, s, tol=None):
-    """Image of the group averaging projector, as an orthonormal basis.
-
-    Independent route to the intertwiner space of a finite group: the
-    averaging superoperator is assembled and diagonalized instead of
-    stacking generator constraints.
-    """
-    if group.kind != KIND_FINITE:
-        raise WrongKind("averaging route needs a finite group")
-    tol = tol or Tolerance()
-    d = group.degree
-    ds, dr = d ** s, d ** r
-    n = ds * dr
-    units = np.eye(n, dtype=complex).reshape(n, ds, dr)
-    acc = np.zeros((n, n), dtype=complex)
-    elems = group.elements()
-    for g in elems:
-        # row k is the image of the k-th unit, so acc is the transposed superoperator
-        acc += power_action(g, units, r, s).reshape(n, n)
-    acc = acc.T / len(elems)
-    # acc is the HS-orthogonal projector onto the fixed space
-    w, v = np.linalg.eigh((acc + acc.conj().T) / 2.0)
-    vecs = [v[:, i] for i in range(n) if w[i] > 0.5]
-    return [as_matrix(x.reshape(ds, dr)) for x in canonical_basis(vecs)]

@@ -5,8 +5,11 @@ against an absolute tolerance, mirroring the package-level guarantees:
 special object identities, permutation-spanned intertwiner spaces,
 conjugate equations, the cohomology engine, classification over the
 octahedron, Chern class consistency, the norm sup formula, the
-truncated algebra identities, and stabilizer faithfulness.  The command
-line front end runs these; the test suite asserts them one by one.
+truncated algebra identities with the solved intertwiner spaces of
+three fibres certified (their dimensions equal ``repcat.intertwiner_dim``
+exactly and their bases are invariant, so they span the whole invariant
+space), and stabilizer faithfulness.  The command line front end runs
+these; the test suite asserts them one by one.
 
 Everything is seeded and deterministic.  The pseudo-random data (the
 cochains of the cohomology engine suite, the coefficients of the norm
@@ -35,23 +38,24 @@ from .dralg import (
     dr_mul,
     dr_norm,
     dr_one,
-    eq_rhoeps,
-    fixed_points,
     inner_endo_nu,
     special_element,
     stabilizer_test,
 )
 from .groups import (
+    KIND_FINITE,
     cyclic_diagonal_group,
     full_unitary,
+    lie_basis,
     normalizer_elements,
     quaternion_group,
     special_unitary,
 )
-from .linalg import projection_residual
+from .linalg import power_action
 from .repcat import (
     antisym_projector,
     conjugate_pair,
+    intertwiner_dim,
     intertwiners,
     special_isometry,
 )
@@ -141,42 +145,13 @@ def special_object_checks(tol=DEFAULT_CHECK_TOL):
     return out
 
 
-def _partitions(r, parts, largest=None):
-    """The partitions of r into at most ``parts`` parts, largest part first."""
-    largest = r if largest is None else largest
-    if r == 0:
-        yield ()
-        return
-    if parts == 0:
-        return
-    for first in range(min(r, largest), 0, -1):
-        for rest in _partitions(r - first, parts - 1, first):
-            yield (first,) + rest
-
-
-def _hook_count(shape):
-    """f^shape, the number of standard Young tableaux, by the hook length formula."""
-    hooks = 1
-    for i, row in enumerate(shape):
-        for j in range(row):
-            below = sum(1 for other in shape[i + 1:] if other > j)
-            hooks *= row - j + below
-    return math.factorial(sum(shape)) // hooks
-
-
-def _schur_weyl_dim(d, r):
-    """dim (H^r, H^r) for u(d): the sum of (f^lambda)^2 over the partitions
-    lambda of r with at most d rows (Schur-Weyl duality), an exact count."""
-    return sum(_hook_count(shape) ** 2 for shape in _partitions(r, d))
-
-
 def schur_weyl_checks():
     out = []
     for d in (2, 3):
         g = full_unitary(d)
         for r in range(4):
             got = intertwiners(g, r, r).dim
-            want = _schur_weyl_dim(d, r)
+            want = intertwiner_dim(g, r, r)
             out.append(_exact("schur-weyl d=%d r=%d dim %d" % (d, r, want), got == want))
         off = all(
             intertwiners(g, r, s).dim == 0
@@ -325,14 +300,6 @@ def dr_identity_checks(tol=DEFAULT_CHECK_TOL, level=3):
     out = []
     q8 = quaternion_group()
     trunc = DRTruncation(level=max(level, 4), group=q8)
-    worst = 0.0
-    for r in range(level + 1):
-        for s in range(level + 1):
-            for t in intertwiners(q8, r, s):
-                el = dr_element(trunc, r, s, t)
-                worst = max(worst, eq_rhoeps(el))
-    out.append(_c("exchange identity, all bases r,s <= %d" % level, worst, tol))
-
     a = dr_element(trunc, 1, 1, intertwiners(q8, 1, 1)[0])
     b = dr_element(trunc, 0, 2, intertwiners(q8, 0, 2)[0])
     prod = dr_mul(a, b)
@@ -365,30 +332,26 @@ def dr_identity_checks(tol=DEFAULT_CHECK_TOL, level=3):
            dr_norm(dr_add(nu_one, proj, scalar=-1.0)), tol)
     )
 
-    comparisons = (
-        (q8, "quaternion", 3),
-        (cyclic_diagonal_group(), "cyclic-4", 3),
-        (special_unitary(2), "su(2)", 4),
-    )
-    for group, label, rtop in comparisons:
-        ok = True
-        worst = 0.0
-        for r in range(rtop):
-            for s in range(rtop):
-                fp = fixed_points(group, r, s)
-                tw = intertwiners(group, r, s)
-                if len(fp) != tw.dim:
-                    ok = False
-                    continue
-                fvecs = [m.reshape(-1) for m in fp]
-                tvecs = [m.reshape(-1) for m in tw]
-                for v in fvecs:
-                    worst = max(worst, projection_residual(v, tvecs))
-                for v in tvecs:
-                    worst = max(worst, projection_residual(v, fvecs))
-        out.append(_exact("fixed points dimension match (%s)" % label, ok))
-        out.append(_c("fixed points span match (%s)" % label, worst, tol))
+    # an orthonormal basis of invariant arrows whose size is the exact
+    # count spans the whole invariant space
+    fibres = ((q8, "quaternion", 2), (cyclic_diagonal_group(), "cyclic-4", 2), (special_unitary(2), "su(2)", 3))
+    for group, label, top in fibres:
+        spaces = [intertwiners(group, r, s) for r in range(top + 1) for s in range(top + 1)]
+        counted = all(sp.dim == intertwiner_dim(group, sp.r, sp.s) for sp in spaces)
+        out.append(_exact("intertwiner dims equal the exact count (%s)" % label, counted))
+        worst = max(_invariance_residual(sp) for sp in spaces)
+        out.append(_c("intertwiner bases are invariant (%s)" % label, worst, tol))
     return out
+
+
+def _invariance_residual(space):
+    """The largest ||g t - t|| over the finite generators g, or ||L(A) t||
+    over the Lie basis elements A, of the basis arrows t of a space."""
+    group = space.group
+    lie = group.kind != KIND_FINITE
+    gens = np.array(lie_basis(group).matrices if lie else group.generators)
+    moved = power_action(gens[:, None], space.stack, space.r, space.s, lie)
+    return float(np.linalg.norm(moved if lie else moved - space.stack, axis=(-2, -1)).max(initial=0.0))
 
 
 def stabilizer_checks():

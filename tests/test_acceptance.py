@@ -6,7 +6,12 @@ per criterion.  Every test reuses the built-in check suites that the
 apart.
 """
 
+import numpy as np
+import pytest
+
 from catbundle import verify
+from catbundle.groups import quaternion_group, special_unitary
+from catbundle.repcat import IntertwinerSpace
 
 
 def _assert_all(checks, tol=None):
@@ -100,12 +105,53 @@ def test_criterion_8_dr_identities():
     checks = verify.dr_identity_checks(tol=1e-9, level=3)
     _assert_all(checks)
     by_name = {c.name: c for c in checks}
-    assert by_name["exchange identity, all bases r,s <= 3"].residual <= 1e-9
     assert by_name["circle grading exact"].passed
     assert by_name["inner endomorphism commutes with the circle"].residual <= 1e-9
-    for label in ("quaternion", "cyclic-4"):
-        assert by_name["fixed points dimension match (%s)" % label].passed
-        assert by_name["fixed points span match (%s)" % label].residual <= 1e-9
+    for label in ("quaternion", "cyclic-4", "su(2)"):
+        assert by_name["intertwiner dims equal the exact count (%s)" % label].passed
+        assert by_name["intertwiner bases are invariant (%s)" % label].residual <= 1e-9
+
+
+PLANTED = {"quaternion": quaternion_group, "su(2)": lambda: special_unitary(2)}
+
+
+def _planted_rows(monkeypatch, label, plant):
+    """The two space rows of ``label`` with its (2, 2) basis stack replaced
+    by ``plant`` of a copy: (count row, invariance row)."""
+    solve, fibre = verify.intertwiners, PLANTED[label]().to_json()
+
+    def planted(group, r, s, tol=None):
+        sp = solve(group, r, s, tol)
+        if (r, s) != (2, 2) or group.to_json() != fibre:
+            return sp
+        stack = plant(sp.stack.copy())
+        return IntertwinerSpace(group=group, r=r, s=s, basis=tuple(stack), stack=stack)
+
+    monkeypatch.setattr(verify, "intertwiners", planted)
+    rows = {c.name: c for c in verify.dr_identity_checks(tol=1e-9, level=3)}
+    return (rows["intertwiner dims equal the exact count (%s)" % label],
+            rows["intertwiner bases are invariant (%s)" % label])
+
+
+@pytest.mark.parametrize("label", sorted(PLANTED))
+def test_a_dropped_basis_vector_fails_the_count_row(monkeypatch, label):
+    count, invariant = _planted_rows(monkeypatch, label, lambda stack: stack[:-1])
+    # the vectors left are still invariant: only the count sees the gap
+    assert not count.passed and invariant.passed
+
+
+@pytest.mark.parametrize("label", sorted(PLANTED))
+def test_a_random_basis_vector_fails_the_invariance_row(monkeypatch, label):
+    rng = np.random.default_rng(14)
+
+    def replace_last(stack):
+        v = rng.standard_normal(stack.shape[1:]) + 1j * rng.standard_normal(stack.shape[1:])
+        stack[-1] = v / np.linalg.norm(v)
+        return stack
+
+    count, invariant = _planted_rows(monkeypatch, label, replace_last)
+    # the size is right: only the invariance row sees the stray vector
+    assert count.passed and invariant.residual > 1e-9 and not invariant.passed
 
 
 def test_criterion_9_stabilizer_faithfulness():

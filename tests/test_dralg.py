@@ -17,8 +17,6 @@ from catbundle import (
     dr_mul,
     dr_norm,
     dr_one,
-    eq_rhoeps,
-    fixed_points,
     gauge_action,
     inner_endo_nu,
     intertwiners,
@@ -29,7 +27,6 @@ from catbundle import (
     stabilizer_test,
     verify_normalizer,
 )
-from catbundle import dralg
 from catbundle.dralg import _first_disagreement
 from catbundle.linalg import Tolerance, power_action
 
@@ -172,18 +169,6 @@ def test_elements_of_different_truncations_do_not_mix():
 
 
 # ---------------------------------------------------------------------------
-# exchange identity
-
-
-def test_exchange_identity_holds_for_generic_elements():
-    rng = np.random.default_rng(9)
-    tr = _trunc()
-    for (r, s) in [(0, 1), (1, 1), (1, 2), (2, 2)]:
-        el = dr_element(tr, r, s, _rand(rng, s, r))
-        assert eq_rhoeps(el) <= 1e-9 * max(1.0, dr_norm(el))
-
-
-# ---------------------------------------------------------------------------
 # circle and gauge actions
 
 
@@ -239,15 +224,6 @@ def test_gauge_action_fixes_intertwiner_elements():
             el = dr_element(tr, r, s, t)
             for g in Q8.elements():
                 assert dr_close(gauge_action(g, el), el)
-
-
-def test_fixed_points_match_intertwiner_dimensions(monkeypatch):
-    assert len(fixed_points(Q8, 2, 2)) == len(intertwiners(Q8, 2, 2))
-    su2 = special_unitary(2)
-    assert len(fixed_points(su2, 2, 2)) == len(intertwiners(su2, 2, 2))
-    monkeypatch.setattr(dralg, "DEFAULT_LEVEL", 3)
-    with pytest.raises(TruncationOverflow):
-        fixed_points(Q8, 4, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -33,14 +33,14 @@ PUBLIC = [
     'RankDeficientVModule', 'SearchCapExceeded', 'SimplicialComplex', 'SizeCapExceeded',
     'SpecialObjectData', 'StabilizerVerdict', 'Tolerance', 'ToolkitError', 'TruncationOverflow',
     'TwistedSpecialExtraction', 'WrongKind', 'antisym_projector', 'as_matrix',
-    'averaged_fixed_space', 'basecech', 'builtin_checks', 'canonical_basis',
+    'basecech', 'builtin_checks', 'canonical_basis',
     'circle_action', 'circle_class', 'conjugate_pair', 'cyclic_diagonal_group',
     'det_pushforward', 'dr_add', 'dr_adjoint', 'dr_element', 'dr_mul', 'dr_norm',
-    'dr_one', 'dralg', 'enumerate_finite', 'eq_rhoeps', 'equivalent', 'errors',
-    'extract_twisted_special', 'fixed_points', 'full_unitary', 'gauge_action',
+    'dr_one', 'dralg', 'enumerate_finite', 'equivalent', 'errors',
+    'extract_twisted_special', 'full_unitary', 'gauge_action',
     'glue', 'glued_space', 'glued_symmetry', 'groups',
-    'h2_integral', 'hs_inner', 'hs_norm', 'inner_endo_nu', 'intertwiners', 'is_cocycle',
-    'isomorphic', 'lie_basis', 'linalg', 'matrix_from_json', 'matrix_to_json', 'norm_function',
+    'h2_integral', 'hs_inner', 'hs_norm', 'inner_endo_nu', 'intertwiner_dim', 'intertwiners',
+    'is_cocycle', 'isomorphic', 'lie_basis', 'linalg', 'matrix_from_json', 'matrix_to_json', 'norm_function',
     'normalized_lift', 'normalizer_classes', 'nullspace', 'octahedron', 'opnorm', 'permutation_unitary',
     'power_action', 'projection_residual', 'quaternion_group', 'repcat', 'replay',
     'scalar_datum', 'smith_normal_form', 'snap_phase', 'snap_phases', 'special_element',

@@ -13,15 +13,13 @@ import pytest
 from catbundle import (
     SearchCapExceeded,
     SizeCapExceeded,
-    TruncationOverflow,
-    fixed_points,
     glued_space,
     intertwiners,
     quaternion_group,
     special_unitary,
     trivial_group,
 )
-from catbundle import dralg, glue, repcat
+from catbundle import glue, repcat
 from catbundle.verify import su2_octa_datum
 from test_basecech import _q8_coboundary
 
@@ -52,14 +50,11 @@ def _case(case):
         c, c2 = _q8_coboundary()
         call = partial(glue._witness_search, c, c2, quaternion_group(), None)
         return glue, "SEARCH_CAP", 35, call, SearchCapExceeded, "36 generator image tuples exceed cap 35"
-    if case == "SEARCH_CAP-closure":
-        # modulo the trivial group the candidates are the closure of the
-        # values, Q8 of order 8
-        call = partial(glue._witness_search, *_q8_coboundary(), trivial_group(2), None)
-        return glue, "SEARCH_CAP", 7, call, SearchCapExceeded, "closure did not stay finite"
-    assert case == "DEFAULT_LEVEL"
-    call = partial(fixed_points, quaternion_group(), 4, 1)
-    return dralg, case, 3, call, TruncationOverflow, "truncation level"
+    assert case == "SEARCH_CAP-closure"
+    # modulo the trivial group the candidates are the closure of the
+    # values, Q8 of order 8
+    call = partial(glue._witness_search, *_q8_coboundary(), trivial_group(2), None)
+    return glue, "SEARCH_CAP", 7, call, SearchCapExceeded, "closure did not stay finite"
 
 
 CASES = [
@@ -70,7 +65,6 @@ CASES = [
     "INTERTWINER_UNKNOWN_CAP",
     "SEARCH_CAP-classes",
     "SEARCH_CAP-closure",
-    "DEFAULT_LEVEL",
 ]
 
 

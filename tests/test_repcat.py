@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from catbundle import repcat
-from catbundle.dralg import DRTruncation, dr_element, fixed_points
+from catbundle.dralg import DRTruncation, dr_element
 from catbundle.errors import SizeCapExceeded
 from catbundle.groups import (
     KIND_FINITE,
@@ -16,20 +16,20 @@ from catbundle.groups import (
     lie_basis,
     quaternion_group,
     special_unitary,
+    trivial_group,
     verify_normalizer,
 )
 from catbundle.linalg import as_matrix, hs_inner, nullspace, power_action, projection_residual
 from catbundle.repcat import (
     _root_generator,
     antisym_projector,
-    averaged_fixed_space,
     conjugate_pair,
+    intertwiner_dim,
     intertwiners,
     permutation_unitary,
     special_isometry,
     symmetry_unitary,
 )
-from catbundle.verify import _schur_weyl_dim
 from kronecker import derived_power, tensor_power
 
 # multiplicity tables computed by character arithmetic (finite groups)
@@ -70,11 +70,22 @@ def test_full_unitary_dims_match_permutation_span(d):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_schur_weyl_count_matches_permutation_span(d):
+    g = full_unitary(d)
     for r in range(5):
-        assert _schur_weyl_dim(d, r) == perm_span_dim(d, r), r
+        assert intertwiner_dim(g, r, r) == perm_span_dim(d, r), r
     # with at least r rows every partition counts: the sum of (f^lambda)^2 is r!
     for r in range(d + 1):
-        assert _schur_weyl_dim(d, r) == math.factorial(r)
+        assert intertwiner_dim(g, r, r) == math.factorial(r)
+
+
+def test_su2_count_is_a_catalan_number():
+    # su(2) is self-dual, so (H^r, H^s) is the invariant space of H^(r + s):
+    # the Catalan number C_n when r + s = 2n, and 0 otherwise
+    for r in range(11):
+        for s in range(11):
+            n, odd = divmod(r + s, 2)
+            want = 0 if odd else math.comb(2 * n, n) // (n + 1)
+            assert intertwiner_dim(special_unitary(2), r, s) == want, (r, s)
 
 
 def test_full_unitary_two_leg_space_is_span_of_identity_and_swap():
@@ -114,19 +125,31 @@ def test_intertwiner_basis_is_orthonormal_and_invariant():
             assert np.linalg.norm(moved - t) <= 1e-9
 
 
+def averaging_projector(group, r, s):
+    """The group average of the action on (H^r, H^s), the HS-orthogonal
+    projector onto the invariant arrows of a finite group: assembled from
+    every element instead of solved from the generator constraints."""
+    d = group.degree
+    n = d ** (r + s)
+    units = np.eye(n, dtype=complex).reshape(n, d ** s, d ** r)
+    # row k is the image of the k-th unit, so the sum is the transposed average
+    moved = sum(power_action(g, units, r, s) for g in group.elements())
+    return moved.reshape(n, n).T / group.order()
+
+
+def assert_matches_averaging(group, r, s):
+    n = group.degree ** (r + s)
+    sp = intertwiners(group, r, s)
+    want = averaging_projector(group, r, s)
+    assert sp.dim == int(round(np.trace(want).real)), (r, s)
+    assert np.linalg.norm(basis_projector(sp, n) - want) <= 1e-9, (r, s)
+
+
 def test_averaging_route_agrees_with_constraint_route():
     for g in (quaternion_group(), cyclic_diagonal_group()):
         for r in range(3):
             for s in range(3):
-                avg = averaged_fixed_space(g, r, s)
-                con = intertwiners(g, r, s)
-                assert len(avg) == con.dim
-                av = [m.reshape(-1) for m in avg]
-                cv = [m.reshape(-1) for m in con]
-                for v in av:
-                    assert projection_residual(v, cv) <= 1e-9
-                for v in cv:
-                    assert projection_residual(v, av) <= 1e-9
+                assert_matches_averaging(g, r, s)
 
 
 def test_permutation_unitary_composition_convention():
@@ -192,6 +215,18 @@ def test_symmetry_unitary_flips_blocks():
     th = symmetry_unitary(2, 1, d)
     assert np.linalg.norm(th @ np.kron(v, w) - np.kron(w, v)) <= 1e-10
     assert np.array_equal(symmetry_unitary(0, 2, d), np.eye(4))
+
+
+def test_symmetry_exchange_identity_on_generic_arrows():
+    # 1 (x) t = th(s, 1) (t (x) 1) th(1, r) for every d^s x d^r matrix t,
+    # intertwiner or not: the flips move an identity leg from right to left
+    d = 2
+    rng = np.random.default_rng(9)
+    for (r, s) in [(0, 1), (1, 1), (1, 2), (2, 2)]:
+        t = rng.standard_normal((d ** s, d ** r)) + 1j * rng.standard_normal((d ** s, d ** r))
+        lhs = np.kron(np.eye(d), t)
+        rhs = symmetry_unitary(s, 1, d) @ np.kron(t, np.eye(d)) @ symmetry_unitary(1, r, d)
+        assert np.linalg.norm(lhs - rhs) <= 1e-9 * max(1.0, np.linalg.norm(t, 2))
 
 
 def test_symmetry_naturality():
@@ -376,6 +411,29 @@ def test_weight_space_solve_matches_dense_route(name):
             assert np.linalg.norm(basis_projector(sp, n) - want) <= 1e-9, (r, s)
 
 
+# the grid of the exact count against the solve, d^(r + s) <= 729 for r, s <= 3
+COUNT_GROUPS = dict(
+    ORACLE_GROUPS,
+    u1=lambda: full_unitary(1),
+    su1=lambda: special_unitary(1),
+    trivial2=lambda: trivial_group(2),
+)
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_GROUPS))
+def test_intertwiner_dim_matches_the_solve(name):
+    g = COUNT_GROUPS[name]()
+    if g.kind == KIND_FINITE:
+        traces = np.trace(np.array(g.elements()), axis1=1, axis2=2)
+    for r in range(4):
+        for s in range(4):
+            want = intertwiners(g, r, s).dim
+            assert intertwiner_dim(g, r, s) == want, (r, s)
+            if g.kind == KIND_FINITE:
+                # the character average is an integer before it is rounded
+                assert abs(np.mean(traces.conj() ** r * traces ** s) - want) <= 1e-9, (r, s)
+
+
 def _is_diagonal(x):
     return not np.any(x - np.diag(np.diagonal(x)))
 
@@ -458,25 +516,10 @@ def test_root_generator_is_one_block_in_the_lie_algebra(monkeypatch):
     assert shapes == [(240, 93)]
 
 
-@pytest.mark.parametrize("maker", [full_unitary, special_unitary])
-def test_degree_three_top_space_matches_fixed_points(maker):
-    g = maker(3)
-    sp = intertwiners(g, 3, 3)
-    assert sp.dim == perm_span_dim(3, 3) == 6
-    fp = fixed_points(g, 3, 3)
-    assert len(fp) == sp.dim
-    assert np.linalg.norm(basis_projector(sp, 729) - basis_projector(fp, 729)) <= 1e-9
-
-
 def test_group_without_diagonal_generator_matches_averaging():
-    g = swap_group()
     for r in range(4):
         for s in range(4):
-            n = 2 ** (r + s)
-            sp = intertwiners(g, r, s)
-            avg = averaged_fixed_space(g, r, s)
-            assert sp.dim == len(avg)
-            assert np.linalg.norm(basis_projector(sp, n) - basis_projector(avg, n)) <= 1e-9
+            assert_matches_averaging(swap_group(), r, s)
 
 
 def test_size_cap_counts_all_unknowns(monkeypatch):
