@@ -43,7 +43,6 @@ _EXPORTS = {
         "nullspace",
         "opnorm",
         "power_action",
-        "projection_residual",
     ),
     "groups": (
         "KIND_FINITE",

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -264,5 +265,16 @@ def main(argv=None):
     return 0 if all(c["pass"] for c in report["checks"]) else 1
 
 
+def run(argv=None):
+    """The console entry: ``main``, then end the process once stdout and
+    stderr are flushed, without interpreter teardown (``--out`` is closed
+    by then).  An exception from ``main`` or a flush propagates, so the
+    interpreter exits as usual, with its traceback."""
+    code = main(argv)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

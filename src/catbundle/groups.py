@@ -44,6 +44,9 @@ _KINDS = (KIND_FINITE, KIND_SU, KIND_U)
 
 DEFAULT_ENUMERATION_CAP = 4096
 
+# enumerated elements by (kind, degree, generator bytes)
+_ELEMENTS = {}
+
 
 def _unitarity_residual(a):
     """||a* a - 1|| per matrix of a (..., d, d) stack; a float for one matrix."""
@@ -90,14 +93,22 @@ class GroupSpec:
         self.degree = degree
         self.generators = gens
         self.enumeration_cap = int(enumeration_cap)
-        self._elements = None
+        # the group's value: the key of the memos of its elements, its
+        # intertwiner spaces and its normalizer classes
+        self._value = (kind, degree, b"".join(g.tobytes() for g in gens))
 
     def elements(self):
+        """The elements of a finite group, enumerated once per group value
+        (kind, degree, generators); a cap below a memoized order raises
+        CapExceeded, as the enumeration does."""
         if self.kind != KIND_FINITE:
             raise WrongKind("only finite groups enumerate; kind is %r" % (self.kind,))
-        if self._elements is None:
-            self._elements = enumerate_finite(self)
-        return self._elements
+        elems = _ELEMENTS.get(self._value)
+        if elems is None:
+            elems = _ELEMENTS[self._value] = enumerate_finite(self)
+        elif len(elems) > self.enumeration_cap:
+            raise CapExceeded("group closure exceeds cap %d elements" % self.enumeration_cap)
+        return elems
 
     def order(self):
         return len(self.elements())
@@ -200,7 +211,7 @@ def enumerate_finite(group):
             index[key] = len(elems)
             elems.append(p)
             queue.append(p)
-    return [as_matrix(e) for e in elems]
+    return tuple(as_matrix(e) for e in elems)
 
 
 def lie_basis(group):
@@ -313,7 +324,7 @@ def normalizer_classes(group, cap, tol=None):
     if group.kind != KIND_FINITE:
         raise WrongKind("normalizer classes need a finite group, got %r" % (group.kind,))
     d = group.degree
-    key = (group.kind, d, b"".join(g.tobytes() for g in group.generators), tol.tau)
+    key = group._value + (tol.tau,)
     hit = _CLASSES.get(key)
     if hit is None:
         elems = np.array(group.elements())

@@ -257,12 +257,3 @@ def _below_cutoff(sigma, tol):
     a (..., k) array is scaled by its own largest value."""
     return sigma <= tol.tau * np.maximum(1.0, np.max(sigma, axis=-1, keepdims=True, initial=0.0))
 
-
-def projection_residual(vec, basis_vectors):
-    """Distance from ``vec`` to the span of orthonormal ``basis_vectors``."""
-    v = np.ravel(vec)
-    rem = v
-    for b in basis_vectors:
-        bb = np.ravel(b)
-        rem = rem - np.vdot(bb, v) * bb
-    return float(np.linalg.norm(rem))

@@ -166,7 +166,7 @@ def intertwiners(group, r, s, tol=None):
         raise SizeCapExceeded(
             "intertwiner problem has %d unknowns, cap is %d" % (n, INTERTWINER_UNKNOWN_CAP)
         )
-    key = (group.kind, d, b"".join(g.tobytes() for g in group.generators), r, s, tol.tau)
+    key = group._value + (r, s, tol.tau)
     hit = _SPACES.get(key)
     if hit is not None:
         return hit

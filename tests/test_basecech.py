@@ -829,6 +829,8 @@ def test_equivalent_closure_propagates_unrelated_errors(monkeypatch):
         raise RuntimeError("enumeration broke")
 
     c, c2 = _q8_coboundary()
+    # an empty memo, so the closure is enumerated here
+    monkeypatch.setattr(groups_module, "_ELEMENTS", {})
     monkeypatch.setattr(groups_module, "enumerate_finite", broken)
     with pytest.raises(RuntimeError, match="enumeration broke"):
         _search(c, c2, trivial_group(2))

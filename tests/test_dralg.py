@@ -323,7 +323,7 @@ def test_stabilizer_witness_matches_the_loop():
         np.exp(1j * np.pi / 4) * np.eye(2),
     ]
     seen = set()
-    for u in els[:3] + [els[1] @ x for x in extra]:
+    for u in [*els[:3], *(els[1] @ x for x in extra)]:
         for v in els[:2]:
             verdict = stabilizer_test(u, v, Q8, level=3)
             assert verdict.witness == _loop_witness(u, v, Q8, 3, tol)

@@ -180,6 +180,29 @@ def test_group_elements_are_read_only():
     assert all(np.array_equal(e, want) for e, want in zip(q8.elements(), before))
 
 
+def test_elements_are_enumerated_once_per_group_value(monkeypatch):
+    # two loads of one Q8 document build two GroupSpecs of one value
+    doc = _q8_gauged(octahedron(), 0).to_json()
+    real, calls = groups_module.enumerate_finite, []
+
+    def counted(group):
+        calls.append(group.enumeration_cap)
+        return real(group)
+
+    monkeypatch.setattr(groups_module, "_ELEMENTS", {})
+    monkeypatch.setattr(groups_module, "enumerate_finite", counted)
+    d1, d2 = GluingDatum.from_json(doc), GluingDatum.from_json(doc)
+    assert d1.group is not d2.group
+    assert d1.group.elements() is d2.group.elements()
+    assert calls == [DEFAULT_ENUMERATION_CAP]
+    # a copy capped below the memoized order still overflows
+    capped = GroupSpec(KIND_FINITE, 2, d1.group.generators, enumeration_cap=7)
+    with pytest.raises(CapExceeded, match="cap 7"):
+        capped.elements()
+    assert len(GroupSpec(KIND_FINITE, 2, d1.group.generators, enumeration_cap=8).elements()) == 8
+    assert len(calls) == 1
+
+
 def test_arrays_passed_in_stay_writable():
     gi = np.diag([1j, -1j])
     g = GroupSpec(KIND_FINITE, 2, [gi])

@@ -16,9 +16,10 @@ from fractions import Fraction
 import pytest
 
 import catbundle
-from catbundle import octahedron, quaternion_group, scalar_datum
+from catbundle import octahedron, quaternion_group, scalar_datum, special_unitary
 from catbundle.cli import main
 from catbundle.verify import su2_octa_datum
+from octahedra import subdivided_octahedron
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -42,7 +43,7 @@ PUBLIC = [
     'h2_integral', 'hs_inner', 'hs_norm', 'inner_endo_nu', 'intertwiner_dim', 'intertwiners',
     'is_cocycle', 'isomorphic', 'lie_basis', 'linalg', 'matrix_from_json', 'matrix_to_json', 'norm_function',
     'normalized_lift', 'normalizer_classes', 'nullspace', 'octahedron', 'opnorm', 'permutation_unitary',
-    'power_action', 'projection_residual', 'quaternion_group', 'repcat', 'replay',
+    'power_action', 'quaternion_group', 'repcat', 'replay',
     'scalar_datum', 'smith_normal_form', 'snap_phase', 'snap_phases', 'special_element',
     'special_isometry', 'special_unitary', 'stabilizer_test', 'symmetry_unitary',
     'trivial_group', 'verify', 'verify_normalizer',
@@ -52,13 +53,23 @@ LAYERS = ("basecech", "dralg", "errors", "glue", "groups", "linalg", "repcat", "
 NUMERICAL = ("basecech", "dralg", "glue", "groups", "linalg", "repcat")
 
 
+def _child_env(buffered=True):
+    """The environment of a child Python: the package on its path, and
+    stdout block-buffered, as it is by default on a pipe or a file, or
+    unbuffered."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 def _child(*argv):
     """Run a child Python with the package on its path."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     return subprocess.run(
         [sys.executable] + list(argv),
         cwd=ROOT,
-        env=env,
+        env=_child_env(),
         capture_output=True,
         timeout=120,
     )
@@ -210,3 +221,89 @@ def test_fresh_process_matches_in_process(commands, command, capsys):
     assert proc.returncode == code
     assert proc.stdout == out.encode("utf-8")
     assert json.loads(out)["command"] == command
+
+
+# ---------------------------------------------------------------------------
+# the console entry, which ends the process once its output is flushed
+
+# the entry as it was before ``run``: main's code through sys.exit, after
+# interpreter teardown
+EXIT_AFTER_TEARDOWN = "import sys; from catbundle.cli import main; sys.exit(main())"
+
+
+def _octahedron_146(tmp_path):
+    """A class-0 su(2) datum over the 146-vertex octahedron: its chern
+    report is larger than a pipe buffer."""
+    base = subdivided_octahedron(2)
+    return _write(tmp_path, "d146.json", scalar_datum(base, special_unitary(2), {e: Fraction(0) for e in base.edges()}))
+
+
+@pytest.mark.parametrize("case, want", [("fails", 1), ("unusable", 2), ("large", 0)])
+def test_fresh_process_run_matches_in_process(tmp_path, case, want, capsys):
+    if case == "large":
+        argv = ["chern", "--input", _octahedron_146(tmp_path)]
+    else:
+        argv = {"fails": ["verify", "--tolerance", "1e-15"], "unusable": ["chern", "--input", "/no/such/file.json"]}[case]
+    proc = _child("-m", "catbundle.cli", *argv)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == want
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode("utf-8"), err.encode("utf-8"))
+    # an unusable input writes its error to stderr and no report
+    assert (out == "") == (case == "unusable")
+    if case == "large":
+        assert len(proc.stdout) > 2 ** 16
+
+
+def test_fresh_process_run_writes_out_and_nothing_to_stdout(commands, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    proc = _child("-m", "catbundle.cli", *commands["chern"], "--out", str(path))
+    code = main(commands["chern"])
+    out = capsys.readouterr().out
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, b"", b"")
+    assert path.read_bytes() == out.encode("utf-8")
+
+
+def _exit_status(entry, argv, stdout, buffered):
+    """Exit status and stderr of a child writing its report to ``stdout``
+    (closed by this process right after the start, when it is a pipe)."""
+    proc = subprocess.Popen(
+        [sys.executable, *entry, *argv], cwd=ROOT, env=_child_env(buffered),
+        stdin=subprocess.DEVNULL, stdout=stdout, stderr=subprocess.PIPE,
+    )
+    if stdout == subprocess.PIPE:
+        proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    return proc.returncode, err.decode("utf-8")
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_closed_reader_ends_with_the_teardown_exit_status(tmp_path, buffered):
+    # the report fills the pipe, so the write fails inside main
+    argv = ["chern", "--input", _octahedron_146(tmp_path)]
+    code, err = _exit_status(["-m", "catbundle.cli"], argv, subprocess.PIPE, buffered)
+    want, _ = _exit_status(["-c", EXIT_AFTER_TEARDOWN], argv, subprocess.PIPE, buffered)
+    assert code == want != 0
+    assert "BrokenPipeError" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_failed_flush_ends_with_the_teardown_exit_status(commands):
+    # a buffered report this small is written only by the flush, which
+    # fails on a full device: the error propagates and the interpreter
+    # tears down, instead of the process ending as if it had succeeded
+    argv = commands["glue-dims"][:-1] + ["0"]
+    with open("/dev/full", "wb") as full:
+        code, err = _exit_status(["-m", "catbundle.cli"], argv, full, True)
+        want, _ = _exit_status(["-c", EXIT_AFTER_TEARDOWN], argv, full, True)
+    assert code == want != 0
+    assert "in run\n    sys.stdout.flush()" in err
+
+
+def test_console_script_is_the_run_entry():
+    # a text check: the oldest supported Python has no tomllib
+    with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as fh:
+        assert 'catbundle = "catbundle.cli:run"' in fh.read()

@@ -17,10 +17,10 @@ from catbundle.linalg import (
     nullspace,
     opnorm,
     power_action,
-    projection_residual,
 )
 from catbundle.groups import full_unitary, lie_basis, special_unitary
 from kronecker import kron_action, kron_derivation, slot_action, tensor_power
+from spans import projection_residual
 
 
 def rand_mat(rng, n, m):

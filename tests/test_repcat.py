@@ -19,7 +19,7 @@ from catbundle.groups import (
     trivial_group,
     verify_normalizer,
 )
-from catbundle.linalg import as_matrix, hs_inner, nullspace, power_action, projection_residual
+from catbundle.linalg import as_matrix, hs_inner, nullspace, power_action
 from catbundle.repcat import (
     _root_generator,
     antisym_projector,
@@ -31,6 +31,7 @@ from catbundle.repcat import (
     symmetry_unitary,
 )
 from kronecker import derived_power, tensor_power
+from spans import projection_residual
 
 # multiplicity tables computed by character arithmetic (finite groups)
 # and Clebsch-Gordan bookkeeping (su(2)); frozen here as the oracle
